@@ -19,7 +19,6 @@ from lifedual import (
     minimize_upper_bound,
     preset_scenario,
     simulate_candidate_value,
-    verify_budget_constraint,
     welfare_loss,
 )
 
@@ -60,8 +59,9 @@ print(
 )
 
 # The discounted value of what the paths spend should equal initial
-# wealth plus the discounted value of income (one z-score per run).
-chk = verify_budget_constraint(scenario, g, policy, SIM)
+# wealth plus the discounted value of income (one z-score per run,
+# computed by the simulation pass above on the same paths).
+chk = sim.budget
 print(
     f"budget identity: spending {chk.lhs:.2f} vs resources {chk.rhs:.2f}  "
     f"(z = {chk.z_score:+.2f})"

@@ -50,10 +50,8 @@ from .lower_bound import (
     BudgetCheck,
     SimulationConfig,
     SimulationResult,
-    kernel_martingale_zscores,
     simulate_candidate_value,
     sobol_normals,
-    verify_budget_constraint,
 )
 from .market import (
     CoefficientCurve,
@@ -107,7 +105,6 @@ __all__ = [
     "in_effective_domain",
     "init_params",
     "kappa",
-    "kernel_martingale_zscores",
     "log_state_price_increment",
     "make_policy",
     "minimize_upper_bound",
@@ -125,6 +122,5 @@ __all__ = [
     "upper_bound_retirement",
     "upper_bound_working",
     "validate",
-    "verify_budget_constraint",
     "welfare_loss",
 ]

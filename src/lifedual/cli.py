@@ -5,7 +5,8 @@ Subcommands
 run       optimize the upper bound, simulate the candidate lower bound,
           verify the budget identity, and write the CSV artifact set
 validate  check scenario coefficient conditions and report violations
-verify    optimize, then run the budget and kernel-martingale checks
+verify    optimize, simulate, and print the budget and kernel-martingale
+          checks of that path pass
 gfun      write the consumption-annuity curve g(t) as CSV
 
 Common flags: ``--config PATH`` (flat key=value file), ``--preset
@@ -29,11 +30,7 @@ from .config import RunConfig, build_run_config, parse_kv_file
 from .drift_policy import evaluate as evaluate_policy
 from .drift_policy import flatten
 from .errors import NumericalError, ValidationError
-from .lower_bound import (
-    kernel_martingale_zscores,
-    simulate_candidate_value,
-    verify_budget_constraint,
-)
+from .lower_bound import simulate_candidate_value
 from .optimizer import minimize_upper_bound
 from .quadrature import UniformGrid
 from .report import build_report, emit_csv, write_gfun_csv
@@ -140,10 +137,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
     t0 = time.perf_counter()
     sim = simulate_candidate_value(cfg.scenario, g, policy, cfg.simulation)
     clock["simulate"] = time.perf_counter() - t0
-
-    t0 = time.perf_counter()
-    budget = verify_budget_constraint(cfg.scenario, g, policy, cfg.simulation)
-    clock["verify"] = time.perf_counter() - t0
+    budget = sim.budget
     if not np.isfinite(budget.z_score):
         raise NumericalError("budget check produced a non-finite z-score")
     if abs(budget.z_score) > 5.0:
@@ -195,13 +189,14 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     grid = UniformGrid(0.0, cfg.scenario.T, cfg.n_intervals)
     g = compute_g(cfg.scenario, grid)
     policy, _ = _optimize(cfg, g)
-    budget = verify_budget_constraint(cfg.scenario, g, policy, cfg.simulation)
+    sim = simulate_candidate_value(cfg.scenario, g, policy, cfg.simulation)
+    budget = sim.budget
     print(
         f"budget identity: lhs {budget.lhs:.6f}  rhs {budget.rhs:.6f}  "
         f"z {budget.z_score:+.3f}"
     )
     ok = np.isfinite(budget.z_score) and abs(budget.z_score) <= 3.0
-    for t, z in kernel_martingale_zscores(cfg.scenario, g, policy, cfg.simulation):
+    for t, z in sim.martingale_z:
         print(f"kernel martingale at t={t:7.3f}: z {z:+.3f}")
         ok = ok and np.isfinite(z) and abs(z) <= 3.0
     if not ok:

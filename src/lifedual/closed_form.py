@@ -63,6 +63,7 @@ __all__ = [
     "origin_upper_bound",
     "upper_bound_working",
     "upper_bound_retirement",
+    "feedback_controls",
     "feedback_strategy",
     "welfare_loss",
     "hjb_residual",
@@ -383,6 +384,19 @@ class FeedbackStrategy:
     face_value: float
 
 
+def feedback_controls(scenario: MarketScenario, W, y, ann, f2, kv, g_t, sigma):
+    """Optimal (theta*, c*, M*) from the aggregate curves at one time.
+
+    Vectorised over wealth W and the income flow y (zero once retired);
+    ann, F2~, kappa_v, g(t) and sigma(t) are the curve values at that
+    time.  theta* is clipped to [0, W] and M* = c* g(t).
+    """
+    f3 = W + y * ann
+    c = f3 / f2
+    theta = -f3 * kv / (scenario.gamma * sigma) - scenario.sigma_Y / sigma * y * ann
+    return np.clip(theta, 0.0, W), c, c * g_t
+
+
 def feedback_strategy(
     scenario: MarketScenario,
     g: GFunction,
@@ -394,31 +408,23 @@ def feedback_strategy(
 ) -> FeedbackStrategy:
     """Optimal (theta*, c*, M*) at a positive-wealth state.
 
-    The zero-wealth liquidity rule lives in the simulator, not here.
+    Aggregates come from a grid anchored at t (no interpolation).  The
+    zero-wealth liquidity rule lives in the simulator, not here.
     """
     if W <= 0:
         raise ValidationError(
             "feedback strategy needs W > 0 (the simulator handles the W = 0 rule)"
         )
-    retired = t >= scenario.T_R
-    if retired:
-        ub = upper_bound_retirement(scenario, g, policy, t, W, n_intervals)
-        y_eff, ann = 0.0, 0.0
-    else:
-        ub = upper_bound_working(scenario, g, policy, t, W, Y, n_intervals)
-        y_eff = Y
-        ann = (ub.tilde_f3 - W) / Y if Y > 0 else 0.0
-    gam = scenario.gamma
-    sig = float(scenario.sigma(t))
-    v0, vm = evaluate_policy(policy, t, horizon=scenario.T)
-    kv = float(kappa(scenario, t, float(v0), float(vm)))
-    theta_unclamped = -ub.tilde_f3 * kv / (gam * sig) - scenario.sigma_Y / sig * y_eff * ann
-    theta = float(min(max(theta_unclamped, 0.0), W))
-    c = ub.tilde_f3 / ub.tilde_f2
-    g_t = g_value(scenario, t, n_intervals or g.grid.n_intervals)
-    m = c * g_t
+    if Y < 0 or not 0 <= t <= scenario.T:
+        raise ValidationError("feedback strategy needs Y >= 0 and t in [0, T]")
+    agg = _anchored_aggregates(scenario, g, policy, t, n_intervals)
+    y = Y if t < scenario.T_R else 0.0
+    theta, c, m = feedback_controls(
+        scenario, W, y, agg.income_annuity[0], agg.tilde_f2[0], agg.kappa_v[0],
+        agg.g[0], float(scenario.sigma(t)),
+    )
     return FeedbackStrategy(
-        theta_star=theta, c_star=float(c), m_star=float(m), face_value=float(m - W)
+        theta_star=float(theta), c_star=float(c), m_star=float(m), face_value=float(m - W)
     )
 
 

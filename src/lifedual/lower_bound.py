@@ -1,4 +1,4 @@
-"""Quasi-Monte-Carlo lower bound and static-identity verifiers.
+"""Quasi-Monte-Carlo lower bound and dual-identity checks in one path pass.
 
 The optimized drift adjustment induces a *feasible* candidate strategy:
 apply the closed-form feedback controls (theta*, c*, M*) to the true
@@ -26,8 +26,8 @@ number of initial points skipped.  Wealth uses Euler-Maruyama steps
 log-normal steps; utility integrals use the left-endpoint rule,
 consistent with previsible controls.
 
-Two verifiers check the dual bookkeeping on the same driver stream:
-the static budget identity
+The same pass over the same normals checks the dual bookkeeping: the
+static budget identity
 
     E[ ∫ pi_v e^{-Lam} (c* + lam M*) dt + pi_{v,T} e^{-Lam(T)} W*_T ]
         = W_0 + E[ ∫ pi_v e^{-Lam} Y dt ],
@@ -43,17 +43,15 @@ checked under the physical measure through the density ksi_t.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import ndtri
 from scipy.stats import qmc
 
-from .closed_form import GFunction, precompute_aggregates
+from .closed_form import GFunction, feedback_controls, precompute_aggregates
 from .errors import NumericalError, ValidationError
 from .market import MarketScenario
-from .quadrature import UniformGrid
 
 __all__ = [
     "SimulationConfig",
@@ -61,8 +59,6 @@ __all__ = [
     "BudgetCheck",
     "sobol_normals",
     "simulate_candidate_value",
-    "verify_budget_constraint",
-    "kernel_martingale_zscores",
 ]
 
 _MAX_SOBOL_DIM = 21201
@@ -93,35 +89,41 @@ class SimulationConfig:
             raise ValidationError("sobol_skip must be nonnegative")
 
 
-def sobol_normals(config: SimulationConfig, dimension: int | None = None) -> np.ndarray:
+def sobol_normals(config: SimulationConfig) -> np.ndarray:
     """Standard-normal increments, one Sobol point per path.
 
-    Returns an (n_paths, dimension) array: unscrambled Sobol points
+    Returns an (n_paths, n_steps) array: unscrambled Sobol points
     after the skip, mapped through the inverse normal CDF (double
     precision, max absolute error well below 1e-9).  Deterministic
     given the config.
     """
-    d = dimension if dimension is not None else config.n_steps
-    if not 1 <= d <= _MAX_SOBOL_DIM:
+    if config.n_steps > _MAX_SOBOL_DIM:
         raise ValidationError(f"Sobol dimension must lie in [1, {_MAX_SOBOL_DIM}]")
-    engine = qmc.Sobol(d=d, scramble=False)
-    with warnings.catch_warnings():
-        # drawing a non-power-of-two count is deliberate here
-        warnings.simplefilter("ignore", UserWarning)
-        raw = engine.random(1 + config.sobol_skip + config.n_paths)
-    pts = raw[1 + config.sobol_skip :]
-    del raw
+    engine = qmc.Sobol(d=config.n_steps, scramble=False)
+    engine.fast_forward(1 + config.sobol_skip)
+    pts = engine.random(config.n_paths)
     np.clip(pts, 1e-12, 1.0 - 1e-12, out=pts)
-    return ndtri(pts)
+    return ndtri(pts, out=pts)
+
+
+@dataclass(frozen=True)
+class BudgetCheck:
+    """Static budget identity: lhs should equal rhs within QMC noise."""
+
+    lhs: float
+    rhs: float
+    z_score: float
+    std_error: float
 
 
 @dataclass(frozen=True)
 class SimulationResult:
-    """Candidate value estimate with trajectory summaries.
+    """Candidate value estimate with trajectory summaries and dual checks.
 
     ``times`` has n_steps+1 entries; wealth means align with it, while
     the control summaries (face value, consumption) are recorded at
-    the n_steps left endpoints.
+    the n_steps left endpoints.  ``budget`` and ``martingale_z`` are
+    the static-budget and kernel-martingale checks on the same paths.
     """
 
     value: float
@@ -131,21 +133,13 @@ class SimulationResult:
     mean_face_value: np.ndarray
     mean_consumption: np.ndarray
     n_paths: int
+    budget: BudgetCheck
+    martingale_z: list[tuple[float, float]]
 
 
-def _step_curves(scenario, g, policy, config, quad_grid):
-    """Aggregate curves interpolated onto the simulation's left endpoints."""
-    agg = precompute_aggregates(scenario, g, policy, quad_grid)
-    t_left = np.arange(config.n_steps) * (scenario.T / config.n_steps)
-    g_k, f2_k, ann_k, kv_k = agg.interp_curves(t_left)
-    if not (
-        np.all(np.isfinite(g_k))
-        and np.all(np.isfinite(f2_k))
-        and np.all(np.isfinite(ann_k))
-        and np.all(np.isfinite(kv_k))
-    ):
-        raise NumericalError("aggregate curves are not finite; adjustment too extreme")
-    return agg, t_left, g_k, f2_k, ann_k, kv_k
+def _mean_se(x):
+    """Path mean and its sample standard error."""
+    return x.mean(), x.std(ddof=1) / np.sqrt(len(x))
 
 
 def simulate_candidate_value(
@@ -163,109 +157,22 @@ def simulate_candidate_value(
     the feedback rule (used to exercise alternative feasible recipes);
     the liquidity truncation still applies on the zero-wealth boundary.
 
-    Returns the path mean, its sample standard error (conservative for
-    a low-discrepancy stream), and mean trajectories of wealth, face
-    value M* - W, and consumption.
-    """
-    gam = scenario.gamma
-    mort = scenario.mortality
-    dt = scenario.T / config.n_steps
-    _, t_left, g_k, f2_k, ann_k, kv_k = _step_curves(scenario, g, policy, config, g.grid)
-
-    r_k = np.asarray(scenario.r(t_left)) + np.zeros_like(t_left)
-    mu_k = np.asarray(scenario.mu(t_left)) + np.zeros_like(t_left)
-    sig_k = np.asarray(scenario.sigma(t_left)) + np.zeros_like(t_left)
-    lam_k = np.asarray(mort.hazard(t_left))
-    disc_k = np.exp(-np.asarray(mort.cumulative_hazard(0.0, t_left)) - scenario.delta_tilde * t_left)
-    w_cons = disc_k * dt
-    w_beq = lam_k * disc_k * g_k**gam * dt
-    cap_fac = 1.0 + lam_k * g_k
-    working = t_left < scenario.T_R
-
-    dZ = sobol_normals(config)
-    dZ *= np.sqrt(dt)
-
-    W = np.full(config.n_paths, scenario.W0)
-    Y = np.full(config.n_paths, scenario.Y0)
-    util = np.zeros(config.n_paths)
-    mean_wealth = np.empty(config.n_steps + 1)
-    mean_face = np.empty(config.n_steps)
-    mean_cons = np.empty(config.n_steps)
-
-    for k in range(config.n_steps):
-        y_k = Y if working[k] else 0.0
-        if controls_override is None:
-            f3 = W + y_k * ann_k[k]
-            c = f3 / f2_k[k]
-            theta = -f3 * kv_k[k] / (gam * sig_k[k]) - scenario.sigma_Y / sig_k[k] * y_k * ann_k[k]
-            theta = np.clip(theta, 0.0, W)
-            m = c * g_k[k]
-        else:
-            theta, c, m = controls_override(t_left[k], W, y_k)
-            theta = np.clip(theta, 0.0, W)
-        at_floor = W <= 1e-12
-        if working[k] and np.any(at_floor):
-            cap = Y / cap_fac[k]
-            c = np.where(at_floor, np.minimum(c, cap), c)
-            m = np.where(at_floor, c * g_k[k], m)
-
-        mean_wealth[k] = W.mean()
-        mean_face[k] = (m - W).mean()
-        mean_cons[k] = c.mean()
-        util += w_cons[k] * np.maximum(c, _UTILITY_FLOOR) ** (1.0 - gam) / (1.0 - gam)
-        util += w_beq[k] * np.maximum(m, _UTILITY_FLOOR) ** (1.0 - gam) / (1.0 - gam)
-
-        drift = (r_k[k] + lam_k[k]) * W + theta * (mu_k[k] - r_k[k]) - c - lam_k[k] * m + y_k
-        W = W + drift * dt + theta * sig_k[k] * dZ[:, k]
-        np.maximum(W, 0.0, out=W)
-        if not np.all(np.isfinite(W)):
-            raise NumericalError(f"non-finite wealth at step {k} (t={t_left[k]:.4f})")
-        if working[k]:
-            Y = Y * np.exp(
-                (scenario.mu_Y - 0.5 * scenario.sigma_Y**2) * dt
-                + scenario.sigma_Y * dZ[:, k]
-            )
-
-    mean_wealth[-1] = W.mean()
-    disc_T = np.exp(-mort.cumulative_hazard(0.0, scenario.T) - scenario.delta_tilde * scenario.T)
-    util += disc_T * np.maximum(W, _UTILITY_FLOOR) ** (1.0 - gam) / (1.0 - gam)
-
-    value = float(util.mean())
-    se = float(util.std(ddof=1) / np.sqrt(config.n_paths))
-    times = np.concatenate([t_left, [scenario.T]])
-    return SimulationResult(
-        value=value,
-        std_error=se,
-        times=times,
-        mean_wealth=mean_wealth,
-        mean_face_value=mean_face,
-        mean_consumption=mean_cons,
-        n_paths=config.n_paths,
-    )
-
-
-@dataclass(frozen=True)
-class BudgetCheck:
-    """Static budget identity: lhs should equal rhs within QMC noise."""
-
-    lhs: float
-    rhs: float
-    z_score: float
-    std_error: float
-
-
-def _dual_stream_paths(scenario, g, policy, config):
-    """Common machinery for the budget and martingale verifiers.
-
-    Simulates log pi_v and log ksi_v (left-endpoint Euler increments)
-    and the income path, evaluates the closed-form optimal streams
+    The same pass simulates log pi_v and log ksi_v (left-endpoint Euler
+    increments), evaluates the closed-form optimal streams
     c*_t = c0 (pi_t e^{delta t})^{-1/gamma}, M*_t = g(t) c*_t and
     W*_t = c*_t F2~(t) - Y_t ann(t) at every step boundary, and
     accumulates the survival-weighted pricing integrals by the
     trapezoid rule (the income flow stops at retirement, so that
     integrand's right/left limits are tracked separately around T_R).
-    Returns per-path spend/income integrals, the discounted terminal
-    wealth, and kernel-martingale snapshots at quarter horizons.
+    The budget check standardizes spend + terminal - income against
+    W0; the martingale check standardizes the increments of H_t
+    between quarter-horizon checkpoints (the first against the exact
+    H_0 = W0).  Overflow in these dual streams is left to show as a
+    non-finite z-score.
+
+    Returns the path mean, its sample standard error (conservative for
+    a low-discrepancy stream), mean trajectories of wealth, face value
+    M* - W, and consumption, and the two dual checks.
     """
     gam = scenario.gamma
     mort = scenario.mortality
@@ -274,118 +181,127 @@ def _dual_stream_paths(scenario, g, policy, config):
     agg = precompute_aggregates(scenario, g, policy, g.grid)
     t_nodes = np.arange(n_steps + 1) * dt
     g_n, f2_n, ann_n, kv_n = agg.interp_curves(t_nodes)
-    finite = all(
-        np.all(np.isfinite(a)) for a in (g_n, f2_n, ann_n, kv_n)
-    )
-    if not finite:
+    if not all(np.all(np.isfinite(a)) for a in (g_n, f2_n, ann_n, kv_n)):
         raise NumericalError("aggregate curves are not finite; adjustment too extreme")
 
-    v0_n, vm_n = (np.asarray(x) + np.zeros_like(t_nodes) for x in policy(t_nodes))
     r_n = np.asarray(scenario.r(t_nodes)) + np.zeros_like(t_nodes)
+    mu_n = np.asarray(scenario.mu(t_nodes)) + np.zeros_like(t_nodes)
+    sig_n = np.asarray(scenario.sigma(t_nodes)) + np.zeros_like(t_nodes)
     lam_n = np.asarray(mort.hazard(t_nodes))
-    surv_n = np.exp(-np.asarray(mort.cumulative_hazard(0.0, t_nodes)))
+    cum_haz = np.asarray(mort.cumulative_hazard(0.0, t_nodes))
+    surv_n = np.exp(-cum_haz)
+    disc_n = np.exp(-cum_haz - scenario.delta_tilde * t_nodes)
+    w_cons = disc_n * dt
+    w_beq = lam_n * disc_n * g_n**gam * dt
+    cap_fac = 1.0 + lam_n * g_n
+    working = t_nodes < scenario.T_R
+
+    v0_n = np.asarray(policy(t_nodes)[0]) + np.zeros_like(t_nodes)
     # deterministic part of the kernel: log beta by the left rule,
     # matching the frozen-coefficient ksi increments below
     log_beta = np.concatenate([[0.0], -np.cumsum((r_n[:-1] + v0_n[:-1]) * dt)])
-
     c0 = (scenario.W0 + scenario.Y0 * ann_n[0]) / f2_n[0]
+    check_steps = {max(j * n_steps // 4, 1) for j in range(1, 5)}  # quarters, last at T
 
     dZ = sobol_normals(config)
     dZ *= np.sqrt(dt)
 
-    log_xi = np.zeros(config.n_paths)
+    W = np.full(config.n_paths, scenario.W0)
     Y = np.full(config.n_paths, scenario.Y0)
+    util = np.zeros(config.n_paths)
+    mean_wealth = np.empty(n_steps + 1)
+    mean_face = np.empty(n_steps)
+    mean_cons = np.empty(n_steps)
+    log_xi = np.zeros(config.n_paths)
     spend = np.zeros(config.n_paths)  # int pi e^{-Lam}(c* + lam M*) dt
     income = np.zeros(config.n_paths)  # int pi e^{-Lam} Y dt
     finance = np.zeros(config.n_paths)  # int beta e^{-Lam}(c* - Y + lam M*) dt
-    n_checks = 4
-    check_steps = sorted(
-        {min(max(j * n_steps // n_checks, 1), n_steps) for j in range(1, n_checks + 1)}
-    )
-    snapshots = []
-    terminal = None
-    prev_spend = prev_income = prev_finance = None
+    h_prev = np.full(config.n_paths, float(scenario.W0))
+    martingale_z = []
 
     for k in range(n_steps + 1):
         t = t_nodes[k]
-        log_pi = log_beta[k] + log_xi
-        pi_surv = np.exp(log_pi) * surv_n[k]
-        beta_surv = np.exp(log_beta[k]) * surv_n[k]
-        c_star = c0 * np.exp(-(scenario.delta_tilde * t + log_pi) / gam)
-        lam_m = lam_n[k] * g_n[k] * c_star
         # income flows on [0, T_R]: the right limit at T_R still pays,
         # the segment opening at T_R does not
+        y_k = Y if working[k] else 0.0
         y_close = Y if t <= scenario.T_R else 0.0
-        y_open = Y if t < scenario.T_R else 0.0
-
-        f_spend = pi_surv * (c_star + lam_m)
-        if k > 0:
-            spend += 0.5 * dt * (prev_spend + f_spend)
-            income += 0.5 * dt * (prev_income + pi_surv * y_close)
-            finance += 0.5 * dt * (prev_finance + beta_surv * (c_star - y_close + lam_m))
-        prev_spend = f_spend
-        prev_income = pi_surv * y_open
-        prev_finance = beta_surv * (c_star - y_open + lam_m)
-
-        if k in check_steps or k == n_steps:
-            w_star = c_star * f2_n[k] - y_open * ann_n[k]
-            h = np.exp(log_xi) * (np.exp(log_beta[k]) * surv_n[k] * w_star + finance)
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            log_pi = log_beta[k] + log_xi
+            pi_surv = np.exp(log_pi) * surv_n[k]
+            beta_surv = np.exp(log_beta[k]) * surv_n[k]
+            c_star = c0 * np.exp(-(scenario.delta_tilde * t + log_pi) / gam)
+            lam_m = lam_n[k] * g_n[k] * c_star
+            f_spend = pi_surv * (c_star + lam_m)
+            if k > 0:
+                spend += 0.5 * dt * (prev_spend + f_spend)
+                income += 0.5 * dt * (prev_income + pi_surv * y_close)
+                finance += 0.5 * dt * (prev_finance + beta_surv * (c_star - y_close + lam_m))
+            prev_spend = f_spend
+            prev_income = pi_surv * y_k
+            prev_finance = beta_surv * (c_star - y_k + lam_m)
             if k in check_steps:
-                snapshots.append((float(t), h))
+                w_star = c_star * f2_n[k] - y_k * ann_n[k]
+                h = np.exp(log_xi) * (beta_surv * w_star + finance)
+                mean, se = _mean_se(h - h_prev)
+                martingale_z.append((float(t), float(mean / se)))
+                h_prev = h
             if k == n_steps:
                 terminal = pi_surv * w_star  # W*_T = c*_T since F2~(T) = 1
-
-        if k < n_steps:
-            kv = kv_n[k]
-            log_xi = log_xi + kv * dZ[:, k] - 0.5 * kv * kv * dt
-            if t < scenario.T_R:
-                Y = Y * np.exp(
-                    (scenario.mu_Y - 0.5 * scenario.sigma_Y**2) * dt
-                    + scenario.sigma_Y * dZ[:, k]
+                diff = spend + terminal - income
+                mean, se = _mean_se(diff)
+                budget = BudgetCheck(
+                    lhs=float((spend + terminal).mean()),
+                    rhs=float(scenario.W0 + income.mean()),
+                    z_score=float((mean - scenario.W0) / se),
+                    std_error=float(se),
                 )
+                break
+            dz = dZ[:, k]
+            log_xi = log_xi + kv_n[k] * dz - 0.5 * kv_n[k] * kv_n[k] * dt
 
-    return spend, income, terminal, snapshots
+        if controls_override is None:
+            theta, c, m = feedback_controls(
+                scenario, W, y_k, ann_n[k], f2_n[k], kv_n[k], g_n[k], sig_n[k]
+            )
+        else:
+            theta, c, m = controls_override(t, W, y_k)
+            theta = np.clip(theta, 0.0, W)
+        at_floor = W <= 1e-12
+        if working[k] and np.any(at_floor):
+            cap = Y / cap_fac[k]
+            c = np.where(at_floor, np.minimum(c, cap), c)
+            m = np.where(at_floor, c * g_n[k], m)
 
+        mean_wealth[k] = W.mean()
+        mean_face[k] = (m - W).mean()
+        mean_cons[k] = c.mean()
+        util += w_cons[k] * np.maximum(c, _UTILITY_FLOOR) ** (1.0 - gam) / (1.0 - gam)
+        util += w_beq[k] * np.maximum(m, _UTILITY_FLOOR) ** (1.0 - gam) / (1.0 - gam)
 
-def verify_budget_constraint(
-    scenario: MarketScenario, g: GFunction, policy, config: SimulationConfig
-) -> BudgetCheck:
-    """QMC check of the static budget identity for the dual optimum.
+        drift = (r_n[k] + lam_n[k]) * W + theta * (mu_n[k] - r_n[k]) - c - lam_n[k] * m + y_k
+        W = W + drift * dt + theta * sig_n[k] * dz
+        np.maximum(W, 0.0, out=W)
+        if not np.all(np.isfinite(W)):
+            raise NumericalError(f"non-finite wealth at step {k} (t={t:.4f})")
+        if working[k]:
+            Y = Y * np.exp(
+                (scenario.mu_Y - 0.5 * scenario.sigma_Y**2) * dt
+                + scenario.sigma_Y * dz
+            )
 
-    Prices the closed-form optimal consumption/bequest streams under
-    the adjusted kernel and reports the standardized deviation of
-    lhs - (income term) from the initial wealth.
-    """
-    spend, income, terminal, _ = _dual_stream_paths(scenario, g, policy, config)
-    diff = spend + terminal - income
-    se = float(diff.std(ddof=1) / np.sqrt(len(diff)))
-    mean_diff = float(diff.mean())
-    return BudgetCheck(
-        lhs=float((spend + terminal).mean()),
-        rhs=float(scenario.W0 + income.mean()),
-        z_score=(mean_diff - scenario.W0) / se,
-        std_error=se,
+    mean_wealth[-1] = W.mean()
+    disc_T = np.exp(-mort.cumulative_hazard(0.0, scenario.T) - scenario.delta_tilde * scenario.T)
+    util += disc_T * np.maximum(W, _UTILITY_FLOOR) ** (1.0 - gam) / (1.0 - gam)
+
+    value, se = _mean_se(util)
+    return SimulationResult(
+        value=float(value),
+        std_error=float(se),
+        times=np.concatenate([t_nodes[:-1], [scenario.T]]),
+        mean_wealth=mean_wealth,
+        mean_face_value=mean_face,
+        mean_consumption=mean_cons,
+        n_paths=config.n_paths,
+        budget=budget,
+        martingale_z=martingale_z,
     )
-
-
-def kernel_martingale_zscores(
-    scenario: MarketScenario, g: GFunction, policy, config: SimulationConfig
-) -> list[tuple[float, float]]:
-    """Drift z-scores of the kernel-discounted optimal-wealth process.
-
-    H_t (discounted optimal wealth plus the accumulated financing flow)
-    weighted by the density ksi_t has constant expectation W0, so each
-    increment between consecutive quarter-horizon checkpoints should
-    have zero mean.  Returns (t, z) pairs standardizing those mean
-    increments by their own per-path standard errors; the first entry
-    compares against the exact H_0 = W0.
-    """
-    _, _, _, snapshots = _dual_stream_paths(scenario, g, policy, config)
-    out = []
-    prev = np.full(config.n_paths, float(scenario.W0))
-    for t, h in snapshots:
-        inc = h - prev
-        se = inc.std(ddof=1) / np.sqrt(len(inc))
-        out.append((t, float(inc.mean() / se)))
-        prev = h
-    return out

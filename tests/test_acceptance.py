@@ -26,11 +26,7 @@ from lifedual.closed_form import (
     welfare_loss,
 )
 from lifedual.drift_policy import init_params, make_policy
-from lifedual.lower_bound import (
-    SimulationConfig,
-    simulate_candidate_value,
-    verify_budget_constraint,
-)
+from lifedual.lower_bound import SimulationConfig, simulate_candidate_value
 from lifedual.market import preset_scenario
 from lifedual.mortality import MortalityModel
 from lifedual.optimizer import OptimizerConfig, minimize_upper_bound
@@ -186,12 +182,12 @@ def test_criterion_05_hjb_residual_suite():
 
 def test_criterion_06_budget_identity(ex1_affine):
     t0 = time.perf_counter()
-    chk = verify_budget_constraint(
+    chk = simulate_candidate_value(
         ex1_affine.scenario,
         ex1_affine.g,
         ex1_affine.policy,
         SimulationConfig(n_paths=2**14, n_steps=1000),
-    )
+    ).budget
     elapsed = time.perf_counter() - t0
     z_ok = abs(chk.z_score) <= 3.0
     time_ok = elapsed < 60.0

@@ -1,14 +1,19 @@
 """Config parsing, report arithmetic, CSV artifacts, CLI exit codes."""
 
 import csv
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import lifedual.cli
+import lifedual.lower_bound
 from lifedual.cli import main
 from lifedual.closed_form import compute_g, origin_upper_bound, welfare_loss
 from lifedual.config import DESK_SCALE, build_run_config, parse_kv_file
 from lifedual.constraints import ConstraintKind
+from lifedual.drift_policy import init_params, make_policy
 from lifedual.errors import NumericalError, ValidationError
 from lifedual.lower_bound import SimulationConfig, simulate_candidate_value
 from lifedual.market import preset_scenario
@@ -293,6 +298,45 @@ def test_cli_verify_passes_for_optimized_policy(tmp_path, capsys):
     out = capsys.readouterr().out
     assert "verification passed" in out
     assert out.count("kernel martingale") == 4
+
+
+@pytest.mark.parametrize("command", ["run", "verify"])
+def test_cli_draws_one_normal_stream(tmp_path, monkeypatch, command):
+    calls = []
+    draw = lifedual.lower_bound.sobol_normals
+
+    def counting(config):
+        calls.append(config)
+        return draw(config)
+
+    monkeypatch.setattr(lifedual.lower_bound, "sobol_normals", counting)
+    cfg = _write(tmp_path, "run.cfg", SMALL_RUN_CFG)
+    assert main([command, "--config", cfg, "--out", str(tmp_path / "out"), "--seed", "0"]) == 0
+    assert len(calls) == 1
+
+
+@pytest.mark.parametrize("command", ["run", "verify"])
+def test_cli_non_finite_dual_check_exits_2(tmp_path, monkeypatch, capsys, command):
+    sc = preset_scenario("example1")
+    extreme = make_policy(
+        "affine", np.abs(init_params("affine", (100, 1), affine_std=0.03)), t_retire=sc.T_R
+    )
+    simulate = lifedual.cli.simulate_candidate_value
+    monkeypatch.setattr(
+        lifedual.cli,
+        "simulate_candidate_value",
+        lambda scenario, g, policy, config: simulate(scenario, g, extreme, config),
+    )
+    cfg = _write(tmp_path, "run.cfg", SMALL_RUN_CFG)
+    assert main([command, "--config", cfg, "--out", str(tmp_path / "out"), "--seed", "0"]) == 2
+    assert "numerical failure" in capsys.readouterr().err
+
+
+def test_readme_config_example_is_accepted(tmp_path):
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    block = re.search(r"```ini\n(.*?)```", readme, re.S).group(1)
+    cfg = build_run_config(parse_kv_file(_write(tmp_path, "readme.cfg", block)))
+    assert cfg.policy_kind == "mlp" and cfg.simulation.n_paths == 20000
 
 
 def test_cli_gfun_matches_library_curve(tmp_path):

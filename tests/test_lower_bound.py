@@ -11,10 +11,8 @@ from lifedual.drift_policy import AffinePolicy, init_params, make_policy
 from lifedual.errors import ValidationError
 from lifedual.lower_bound import (
     SimulationConfig,
-    kernel_martingale_zscores,
     simulate_candidate_value,
     sobol_normals,
-    verify_budget_constraint,
 )
 from lifedual.market import preset_scenario
 from lifedual.quadrature import UniformGrid
@@ -29,7 +27,7 @@ def _g100():
 
 def test_sobol_first_points_dimension_one():
     cfg = SimulationConfig(n_paths=3, n_steps=1, sobol_skip=0)
-    z = sobol_normals(cfg, dimension=1)
+    z = sobol_normals(cfg)
     # the radical-inverse sequence starts 1/2, 3/4, 1/4 after the origin
     ref = [0.0, 0.6744897501960817, -0.6744897501960817]
     assert z[:, 0] == pytest.approx(ref, abs=1e-12)
@@ -44,11 +42,10 @@ def test_sobol_moments_per_dimension():
 
 
 def test_sobol_dimension_validation():
-    cfg = SimulationConfig(n_paths=4, n_steps=1)
     with pytest.raises(ValidationError):
-        sobol_normals(cfg, dimension=0)
+        sobol_normals(SimulationConfig(n_paths=4, n_steps=0))
     with pytest.raises(ValidationError):
-        sobol_normals(cfg, dimension=30000)
+        sobol_normals(SimulationConfig(n_paths=4, n_steps=30000))
 
 
 def test_simulation_config_validation():
@@ -157,6 +154,18 @@ def test_weak_duality_for_sampled_policies():
         assert res.value <= upper + 3.0 * res.std_error
 
 
+def test_overflowing_dual_streams_flag_the_checks_only():
+    # an extreme adjustment overflows the state-price streams: the checks
+    # come out NaN (without warnings) while the candidate value is finite
+    pol = make_policy(
+        "affine", np.abs(init_params("affine", (100, 1), affine_std=0.03)), t_retire=SC.T_R
+    )
+    sim = simulate_candidate_value(SC, _g100(), pol, SimulationConfig(n_paths=1024, n_steps=100))
+    assert np.isfinite(sim.value)
+    assert np.isnan(sim.budget.z_score)
+    assert np.isnan(sim.martingale_z[-1][1])
+
+
 def test_budget_identity_zero_adjustment_semianalytic():
     # with a zero adjustment and constant coefficients both sides of the
     # budget identity have closed forms via lognormal moments:
@@ -179,9 +188,9 @@ def test_budget_identity_zero_adjustment_semianalytic():
     rhs_exact = SC.W0 + SC.Y0 * ann_quad
 
     g = compute_g(SC, UniformGrid(0.0, SC.T, 250))
-    chk = verify_budget_constraint(
+    chk = simulate_candidate_value(
         SC, g, ZERO, SimulationConfig(n_paths=2**13, n_steps=500)
-    )
+    ).budget
     # level anchors are loose (the unscrambled partial block drifts both
     # sides together by ~1 s.e.); the identity itself is the tight check
     assert chk.lhs == pytest.approx(lhs_exact, rel=5e-3)
@@ -196,8 +205,28 @@ def test_budget_and_martingale_for_nonzero_adjustment():
     )
     g = compute_g(SC, UniformGrid(0.0, SC.T, 250))
     cfg = SimulationConfig(n_paths=2**13, n_steps=500)
-    chk = verify_budget_constraint(SC, g, pol, cfg)
+    sim = simulate_candidate_value(SC, g, pol, cfg)
+    chk = sim.budget
     assert abs(chk.z_score) < 3.0
-    zs = kernel_martingale_zscores(SC, g, pol, cfg)
+    zs = sim.martingale_z
     assert [t for t, _ in zs] == [12.5, 25.0, 37.5, 50.0]
     assert all(abs(z) < 3.0 for _, z in zs)
+
+
+def test_fused_pass_reproduces_reference_values():
+    # values of the small protocol below, captured when the candidate
+    # simulation and the two dual verifiers still ran as separate passes
+    pol = AffinePolicy(
+        params=(0.01, 0.0002, 0.005, 0.0, 0.01, 0.0, 0.005, 0.0), t_retire=SC.T_R
+    )
+    sim = simulate_candidate_value(
+        SC, _g100(), pol, SimulationConfig(n_paths=2**11, n_steps=100)
+    )
+    assert sim.value == pytest.approx(-9.561666470781898, rel=1e-12)
+    assert sim.std_error == pytest.approx(0.0396035632206979, rel=1e-12)
+    assert sim.budget.z_score == pytest.approx(0.23647252204497612, rel=1e-12)
+    assert [t for t, _ in sim.martingale_z] == [12.5, 25.0, 37.5, 50.0]
+    assert [z for _, z in sim.martingale_z] == pytest.approx(
+        [0.6759861443391401, 0.8812137010537932, 1.1455284909309345, -0.21239255849925837],
+        rel=1e-12,
+    )
