@@ -74,16 +74,23 @@ print(
 # cover on top of wealth, negative means selling cover (annuity side).
 # Once retired the fitted adjustment is zero, where F2~ = g and the face
 # value M* - W = W (g/F2~ - 1) vanishes in exact arithmetic; what is left
-# is the trapezoid mismatch eps = max|g/F2~ - 1| of the zero adjustment.
-# Only values beyond twice that share of mean wealth carry a sign.
+# is the trapezoid mismatch eps = max|g/F2~ - 1| of the zero adjustment,
+# taken per phase (working life and retirement).  Only values beyond
+# twice that share of mean wealth carry a sign.
 zero = precompute_aggregates(
     scenario, g, make_policy("affine", np.zeros(8), t_retire=scenario.T_R)
 )
-eps = np.max(np.abs(zero.g / zero.tilde_f2 - 1.0))
+mismatch = np.abs(zero.g / zero.tilde_f2 - 1.0)
+node_working = g.grid.nodes < scenario.T_R
+eps_working, eps_retired = mismatch[node_working].max(), mismatch[~node_working].max()
 face = sim.mean_face_value
 t_left = sim.times[: len(face)]
+eps = np.where(t_left < scenario.T_R, eps_working, eps_retired)
 tol = 2.0 * eps * sim.mean_wealth[: len(face)]
-print(f"mean face value at issue: {face[0]:+,.1f}  (zero tolerance 2 x {eps:.2e} x wealth)")
+print(
+    f"mean face value at issue: {face[0]:+,.1f}  (zero tolerance 2 x eps x wealth, "
+    f"eps {eps_working:.2e} working, {eps_retired:.2e} retired)"
+)
 signed = np.nonzero(np.abs(face) > tol)[0]
 for a, b in zip(signed[:-1], signed[1:]):
     if np.sign(face[a]) != np.sign(face[b]):

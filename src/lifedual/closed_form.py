@@ -25,7 +25,12 @@ force of mortality, and dt~ for the subjective discount,
 
 Every inner integral ∫_0^{s-t} q(s-u) du equals a difference of prefix
 integrals Q(s) - Q(t) on one shared grid, so all aggregate curves come
-out of cumulative-trapezoid tables in O(n).  Point evaluations at
+out of cumulative-trapezoid tables in O(n).  The policy-independent
+node curves (survival, r, mu, sigma, 1 + lam g) are built once per
+grid with g; the optimizer's objective J~(0, W0, Y0) and its exact
+gradient with respect to the adjustment at the nodes come from one
+forward pass over these tables and one reverse (adjoint) pass back
+through them, both O(n).  Point evaluations at
 arbitrary t rebuild the tables on a grid anchored at t (same cost),
 which keeps finite-difference HJB verification clean; the simulator
 instead interpolates the precomputed curves linearly (documented fast
@@ -48,7 +53,13 @@ import numpy as np
 from .drift_policy import evaluate as evaluate_policy
 from .errors import ValidationError
 from .market import MarketScenario, kappa
-from .quadrature import UniformGrid, prefix_trapezoid, prefix_value_at
+from .quadrature import (
+    UniformGrid,
+    prefix_trapezoid,
+    prefix_trapezoid_adjoint,
+    prefix_value_at,
+    prefix_value_weights,
+)
 
 __all__ = [
     "GFunction",
@@ -61,6 +72,7 @@ __all__ = [
     "g_value",
     "precompute_aggregates",
     "origin_upper_bound",
+    "origin_upper_bound_and_gradient",
     "upper_bound_working",
     "upper_bound_retirement",
     "feedback_controls",
@@ -94,12 +106,21 @@ def crra_dual_inverse(z, gamma: float):
 class GFunction:
     """g(t) on a grid; g(T) = 1 exactly and g > 0 everywhere.
 
-    Calling interpolates linearly between nodes (exact at nodes).
+    Calling interpolates linearly between nodes (exact at nodes).  The
+    remaining fields are the policy-independent node curves that every
+    aggregate pass on this grid reads: the survival weight relative to
+    the grid start (exact Gompertz exponent), the market coefficients
+    r, mu, sigma, and the bequest factor 1 + hazard * g.
     """
 
     grid: UniformGrid
     values: np.ndarray
     scenario: MarketScenario
+    survival: np.ndarray
+    r: np.ndarray
+    mu: np.ndarray
+    sigma: np.ndarray
+    bequest_factor: np.ndarray
 
     def __call__(self, t):
         out = np.interp(t, self.grid.nodes, self.values)
@@ -127,7 +148,17 @@ def compute_g(scenario: MarketScenario, grid: UniformGrid) -> GFunction:
     bnode = np.exp(-prefix_trapezoid(rate_b, grid))
     cg = prefix_trapezoid(bnode, grid)
     values = (cg[-1] - cg + bnode[-1]) / bnode
-    return GFunction(grid=grid, values=values, scenario=scenario)
+    mort = scenario.mortality
+    return GFunction(
+        grid=grid,
+        values=values,
+        scenario=scenario,
+        survival=np.exp(-np.asarray(mort.cumulative_hazard(grid.t_start, s))),
+        r=np.asarray(scenario.r(s)),
+        mu=np.asarray(scenario.mu(s)),
+        sigma=np.asarray(scenario.sigma(s)),
+        bequest_factor=1.0 + np.asarray(mort.hazard(s)) * values,
+    )
 
 
 def g_value(scenario: MarketScenario, t: float, n_intervals: int = 400) -> float:
@@ -179,6 +210,61 @@ class DualAggregates:
         return float(crra_utility(f3, gam) * f2**gam)
 
 
+@dataclass(frozen=True)
+class _Tables:
+    """Node tables of one aggregate forward pass (see ``_forward_tables``)."""
+
+    kappa_v: np.ndarray
+    f3node: np.ndarray
+    c2: np.ndarray
+    f1node: np.ndarray
+    e1: np.ndarray
+    c1: np.ndarray
+    c1_tr: float | None  # ∫ e1 up to T_R; None when the grid starts past T_R
+
+
+def _policy_nodes(scenario: MarketScenario, curves: GFunction, policy):
+    s = curves.grid.nodes
+    v0, vm = evaluate_policy(policy, s, horizon=scenario.T)
+    v0 = np.broadcast_to(np.asarray(v0, dtype=float), s.shape)
+    vm = np.broadcast_to(np.asarray(vm, dtype=float), s.shape)
+    return v0, vm
+
+
+def _forward_tables(scenario: MarketScenario, curves: GFunction, v0, vm) -> _Tables:
+    """Prefix tables of the F2~ chain and the income-annuity chain.
+
+    F2~(t) = (c2[n] - c2(t) + surv[n] f3node[n]) / (surv(t) f3node(t))
+    and ann(t) = (c1_tr - c1(t)) / e1(t); the aggregates, the objective
+    and its adjoint all read these tables.
+    """
+    grid = curves.grid
+    gam = scenario.gamma
+    surv = curves.survival
+    # kappa() on the stored curves
+    kv = -(curves.mu + vm - (curves.r + v0)) / curves.sigma
+    r_v = curves.r + v0
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore", under="ignore"):
+        rate3 = scenario.delta_tilde / gam + (gam - 1.0) / gam * r_v + 0.5 * (
+            gam - 1.0
+        ) / gam**2 * kv**2
+        f3node = np.exp(-prefix_trapezoid(rate3, grid))
+        e2 = surv * curves.bequest_factor * f3node
+        c2 = prefix_trapezoid(e2, grid)
+
+        # income annuity: integrate F_1 up to T_R (empty past retirement)
+        rate1 = -scenario.mu_Y + r_v - scenario.sigma_Y * kv
+        f1node = np.exp(-prefix_trapezoid(rate1, grid))
+        e1 = surv * f1node
+        c1 = prefix_trapezoid(e1, grid)
+        c1_tr = None
+        if grid.t_start < scenario.T_R:
+            c1_tr = prefix_value_at(c1, e1, grid, min(scenario.T_R, grid.t_end))
+    return _Tables(
+        kappa_v=kv, f3node=f3node, c2=c2, f1node=f1node, e1=e1, c1=c1, c1_tr=c1_tr
+    )
+
+
 def precompute_aggregates(
     scenario: MarketScenario,
     g: GFunction,
@@ -187,56 +273,34 @@ def precompute_aggregates(
 ) -> DualAggregates:
     """Build the aggregate curves for one policy.
 
-    Reuses ``g`` when the grids coincide, otherwise recomputes g on the
-    requested grid (same machinery, so node values stay exact).  All
-    curves cost O(n) via prefix-quotient tables.
+    Reuses ``g`` and its node curves when the grids coincide, otherwise
+    recomputes them on the requested grid (same machinery, so node
+    values stay exact).  All curves cost O(n) via prefix-quotient
+    tables.
     """
     if grid is None:
         grid = g.grid
-    gam = scenario.gamma
-    if gam == 1.0:
+    if scenario.gamma == 1.0:
         raise ValidationError("gamma = 1 is outside the implemented utility branch")
     if grid is g.grid or (
         grid.t_start == g.grid.t_start
         and grid.t_end == g.grid.t_end
         and grid.n_intervals == g.grid.n_intervals
     ):
-        g_nodes = g.values
+        curves = g
     else:
-        g_nodes = compute_g(scenario, grid).values
+        curves = compute_g(scenario, grid)
 
+    v0, vm = _policy_nodes(scenario, curves, policy)
+    tab = _forward_tables(scenario, curves, v0, vm)
+    surv, f3node, c2, e1, c1 = curves.survival, tab.f3node, tab.c2, tab.e1, tab.c1
     s = grid.nodes
-    mort = scenario.mortality
-    lam = np.asarray(mort.hazard(s))
-    # survival weight relative to the grid start (exact Gompertz exponent)
-    lam_rel = np.asarray(mort.cumulative_hazard(grid.t_start, s))
-    surv = np.exp(-lam_rel)
-
-    v0, vm = evaluate_policy(policy, s, horizon=scenario.T)
-    v0 = np.broadcast_to(np.asarray(v0, dtype=float), s.shape)
-    vm = np.broadcast_to(np.asarray(vm, dtype=float), s.shape)
-    kv = np.asarray(kappa(scenario, s, v0, vm))
-    r_v = np.asarray(scenario.r(s)) + v0
-
     with np.errstate(divide="ignore", invalid="ignore", over="ignore", under="ignore"):
-        rate3 = scenario.delta_tilde / gam + (gam - 1.0) / gam * r_v + 0.5 * (
-            gam - 1.0
-        ) / gam**2 * kv**2
-        f3node = np.exp(-prefix_trapezoid(rate3, grid))
-        e2 = surv * (1.0 + lam * g_nodes) * f3node
-        c2 = prefix_trapezoid(e2, grid)
         tilde_f2 = (c2[-1] - c2 + surv[-1] * f3node[-1]) / (surv * f3node)
-
-        # income annuity: integrate F_1 up to T_R (empty past retirement)
-        rate1 = -scenario.mu_Y + r_v - scenario.sigma_Y * kv
-        f1node = np.exp(-prefix_trapezoid(rate1, grid))
-        e1 = surv * f1node
-        c1 = prefix_trapezoid(e1, grid)
         ann = np.zeros_like(s)
-        if grid.t_start < scenario.T_R:
-            c1_tr = prefix_value_at(c1, e1, grid, min(scenario.T_R, grid.t_end))
+        if tab.c1_tr is not None:
             pre = s <= scenario.T_R
-            ann[pre] = (c1_tr - c1[pre]) / e1[pre]
+            ann[pre] = (tab.c1_tr - c1[pre]) / e1[pre]
 
     return DualAggregates(
         grid=grid,
@@ -244,8 +308,8 @@ def precompute_aggregates(
         policy=policy,
         v0=v0,
         v_minus=vm,
-        kappa_v=kv,
-        g=np.asarray(g_nodes),
+        kappa_v=tab.kappa_v,
+        g=np.asarray(curves.values),
         tilde_f2=tilde_f2,
         income_annuity=ann,
     )
@@ -280,6 +344,31 @@ def _anchored_aggregates(scenario, g, policy, t, n_intervals):
     return precompute_aggregates(scenario, g, policy, grid)
 
 
+def _origin_forward(scenario: MarketScenario, g: GFunction, policy):
+    """Forward pass of J~(0, W0, Y0): (value, F2~(0), F3~, tables).
+
+    Only the first node of the F2~ and annuity quotients is formed;
+    its arithmetic matches ``precompute_aggregates`` operation for
+    operation, so the value equals u(F3~) F2~(0)^gamma of the full
+    curves bit for bit.
+    """
+    if g.grid.t_start != 0.0:
+        raise ValidationError("objective evaluation expects a grid starting at 0")
+    if scenario.gamma == 1.0:
+        raise ValidationError("gamma = 1 is outside the implemented utility branch")
+    v0, vm = _policy_nodes(scenario, g, policy)
+    tab = _forward_tables(scenario, g, v0, vm)
+    surv, f3node, c2 = g.survival, tab.f3node, tab.c2
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore", under="ignore"):
+        f2 = (c2[-1] - c2[0] + surv[-1] * f3node[-1]) / (surv[0] * f3node[0])
+        ann = 0.0
+        if tab.c1_tr is not None:
+            ann = (tab.c1_tr - tab.c1[0]) / tab.e1[0]
+    f3 = scenario.W0 + scenario.Y0 * ann
+    value = float(crra_utility(f3, scenario.gamma) * f2**scenario.gamma)
+    return value, f2, f3, tab
+
+
 def origin_upper_bound(scenario: MarketScenario, g: GFunction, policy) -> float:
     """J~ at the initial state (t=0, W0, Y0) on the shared grid.
 
@@ -287,12 +376,50 @@ def origin_upper_bound(scenario: MarketScenario, g: GFunction, policy) -> float:
     of the aggregate tables, where the prefix quotients are exactly
     conditioned, so it is finite for every nonnegative adjustment.
     """
-    if g.grid.t_start != 0.0:
-        raise ValidationError("objective evaluation expects a grid starting at 0")
-    agg = precompute_aggregates(scenario, g, policy)
+    return _origin_forward(scenario, g, policy)[0]
+
+
+def origin_upper_bound_and_gradient(scenario: MarketScenario, g: GFunction, policy):
+    """J~(0, W0, Y0) and its exact gradient in the adjustment at the nodes.
+
+    Returns ``(value, dJ/dv0, dJ/dv_minus)``, the last two as arrays
+    over ``g.grid.nodes``; the value is bit-identical to
+    ``origin_upper_bound``.  The gradient is reverse mode through the
+    forward tables: J = u(F3~) F2~^gamma with F3~ = W0 + Y0 ann(0);
+    F2~(0) is a full trapezoid sum of e2 = surv (1 + lam g) f3node plus
+    surv[n] f3node[n]; ann(0) is the prefix integral of
+    e1 = surv f1node up to T_R, partial cell included; f3node and
+    f1node are exponentials of prefix tables of rate3(r + v0, kappa_v)
+    and rate1(r + v0, kappa_v).  At t = 0 the denominators surv[0],
+    f3node[0] and e1[0] are exactly 1 and do not depend on v.
+    """
+    value, f2, f3, tab = _origin_forward(scenario, g, policy)
     gam = scenario.gamma
-    f3 = scenario.W0 + scenario.Y0 * agg.income_annuity[0]
-    return float(crra_utility(f3, gam) * agg.tilde_f2[0] ** gam)
+    grid = g.grid
+    surv = g.survival
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore", under="ignore"):
+        d_f2 = gam * crra_utility(f3, gam) * f2 ** (gam - 1.0)
+        d_f3 = f3 ** (-gam) * f2**gam
+
+        # F2~ chain: F2~(0) = c2[n] + surv[n] f3node[n]
+        d_f3node = d_f2 * prefix_value_weights(grid, grid.t_end) * surv * g.bequest_factor
+        d_f3node[-1] += d_f2 * surv[-1]
+        d_rate3 = prefix_trapezoid_adjoint(-d_f3node * tab.f3node, grid)
+
+        # annuity chain: ann(0) = ∫_0^{T_R} e1
+        d_rate1 = np.zeros_like(d_rate3)
+        if tab.c1_tr is not None:
+            t_r = min(scenario.T_R, grid.t_end)
+            d_e1 = scenario.Y0 * d_f3 * prefix_value_weights(grid, t_r)
+            d_rate1 = prefix_trapezoid_adjoint(-d_e1 * surv * tab.f1node, grid)
+
+        # rate3 = dt/gam + ((gam-1)/gam) r_v + (1/2)((gam-1)/gam^2) kappa_v^2,
+        # rate1 = -mu_Y + r_v - sigma_Y kappa_v, r_v = r + v0 and
+        # kappa_v = -(mu + v_minus - r - v0)/sigma
+        d_rv = (gam - 1.0) / gam * d_rate3 + d_rate1
+        d_kv = (gam - 1.0) / gam**2 * tab.kappa_v * d_rate3 - scenario.sigma_Y * d_rate1
+        d_kv_sig = d_kv / g.sigma
+    return value, d_rv + d_kv_sig, -d_kv_sig
 
 
 def upper_bound_working(

@@ -194,8 +194,7 @@ def build_run_config(
     optimizer = OptimizerConfig(
         num_starts=_pop_int(kv, "opt.num_starts", 30),
         iterations_per_start=_pop_int(kv, "opt.iterations_per_start", 50),
-        algorithm=_pop_str(kv, "opt.algorithm", "QuasiNewtonFD"),
-        fd_step=_pop_float(kv, "opt.fd_step", 1e-6),
+        algorithm=_pop_str(kv, "opt.algorithm", "BFGS"),
         obj_tol=_pop_float(kv, "opt.obj_tol", 1e-10),
         param_tol=_pop_float(kv, "opt.param_tol", 1e-12),
         affine_init_std=_pop_float(kv, "policy.affine_init_std", 1e-2),

@@ -25,7 +25,11 @@ an oscillating market coefficient.
 
 Both families are exposed to the optimizer as flat parameter vectors;
 outputs are nonnegative by construction so the optimizer never needs
-feasibility penalties.
+feasibility penalties.  Each family's ``vjp`` maps sensitivities of a
+scalar to v0 and v_minus at a set of times back onto the flat
+parameters (the positive part passes the sensitivity only where its
+argument is positive), which turns the upper bound's node gradient
+into the optimizer's parameter gradient.
 """
 
 from __future__ import annotations
@@ -80,13 +84,32 @@ class AffinePolicy:
                 f"affine policy takes {AFFINE_N_PARAMS} parameters, got {len(self.params)}"
             )
 
-    def __call__(self, t):
-        t = np.asarray(t, dtype=float)
+    def _pre_activation(self, t):
         a = self.params
         working = t < self.t_retire
-        v0 = np.where(working, a[0] + a[1] * t, a[4] + a[5] * t)
-        vm = np.where(working, a[2] + a[3] * t, a[6] + a[7] * t)
-        return np.maximum(v0, 0.0), np.maximum(vm, 0.0)
+        z0 = np.where(working, a[0] + a[1] * t, a[4] + a[5] * t)
+        zm = np.where(working, a[2] + a[3] * t, a[6] + a[7] * t)
+        return working, z0, zm
+
+    def __call__(self, t):
+        _, z0, zm = self._pre_activation(np.asarray(t, dtype=float))
+        return np.maximum(z0, 0.0), np.maximum(zm, 0.0)
+
+    def vjp(self, t, d_v0, d_vm) -> np.ndarray:
+        """Gradient of Σ d_v0·v0(t) + d_vm·v_minus(t) in the 8 parameters."""
+        t = np.asarray(t, dtype=float)
+        working, z0, zm = self._pre_activation(t)
+        g0 = np.where(z0 > 0.0, d_v0, 0.0)
+        gm = np.where(zm > 0.0, d_vm, 0.0)
+        out = np.empty(AFFINE_N_PARAMS)
+        for base, phase in ((0, working), (4, ~working)):
+            out[base : base + 4] = [
+                g0[phase].sum(),
+                (g0 * t)[phase].sum(),
+                gm[phase].sum(),
+                (gm * t)[phase].sum(),
+            ]
+        return out
 
 
 @dataclass(frozen=True)
@@ -107,8 +130,8 @@ class MlpPolicy:
         if self.activation == "snake" and self.snake_a <= 0:
             raise ValidationError("snake frequency must be positive")
 
-    def __call__(self, t):
-        t = np.asarray(t, dtype=float)
+    def _forward(self, t):
+        """Hidden pre-activations z, activations h and the two raw outputs."""
         p = np.asarray(self.params)
         w_hidden = p[:_HIDDEN]
         w_out0 = p[_HIDDEN : 2 * _HIDDEN]
@@ -120,9 +143,33 @@ class MlpPolicy:
             h = np.maximum(z, 0.0)
         else:
             h = snake(z, self.snake_a)
-        v0 = np.maximum(h @ w_out0 + b_out0, 0.0)
-        vm = np.maximum(h @ w_out1 + b_out1, 0.0)
-        return v0, vm
+        return z, h, h @ w_out0 + b_out0, h @ w_out1 + b_out1
+
+    def __call__(self, t):
+        _, _, o0, o1 = self._forward(np.asarray(t, dtype=float))
+        return np.maximum(o0, 0.0), np.maximum(o1, 0.0)
+
+    def vjp(self, t, d_v0, d_vm) -> np.ndarray:
+        """Gradient of Σ d_v0·v0(t) + d_vm·v_minus(t) in the 42 parameters.
+
+        Backpropagation through the positive-part outputs and the hidden
+        layer; ReLU passes where z > 0, Snake has slope 1 + sin(2 a z).
+        """
+        t = np.asarray(t, dtype=float)
+        z, h, o0, o1 = self._forward(t)
+        g0 = np.where(o0 > 0.0, d_v0, 0.0)
+        g1 = np.where(o1 > 0.0, d_vm, 0.0)
+        p = np.asarray(self.params)
+        dh = np.multiply.outer(g0, p[_HIDDEN : 2 * _HIDDEN]) + np.multiply.outer(
+            g1, p[2 * _HIDDEN : 3 * _HIDDEN]
+        )
+        if self.activation == "relu":
+            dz = np.where(z > 0.0, dh, 0.0)
+        else:
+            dz = dh * (1.0 + np.sin(2.0 * self.snake_a * z))
+        return np.concatenate(
+            [t @ dz, g0 @ h, g1 @ h, dz.sum(axis=0), [g0.sum(), g1.sum()]]
+        )
 
 
 @dataclass(frozen=True)

@@ -3,9 +3,12 @@
 The objective is the initial-state upper bound as a function of the
 flat parameter vector of a drift-adjustment policy.  It is smooth
 almost everywhere (the positive-part wrappers kink only on a
-measure-zero set), so the default algorithm is a quasi-Newton method
-fed with central finite-difference gradients; Nelder–Mead is offered
-as a derivative-free fallback for the 8-parameter affine family.
+measure-zero set), so the default algorithm is BFGS fed with the exact
+gradient: the closed form's adjoint pass gives dJ/dv at the grid nodes
+and the policy family's vector-Jacobian product carries it onto the
+parameters, both from the one evaluation that yields the value.
+Nelder–Mead is offered as a derivative-free fallback for the
+8-parameter affine family.
 
 Each start draws its own initialization from the configured seed;
 starts are independent, and the reduction picks the lowest final
@@ -15,25 +18,25 @@ reproducible regardless of evaluation order.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
 from scipy import optimize as sciopt
 
 from . import drift_policy
-from .closed_form import GFunction, origin_upper_bound
+from .closed_form import GFunction, origin_upper_bound, origin_upper_bound_and_gradient
 from .errors import NumericalError, ValidationError
 from .market import MarketScenario
 
 __all__ = [
     "OptimizerConfig",
     "OptimizationTrace",
-    "numerical_gradient",
+    "StartOutcome",
+    "upper_bound_and_gradient",
     "minimize_upper_bound",
 ]
 
-_ALGORITHMS = ("QuasiNewtonFD", "NelderMead")
+_ALGORITHMS = ("BFGS", "NelderMead")
 
 
 @dataclass(frozen=True)
@@ -41,16 +44,15 @@ class OptimizerConfig:
     """Multi-start protocol.
 
     ``iterations_per_start`` caps the solver iterations of each start
-    (0 returns the best initialization unmodified).  ``fd_step`` is the
-    relative central-difference step for the quasi-Newton gradient;
-    ``obj_tol``/``param_tol`` map onto the solver's objective-change
-    and parameter-change stopping rules.
+    (0 returns the best initialization unmodified).
+    ``obj_tol``/``param_tol`` map onto the solver's stopping rules: the
+    gradient norm and relative step for BFGS, the objective and
+    parameter spread for Nelder–Mead.
     """
 
     num_starts: int = 30
     iterations_per_start: int = 50
-    algorithm: str = "QuasiNewtonFD"
-    fd_step: float = 1e-6
+    algorithm: str = "BFGS"
     obj_tol: float = 1e-10
     param_tol: float = 1e-12
     max_init_retries: int = 3
@@ -64,8 +66,24 @@ class OptimizerConfig:
             raise ValidationError("iterations_per_start must be nonnegative")
         if self.algorithm not in _ALGORITHMS:
             raise ValidationError(f"algorithm must be one of {_ALGORITHMS}")
-        if self.fd_step <= 0 or self.obj_tol <= 0 or self.param_tol <= 0:
-            raise ValidationError("fd_step and tolerances must be positive")
+        if self.obj_tol <= 0 or self.param_tol <= 0:
+            raise ValidationError("tolerances must be positive")
+
+
+@dataclass(frozen=True)
+class StartOutcome:
+    """How one start's solver run ended, as scipy reports it.
+
+    ``njev`` is 0 for Nelder–Mead; ``grad_norm`` is the Euclidean norm
+    of the exact gradient at the solver's final point.
+    """
+
+    status: int
+    message: str
+    nit: int
+    nfev: int
+    njev: int
+    grad_norm: float
 
 
 @dataclass
@@ -74,76 +92,57 @@ class OptimizationTrace:
 
     ``entries`` rows are (start index, iteration, incumbent objective);
     the incumbent is the running best within the start, so each start's
-    sequence is nonincreasing.
+    sequence is nonincreasing.  ``outcomes`` holds one ``StartOutcome``
+    per start, or None where no solver ran (zero iterations).
     """
 
     entries: list[tuple[int, int, float]] = field(default_factory=list)
     per_start_final: list[float] = field(default_factory=list)
+    outcomes: list[StartOutcome | None] = field(default_factory=list)
     best_params: np.ndarray | None = None
     best_objective: float = float("inf")
     best_start: int = -1
 
 
-def numerical_gradient(objective, params, fd_step: float) -> np.ndarray:
-    """Central-difference gradient with per-coordinate relative steps.
+def upper_bound_and_gradient(scenario: MarketScenario, g: GFunction, policy):
+    """Objective value and its exact gradient in the policy's flat parameters.
 
-    Coordinate steps are fd_step*max(1, |p_i|).  If a perturbed point
-    evaluates non-finite, that coordinate falls back to a one-sided
-    difference (flagged with a warning); both sides non-finite raises.
+    A non-finite gradient at a finite value raises ``NumericalError``;
+    at a non-finite value both are returned as they are, so the line
+    search can step back.
     """
-    params = np.asarray(params, dtype=float)
-    f0 = None
-    grad = np.empty(params.size)
-    for i in range(params.size):
-        h = fd_step * max(1.0, abs(params[i]))
-        up = params.copy()
-        up[i] += h
-        dn = params.copy()
-        dn[i] -= h
-        f_up, f_dn = objective(up), objective(dn)
-        if np.isfinite(f_up) and np.isfinite(f_dn):
-            grad[i] = (f_up - f_dn) / (2.0 * h)
-            continue
-        if f0 is None:
-            f0 = objective(params)
-        if not np.isfinite(f0):
-            raise NumericalError("objective non-finite at the expansion point")
-        if np.isfinite(f_up):
-            warnings.warn(f"one-sided gradient fallback in coordinate {i}")
-            grad[i] = (f_up - f0) / h
-        elif np.isfinite(f_dn):
-            warnings.warn(f"one-sided gradient fallback in coordinate {i}")
-            grad[i] = (f0 - f_dn) / h
-        else:
-            raise NumericalError(f"objective non-finite on both sides in coordinate {i}")
-    return grad
+    value, d_v0, d_vm = origin_upper_bound_and_gradient(scenario, g, policy)
+    grad = policy.vjp(g.grid.nodes, d_v0, d_vm)
+    if np.isfinite(value) and not np.all(np.isfinite(grad)):
+        raise NumericalError("upper-bound gradient is non-finite at a finite value")
+    return value, grad
 
 
-def _run_single_start(objective, x0, config, trace, start_idx):
-    """One local minimization; records per-iteration incumbents."""
+def _run_single_start(objective, value_and_grad, x0, f0, config, trace, start_idx):
+    """One local minimization from x0 (objective f0); records per-iteration incumbents."""
     best_x = np.asarray(x0, dtype=float)
-    best_f = float(objective(best_x))
+    best_f = f0
     trace.entries.append((start_idx, 0, best_f))
     if config.iterations_per_start == 0:
-        return best_x, best_f
+        return best_x, best_f, None
 
     iteration = [0]
 
-    def callback(xk):
+    def callback(intermediate_result):
         nonlocal best_x, best_f
         iteration[0] += 1
-        fk = float(objective(xk))
+        fk = float(intermediate_result.fun)
         if np.isfinite(fk) and fk < best_f:
             best_f = fk
-            best_x = np.asarray(xk, dtype=float).copy()
+            best_x = np.asarray(intermediate_result.x, dtype=float).copy()
         trace.entries.append((start_idx, iteration[0], best_f))
 
-    if config.algorithm == "QuasiNewtonFD":
+    if config.algorithm == "BFGS":
         res = sciopt.minimize(
-            objective,
+            value_and_grad,
             x0,
             method="BFGS",
-            jac=lambda p: numerical_gradient(objective, p, config.fd_step),
+            jac=True,
             callback=callback,
             options={
                 "maxiter": config.iterations_per_start,
@@ -151,6 +150,7 @@ def _run_single_start(objective, x0, config, trace, start_idx):
                 "xrtol": config.param_tol,
             },
         )
+        grad = res.jac
     else:
         res = sciopt.minimize(
             objective,
@@ -163,11 +163,20 @@ def _run_single_start(objective, x0, config, trace, start_idx):
                 "xatol": config.param_tol,
             },
         )
+        grad = value_and_grad(res.x)[1]
+    outcome = StartOutcome(
+        status=int(res.status),
+        message=str(res.message),
+        nit=int(res.nit),
+        nfev=int(res.nfev),
+        njev=int(res.get("njev", 0)),
+        grad_norm=float(np.linalg.norm(grad)),
+    )
     f_final = float(res.fun)
     if np.isfinite(f_final) and f_final < best_f:
         best_f = f_final
         best_x = np.asarray(res.x, dtype=float)
-    return best_x, best_f
+    return best_x, best_f, outcome
 
 
 def minimize_upper_bound(
@@ -199,6 +208,9 @@ def minimize_upper_bound(
     def objective(params):
         return origin_upper_bound(scenario, g, build(params))
 
+    def value_and_grad(params):
+        return upper_bound_and_gradient(scenario, g, build(params))
+
     trace = OptimizationTrace()
     for start in range(config.num_starts):
         x0 = None
@@ -209,15 +221,19 @@ def minimize_upper_bound(
                 affine_std=config.affine_init_std,
                 mlp_std=config.mlp_init_std,
             )
-            if np.isfinite(objective(candidate)):
+            f0 = float(objective(candidate))
+            if np.isfinite(f0):
                 x0 = candidate
                 break
         if x0 is None:
             raise NumericalError(
                 f"start {start}: objective non-finite after {config.max_init_retries} redraws"
             )
-        x_final, f_final = _run_single_start(objective, x0, config, trace, start)
+        x_final, f_final, outcome = _run_single_start(
+            objective, value_and_grad, x0, f0, config, trace, start
+        )
         trace.per_start_final.append(f_final)
+        trace.outcomes.append(outcome)
         if f_final < trace.best_objective:
             trace.best_objective = f_final
             trace.best_params = x_final

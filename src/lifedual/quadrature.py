@@ -12,13 +12,16 @@ difference of prefix integrals along the *same* node family,
 
 so a single cumulative-trapezoid table serves every (t, s) pair.  This
 module provides the grid type, the plain and cumulative trapezoid
-rules, and a small nested-integral helper; the closed-form module
-builds its aggregates out of these prefix tables in O(n) per curve.
+rules, their adjoints (the transposes of these linear maps, which the
+reverse-mode gradient of the upper bound runs through), and a small
+nested-integral helper; the closed-form module builds its aggregates
+out of these prefix tables in O(n) per curve.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -29,6 +32,8 @@ __all__ = [
     "trapezoid",
     "prefix_trapezoid",
     "prefix_value_at",
+    "prefix_trapezoid_adjoint",
+    "prefix_value_weights",
     "nested_trapezoid",
 ]
 
@@ -55,9 +60,12 @@ class UniformGrid:
     def step(self) -> float:
         return (self.t_end - self.t_start) / self.n_intervals
 
-    @property
+    @cached_property
     def nodes(self) -> np.ndarray:
-        return np.linspace(self.t_start, self.t_end, self.n_intervals + 1)
+        """The n_intervals + 1 nodes, built once per grid (read-only)."""
+        nodes = np.linspace(self.t_start, self.t_end, self.n_intervals + 1)
+        nodes.flags.writeable = False
+        return nodes
 
 
 def trapezoid(values: np.ndarray, grid: UniformGrid) -> float:
@@ -93,6 +101,19 @@ def prefix_trapezoid(values: np.ndarray, grid: UniformGrid) -> np.ndarray:
     return out
 
 
+def _partial_cell(grid: UniformGrid, t: float) -> tuple[int, float]:
+    """Cell index j with nodes[j] <= t and the offset t - nodes[j].
+
+    j = n_intervals when t is the grid end (no partial cell is left).
+    """
+    nodes = grid.nodes
+    if not nodes[0] <= t <= nodes[-1]:
+        raise ValidationError(f"t={t} outside grid [{nodes[0]}, {nodes[-1]}]")
+    j = int(np.searchsorted(nodes, t, side="right")) - 1
+    j = min(j, grid.n_intervals)  # t == t_end lands past the last cell
+    return j, t - nodes[j]
+
+
 def prefix_value_at(
     prefix: np.ndarray, values: np.ndarray, grid: UniformGrid, t: float
 ) -> float:
@@ -102,16 +123,47 @@ def prefix_value_at(
     linearly interpolated integrand value at t, so the result stays
     O(h²)-consistent with the node table.
     """
-    nodes = grid.nodes
-    if not nodes[0] <= t <= nodes[-1]:
-        raise ValidationError(f"t={t} outside grid [{nodes[0]}, {nodes[-1]}]")
-    j = int(np.searchsorted(nodes, t, side="right")) - 1
-    j = min(j, grid.n_intervals)  # t == t_end lands past the last cell
+    j, d = _partial_cell(grid, t)
     if j == grid.n_intervals:
         return float(prefix[-1])
-    frac = (t - nodes[j]) / grid.step
+    frac = d / grid.step
     v_t = values[j] + frac * (values[j + 1] - values[j])
-    return float(prefix[j] + 0.5 * (values[j] + v_t) * (t - nodes[j]))
+    return float(prefix[j] + 0.5 * (values[j] + v_t) * d)
+
+
+def prefix_trapezoid_adjoint(adjoint: np.ndarray, grid: UniformGrid) -> np.ndarray:
+    """Transpose of ``prefix_trapezoid``: node sensitivities of Σ_k a_k P[k].
+
+    With R_k = Σ_{i>=k} a_i, value m enters the cell to its right for
+    every k > m and the cell to its left for every k >= m, so the
+    result is (h/2)(R_{m+1} + R_m) with R_{n+1} = 0 and no left cell at
+    m = 0.  a_0 drops out because P[0] = 0.
+    """
+    tail = np.cumsum(np.asarray(adjoint, dtype=float)[::-1])[::-1]
+    out = np.zeros(grid.n_intervals + 1)
+    out[:-1] += tail[1:]
+    out[1:] += tail[1:]
+    return 0.5 * grid.step * out
+
+
+def prefix_value_weights(grid: UniformGrid, t: float) -> np.ndarray:
+    """Node weights w with ``prefix_value_at(prefix_trapezoid(v), v, grid, t)`` = w·v.
+
+    Full cells up to node j carry the trapezoid weights; the partial
+    cell [t_j, t] adds d(2 - f)/2 to v_j and d f/2 to v_{j+1}, where
+    d = t - t_j and f = d/h.
+    """
+    j, d = _partial_cell(grid, t)
+    h = grid.step
+    w = np.zeros(grid.n_intervals + 1)
+    if j > 0:
+        w[: j + 1] = h
+        w[0] = w[j] = 0.5 * h
+    if j < grid.n_intervals:
+        frac = d / h
+        w[j] += 0.5 * d * (2.0 - frac)
+        w[j + 1] += 0.5 * d * frac
+    return w
 
 
 def nested_trapezoid(

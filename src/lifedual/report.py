@@ -10,7 +10,8 @@ policy parameters, provenance) plus plottable artifacts:
 * ``trace.csv``      optimizer incumbents (iteration, objective, start)
 * ``facevalue.csv``  mean simulated insurance face value per time step
 * ``wealth.csv``     mean simulated wealth and consumption per step
-* ``report.txt``     human-readable summary with full provenance
+* ``report.txt``     human-readable summary with full provenance and
+                     each optimizer start's solver outcome
 
 All floating-point output uses 17 significant digits, so re-reading an
 artifact reproduces the binary values exactly; nothing in the files
@@ -229,14 +230,14 @@ def emit_csv(report: BoundsReport, trajectories, trace, out_dir: str) -> list[st
     report_path = os.path.join(out_dir, "report.txt")
     try:
         with open(report_path, "w", encoding="utf-8") as fh:
-            fh.write(_render_text(report))
+            fh.write(_render_text(report, trace))
     except OSError as exc:
         raise ValidationError(f"cannot write {report_path}: {exc}") from None
     paths.append(report_path)
     return paths
 
 
-def _render_text(report: BoundsReport) -> str:
+def _render_text(report: BoundsReport, trace) -> str:
     lines = [
         "life-cycle duality bounds",
         "=========================",
@@ -261,6 +262,18 @@ def _render_text(report: BoundsReport) -> str:
     lines.append("")
     lines.append("policy parameters:")
     lines.append("  " + ", ".join(_fmt(p) for p in report.policy_params))
+    lines.append("")
+    lines.append("optimizer starts (scipy outcome; |grad| at the final point):")
+    for start, (final, outcome) in enumerate(zip(trace.per_start_final, trace.outcomes)):
+        head = f"  start {start:>2}: final {_fmt(final)}"
+        if outcome is None:
+            lines.append(head + ", no solver iterations")
+            continue
+        lines.append(
+            f"{head}, status {outcome.status}, nit {outcome.nit}, "
+            f"nfev {outcome.nfev}, njev {outcome.njev}, "
+            f"|grad| {outcome.grad_norm:.3e}: {outcome.message}"
+        )
     lines.append("")
     return "\n".join(lines)
 

@@ -259,9 +259,9 @@ def test_cli_run_writes_wellformed_artifacts(tmp_path):
 
     _, trows = _read_csv(out / "trace.csv")
     assert len(trows) == 2  # two starts, zero solver iterations
-    assert (out / "report.txt").read_text(encoding="utf-8").startswith(
-        "life-cycle duality bounds"
-    )
+    text = (out / "report.txt").read_text(encoding="utf-8")
+    assert text.startswith("life-cycle duality bounds")
+    assert "start  0: final" in text and "start  1: final" in text
 
 
 def test_cli_run_is_deterministic(tmp_path):

@@ -1,4 +1,4 @@
-"""Finite-difference gradients and the multi-start reduction."""
+"""The exact objective gradient and the multi-start reduction."""
 
 import dataclasses
 from unittest import mock
@@ -7,13 +7,19 @@ import numpy as np
 import pytest
 
 from lifedual.closed_form import compute_g, origin_upper_bound
-from lifedual.drift_policy import AffinePolicy, init_params
+from lifedual.drift_policy import (
+    AFFINE_N_PARAMS,
+    MLP_N_PARAMS,
+    AffinePolicy,
+    init_params,
+    make_policy,
+)
 from lifedual.errors import NumericalError, ValidationError
 from lifedual.market import preset_scenario
 from lifedual.optimizer import (
     OptimizerConfig,
     minimize_upper_bound,
-    numerical_gradient,
+    upper_bound_and_gradient,
 )
 from lifedual.quadrature import UniformGrid
 
@@ -24,38 +30,78 @@ def _g(n=100, scenario=SC):
     return compute_g(scenario, UniformGrid(0.0, scenario.T, n))
 
 
-def test_numerical_gradient_quadratic():
-    f = lambda p: (p[0] - 1.0) ** 2 + 2.0 * (p[1] + 2.0) ** 2
-    grad = numerical_gradient(f, np.array([2.0, -4.0]), 1e-6)
-    assert grad == pytest.approx([2.0, -8.0], abs=1e-6)
+def _central_differences(scenario, g, build, params, step=1e-6):
+    grad = np.empty(params.size)
+    for i in range(params.size):
+        h = step * max(1.0, abs(params[i]))
+        up, dn = params.copy(), params.copy()
+        up[i] += h
+        dn[i] -= h
+        grad[i] = (
+            origin_upper_bound(scenario, g, build(up))
+            - origin_upper_bound(scenario, g, build(dn))
+        ) / (2.0 * h)
+    return grad
 
 
-def test_numerical_gradient_ignores_invariant_coordinate():
-    f = lambda p: p[0] ** 2
-    grad = numerical_gradient(f, np.array([3.0, 7.0]), 1e-6)
-    assert grad[0] == pytest.approx(6.0, abs=1e-6)
-    assert grad[1] == 0.0
+@pytest.mark.parametrize("n", [100, 77])  # T_R = 20 is a node at n=100, not at 77
+@pytest.mark.parametrize(
+    "kind, activation, std",
+    [("affine", "relu", 0.01), ("mlp", "relu", 0.1), ("mlp", "snake", 0.1)],
+)
+def test_adjoint_gradient_matches_central_differences(n, kind, activation, std):
+    sc = preset_scenario("example2")
+    g = _g(n, sc)
+
+    def build(p):
+        return make_policy(kind, p, t_retire=sc.T_R, activation=activation)
+
+    rng = np.random.default_rng(n)
+    n_params = AFFINE_N_PARAMS if kind == "affine" else MLP_N_PARAMS
+    for _ in range(3):
+        params = rng.normal(0.0, std, n_params)
+        v0, vm = build(params)(g.grid.nodes)
+        clamped = np.concatenate([v0, vm]) == 0.0
+        # some positive-part outputs clamped to 0, but not all of them
+        if clamped.any() and not clamped.all():
+            break
+    else:
+        pytest.fail("no parameter draw with partly clamped outputs")
+    value, grad = upper_bound_and_gradient(sc, g, build(params))
+    assert value == origin_upper_bound(sc, g, build(params))
+    fd = _central_differences(sc, g, build, params)
+    assert np.linalg.norm(fd) > 0.0
+    np.testing.assert_allclose(grad, fd, rtol=1e-6, atol=1e-6 * np.max(np.abs(fd)))
 
 
-def test_numerical_gradient_one_sided_fallback():
-    def f(p):
-        if p[1] > 0.5:
-            return float("nan")
-        return 3.0 * p[0] + 2.0 * p[1]
+def test_non_finite_gradient_raises():
+    g = _g(50)
+    nodes = g.grid.nodes
+    cfg = OptimizerConfig(num_starts=1, iterations_per_start=5)
+    with mock.patch(
+        "lifedual.optimizer.origin_upper_bound_and_gradient",
+        return_value=(-9.0, np.full(nodes.size, np.nan), np.zeros(nodes.size)),
+    ):
+        with pytest.raises(NumericalError, match="gradient"):
+            minimize_upper_bound(SC, g, "affine", cfg, seed=0)
 
-    with pytest.warns(UserWarning, match="one-sided"):
-        grad = numerical_gradient(f, np.array([0.0, 0.5]), 1e-6)
-    assert grad == pytest.approx([3.0, 2.0], abs=1e-5)
 
-
-def test_numerical_gradient_failure_modes():
-    def both_sides_bad(p):
-        return p[0] ** 2 if p[1] == 0.5 else float("nan")
-
-    with pytest.raises(NumericalError):
-        numerical_gradient(both_sides_bad, np.array([1.0, 0.5]), 1e-6)
-    with pytest.raises(NumericalError):
-        numerical_gradient(lambda p: float("nan"), np.array([1.0, 0.5]), 1e-6)
+def test_start_outcomes_report_the_solver_end():
+    g = _g(50)
+    cfg = OptimizerConfig(num_starts=2, iterations_per_start=8)
+    policy, trace = minimize_upper_bound(SC, g, "affine", cfg, seed=3)
+    assert len(trace.outcomes) == 2
+    for start, outcome in enumerate(trace.outcomes):
+        assert outcome.nit == max(it for s, it, _ in trace.entries if s == start)
+        assert outcome.nfev >= outcome.njev >= 1
+        assert outcome.message
+    best = trace.outcomes[trace.best_start]
+    _, grad = upper_bound_and_gradient(SC, g, policy)
+    assert best.grad_norm == pytest.approx(np.linalg.norm(grad), rel=1e-12)
+    _, zero_it = minimize_upper_bound(
+        SC, g, "affine", OptimizerConfig(num_starts=1, iterations_per_start=0)
+    )
+    assert zero_it.outcomes == [None]
 
 
 def test_config_validation():
@@ -66,7 +112,7 @@ def test_config_validation():
     with pytest.raises(ValidationError):
         OptimizerConfig(algorithm="Genetic")
     with pytest.raises(ValidationError):
-        OptimizerConfig(fd_step=0.0)
+        OptimizerConfig(obj_tol=0.0)
 
 
 def test_zero_iterations_returns_best_initialization():
@@ -111,7 +157,7 @@ def test_multi_start_is_reproducible():
 
 def test_incumbent_sequences_are_nonincreasing():
     g = _g(50)
-    for algorithm in ("QuasiNewtonFD", "NelderMead"):
+    for algorithm in ("BFGS", "NelderMead"):
         cfg = OptimizerConfig(
             num_starts=2, iterations_per_start=25, algorithm=algorithm
         )

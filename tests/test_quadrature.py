@@ -10,7 +10,9 @@ from lifedual.quadrature import (
     UniformGrid,
     nested_trapezoid,
     prefix_trapezoid,
+    prefix_trapezoid_adjoint,
     prefix_value_at,
+    prefix_value_weights,
     trapezoid,
 )
 
@@ -99,6 +101,20 @@ def test_prefix_value_at_nodes_and_interior():
     assert prefix_value_at(prefix, vals, grid, t) == pytest.approx(expected, abs=1e-15)
     with pytest.raises(ValidationError):
         prefix_value_at(prefix, vals, grid, 2.5)
+
+
+@pytest.mark.parametrize("n, t", [(7, 0.0), (7, 1.3), (7, 20.0 / 7.0), (10, 5.0), (10, 10.0)])
+def test_adjoints_are_transposes_of_the_prefix_maps(n, t):
+    grid = UniformGrid(0.0, 10.0, n)
+    rng = np.random.default_rng(n)
+    v, a = rng.normal(size=n + 1), rng.normal(size=n + 1)
+    assert a @ prefix_trapezoid(v, grid) == pytest.approx(
+        prefix_trapezoid_adjoint(a, grid) @ v, rel=1e-13
+    )
+    w = prefix_value_weights(grid, t)
+    assert w @ v == pytest.approx(
+        prefix_value_at(prefix_trapezoid(v, grid), v, grid, t), rel=1e-13, abs=1e-15
+    )
 
 
 def test_nested_trapezoid_zero_rate_reduces_to_plain_rule():
