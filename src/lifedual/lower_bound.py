@@ -21,7 +21,9 @@ pair (Jbar, J~) certifies the duality gap.
 
 Paths are driven by a Sobol sequence: one point of dimension n_steps
 per path, mapped to normals by the inverse CDF, with a configurable
-number of initial points skipped.  Wealth uses Euler-Maruyama steps
+number of initial points skipped.  The normals are held as a table of
+inverse-CDF levels plus a time-major integer index into it, so each
+step reads one contiguous row.  Wealth uses Euler-Maruyama steps
 (the feedback drift precludes exact stepping); income uses exact
 log-normal steps; utility integrals use the left-endpoint rule,
 consistent with previsible controls.
@@ -62,6 +64,8 @@ __all__ = [
 ]
 
 _MAX_SOBOL_DIM = 21201
+_MAX_SOBOL_POINTS = 2**30  # scipy's limit for unscrambled points
+_DRAW_CHUNK_BYTES = 1 << 20  # float64 Sobol points drawn per engine call
 _UTILITY_FLOOR = 1e-300  # utility of a starved path is astronomically negative, not -inf
 
 
@@ -87,23 +91,45 @@ class SimulationConfig:
             raise ValidationError("need at least 1 step")
         if self.sobol_skip < 0:
             raise ValidationError("sobol_skip must be nonnegative")
+        if 1 + self.sobol_skip + self.n_paths > _MAX_SOBOL_POINTS:
+            raise ValidationError(
+                f"1 + sobol_skip + n_paths must not exceed {_MAX_SOBOL_POINTS} Sobol points"
+            )
 
 
-def sobol_normals(config: SimulationConfig) -> np.ndarray:
-    """Standard-normal increments, one Sobol point per path.
+def sobol_normals(config: SimulationConfig) -> tuple[np.ndarray, np.ndarray]:
+    """Standard-normal increments, one Sobol point per path, as (levels, index).
 
-    Returns an (n_paths, n_steps) array: unscrambled Sobol points
-    after the skip, mapped through the inverse normal CDF (double
-    precision, max absolute error well below 1e-9).  Deterministic
-    given the config.
+    The unscrambled Sobol points used are those with sequence index
+    1 + sobol_skip .. sobol_skip + n_paths, all below 2^m with
+    m = (sobol_skip + n_paths).bit_length(), so every coordinate is an
+    integer multiple of 2^-m.  ``levels`` holds the inverse normal CDF
+    (double precision, max absolute error well below 1e-9) of the 2^m
+    grid values k / 2^m, clipped to [1e-12, 1 - 1e-12]; since
+    1 + sobol_skip + n_paths <= 2^30, it has at most
+    2 (sobol_skip + n_paths) entries.  ``index`` is the time-major
+    (n_steps, n_paths) array of grid integers, uint16 when m <= 16 and
+    uint32 above, so ``levels[index].T`` is the path-major normal
+    matrix exactly.  The points are drawn in chunks of about 1 MB.
+    Deterministic given the config.
     """
     if config.n_steps > _MAX_SOBOL_DIM:
         raise ValidationError(f"Sobol dimension must lie in [1, {_MAX_SOBOL_DIM}]")
+    m = (config.sobol_skip + config.n_paths).bit_length()
+    scale = float(2**m)
+    levels = np.arange(2**m) / scale
+    np.clip(levels, 1e-12, 1.0 - 1e-12, out=levels)
+    ndtri(levels, out=levels)
+
+    index = np.empty((config.n_steps, config.n_paths), dtype=np.uint16 if m <= 16 else np.uint32)
     engine = qmc.Sobol(d=config.n_steps, scramble=False)
     engine.fast_forward(1 + config.sobol_skip)
-    pts = engine.random(config.n_paths)
-    np.clip(pts, 1e-12, 1.0 - 1e-12, out=pts)
-    return ndtri(pts, out=pts)
+    chunk = max(1, _DRAW_CHUNK_BYTES // (8 * config.n_steps))
+    for lo in range(0, config.n_paths, chunk):
+        pts = engine.random(min(chunk, config.n_paths - lo))
+        pts *= scale
+        index[:, lo : lo + len(pts)] = pts.T
+    return levels, index
 
 
 @dataclass(frozen=True)
@@ -203,8 +229,8 @@ def simulate_candidate_value(
     c0 = (scenario.W0 + scenario.Y0 * ann_n[0]) / f2_n[0]
     check_steps = {max(j * n_steps // 4, 1) for j in range(1, 5)}  # quarters, last at T
 
-    dZ = sobol_normals(config)
-    dZ *= np.sqrt(dt)
+    levels, index = sobol_normals(config)
+    levels *= np.sqrt(dt)
 
     W = np.full(config.n_paths, scenario.W0)
     Y = np.full(config.n_paths, scenario.Y0)
@@ -256,7 +282,7 @@ def simulate_candidate_value(
                     std_error=float(se),
                 )
                 break
-            dz = dZ[:, k]
+            dz = levels[index[k]]
             log_xi = log_xi + kv_n[k] * dz - 0.5 * kv_n[k] * kv_n[k] * dt
 
         if controls_override is None:

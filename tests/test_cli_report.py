@@ -292,6 +292,12 @@ def test_cli_error_exit_codes(tmp_path, capsys):
     assert main(["run", "--config", bad, "--out", str(tmp_path)]) == 1
 
 
+def test_cli_sobol_point_limit_exits_1(tmp_path, capsys):
+    huge = _write(tmp_path, "huge.cfg", "sim.n_paths = 2000000000\n")
+    assert main(["run", "--config", huge, "--out", str(tmp_path)]) == 1
+    assert "Sobol points" in capsys.readouterr().err
+
+
 def test_cli_verify_passes_for_optimized_policy(tmp_path, capsys):
     cfg = _write(tmp_path, "ver.cfg", VERIFY_CFG)
     assert main(["verify", "--config", cfg, "--seed", "0"]) == 0

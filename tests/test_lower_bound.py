@@ -1,10 +1,13 @@
 """Sobol driver, candidate simulation, and dual-identity verifiers."""
 
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
 from scipy.integrate import quad
+from scipy.special import ndtri
+from scipy.stats import qmc
 
 from lifedual.closed_form import compute_g, origin_upper_bound, precompute_aggregates
 from lifedual.drift_policy import AffinePolicy, init_params, make_policy
@@ -25,9 +28,14 @@ def _g100():
     return compute_g(SC, UniformGrid(0.0, SC.T, 100))
 
 
+def _normal_matrix(cfg):
+    levels, index = sobol_normals(cfg)
+    return levels[index].T
+
+
 def test_sobol_first_points_dimension_one():
     cfg = SimulationConfig(n_paths=3, n_steps=1, sobol_skip=0)
-    z = sobol_normals(cfg)
+    z = _normal_matrix(cfg)
     # the radical-inverse sequence starts 1/2, 3/4, 1/4 after the origin
     ref = [0.0, 0.6744897501960817, -0.6744897501960817]
     assert z[:, 0] == pytest.approx(ref, abs=1e-12)
@@ -35,10 +43,44 @@ def test_sobol_first_points_dimension_one():
 
 def test_sobol_moments_per_dimension():
     cfg = SimulationConfig(n_paths=2**14, n_steps=8)
-    z = sobol_normals(cfg)
+    z = _normal_matrix(cfg)
     assert z.shape == (2**14, 8)
     assert np.all(np.abs(z.mean(axis=0)) < 0.01)
     assert np.all(np.abs(z.std(axis=0) - 1.0) < 0.01)
+
+
+@pytest.mark.parametrize(
+    "cfg, dtype",
+    [
+        (SimulationConfig(), np.uint16),  # desk scale, m = 15
+        (SimulationConfig(n_paths=40000, n_steps=3, sobol_skip=30000), np.uint32),  # m = 17
+        (SimulationConfig(n_paths=1001, n_steps=300), np.uint16),  # ragged last draw chunk
+        (SimulationConfig(n_paths=5, n_steps=1, sobol_skip=0), np.uint16),
+    ],
+    ids=["desk", "m17", "ragged-chunk", "one-step"],
+)
+def test_sobol_table_matches_direct_inverse_cdf(cfg, dtype):
+    levels, index = sobol_normals(cfg)
+    assert index.dtype == dtype and index.shape == (cfg.n_steps, cfg.n_paths)
+    assert len(levels) == 2 ** (cfg.sobol_skip + cfg.n_paths).bit_length()
+    engine = qmc.Sobol(d=cfg.n_steps, scramble=False)
+    engine.fast_forward(1 + cfg.sobol_skip)
+    direct = engine.random(cfg.n_paths)
+    np.clip(direct, 1e-12, 1 - 1e-12, out=direct)
+    ndtri(direct, out=direct)
+    assert np.array_equal(levels[index].T, direct)
+
+
+def test_sobol_normals_desk_scale_memory():
+    # the (1000, 20000) uint16 index is 40 MB; the draw chunks and the
+    # 2^15-entry level table must add little on top
+    tracemalloc.start()
+    try:
+        sobol_normals(SimulationConfig(n_paths=20000, n_steps=1000))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 48e6
 
 
 def test_sobol_dimension_validation():
@@ -55,6 +97,15 @@ def test_simulation_config_validation():
         SimulationConfig(n_steps=0)
     with pytest.raises(ValidationError):
         SimulationConfig(sobol_skip=-1)
+
+
+def test_simulation_config_sobol_point_limit():
+    # checked on construction: no engine is built and no array allocated
+    SimulationConfig(n_paths=2**30 - 1 - 4000, sobol_skip=4000)
+    with pytest.raises(ValidationError, match="Sobol points"):
+        SimulationConfig(n_paths=2**30 - 4000, sobol_skip=4000)
+    with pytest.raises(ValidationError):
+        SimulationConfig(n_paths=20000, sobol_skip=2**30)
 
 
 def test_simulation_is_deterministic():

@@ -78,7 +78,8 @@ def test_state_price_kernel_is_unbiased_under_qmc():
     sc = preset_scenario("example1")
     cfg = SimulationConfig(n_paths=2**14, n_steps=20, sobol_skip=0)
     dt = 1.0 / cfg.n_steps
-    dZ = sobol_normals(cfg) * np.sqrt(dt)
+    levels, index = sobol_normals(cfg)
+    dZ = levels[index].T * np.sqrt(dt)
     log_pi = np.zeros(cfg.n_paths)
     for k in range(cfg.n_steps):
         log_pi += log_state_price_increment(sc, k * dt, dt, 0.0, 0.0, dZ[:, k])
@@ -94,7 +95,8 @@ def test_accumulated_log_kernel_moments():
     t = 1.0
     cfg = SimulationConfig(n_paths=2**14, n_steps=20)
     dt = t / cfg.n_steps
-    dZ = sobol_normals(cfg) * np.sqrt(dt)
+    levels, index = sobol_normals(cfg)
+    dZ = levels[index].T * np.sqrt(dt)
     log_pi = np.zeros(cfg.n_paths)
     for k in range(cfg.n_steps):
         log_pi += log_state_price_increment(sc, k * dt, dt, 0.0, 0.0, dZ[:, k])
