@@ -14,13 +14,10 @@ the certified duality gap and welfare loss.
 
 from .closed_form import (
     DualAggregates,
-    FeedbackStrategy,
     GFunction,
     UpperBoundValue,
     compute_g,
-    crra_dual_inverse,
     crra_utility,
-    feedback_strategy,
     g_value,
     hjb_residual,
     origin_upper_bound,
@@ -30,13 +27,6 @@ from .closed_form import (
     welfare_loss,
 )
 from .config import RunConfig, build_run_config, parse_kv_file
-from .constraints import (
-    ConstraintKind,
-    ConstraintSpec,
-    clamp_stock_position,
-    in_effective_domain,
-    support,
-)
 from .drift_policy import (
     AffinePolicy,
     MlpPolicy,
@@ -57,7 +47,6 @@ from .market import (
     CoefficientCurve,
     MarketScenario,
     kappa,
-    log_state_price_increment,
     preset_scenario,
     validate,
 )
@@ -74,10 +63,7 @@ __all__ = [
     "BoundsReport",
     "BudgetCheck",
     "CoefficientCurve",
-    "ConstraintKind",
-    "ConstraintSpec",
     "DualAggregates",
-    "FeedbackStrategy",
     "GFunction",
     "MarketScenario",
     "MlpPolicy",
@@ -94,18 +80,13 @@ __all__ = [
     "ValidationError",
     "build_report",
     "build_run_config",
-    "clamp_stock_position",
     "compute_g",
-    "crra_dual_inverse",
     "crra_utility",
     "emit_csv",
-    "feedback_strategy",
     "g_value",
     "hjb_residual",
-    "in_effective_domain",
     "init_params",
     "kappa",
-    "log_state_price_increment",
     "make_policy",
     "minimize_upper_bound",
     "origin_upper_bound",
@@ -117,7 +98,6 @@ __all__ = [
     "simulate_candidate_value",
     "snake",
     "sobol_normals",
-    "support",
     "trapezoid",
     "upper_bound_retirement",
     "upper_bound_working",

@@ -112,7 +112,6 @@ def _provenance(cfg: RunConfig) -> dict[str, object]:
         "sobol_skip": cfg.simulation.sobol_skip,
         "num_starts": cfg.optimizer.num_starts,
         "iterations_per_start": cfg.optimizer.iterations_per_start,
-        "algorithm": cfg.optimizer.algorithm,
         "policy_kind": cfg.policy_kind,
         "activation": cfg.activation if cfg.policy_kind == "mlp" else "",
     }

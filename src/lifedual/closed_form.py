@@ -65,9 +65,7 @@ __all__ = [
     "GFunction",
     "DualAggregates",
     "UpperBoundValue",
-    "FeedbackStrategy",
     "crra_utility",
-    "crra_dual_inverse",
     "compute_g",
     "g_value",
     "precompute_aggregates",
@@ -76,7 +74,6 @@ __all__ = [
     "upper_bound_working",
     "upper_bound_retirement",
     "feedback_controls",
-    "feedback_strategy",
     "welfare_loss",
     "hjb_residual",
 ]
@@ -86,15 +83,6 @@ def crra_utility(c, gamma: float):
     """Power utility c^(1-gamma)/(1-gamma) (gamma != 1)."""
     c = np.asarray(c, dtype=float)
     out = c ** (1.0 - gamma) / (1.0 - gamma)
-    return out if out.ndim else float(out)
-
-
-def crra_dual_inverse(z, gamma: float):
-    """Inverse marginal utility f(z) = z^(-1/gamma); strictly decreasing."""
-    z = np.asarray(z, dtype=float)
-    if np.any(z <= 0):
-        raise ValidationError("marginal-utility level must be positive")
-    out = z ** (-1.0 / gamma)
     return out if out.ndim else float(out)
 
 
@@ -184,7 +172,6 @@ class DualAggregates:
 
     grid: UniformGrid
     scenario: MarketScenario
-    policy: object
     v0: np.ndarray
     v_minus: np.ndarray
     kappa_v: np.ndarray
@@ -201,13 +188,6 @@ class DualAggregates:
         kv = np.interp(t, nodes, self.kappa_v)
         ann = np.where(np.asarray(t) >= self.scenario.T_R, 0.0, ann)
         return g, f2, ann, kv
-
-    def value_at(self, t, W, Y=0.0) -> float:
-        """Upper-bound value from interpolated curves (fast path)."""
-        _, f2, ann, _ = self.interp_curves(t)
-        f3 = W + Y * ann
-        gam = self.scenario.gamma
-        return float(crra_utility(f3, gam) * f2**gam)
 
 
 @dataclass(frozen=True)
@@ -305,7 +285,6 @@ def precompute_aggregates(
     return DualAggregates(
         grid=grid,
         scenario=scenario,
-        policy=policy,
         v0=v0,
         v_minus=vm,
         kappa_v=tab.kappa_v,
@@ -332,10 +311,6 @@ class UpperBoundValue:
     value: float
     tilde_f2: float
     tilde_f3: float
-    t: float
-    W: float
-    Y: float | None
-    policy: object
 
 
 def _anchored_aggregates(scenario, g, policy, t, n_intervals):
@@ -453,10 +428,6 @@ def upper_bound_working(
         value=float(crra_utility(f3, gam) * f2**gam),
         tilde_f2=f2,
         tilde_f3=f3,
-        t=float(t),
-        W=float(W),
-        Y=float(Y),
-        policy=policy,
     )
 
 
@@ -485,30 +456,11 @@ def upper_bound_retirement(
         value=float(crra_utility(W, gam) * f2**gam),
         tilde_f2=f2,
         tilde_f3=float(W),
-        t=float(t),
-        W=float(W),
-        Y=None,
-        policy=policy,
     )
 
 
 # ---------------------------------------------------------------------------
 # Feedback strategy
-
-
-@dataclass(frozen=True)
-class FeedbackStrategy:
-    """Optimal controls at one state.
-
-    theta_star is clamped to [0, W]; M_star/c_star = g(t) exactly (both
-    share the ratio F3~/F2~); face_value = M_star - W is the insurance
-    payout bought at rate hazard*(face value).
-    """
-
-    theta_star: float
-    c_star: float
-    m_star: float
-    face_value: float
 
 
 def feedback_controls(scenario: MarketScenario, W, y, ann, f2, kv, g_t, sigma):
@@ -522,37 +474,6 @@ def feedback_controls(scenario: MarketScenario, W, y, ann, f2, kv, g_t, sigma):
     c = f3 / f2
     theta = -f3 * kv / (scenario.gamma * sigma) - scenario.sigma_Y / sigma * y * ann
     return np.clip(theta, 0.0, W), c, c * g_t
-
-
-def feedback_strategy(
-    scenario: MarketScenario,
-    g: GFunction,
-    policy,
-    t: float,
-    W: float,
-    Y: float = 0.0,
-    n_intervals: int | None = None,
-) -> FeedbackStrategy:
-    """Optimal (theta*, c*, M*) at a positive-wealth state.
-
-    Aggregates come from a grid anchored at t (no interpolation).  The
-    zero-wealth liquidity rule lives in the simulator, not here.
-    """
-    if W <= 0:
-        raise ValidationError(
-            "feedback strategy needs W > 0 (the simulator handles the W = 0 rule)"
-        )
-    if Y < 0 or not 0 <= t <= scenario.T:
-        raise ValidationError("feedback strategy needs Y >= 0 and t in [0, T]")
-    agg = _anchored_aggregates(scenario, g, policy, t, n_intervals)
-    y = Y if t < scenario.T_R else 0.0
-    theta, c, m = feedback_controls(
-        scenario, W, y, agg.income_annuity[0], agg.tilde_f2[0], agg.kappa_v[0],
-        agg.g[0], float(scenario.sigma(t)),
-    )
-    return FeedbackStrategy(
-        theta_star=float(theta), c_star=float(c), m_star=float(m), face_value=float(m - W)
-    )
 
 
 # ---------------------------------------------------------------------------

@@ -18,9 +18,9 @@ Coefficient curves accept three spellings, e.g. for the stock drift::
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 
-from .constraints import ConstraintKind, ConstraintSpec
 from .errors import ValidationError
 from .lower_bound import SimulationConfig
 from .market import CoefficientCurve, MarketScenario, preset_scenario
@@ -56,7 +56,6 @@ class RunConfig:
     out_dir: str = "out"
     seed: int = 0
     preset: str | None = None
-    constraint: ConstraintSpec | None = None
 
     def __post_init__(self) -> None:
         if self.policy_kind not in ("affine", "mlp"):
@@ -94,30 +93,42 @@ def parse_kv_file(path) -> dict[str, str]:
     return out
 
 
+def _number(key: str, text: str, kind=float):
+    """``kind(text)``, with a malformed or non-finite value reported against its key."""
+    try:
+        value = kind(text)
+    except ValueError:
+        value = math.nan
+    if not -math.inf < value < math.inf:  # NaN fails too; exact for huge integers
+        noun = "an integer" if kind is int else "a finite number"
+        raise ValidationError(f"{key}: expected {noun}, got {text!r}")
+    return value
+
+
 def _pop_float(kv, key, default):
-    return float(kv.pop(key)) if key in kv else default
+    return _number(key, kv.pop(key)) if key in kv else default
 
 
 def _pop_int(kv, key, default):
-    return int(kv.pop(key)) if key in kv else default
+    return _number(key, kv.pop(key), int) if key in kv else default
 
 
 def _pop_str(kv, key, default):
     return kv.pop(key) if key in kv else default
 
 
-def _parse_table(text: str) -> list[tuple[float, float]]:
+def _parse_table(key: str, text: str) -> list[tuple[float, float]]:
     points = []
     for chunk in text.split(","):
         chunk = chunk.strip()
         if not chunk:
             continue
         if ":" not in chunk:
-            raise ValidationError(f"table entry {chunk!r} must look like t:value")
+            raise ValidationError(f"{key}: table entry {chunk!r} must look like t:value")
         t_str, v_str = chunk.split(":", 1)
-        points.append((float(t_str), float(v_str)))
+        points.append((_number(key, t_str), _number(key, v_str)))
     if not points:
-        raise ValidationError("curve table is empty")
+        raise ValidationError(f"{key}: curve table is empty")
     return points
 
 
@@ -129,16 +140,17 @@ def _pop_curve(kv, name, default: CoefficientCurve) -> CoefficientCurve:
     if flat in kv:
         if parts:
             raise ValidationError(f"{flat} given both as a constant and with sub-keys")
-        return CoefficientCurve.constant(float(kv.pop(flat)))
+        return CoefficientCurve.constant(_number(flat, kv.pop(flat)))
     if "table" in parts:
         if len(parts) > 1:
             raise ValidationError(f"{flat}.table excludes the sinusoid sub-keys")
-        return CoefficientCurve.from_table(_parse_table(parts["table"]))
+        return CoefficientCurve.from_table(_parse_table(flat + ".table", parts["table"]))
     if parts:
+        def part(key, fallback):
+            return _number(f"{flat}.{key}", parts[key]) if key in parts else fallback
+
         return CoefficientCurve.sinusoid(
-            float(parts.get("base", default.base)),
-            float(parts.get("amplitude", 0.0)),
-            float(parts.get("frequency", 0.0)),
+            part("base", default.base), part("amplitude", 0.0), part("frequency", 0.0)
         )
     return default
 
@@ -194,7 +206,6 @@ def build_run_config(
     optimizer = OptimizerConfig(
         num_starts=_pop_int(kv, "opt.num_starts", 30),
         iterations_per_start=_pop_int(kv, "opt.iterations_per_start", 50),
-        algorithm=_pop_str(kv, "opt.algorithm", "BFGS"),
         obj_tol=_pop_float(kv, "opt.obj_tol", 1e-10),
         param_tol=_pop_float(kv, "opt.param_tol", 1e-12),
         affine_init_std=_pop_float(kv, "policy.affine_init_std", 1e-2),
@@ -209,17 +220,6 @@ def build_run_config(
         seed=master_seed,
     )
 
-    constraint = None
-    if "constraint.kind" in kv:
-        try:
-            kind = ConstraintKind(kv.pop("constraint.kind"))
-        except ValueError as exc:
-            raise ValidationError(str(exc)) from None
-        constraint = ConstraintSpec(
-            kind=kind,
-            min_capital=_pop_float(kv, "constraint.min_capital", 0.0),
-        )
-
     file_out_dir = _pop_str(kv, "out.dir", "out")
     config = RunConfig(
         scenario=scenario,
@@ -232,7 +232,6 @@ def build_run_config(
         out_dir=out_dir if out_dir is not None else file_out_dir,
         seed=master_seed,
         preset=preset_name,
-        constraint=constraint,
     )
     if kv:
         raise ValidationError(f"unknown config keys: {sorted(kv)}")

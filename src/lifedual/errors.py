@@ -8,6 +8,8 @@ The command-line driver maps them to distinct exit codes.
 
 from __future__ import annotations
 
+__all__ = ["ValidationError", "NumericalError"]
+
 
 class ValidationError(ValueError):
     """A configuration, scenario, or argument failed a domain check."""

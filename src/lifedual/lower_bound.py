@@ -87,8 +87,10 @@ class SimulationConfig:
     def __post_init__(self) -> None:
         if self.n_paths < 2:
             raise ValidationError("need at least 2 paths")
-        if self.n_steps < 1:
-            raise ValidationError("need at least 1 step")
+        if not 1 <= self.n_steps <= _MAX_SOBOL_DIM:
+            raise ValidationError(
+                f"n_steps (the Sobol dimension) must lie in [1, {_MAX_SOBOL_DIM}]"
+            )
         if self.sobol_skip < 0:
             raise ValidationError("sobol_skip must be nonnegative")
         if 1 + self.sobol_skip + self.n_paths > _MAX_SOBOL_POINTS:
@@ -113,8 +115,6 @@ def sobol_normals(config: SimulationConfig) -> tuple[np.ndarray, np.ndarray]:
     matrix exactly.  The points are drawn in chunks of about 1 MB.
     Deterministic given the config.
     """
-    if config.n_steps > _MAX_SOBOL_DIM:
-        raise ValidationError(f"Sobol dimension must lie in [1, {_MAX_SOBOL_DIM}]")
     m = (config.sobol_skip + config.n_paths).bit_length()
     scale = float(2**m)
     levels = np.arange(2**m) / scale

@@ -34,7 +34,6 @@ __all__ = [
     "ValidationReport",
     "preset_scenario",
     "kappa",
-    "log_state_price_increment",
     "validate",
 ]
 
@@ -139,19 +138,6 @@ def kappa(scenario: MarketScenario, t, v0=0.0, v_minus=0.0):
     if np.any(np.asarray(sig) <= 0):
         raise ValidationError("sigma(t) must be positive")
     out = -(scenario.mu(t) + v_minus - (scenario.r(t) + v0)) / sig
-    return out if np.ndim(out) else float(out)
-
-
-def log_state_price_increment(scenario, t, dt, v0, v_minus, dZ):
-    """Euler log-increment of the adjusted state-price density pi_v.
-
-    Returns -(r(t)+v0)*dt + kappa_v*dZ - kappa_v^2/2*dt; accumulating
-    these and exponentiating simulates pi_v without overflow.
-    """
-    if dt <= 0:
-        raise ValidationError("dt must be positive")
-    k = kappa(scenario, t, v0, v_minus)
-    out = -(scenario.r(t) + v0) * dt + k * dZ - 0.5 * k * k * dt
     return out if np.ndim(out) else float(out)
 
 

@@ -79,7 +79,3 @@ class MortalityModel:
         t = _check_nonnegative(t)
         out = np.exp(-self.cumulative_hazard(0.0, t))
         return out if np.ndim(out) else float(out)
-
-    def density(self, t):
-        """Death-time density survival(t)·hazard(t)."""
-        return self.survival(t) * self.hazard(t)

@@ -3,12 +3,10 @@
 The objective is the initial-state upper bound as a function of the
 flat parameter vector of a drift-adjustment policy.  It is smooth
 almost everywhere (the positive-part wrappers kink only on a
-measure-zero set), so the default algorithm is BFGS fed with the exact
+measure-zero set), so the minimizer is BFGS fed with the exact
 gradient: the closed form's adjoint pass gives dJ/dv at the grid nodes
 and the policy family's vector-Jacobian product carries it onto the
 parameters, both from the one evaluation that yields the value.
-Nelder–Mead is offered as a derivative-free fallback for the
-8-parameter affine family.
 
 Each start draws its own initialization from the configured seed;
 starts are independent, and the reduction picks the lowest final
@@ -36,7 +34,7 @@ __all__ = [
     "minimize_upper_bound",
 ]
 
-_ALGORITHMS = ("BFGS", "NelderMead")
+_MAX_INIT_RETRIES = 3  # redraws of a start whose initial objective is non-finite
 
 
 @dataclass(frozen=True)
@@ -45,17 +43,14 @@ class OptimizerConfig:
 
     ``iterations_per_start`` caps the solver iterations of each start
     (0 returns the best initialization unmodified).
-    ``obj_tol``/``param_tol`` map onto the solver's stopping rules: the
-    gradient norm and relative step for BFGS, the objective and
-    parameter spread for Nelder–Mead.
+    ``obj_tol``/``param_tol`` map onto BFGS's stopping rules: the
+    gradient norm and the relative step.
     """
 
     num_starts: int = 30
     iterations_per_start: int = 50
-    algorithm: str = "BFGS"
     obj_tol: float = 1e-10
     param_tol: float = 1e-12
-    max_init_retries: int = 3
     affine_init_std: float = 1e-2
     mlp_init_std: float = 1e-2
 
@@ -64,8 +59,6 @@ class OptimizerConfig:
             raise ValidationError("num_starts must be positive")
         if self.iterations_per_start < 0:
             raise ValidationError("iterations_per_start must be nonnegative")
-        if self.algorithm not in _ALGORITHMS:
-            raise ValidationError(f"algorithm must be one of {_ALGORITHMS}")
         if self.obj_tol <= 0 or self.param_tol <= 0:
             raise ValidationError("tolerances must be positive")
 
@@ -74,8 +67,8 @@ class OptimizerConfig:
 class StartOutcome:
     """How one start's solver run ended, as scipy reports it.
 
-    ``njev`` is 0 for Nelder–Mead; ``grad_norm`` is the Euclidean norm
-    of the exact gradient at the solver's final point.
+    ``grad_norm`` is the Euclidean norm of the exact gradient at the
+    solver's final point.
     """
 
     status: int
@@ -118,7 +111,7 @@ def upper_bound_and_gradient(scenario: MarketScenario, g: GFunction, policy):
     return value, grad
 
 
-def _run_single_start(objective, value_and_grad, x0, f0, config, trace, start_idx):
+def _run_single_start(value_and_grad, x0, f0, config, trace, start_idx):
     """One local minimization from x0 (objective f0); records per-iteration incumbents."""
     best_x = np.asarray(x0, dtype=float)
     best_f = f0
@@ -137,40 +130,25 @@ def _run_single_start(objective, value_and_grad, x0, f0, config, trace, start_id
             best_x = np.asarray(intermediate_result.x, dtype=float).copy()
         trace.entries.append((start_idx, iteration[0], best_f))
 
-    if config.algorithm == "BFGS":
-        res = sciopt.minimize(
-            value_and_grad,
-            x0,
-            method="BFGS",
-            jac=True,
-            callback=callback,
-            options={
-                "maxiter": config.iterations_per_start,
-                "gtol": config.obj_tol,
-                "xrtol": config.param_tol,
-            },
-        )
-        grad = res.jac
-    else:
-        res = sciopt.minimize(
-            objective,
-            x0,
-            method="Nelder-Mead",
-            callback=callback,
-            options={
-                "maxiter": config.iterations_per_start,
-                "fatol": config.obj_tol,
-                "xatol": config.param_tol,
-            },
-        )
-        grad = value_and_grad(res.x)[1]
+    res = sciopt.minimize(
+        value_and_grad,
+        x0,
+        method="BFGS",
+        jac=True,
+        callback=callback,
+        options={
+            "maxiter": config.iterations_per_start,
+            "gtol": config.obj_tol,
+            "xrtol": config.param_tol,
+        },
+    )
     outcome = StartOutcome(
         status=int(res.status),
         message=str(res.message),
         nit=int(res.nit),
         nfev=int(res.nfev),
-        njev=int(res.get("njev", 0)),
-        grad_norm=float(np.linalg.norm(grad)),
+        njev=int(res.njev),
+        grad_norm=float(np.linalg.norm(res.jac)),
     )
     f_final = float(res.fun)
     if np.isfinite(f_final) and f_final < best_f:
@@ -192,7 +170,7 @@ def minimize_upper_bound(
 
     Returns (best policy, trace).  Initializations are drawn per start
     from ``seed``; a start whose initial objective is non-finite is
-    redrawn up to ``max_init_retries`` times before failing.  The
+    redrawn up to ``_MAX_INIT_RETRIES`` times before failing.  The
     returned objective is the minimum over every start's final value.
     """
 
@@ -214,7 +192,7 @@ def minimize_upper_bound(
     trace = OptimizationTrace()
     for start in range(config.num_starts):
         x0 = None
-        for retry in range(config.max_init_retries + 1):
+        for retry in range(_MAX_INIT_RETRIES + 1):
             candidate = drift_policy.init_params(
                 policy_kind,
                 (seed, start, retry),
@@ -227,10 +205,10 @@ def minimize_upper_bound(
                 break
         if x0 is None:
             raise NumericalError(
-                f"start {start}: objective non-finite after {config.max_init_retries} redraws"
+                f"start {start}: objective non-finite after {_MAX_INIT_RETRIES} redraws"
             )
         x_final, f_final, outcome = _run_single_start(
-            objective, value_and_grad, x0, f0, config, trace, start
+            value_and_grad, x0, f0, config, trace, start
         )
         trace.per_start_final.append(f_final)
         trace.outcomes.append(outcome)

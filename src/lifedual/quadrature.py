@@ -12,10 +12,10 @@ difference of prefix integrals along the *same* node family,
 
 so a single cumulative-trapezoid table serves every (t, s) pair.  This
 module provides the grid type, the plain and cumulative trapezoid
-rules, their adjoints (the transposes of these linear maps, which the
-reverse-mode gradient of the upper bound runs through), and a small
-nested-integral helper; the closed-form module builds its aggregates
-out of these prefix tables in O(n) per curve.
+rules, and their adjoints (the transposes of these linear maps, which
+the reverse-mode gradient of the upper bound runs through); the
+closed-form module builds its aggregates out of these prefix tables in
+O(n) per curve.
 """
 
 from __future__ import annotations
@@ -34,7 +34,6 @@ __all__ = [
     "prefix_value_at",
     "prefix_trapezoid_adjoint",
     "prefix_value_weights",
-    "nested_trapezoid",
 ]
 
 
@@ -164,20 +163,3 @@ def prefix_value_weights(grid: UniformGrid, t: float) -> np.ndarray:
         w[j] += 0.5 * d * (2.0 - frac)
         w[j + 1] += 0.5 * d * frac
     return w
-
-
-def nested_trapezoid(
-    grid: UniformGrid,
-    base_values: np.ndarray,
-    inner_rate_values: np.ndarray,
-) -> float:
-    """Evaluate ∫ base(s)·exp(-∫_{t0}^{s} q) ds on the grid.
-
-    ``inner_rate_values`` holds q at the nodes; its cumulative
-    trapezoid forms the inner exponent, and the damped integrand is
-    then integrated by the outer trapezoid rule.  A zero inner rate
-    reduces the result to ``trapezoid(base_values, grid)``.
-    """
-    base_values = np.asarray(base_values, dtype=float)
-    exponent = prefix_trapezoid(inner_rate_values, grid)
-    return trapezoid(base_values * np.exp(-exponent), grid)

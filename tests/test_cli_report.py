@@ -1,18 +1,21 @@
 """Config parsing, report arithmetic, CSV artifacts, CLI exit codes."""
 
 import csv
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import lifedual
 import lifedual.cli
 import lifedual.lower_bound
 from lifedual.cli import main
 from lifedual.closed_form import compute_g, origin_upper_bound, welfare_loss
 from lifedual.config import DESK_SCALE, build_run_config, parse_kv_file
-from lifedual.constraints import ConstraintKind
 from lifedual.drift_policy import init_params, make_policy
 from lifedual.errors import NumericalError, ValidationError
 from lifedual.lower_bound import SimulationConfig, simulate_candidate_value
@@ -60,13 +63,13 @@ def test_parse_kv_file_basics(tmp_path):
         tmp_path,
         "a.cfg",
         "# comment\n\nscenario.w0 = 150\npolicy.kind= mlp # trailing comment\n"
-        "opt.algorithm =NelderMead\nsim.note = a=b\n",
+        "opt.num_starts =7\nsim.note = a=b\n",
     )
     kv = parse_kv_file(path)
     assert kv == {
         "scenario.w0": "150",
         "policy.kind": "mlp",
-        "opt.algorithm": "NelderMead",
+        "opt.num_starts": "7",
         "sim.note": "a=b",  # only the first '=' splits
     }
 
@@ -120,17 +123,25 @@ def test_build_run_config_curve_spellings():
         build_run_config({"scenario.r.table": "0:0.02", "scenario.r.amplitude": "0.1"})
     with pytest.raises(ValidationError, match="t:value"):
         build_run_config({"scenario.r.table": "0.02"})
+    for key, value in (
+        ("scenario.r", "high"),
+        ("scenario.mu.amplitude", "high"),
+        ("scenario.mu.table", "0:nan"),
+        ("scenario.sigma_y", "inf"),
+    ):
+        with pytest.raises(ValidationError, match=f"{key}: expected a finite number"):
+            build_run_config({key: value})
 
 
-def test_build_run_config_constraint_and_unknown_keys():
-    cfg = build_run_config(
-        {"constraint.kind": "min_capital", "constraint.min_capital": "5"}
-    )
-    assert cfg.constraint.kind is ConstraintKind.MIN_CAPITAL
-    assert cfg.constraint.min_capital == 5.0
-    assert build_run_config({}).constraint is None
-    with pytest.raises(ValidationError):
-        build_run_config({"constraint.kind": "nope"})
+def test_build_run_config_unknown_keys():
+    # the constraint descriptor and the optimizer choice are not config keys
+    for key, value in (
+        ("constraint.kind", "short_sale"),
+        ("constraint.min_capital", "5"),
+        ("opt.algorithm", "BFGS"),
+    ):
+        with pytest.raises(ValidationError, match=f"unknown config keys: \\['{key}'\\]"):
+            build_run_config({key: value})
     with pytest.raises(ValidationError, match="scenario.w00"):
         build_run_config({"scenario.w00": "1"})
     with pytest.raises(ValidationError):
@@ -292,10 +303,38 @@ def test_cli_error_exit_codes(tmp_path, capsys):
     assert main(["run", "--config", bad, "--out", str(tmp_path)]) == 1
 
 
-def test_cli_sobol_point_limit_exits_1(tmp_path, capsys):
+def test_cli_sobol_point_limit_exits_1(tmp_path, monkeypatch, capsys):
+    # both Sobol limits are config checks, so the run stops before optimizing
+    def never(*args, **kwargs):
+        raise AssertionError("the optimizer ran")
+
+    monkeypatch.setattr(lifedual.cli, "minimize_upper_bound", never)
     huge = _write(tmp_path, "huge.cfg", "sim.n_paths = 2000000000\n")
     assert main(["run", "--config", huge, "--out", str(tmp_path)]) == 1
     assert "Sobol points" in capsys.readouterr().err
+    deep = _write(tmp_path, "deep.cfg", "sim.n_steps = 30000\n")
+    assert main(["run", "--config", deep, "--out", str(tmp_path)]) == 1
+    assert "Sobol dimension" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "key, value",
+    [("sim.n_paths", "2e4"), ("scenario.mu.table", "0:0.07, 10:abc")],
+    ids=["sim.n_paths", "scenario.mu.table"],
+)
+def test_cli_malformed_value_is_a_typed_error(tmp_path, key, value):
+    cfg = _write(tmp_path, "bad.cfg", f"{key} = {value}\n")
+    src = str(Path(lifedual.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "lifedual.cli", "validate", "--config", cfg],
+        capture_output=True,
+        text=True,
+        env=dict(os.environ, PYTHONPATH=path),
+    )
+    assert proc.returncode == 1
+    assert any(ln.startswith("error:") and key in ln for ln in proc.stderr.splitlines())
+    assert "Traceback" not in proc.stderr
 
 
 def test_cli_verify_passes_for_optimized_policy(tmp_path, capsys):

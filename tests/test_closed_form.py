@@ -12,9 +12,8 @@ from scipy.integrate import quad
 
 from lifedual.closed_form import (
     compute_g,
-    crra_dual_inverse,
     crra_utility,
-    feedback_strategy,
+    feedback_controls,
     g_value,
     hjb_residual,
     origin_upper_bound,
@@ -68,9 +67,6 @@ def _annuity_oracle(t):
 
 def test_crra_examples():
     assert crra_utility(4.0, 1.5) == pytest.approx(-1.0, abs=1e-15)
-    assert crra_dual_inverse(8.0, 1.5) == pytest.approx(0.25, abs=1e-15)
-    with pytest.raises(ValidationError):
-        crra_dual_inverse(0.0, 1.5)
 
 
 def test_g_terminal_node_is_exactly_one():
@@ -156,29 +152,36 @@ def test_phase_domain_validation():
         upper_bound_working(SC, g, ZERO, 10.0, -5.0, 50.0)
 
 
+def _controls_at(g, policy, t, W, Y=0.0):
+    """(theta*, c*, M*) at one state, from aggregates on a grid anchored at t."""
+    agg = precompute_aggregates(SC, g, policy, UniformGrid(t, SC.T, g.grid.n_intervals))
+    y = Y if t < SC.T_R else 0.0
+    return feedback_controls(
+        SC, W, y, agg.income_annuity[0], agg.tilde_f2[0], agg.kappa_v[0], agg.g[0],
+        SC.sigma(t),
+    )
+
+
 def test_feedback_strategy_examples():
     g = compute_g(SC, UniformGrid(0.0, SC.T, 100))
     # retired, zero adjustment: theta = -W kappa/(gamma sigma) = W*0.25/0.3
-    fs = feedback_strategy(SC, g, ZERO, 30.0, 200.0)
-    assert fs.theta_star == pytest.approx(200.0 * 0.25 / 0.3, rel=1e-12)
+    theta, _, _ = _controls_at(g, ZERO, 30.0, 200.0)
+    assert theta == pytest.approx(200.0 * 0.25 / 0.3, rel=1e-12)
     # kappa_v = 0 makes the stock position vanish
     flat = AffinePolicy(params=(0.05, 0, 0, 0, 0.05, 0, 0, 0), t_retire=SC.T_R)
-    assert feedback_strategy(SC, g, flat, 30.0, 200.0).theta_star == 0.0
+    assert _controls_at(g, flat, 30.0, 200.0)[0] == 0.0
     # a large stock-drift adjustment pushes the demand past W -> clamped
     steep = AffinePolicy(params=(0, 0, 0.1, 0, 0, 0, 0.1, 0), t_retire=SC.T_R)
-    assert feedback_strategy(SC, g, steep, 30.0, 200.0).theta_star == 200.0
-    with pytest.raises(ValidationError):
-        feedback_strategy(SC, g, ZERO, 30.0, 0.0)
+    assert _controls_at(g, steep, 30.0, 200.0)[0] == 200.0
+    # at zero wealth the clamp leaves no stock position
+    assert _controls_at(g, ZERO, 30.0, 0.0)[0] == 0.0
 
 
 def test_insurance_scales_consumption_by_g():
     g = compute_g(SC, UniformGrid(0.0, SC.T, 100))
     for t, W, Y in ((5.0, 180.0, 50.0), (35.0, 90.0, 0.0)):
-        fs = feedback_strategy(SC, g, ZERO, t, W, Y)
-        assert fs.m_star / fs.c_star == pytest.approx(
-            g_value(SC, t, 100), rel=1e-12
-        )
-        assert fs.face_value == pytest.approx(fs.m_star - W, rel=1e-12)
+        _, c_star, m_star = _controls_at(g, ZERO, t, W, Y)
+        assert m_star / c_star == pytest.approx(g_value(SC, t, 100), rel=1e-12)
 
 
 def test_welfare_loss_published_identities():

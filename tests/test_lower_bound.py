@@ -10,6 +10,7 @@ from scipy.special import ndtri
 from scipy.stats import qmc
 
 from lifedual.closed_form import compute_g, origin_upper_bound, precompute_aggregates
+from lifedual.config import build_run_config
 from lifedual.drift_policy import AffinePolicy, init_params, make_policy
 from lifedual.errors import ValidationError
 from lifedual.lower_bound import (
@@ -88,6 +89,8 @@ def test_sobol_dimension_validation():
         sobol_normals(SimulationConfig(n_paths=4, n_steps=0))
     with pytest.raises(ValidationError):
         sobol_normals(SimulationConfig(n_paths=4, n_steps=30000))
+    with pytest.raises(ValidationError):
+        build_run_config({"sim.n_steps": "30000"})
 
 
 def test_simulation_config_validation():

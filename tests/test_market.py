@@ -1,4 +1,4 @@
-"""Scenario curves, adjusted price of risk, kernel increments, validation."""
+"""Scenario curves, adjusted price of risk, kernel moments, validation."""
 
 import numpy as np
 import pytest
@@ -9,7 +9,6 @@ from lifedual.market import (
     CoefficientCurve,
     MarketScenario,
     kappa,
-    log_state_price_increment,
     preset_scenario,
     validate,
 )
@@ -53,23 +52,10 @@ def test_kappa_rejects_degenerate_volatility():
         kappa(bad, 1.0)
 
 
-def test_log_increment_deterministic_part():
-    sc = preset_scenario("example1")
-    got = log_state_price_increment(sc, 0.0, 0.05, 0.0, 0.0, 0.0)
-    assert got == pytest.approx(-(0.02 + 0.03125) * 0.05, abs=1e-15)
-    assert got == pytest.approx(-0.0025625, abs=1e-15)
-    with pytest.raises(ValidationError):
-        log_state_price_increment(sc, 0.0, 0.0, 0.0, 0.0, 0.0)
-
-
-def test_log_increment_zero_when_rate_and_kappa_vanish():
-    sc = preset_scenario("example1")
-    # v0 = 0.05 kills kappa; shift r to -v0 to kill the rate... not
-    # representable, so check the formula's pieces instead
-    k = kappa(sc, 0.0, v0=0.05)
-    assert k == 0.0
-    got = log_state_price_increment(sc, 0.0, 0.1, 0.05, 0.0, 1.7)
-    assert got == pytest.approx(-(0.02 + 0.05) * 0.1, abs=1e-15)
+def _log_kernel_increment(sc, t, dt, dZ):
+    # Euler increment of log pi with v = 0: -r dt + kappa dZ - kappa^2/2 dt
+    k = kappa(sc, t)
+    return -sc.r(t) * dt + k * dZ - 0.5 * k * k * dt
 
 
 def test_state_price_kernel_is_unbiased_under_qmc():
@@ -82,7 +68,7 @@ def test_state_price_kernel_is_unbiased_under_qmc():
     dZ = levels[index].T * np.sqrt(dt)
     log_pi = np.zeros(cfg.n_paths)
     for k in range(cfg.n_steps):
-        log_pi += log_state_price_increment(sc, k * dt, dt, 0.0, 0.0, dZ[:, k])
+        log_pi += _log_kernel_increment(sc, k * dt, dt, dZ[:, k])
     xi = np.exp(log_pi + 0.02 * 1.0)  # strip beta = e^{-rt}
     se = xi.std(ddof=1) / np.sqrt(cfg.n_paths)
     assert abs(xi.mean() - 1.0) < 3 * se
@@ -99,7 +85,7 @@ def test_accumulated_log_kernel_moments():
     dZ = levels[index].T * np.sqrt(dt)
     log_pi = np.zeros(cfg.n_paths)
     for k in range(cfg.n_steps):
-        log_pi += log_state_price_increment(sc, k * dt, dt, 0.0, 0.0, dZ[:, k])
+        log_pi += _log_kernel_increment(sc, k * dt, dt, dZ[:, k])
     mean_expected = -(0.02 + 0.5 * 0.25**2) * t
     var_expected = 0.25**2 * t
     assert abs(log_pi.mean() - mean_expected) < 0.01 * abs(mean_expected)

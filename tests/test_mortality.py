@@ -61,8 +61,10 @@ def test_cumulative_hazard_example_value():
 
 
 def test_density_integrates_to_death_probability():
-    # ∫_0^T density = 1 - survival(T)
-    integral, _ = integrate.quad(BASE.density, 0.0, 50.0, epsabs=1e-12, limit=200)
+    # ∫_0^T survival·hazard = 1 - survival(T)
+    integral, _ = integrate.quad(
+        lambda t: BASE.survival(t) * BASE.hazard(t), 0.0, 50.0, epsabs=1e-12, limit=200
+    )
     assert integral == pytest.approx(1.0 - BASE.survival(50.0), abs=1e-10)
 
 

@@ -110,8 +110,6 @@ def test_config_validation():
     with pytest.raises(ValidationError):
         OptimizerConfig(iterations_per_start=-1)
     with pytest.raises(ValidationError):
-        OptimizerConfig(algorithm="Genetic")
-    with pytest.raises(ValidationError):
         OptimizerConfig(obj_tol=0.0)
 
 
@@ -157,25 +155,22 @@ def test_multi_start_is_reproducible():
 
 def test_incumbent_sequences_are_nonincreasing():
     g = _g(50)
-    for algorithm in ("BFGS", "NelderMead"):
-        cfg = OptimizerConfig(
-            num_starts=2, iterations_per_start=25, algorithm=algorithm
-        )
-        _, trace = minimize_upper_bound(SC, g, "mlp", cfg, seed=1)
-        for s in range(2):
-            inc = [f for (start, _, f) in trace.entries if start == s]
-            assert len(inc) >= 1
-            assert all(b <= a + 1e-15 for a, b in zip(inc, inc[1:]))
-        assert trace.best_objective == min(trace.per_start_final)
-        # a bounded local step should not lose to its own initialization
-        first = {s: None for s in range(2)}
-        for start, it, f in trace.entries:
-            if it == 0:
-                first[start] = f
-        assert all(
-            final <= first[s] + 1e-15
-            for s, final in enumerate(trace.per_start_final)
-        )
+    cfg = OptimizerConfig(num_starts=2, iterations_per_start=25)
+    _, trace = minimize_upper_bound(SC, g, "mlp", cfg, seed=1)
+    for s in range(2):
+        inc = [f for (start, _, f) in trace.entries if start == s]
+        assert len(inc) >= 1
+        assert all(b <= a + 1e-15 for a, b in zip(inc, inc[1:]))
+    assert trace.best_objective == min(trace.per_start_final)
+    # a bounded local step should not lose to its own initialization
+    first = {s: None for s in range(2)}
+    for start, it, f in trace.entries:
+        if it == 0:
+            first[start] = f
+    assert all(
+        final <= first[s] + 1e-15
+        for s, final in enumerate(trace.per_start_final)
+    )
 
 
 def test_bad_initialization_is_redrawn():
@@ -196,7 +191,7 @@ def test_bad_initialization_is_redrawn():
 
 def test_unrecoverable_initialization_raises():
     g = _g(50)
-    cfg = OptimizerConfig(num_starts=1, iterations_per_start=0, max_init_retries=2)
+    cfg = OptimizerConfig(num_starts=1, iterations_per_start=0)
     with mock.patch(
         "lifedual.optimizer.origin_upper_bound", return_value=float("nan")
     ):

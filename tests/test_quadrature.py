@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 from lifedual.errors import ValidationError
 from lifedual.quadrature import (
     UniformGrid,
-    nested_trapezoid,
     prefix_trapezoid,
     prefix_trapezoid_adjoint,
     prefix_value_at,
@@ -115,19 +114,3 @@ def test_adjoints_are_transposes_of_the_prefix_maps(n, t):
     assert w @ v == pytest.approx(
         prefix_value_at(prefix_trapezoid(v, grid), v, grid, t), rel=1e-13, abs=1e-15
     )
-
-
-def test_nested_trapezoid_zero_rate_reduces_to_plain_rule():
-    grid = UniformGrid(0.0, 1.0, 16)
-    base = np.cosh(grid.nodes)
-    assert nested_trapezoid(grid, base, np.zeros(17)) == pytest.approx(
-        trapezoid(base, grid), abs=1e-14
-    )
-
-
-def test_nested_trapezoid_constant_rate():
-    # ∫_0^1 e^{-q s} ds with base 1: (1 - e^{-q})/q
-    grid = UniformGrid(0.0, 1.0, 400)
-    q = 0.7
-    got = nested_trapezoid(grid, np.ones(401), np.full(401, q))
-    assert got == pytest.approx((1.0 - np.exp(-q)) / q, rel=1e-6)
