@@ -102,8 +102,13 @@ def _optimize(cfg: RunConfig, g):
 
 
 def _provenance(cfg: RunConfig) -> dict[str, object]:
+    from importlib import metadata
+
     return {
         "code_version": __version__,
+        # the Sobol stream reads scipy's direction-number file
+        "numpy_version": metadata.version("numpy"),
+        "scipy_version": metadata.version("scipy"),
         "preset": cfg.preset or "example1",
         "seed": cfg.seed,
         "n_intervals": cfg.n_intervals,

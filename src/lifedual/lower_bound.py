@@ -21,7 +21,10 @@ pair (Jbar, J~) certifies the duality gap.
 
 Paths are driven by a Sobol sequence: one point of dimension n_steps
 per path, mapped to normals by the inverse CDF, with a configurable
-number of initial points skipped.  The normals are held as a table of
+number of initial points skipped.  The sequence is scipy's unscrambled
+``qmc.Sobol`` stream, built here in numpy from the same Joe-Kuo
+direction numbers (read from the file scipy installs, so no scipy
+submodule is imported for it).  The normals are held as a table of
 inverse-CDF levels plus a time-major integer index into it, so each
 step reads one contiguous row.  Wealth uses Euler-Maruyama steps
 (the feedback drift precludes exact stepping); income uses exact
@@ -45,11 +48,11 @@ checked under the physical measure through the density ksi_t.
 
 from __future__ import annotations
 
+import importlib.util
+import os
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import ndtri
-from scipy.stats import qmc
 
 from .closed_form import GFunction, feedback_controls, precompute_aggregates
 from .errors import NumericalError, ValidationError
@@ -63,9 +66,10 @@ __all__ = [
     "simulate_candidate_value",
 ]
 
-_MAX_SOBOL_DIM = 21201
-_MAX_SOBOL_POINTS = 2**30  # scipy's limit for unscrambled points
-_DRAW_CHUNK_BYTES = 1 << 20  # float64 Sobol points drawn per engine call
+_MAX_SOBOL_DIM = 21201  # dimensions in the Joe-Kuo direction-number file
+_SOBOL_BITS = 30  # width of the direction integers, as in scipy's engine
+_MAX_SOBOL_POINTS = 2**_SOBOL_BITS  # 30-bit Gray codes index this many points
+_BLOCK_BYTES = 1 << 20  # index rows (or their XOR tables) built per block
 _UTILITY_FLOOR = 1e-300  # utility of a starved path is astronomically negative, not -inf
 
 
@@ -99,12 +103,48 @@ class SimulationConfig:
             )
 
 
+def _direction_integers(dim: int) -> np.ndarray:
+    """The (dim, 30) int64 Sobol direction integers of scipy's engine.
+
+    Row j holds V[j, b], the 30-bit integer XORed into coordinate j when
+    bit b of a point's Gray code is set.  The primitive polynomials and
+    initial numbers (Joe & Kuo 2008) come from the ``.npz`` file scipy
+    ships, read without importing any scipy submodule; the recurrence is
+    Bratley & Fox (1988), as in ``scipy.stats._sobol``.  The first
+    dimension is the van der Corput sequence (all direction numbers 1).
+    """
+    spec = importlib.util.find_spec("scipy")
+    path = os.path.join(
+        spec.submodule_search_locations[0], "stats", "_sobol_direction_numbers.npz"
+    )
+    with np.load(path) as data:
+        poly = data["poly"][:dim]
+        vinit = data["vinit"][:dim]
+    deg = np.frexp(poly)[1] - 1  # degree of each primitive polynomial
+    v = np.zeros((dim, _SOBOL_BITS), dtype=np.int64)
+    v[:, : vinit.shape[1]] = vinit
+    v[0] = 1
+    # v_b = v_{b-d} ^ XOR over k = 1..d of a_k (v_{b-k} << k), where a_k is
+    # bit d - k of the polynomial, for the dimensions of degree d <= b;
+    # column b is set before any later column reads it
+    for b in range(1, _SOBOL_BITS):
+        rows = np.flatnonzero(deg[1:] <= b) + 1
+        d, p = deg[rows], poly[rows]
+        new = v[rows, b - d]
+        for k in range(1, d.max(initial=0) + 1):
+            tap = (k <= d) & ((p >> np.maximum(d - k, 0)) & 1 == 1)
+            new ^= np.where(tap, v[rows, max(b - k, 0)] << k, 0)
+        v[rows, b] = new
+    return v << np.arange(_SOBOL_BITS - 1, -1, -1)
+
+
 def sobol_normals(config: SimulationConfig) -> tuple[np.ndarray, np.ndarray]:
     """Standard-normal increments, one Sobol point per path, as (levels, index).
 
     The unscrambled Sobol points used are those with sequence index
     1 + sobol_skip .. sobol_skip + n_paths, all below 2^m with
-    m = (sobol_skip + n_paths).bit_length(), so every coordinate is an
+    m = (sobol_skip + n_paths).bit_length(), so only the top m of the
+    30 bits of each coordinate can be set and every coordinate is an
     integer multiple of 2^-m.  ``levels`` holds the inverse normal CDF
     (double precision, max absolute error well below 1e-9) of the 2^m
     grid values k / 2^m, clipped to [1e-12, 1 - 1e-12]; since
@@ -112,24 +152,52 @@ def sobol_normals(config: SimulationConfig) -> tuple[np.ndarray, np.ndarray]:
     2 (sobol_skip + n_paths) entries.  ``index`` is the time-major
     (n_steps, n_paths) array of grid integers, uint16 when m <= 16 and
     uint32 above, so ``levels[index].T`` is the path-major normal
-    matrix exactly.  The points are drawn in chunks of about 1 MB.
-    Deterministic given the config.
+    matrix exactly; it equals scipy's ``qmc.Sobol(d=n_steps,
+    scramble=False)`` points after ``fast_forward(1 + sobol_skip)``,
+    times 2^m.
+
+    Point i is the XOR of the direction integers selected by its Gray
+    code i ^ (i >> 1).  Each row is filled from two XOR tables of at
+    most 2^ceil(m/2) entries, one over the low and one over the high
+    half of the Gray-code bits, a block of rows at a time, so nothing
+    index-sized is held besides ``index``.  Deterministic given the
+    config.
     """
-    m = (config.sobol_skip + config.n_paths).bit_length()
-    scale = float(2**m)
-    levels = np.arange(2**m) / scale
+    from scipy.special import ndtri  # imported here: validate needs no scipy
+
+    n_steps, n_paths = config.n_steps, config.n_paths
+    m = (config.sobol_skip + n_paths).bit_length()
+    levels = np.arange(2**m) / float(2**m)
     np.clip(levels, 1e-12, 1.0 - 1e-12, out=levels)
     ndtri(levels, out=levels)
 
-    index = np.empty((config.n_steps, config.n_paths), dtype=np.uint16 if m <= 16 else np.uint32)
-    engine = qmc.Sobol(d=config.n_steps, scramble=False)
-    engine.fast_forward(1 + config.sobol_skip)
-    chunk = max(1, _DRAW_CHUNK_BYTES // (8 * config.n_steps))
-    for lo in range(0, config.n_paths, chunk):
-        pts = engine.random(min(chunk, config.n_paths - lo))
-        pts *= scale
-        index[:, lo : lo + len(pts)] = pts.T
+    dtype = np.uint16 if m <= 16 else np.uint32
+    top = (_direction_integers(n_steps)[:, :m] >> (_SOBOL_BITS - m)).astype(dtype)
+    gray_lo = np.arange(1 + config.sobol_skip, 1 + config.sobol_skip + n_paths)
+    gray_lo ^= gray_lo >> 1
+    h = (m + 1) // 2
+    gray_hi = gray_lo >> h
+    gray_lo &= 2**h - 1
+
+    index = np.empty((n_steps, n_paths), dtype=dtype)
+    block = max(1, _BLOCK_BYTES // (index.itemsize * max(n_paths, 2**h)))
+    for lo in range(0, n_steps, block):
+        rows = slice(lo, min(lo + block, n_steps))
+        out = index[rows]
+        # the indices are in range; mode="clip" lets take write to out unbuffered
+        np.take(_xor_table(top[rows, :h]), gray_lo, axis=1, out=out, mode="clip")
+        out ^= np.take(_xor_table(top[rows, h:]), gray_hi, axis=1, mode="clip")
     return levels, index
+
+
+def _xor_table(directions: np.ndarray) -> np.ndarray:
+    """Table[r, g] = XOR of directions[r, b] over the set bits b of g."""
+    rows, bits = directions.shape
+    table = np.zeros((rows, 2**bits), dtype=directions.dtype)
+    for b in range(bits):
+        lo, hi = table[:, : 2**b], table[:, 2**b : 2 ** (b + 1)]
+        np.bitwise_xor(lo, directions[:, b : b + 1], out=hi)
+    return table
 
 
 @dataclass(frozen=True)

@@ -155,6 +155,9 @@ class ValidationReport:
         return "scenario invalid:\n" + "\n".join(lines)
 
 
+_SCALAR_FIELDS = ("mu_Y", "sigma_Y", "Y0", "W0", "gamma", "delta_tilde", "T_R", "T")
+
+
 def validate(scenario: MarketScenario, n_check: int = 1000) -> ValidationReport:
     """Check scenario invariants on a dense time grid.
 
@@ -163,16 +166,31 @@ def validate(scenario: MarketScenario, n_check: int = 1000) -> ValidationReport:
     priceable in every adjusted market); horizon ordering; positive
     initial wealth; nonnegative initial income; gamma > 1 (the
     implemented utility branch — gamma = 1 is singular in the closed
-    forms and gamma < 1 is untested).
+    forms and gamma < 1 is untested).  A non-finite scalar field or
+    curve value fails on its own (``<name>_finite``), and the
+    conditions above are then not checked, since NaN compares false.
     """
+    failures = [
+        (f"{name}_finite", 0.0)
+        for name in _SCALAR_FIELDS
+        if not np.isfinite(getattr(scenario, name))
+    ]
+    if failures:
+        return ValidationReport(passed=False, failures=tuple(failures))
     ts = np.linspace(0.0, scenario.T, n_check)
-    failures: list[tuple[str, float]] = []
 
     def first_bad(mask) -> float:
         return float(ts[np.argmax(mask)])
 
-    sig = np.asarray(scenario.sigma(ts))
-    mu = np.asarray(scenario.mu(ts))
+    curves = {name: np.asarray(getattr(scenario, name)(ts)) for name in ("r", "mu", "sigma")}
+    for name, values in curves.items():
+        bad = ~np.isfinite(values)
+        if bad.any():
+            failures.append((f"{name}_finite", first_bad(bad)))
+    if failures:
+        return ValidationReport(passed=False, failures=tuple(failures))
+
+    sig, mu = curves["sigma"], curves["mu"]
     bad = sig <= 0
     if bad.any():
         failures.append(("sigma_positive", first_bad(bad)))

@@ -52,10 +52,12 @@ class MortalityModel:
     b: float = 9.5
 
     def __post_init__(self) -> None:
-        if self.b <= 0:
-            raise ValidationError("dispersion b must be positive")
-        if self.x < 0:
-            raise ValidationError("initial age x must be nonnegative")
+        if not np.isfinite(self.b) or self.b <= 0:
+            raise ValidationError("dispersion b must be positive and finite")
+        if not np.isfinite(self.x) or self.x < 0:
+            raise ValidationError("initial age x must be nonnegative and finite")
+        if not np.isfinite(self.m):
+            raise ValidationError("modal age m must be finite")
 
     def hazard(self, t):
         """Force of mortality lambda_{x+t}; strictly increasing in t."""

@@ -19,7 +19,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import optimize as sciopt
 
 from . import drift_policy
 from .closed_form import GFunction, origin_upper_bound, origin_upper_bound_and_gradient
@@ -129,6 +128,8 @@ def _run_single_start(value_and_grad, x0, f0, config, trace, start_idx):
             best_f = fk
             best_x = np.asarray(intermediate_result.x, dtype=float).copy()
         trace.entries.append((start_idx, iteration[0], best_f))
+
+    from scipy import optimize as sciopt  # imported here: validate needs no scipy
 
     res = sciopt.minimize(
         value_and_grad,

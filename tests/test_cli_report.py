@@ -5,6 +5,7 @@ import os
 import re
 import subprocess
 import sys
+from importlib import metadata
 from pathlib import Path
 
 import numpy as np
@@ -273,6 +274,8 @@ def test_cli_run_writes_wellformed_artifacts(tmp_path):
     text = (out / "report.txt").read_text(encoding="utf-8")
     assert text.startswith("life-cycle duality bounds")
     assert "start  0: final" in text and "start  1: final" in text
+    for pkg in ("numpy", "scipy"):
+        assert f"  {pkg}_version = {metadata.version(pkg)}\n" in text
 
 
 def test_cli_run_is_deterministic(tmp_path):
@@ -324,17 +327,45 @@ def test_cli_sobol_point_limit_exits_1(tmp_path, monkeypatch, capsys):
 )
 def test_cli_malformed_value_is_a_typed_error(tmp_path, key, value):
     cfg = _write(tmp_path, "bad.cfg", f"{key} = {value}\n")
-    src = str(Path(lifedual.__file__).resolve().parents[1])
-    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    proc = subprocess.run(
-        [sys.executable, "-m", "lifedual.cli", "validate", "--config", cfg],
-        capture_output=True,
-        text=True,
-        env=dict(os.environ, PYTHONPATH=path),
-    )
+    proc = _python("-m", "lifedual.cli", "validate", "--config", cfg)
     assert proc.returncode == 1
     assert any(ln.startswith("error:") and key in ln for ln in proc.stderr.splitlines())
     assert "Traceback" not in proc.stderr
+
+
+def _python(*args):
+    """A fresh interpreter on this checkout of lifedual."""
+    src = str(Path(lifedual.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return subprocess.run(
+        [sys.executable, *args],
+        capture_output=True,
+        text=True,
+        env=dict(os.environ, PYTHONPATH=path),
+        timeout=120,
+    )
+
+
+_LIST_SCIPY = "print(*sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+
+
+def test_cold_start_imports_no_scipy_stats():
+    # importing the CLI loads numpy only; the Sobol stream needs no scipy.stats
+    proc = _python("-c", f"import sys\nimport lifedual.cli\n{_LIST_SCIPY}")
+    assert proc.returncode == 0, proc.stderr
+    loaded = proc.stdout.split()
+    assert not [m for m in loaded if m == "scipy.stats" or m.startswith("scipy.stats.")]
+
+    runner = (
+        "import sys\nfrom lifedual import cli\n"
+        "status = cli.main(['validate', '--preset', 'example1'])\n"
+        f"{_LIST_SCIPY}\nsys.exit(status)"
+    )
+    proc = _python("-c", runner)
+    assert proc.returncode == 0, proc.stderr
+    lines = proc.stdout.splitlines()
+    assert lines[0] == "scenario valid"
+    assert lines[1:] == [""]  # validate imports no scipy module at all
 
 
 def test_cli_verify_passes_for_optimized_policy(tmp_path, capsys):

@@ -53,12 +53,19 @@ def test_sobol_moments_per_dimension():
 @pytest.mark.parametrize(
     "cfg, dtype",
     [
-        (SimulationConfig(), np.uint16),  # desk scale, m = 15
+        (SimulationConfig(), np.uint16),  # desk scale, m = 15, ragged last row block
         (SimulationConfig(n_paths=40000, n_steps=3, sobol_skip=30000), np.uint32),  # m = 17
-        (SimulationConfig(n_paths=1001, n_steps=300), np.uint16),  # ragged last draw chunk
+        (SimulationConfig(n_paths=1001, n_steps=300), np.uint16),  # odd path count
         (SimulationConfig(n_paths=5, n_steps=1, sobol_skip=0), np.uint16),
+        # last point 2^16 - 1 still fits uint16; one point more needs uint32
+        (SimulationConfig(n_paths=2000, n_steps=5, sobol_skip=2**16 - 2001), np.uint16),
+        (SimulationConfig(n_paths=2000, n_steps=5, sobol_skip=2**16 - 2000), np.uint32),
+        (SimulationConfig(n_paths=3, n_steps=21201), np.uint16),  # every direction number
+        # fewest paths a config allows, from the origin: m = 2
+        (SimulationConfig(n_paths=2, n_steps=4, sobol_skip=0), np.uint16),
     ],
-    ids=["desk", "m17", "ragged-chunk", "one-step"],
+    ids=["desk", "m17", "ragged-chunk", "one-step", "m16-top", "m17-bottom", "max-dim",
+         "two-paths"],
 )
 def test_sobol_table_matches_direct_inverse_cdf(cfg, dtype):
     levels, index = sobol_normals(cfg)
@@ -73,8 +80,8 @@ def test_sobol_table_matches_direct_inverse_cdf(cfg, dtype):
 
 
 def test_sobol_normals_desk_scale_memory():
-    # the (1000, 20000) uint16 index is 40 MB; the draw chunks and the
-    # 2^15-entry level table must add little on top
+    # the (1000, 20000) uint16 index is 40 MB; the XOR tables, the row
+    # blocks and the 2^15-entry level table must add little on top
     tracemalloc.start()
     try:
         sobol_normals(SimulationConfig(n_paths=20000, n_steps=1000))

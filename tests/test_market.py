@@ -154,3 +154,22 @@ def test_validate_reports_first_violation_time():
     assert "income_sharpe_dominated" in names
     t_bad = dict(report.failures)["income_sharpe_dominated"]
     assert 0.0 < t_bad < 50.0
+
+
+@pytest.mark.parametrize("value", [float("nan"), float("inf")])
+@pytest.mark.parametrize(
+    "name", ["mu_Y", "sigma_Y", "Y0", "W0", "gamma", "delta_tilde", "T_R", "T"]
+)
+def test_validate_rejects_non_finite_scalar(name, value):
+    report = validate(_with(preset_scenario("example1"), **{name: value}))
+    assert not report.passed
+    assert (f"{name}_finite", 0.0) in report.failures
+
+
+@pytest.mark.parametrize("name", ["r", "mu", "sigma"])
+def test_validate_rejects_non_finite_curve(name):
+    curve = CoefficientCurve.from_table([(0.0, 0.05), (10.0, float("nan"))])
+    report = validate(_with(preset_scenario("example1"), **{name: curve}))
+    assert not report.passed
+    t_bad = dict(report.failures)[f"{name}_finite"]
+    assert 0.0 < t_bad <= 10.0

@@ -77,3 +77,10 @@ def test_parameter_and_argument_validation():
         BASE.hazard(-0.5)
     with pytest.raises(ValidationError):
         BASE.cumulative_hazard(2.0, 1.0)
+
+
+@pytest.mark.parametrize("value", [float("nan"), float("inf")])
+@pytest.mark.parametrize("name", ["x", "m", "b"])
+def test_non_finite_parameter_is_rejected(name, value):
+    with pytest.raises(ValidationError, match="finite"):
+        MortalityModel(**{name: value})
