@@ -37,6 +37,9 @@ from .report import build_report, emit_csv, write_gfun_csv
 
 __all__ = ["main"]
 
+# largest |z| that run's budget check and verify's dual checks accept
+_Z_LIMIT = 3.0
+
 
 def _add_common_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--config", metavar="PATH", help="flat key=value config file")
@@ -88,7 +91,22 @@ def _validate_or_die(cfg: RunConfig) -> None:
         raise ValidationError("scenario validation failed")
 
 
-def _optimize(cfg: RunConfig, g):
+def _solve(cfg: RunConfig):
+    """Validate, build g, minimize the upper bound and run the path pass.
+
+    Returns the grid, the fitted policy, the optimizer trace, the
+    simulation result and the wall-clock seconds of each phase.
+    """
+    _validate_or_die(cfg)
+    clock: dict[str, float] = {}
+    t_total = time.perf_counter()
+
+    t0 = time.perf_counter()
+    grid = UniformGrid(0.0, cfg.scenario.T, cfg.n_intervals)
+    g = compute_g(cfg.scenario, grid)
+    clock["g_function"] = time.perf_counter() - t0
+
+    t0 = time.perf_counter()
     policy, trace = minimize_upper_bound(
         cfg.scenario,
         g,
@@ -98,7 +116,13 @@ def _optimize(cfg: RunConfig, g):
         activation=cfg.activation,
         snake_a=cfg.snake_a,
     )
-    return policy, trace
+    clock["optimize"] = time.perf_counter() - t0
+
+    t0 = time.perf_counter()
+    sim = simulate_candidate_value(cfg.scenario, g, policy, cfg.simulation)
+    clock["simulate"] = time.perf_counter() - t0
+    clock["total"] = time.perf_counter() - t_total
+    return grid, policy, trace, sim, clock
 
 
 def _provenance(cfg: RunConfig) -> dict[str, object]:
@@ -124,32 +148,15 @@ def _provenance(cfg: RunConfig) -> dict[str, object]:
 
 def _cmd_run(args: argparse.Namespace) -> int:
     cfg = _resolve_config(args)
-    _validate_or_die(cfg)
-    clock: dict[str, float] = {}
-    t_total = time.perf_counter()
-
-    t0 = time.perf_counter()
-    grid = UniformGrid(0.0, cfg.scenario.T, cfg.n_intervals)
-    g = compute_g(cfg.scenario, grid)
-    clock["g_function"] = time.perf_counter() - t0
-
-    t0 = time.perf_counter()
-    policy, trace = _optimize(cfg, g)
-    clock["optimize"] = time.perf_counter() - t0
-    upper = trace.best_objective
-
-    t0 = time.perf_counter()
-    sim = simulate_candidate_value(cfg.scenario, g, policy, cfg.simulation)
-    clock["simulate"] = time.perf_counter() - t0
+    grid, policy, trace, sim, clock = _solve(cfg)
     budget = sim.budget
     if not np.isfinite(budget.z_score):
         raise NumericalError("budget check produced a non-finite z-score")
-    if abs(budget.z_score) > 5.0:
+    if abs(budget.z_score) > _Z_LIMIT:
         raise NumericalError(
             f"budget identity violated: z = {budget.z_score:.2f} "
             f"(lhs {budget.lhs:.6f}, rhs {budget.rhs:.6f})"
         )
-    clock["total"] = time.perf_counter() - t_total
 
     v0, vm = evaluate_policy(policy, grid.nodes, horizon=cfg.scenario.T)
     prov = _provenance(cfg)
@@ -157,7 +164,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
     report = build_report(
         method=cfg.policy_kind,
         activation=cfg.activation if cfg.policy_kind == "mlp" else None,
-        upper_bound=upper,
+        upper_bound=trace.best_objective,
         lower_bound=sim.value,
         lower_std_error=sim.std_error,
         gamma=cfg.scenario.gamma,
@@ -188,23 +195,18 @@ def _cmd_validate(args: argparse.Namespace) -> int:
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
-    cfg = _resolve_config(args)
-    _validate_or_die(cfg)
-    grid = UniformGrid(0.0, cfg.scenario.T, cfg.n_intervals)
-    g = compute_g(cfg.scenario, grid)
-    policy, _ = _optimize(cfg, g)
-    sim = simulate_candidate_value(cfg.scenario, g, policy, cfg.simulation)
+    _, _, _, sim, _ = _solve(_resolve_config(args))
     budget = sim.budget
     print(
         f"budget identity: lhs {budget.lhs:.6f}  rhs {budget.rhs:.6f}  "
         f"z {budget.z_score:+.3f}"
     )
-    ok = np.isfinite(budget.z_score) and abs(budget.z_score) <= 3.0
+    ok = np.isfinite(budget.z_score) and abs(budget.z_score) <= _Z_LIMIT
     for t, z in sim.martingale_z:
         print(f"kernel martingale at t={t:7.3f}: z {z:+.3f}")
-        ok = ok and np.isfinite(z) and abs(z) <= 3.0
+        ok = ok and np.isfinite(z) and abs(z) <= _Z_LIMIT
     if not ok:
-        raise NumericalError("verification z-scores outside +/-3")
+        raise NumericalError(f"verification z-scores outside +/-{_Z_LIMIT:g}")
     print("verification passed")
     return 0
 

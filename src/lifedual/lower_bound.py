@@ -25,8 +25,9 @@ number of initial points skipped.  The sequence is scipy's unscrambled
 ``qmc.Sobol`` stream, built here in numpy from the same Joe-Kuo
 direction numbers (read from the file scipy installs, so no scipy
 submodule is imported for it).  The normals are held as a table of
-inverse-CDF levels plus a time-major integer index into it, so each
-step reads one contiguous row.  Wealth uses Euler-Maruyama steps
+inverse-CDF levels; each step builds its own row of grid integers into
+that table from the Gray codes of the points, so no (n_steps, n_paths)
+array exists.  Wealth uses Euler-Maruyama steps
 (the feedback drift precludes exact stepping); income uses exact
 log-normal steps; utility integrals use the left-endpoint rule,
 consistent with previsible controls.
@@ -50,6 +51,7 @@ from __future__ import annotations
 
 import importlib.util
 import os
+from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
@@ -69,7 +71,6 @@ __all__ = [
 _MAX_SOBOL_DIM = 21201  # dimensions in the Joe-Kuo direction-number file
 _SOBOL_BITS = 30  # width of the direction integers, as in scipy's engine
 _MAX_SOBOL_POINTS = 2**_SOBOL_BITS  # 30-bit Gray codes index this many points
-_BLOCK_BYTES = 1 << 20  # index rows (or their XOR tables) built per block
 _UTILITY_FLOOR = 1e-300  # utility of a starved path is astronomically negative, not -inf
 
 
@@ -138,8 +139,10 @@ def _direction_integers(dim: int) -> np.ndarray:
     return v << np.arange(_SOBOL_BITS - 1, -1, -1)
 
 
-def sobol_normals(config: SimulationConfig) -> tuple[np.ndarray, np.ndarray]:
-    """Standard-normal increments, one Sobol point per path, as (levels, index).
+def sobol_normals(
+    config: SimulationConfig,
+) -> tuple[np.ndarray, Callable[[int], np.ndarray]]:
+    """Standard-normal increments, one Sobol point per path, as (levels, row).
 
     The unscrambled Sobol points used are those with sequence index
     1 + sobol_skip .. sobol_skip + n_paths, all below 2^m with
@@ -149,54 +152,48 @@ def sobol_normals(config: SimulationConfig) -> tuple[np.ndarray, np.ndarray]:
     (double precision, max absolute error well below 1e-9) of the 2^m
     grid values k / 2^m, clipped to [1e-12, 1 - 1e-12]; since
     1 + sobol_skip + n_paths <= 2^30, it has at most
-    2 (sobol_skip + n_paths) entries.  ``index`` is the time-major
-    (n_steps, n_paths) array of grid integers, uint16 when m <= 16 and
-    uint32 above, so ``levels[index].T`` is the path-major normal
-    matrix exactly; it equals scipy's ``qmc.Sobol(d=n_steps,
-    scramble=False)`` points after ``fast_forward(1 + sobol_skip)``,
-    times 2^m.
+    2 (sobol_skip + n_paths) entries.  ``row(k)`` returns the int64 grid
+    integers of coordinate k (time step k) for every path, so
+    ``levels[row(k)]`` is step k's normal increment per path; it equals
+    column k of scipy's ``qmc.Sobol(d=n_steps, scramble=False)`` points
+    after ``fast_forward(1 + sobol_skip)``, times 2^m.
 
     Point i is the XOR of the direction integers selected by its Gray
-    code i ^ (i >> 1).  Each row is filled from two XOR tables of at
-    most 2^ceil(m/2) entries, one over the low and one over the high
-    half of the Gray-code bits, a block of rows at a time, so nothing
-    index-sized is held besides ``index``.  Deterministic given the
+    code i ^ (i >> 1) (Bratley & Fox 1988).  ``row(k)`` builds two XOR
+    tables of at most 2^ceil(m/2) entries from coordinate k's direction
+    integers, one over the low and one over the high half of the
+    Gray-code bits, and indexes them by those halves.  Each call builds
+    its row afresh, so a reader may ask for a row more than once and
+    nothing of size n_steps x n_paths is held.  Deterministic given the
     config.
     """
     from scipy.special import ndtri  # imported here: validate needs no scipy
 
-    n_steps, n_paths = config.n_steps, config.n_paths
-    m = (config.sobol_skip + n_paths).bit_length()
+    m = (config.sobol_skip + config.n_paths).bit_length()
     levels = np.arange(2**m) / float(2**m)
     np.clip(levels, 1e-12, 1.0 - 1e-12, out=levels)
     ndtri(levels, out=levels)
 
-    dtype = np.uint16 if m <= 16 else np.uint32
-    top = (_direction_integers(n_steps)[:, :m] >> (_SOBOL_BITS - m)).astype(dtype)
-    gray_lo = np.arange(1 + config.sobol_skip, 1 + config.sobol_skip + n_paths)
+    top = _direction_integers(config.n_steps)[:, :m] >> (_SOBOL_BITS - m)
+    gray_lo = np.arange(1 + config.sobol_skip, 1 + config.sobol_skip + config.n_paths)
     gray_lo ^= gray_lo >> 1
     h = (m + 1) // 2
     gray_hi = gray_lo >> h
     gray_lo &= 2**h - 1
 
-    index = np.empty((n_steps, n_paths), dtype=dtype)
-    block = max(1, _BLOCK_BYTES // (index.itemsize * max(n_paths, 2**h)))
-    for lo in range(0, n_steps, block):
-        rows = slice(lo, min(lo + block, n_steps))
-        out = index[rows]
-        # the indices are in range; mode="clip" lets take write to out unbuffered
-        np.take(_xor_table(top[rows, :h]), gray_lo, axis=1, out=out, mode="clip")
-        out ^= np.take(_xor_table(top[rows, h:]), gray_hi, axis=1, mode="clip")
-    return levels, index
+    def row(k: int) -> np.ndarray:
+        out = _xor_table(top[k, :h])[gray_lo]
+        out ^= _xor_table(top[k, h:])[gray_hi]
+        return out
+
+    return levels, row
 
 
 def _xor_table(directions: np.ndarray) -> np.ndarray:
-    """Table[r, g] = XOR of directions[r, b] over the set bits b of g."""
-    rows, bits = directions.shape
-    table = np.zeros((rows, 2**bits), dtype=directions.dtype)
-    for b in range(bits):
-        lo, hi = table[:, : 2**b], table[:, 2**b : 2 ** (b + 1)]
-        np.bitwise_xor(lo, directions[:, b : b + 1], out=hi)
+    """Table[g] = XOR of directions[b] over the set bits b of g."""
+    table = np.zeros(2 ** len(directions), dtype=directions.dtype)
+    for b, d in enumerate(directions):
+        np.bitwise_xor(table[: 2**b], d, out=table[2**b : 2 ** (b + 1)])
     return table
 
 
@@ -297,7 +294,7 @@ def simulate_candidate_value(
     c0 = (scenario.W0 + scenario.Y0 * ann_n[0]) / f2_n[0]
     check_steps = {max(j * n_steps // 4, 1) for j in range(1, 5)}  # quarters, last at T
 
-    levels, index = sobol_normals(config)
+    levels, row = sobol_normals(config)
     levels *= np.sqrt(dt)
 
     W = np.full(config.n_paths, scenario.W0)
@@ -350,7 +347,7 @@ def simulate_candidate_value(
                     std_error=float(se),
                 )
                 break
-            dz = levels[index[k]]
+            dz = levels[row(k)]
             log_xi = log_xi + kv_n[k] * dz - 0.5 * kv_n[k] * kv_n[k] * dt
 
         if controls_override is None:

@@ -159,7 +159,6 @@ def emit_csv(report: BoundsReport, trajectories, trace, out_dir: str) -> list[st
     os.makedirs(out_dir, exist_ok=True)
     paths = []
 
-    prov = report.provenance
     row = [
         report.method,
         report.activation or "",
@@ -169,14 +168,9 @@ def emit_csv(report: BoundsReport, trajectories, trace, out_dir: str) -> list[st
         _fmt(report.duality_gap),
         _fmt(report.relative_gap),
         _fmt(report.welfare_loss),
-        str(prov.get("seed", "")),
-        str(prov.get("n_intervals", "")),
-        str(prov.get("n_paths", "")),
-        str(prov.get("n_steps", "")),
-        str(prov.get("sobol_skip", "")),
-        str(prov.get("num_starts", "")),
-        str(prov.get("iterations_per_start", "")),
     ]
+    # the provenance columns follow the computed ones
+    row += [str(report.provenance.get(c, "")) for c in _BOUNDS_COLUMNS[len(row) :]]
     bounds_path = os.path.join(out_dir, "bounds.csv")
     _write_rows(bounds_path, _BOUNDS_COLUMNS, [row])
     paths.append(bounds_path)

@@ -1,6 +1,7 @@
 """Config parsing, report arithmetic, CSV artifacts, CLI exit codes."""
 
 import csv
+import dataclasses
 import os
 import re
 import subprocess
@@ -398,14 +399,20 @@ def test_cli_non_finite_dual_check_exits_2(tmp_path, monkeypatch, capsys, comman
         "affine", np.abs(init_params("affine", (100, 1), affine_std=0.03)), t_retire=sc.T_R
     )
     simulate = lifedual.cli.simulate_candidate_value
-    monkeypatch.setattr(
-        lifedual.cli,
-        "simulate_candidate_value",
-        lambda scenario, g, policy, config: simulate(scenario, g, extreme, config),
-    )
+
+    def budget_z4(scenario, g, policy, config):
+        # finite, but past the |z| <= 3 that run and verify share
+        sim = simulate(scenario, g, policy, config)
+        return dataclasses.replace(sim, budget=dataclasses.replace(sim.budget, z_score=4.0))
+
     cfg = _write(tmp_path, "run.cfg", SMALL_RUN_CFG)
-    assert main([command, "--config", cfg, "--out", str(tmp_path / "out"), "--seed", "0"]) == 2
-    assert "numerical failure" in capsys.readouterr().err
+    for fake in (
+        lambda scenario, g, policy, config: simulate(scenario, g, extreme, config),
+        budget_z4,
+    ):
+        monkeypatch.setattr(lifedual.cli, "simulate_candidate_value", fake)
+        assert main([command, "--config", cfg, "--out", str(tmp_path / "out"), "--seed", "0"]) == 2
+        assert "numerical failure" in capsys.readouterr().err
 
 
 def test_readme_config_example_is_accepted(tmp_path):

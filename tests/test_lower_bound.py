@@ -5,6 +5,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.integrate import quad
 from scipy.special import ndtri
 from scipy.stats import qmc
@@ -29,8 +31,23 @@ def _g100():
     return compute_g(SC, UniformGrid(0.0, SC.T, 100))
 
 
+def _grid_integers(cfg):
+    levels, row = sobol_normals(cfg)
+    return levels, np.stack([row(k) for k in range(cfg.n_steps)])
+
+
+def _qmc_normals(cfg):
+    """The (n_paths, n_steps) inverse-CDF matrix of scipy's engine."""
+    engine = qmc.Sobol(d=cfg.n_steps, scramble=False)
+    engine.fast_forward(1 + cfg.sobol_skip)
+    direct = engine.random(cfg.n_paths)
+    np.clip(direct, 1e-12, 1 - 1e-12, out=direct)
+    ndtri(direct, out=direct)
+    return direct
+
+
 def _normal_matrix(cfg):
-    levels, index = sobol_normals(cfg)
+    levels, index = _grid_integers(cfg)
     return levels[index].T
 
 
@@ -51,44 +68,57 @@ def test_sobol_moments_per_dimension():
 
 
 @pytest.mark.parametrize(
-    "cfg, dtype",
+    "cfg",
     [
-        (SimulationConfig(), np.uint16),  # desk scale, m = 15, ragged last row block
-        (SimulationConfig(n_paths=40000, n_steps=3, sobol_skip=30000), np.uint32),  # m = 17
-        (SimulationConfig(n_paths=1001, n_steps=300), np.uint16),  # odd path count
-        (SimulationConfig(n_paths=5, n_steps=1, sobol_skip=0), np.uint16),
-        # last point 2^16 - 1 still fits uint16; one point more needs uint32
-        (SimulationConfig(n_paths=2000, n_steps=5, sobol_skip=2**16 - 2001), np.uint16),
-        (SimulationConfig(n_paths=2000, n_steps=5, sobol_skip=2**16 - 2000), np.uint32),
-        (SimulationConfig(n_paths=3, n_steps=21201), np.uint16),  # every direction number
+        SimulationConfig(),  # desk scale, m = 15
+        SimulationConfig(n_paths=40000, n_steps=3, sobol_skip=30000),  # m = 17
+        SimulationConfig(n_paths=1001, n_steps=300),  # odd path count
+        SimulationConfig(n_paths=5, n_steps=1, sobol_skip=0),
+        # last point 2^16 - 1, and one point more: m = 16 and m = 17
+        SimulationConfig(n_paths=2000, n_steps=5, sobol_skip=2**16 - 2001),
+        SimulationConfig(n_paths=2000, n_steps=5, sobol_skip=2**16 - 2000),
+        SimulationConfig(n_paths=3, n_steps=21201),  # every direction number
         # fewest paths a config allows, from the origin: m = 2
-        (SimulationConfig(n_paths=2, n_steps=4, sobol_skip=0), np.uint16),
+        SimulationConfig(n_paths=2, n_steps=4, sobol_skip=0),
     ],
     ids=["desk", "m17", "ragged-chunk", "one-step", "m16-top", "m17-bottom", "max-dim",
          "two-paths"],
 )
-def test_sobol_table_matches_direct_inverse_cdf(cfg, dtype):
-    levels, index = sobol_normals(cfg)
-    assert index.dtype == dtype and index.shape == (cfg.n_steps, cfg.n_paths)
+def test_sobol_table_matches_direct_inverse_cdf(cfg):
+    levels, index = _grid_integers(cfg)
+    assert index.shape == (cfg.n_steps, cfg.n_paths)
     assert len(levels) == 2 ** (cfg.sobol_skip + cfg.n_paths).bit_length()
-    engine = qmc.Sobol(d=cfg.n_steps, scramble=False)
-    engine.fast_forward(1 + cfg.sobol_skip)
-    direct = engine.random(cfg.n_paths)
-    np.clip(direct, 1e-12, 1 - 1e-12, out=direct)
-    ndtri(direct, out=direct)
-    assert np.array_equal(levels[index].T, direct)
+    assert np.array_equal(levels[index].T, _qmc_normals(cfg))
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    n_paths=st.integers(2, 300),
+    n_steps=st.integers(1, 64),
+    sobol_skip=st.integers(0, 5000),
+)
+def test_sobol_rows_match_engine_and_repeat(n_paths, n_steps, sobol_skip):
+    cfg = SimulationConfig(n_paths=n_paths, n_steps=n_steps, sobol_skip=sobol_skip)
+    levels, row = sobol_normals(cfg)
+    direct = _qmc_normals(cfg)
+    for k in range(n_steps):
+        first = row(k)
+        assert np.array_equal(levels[first], direct[:, k])
+        assert np.array_equal(row(k), first)
 
 
 def test_sobol_normals_desk_scale_memory():
-    # the (1000, 20000) uint16 index is 40 MB; the XOR tables, the row
-    # blocks and the 2^15-entry level table must add little on top
+    # reading every desk row holds one row (160 KB), its two XOR tables
+    # and the 2^15-entry level table, never the (1000, 20000) stream
     tracemalloc.start()
     try:
-        sobol_normals(SimulationConfig(n_paths=20000, n_steps=1000))
+        levels, row = sobol_normals(SimulationConfig(n_paths=20000, n_steps=1000))
+        for k in range(1000):
+            row(k)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 48e6
+    assert peak < 8e6
 
 
 def test_sobol_dimension_validation():

@@ -64,7 +64,8 @@ def test_state_price_kernel_is_unbiased_under_qmc():
     sc = preset_scenario("example1")
     cfg = SimulationConfig(n_paths=2**14, n_steps=20, sobol_skip=0)
     dt = 1.0 / cfg.n_steps
-    levels, index = sobol_normals(cfg)
+    levels, row = sobol_normals(cfg)
+    index = np.stack([row(k) for k in range(cfg.n_steps)])
     dZ = levels[index].T * np.sqrt(dt)
     log_pi = np.zeros(cfg.n_paths)
     for k in range(cfg.n_steps):
@@ -81,7 +82,8 @@ def test_accumulated_log_kernel_moments():
     t = 1.0
     cfg = SimulationConfig(n_paths=2**14, n_steps=20)
     dt = t / cfg.n_steps
-    levels, index = sobol_normals(cfg)
+    levels, row = sobol_normals(cfg)
+    index = np.stack([row(k) for k in range(cfg.n_steps)])
     dZ = levels[index].T * np.sqrt(dt)
     log_pi = np.zeros(cfg.n_paths)
     for k in range(cfg.n_steps):
