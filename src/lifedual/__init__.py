@@ -15,15 +15,13 @@ the certified duality gap and welfare loss.
 from .closed_form import (
     DualAggregates,
     GFunction,
-    UpperBoundValue,
     compute_g,
     crra_utility,
     g_value,
     hjb_residual,
     origin_upper_bound,
     precompute_aggregates,
-    upper_bound_retirement,
-    upper_bound_working,
+    upper_bound,
     welfare_loss,
 )
 from .config import RunConfig, build_run_config, parse_kv_file
@@ -76,7 +74,6 @@ __all__ = [
     "SimulationResult",
     "TablePolicy",
     "UniformGrid",
-    "UpperBoundValue",
     "ValidationError",
     "build_report",
     "build_run_config",
@@ -99,8 +96,7 @@ __all__ = [
     "snake",
     "sobol_normals",
     "trapezoid",
-    "upper_bound_retirement",
-    "upper_bound_working",
+    "upper_bound",
     "validate",
     "welfare_loss",
 ]

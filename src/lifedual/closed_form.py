@@ -7,8 +7,10 @@ constrained problem.  With CRRA utility u(c) = c^(1-gamma)/(1-gamma)
 the value functions factor into powers of two aggregates:
 
 * post-death (bequest) value     V_B(t, M) = u(M) * g(t)^gamma,
-* retirement phase               V_R(t, W) = u(F1~) * F2~(t)^gamma,
-* working phase                  J~(t, W, Y) = u(F3~) * F2~(t)^gamma,
+* upper-bound value              J~(t, W, Y) = u(F3~) * F2~(t)^gamma,
+
+valid on [0, T]; from T_R on the income annuity is empty, so J~ is the
+retirement value V_R(t, W) = u(W) * F2~(t)^gamma,
 
 where, writing kappa_v for the adjusted price of risk, lam for the
 force of mortality, and dt~ for the subjective discount,
@@ -21,20 +23,20 @@ force of mortality, and dt~ for the subjective discount,
              + e^{-∫_t^T lam} e^{-(dt~/g)(T-t)} F_3(T-t, T),
     F_1(tau, s)  = exp(mu_Y tau - ∫_0^tau (r+v0)(s-u) du + sigma_Y ∫_0^tau kappa_v(s-u) du),
     ann(t) = ∫_t^{T_R} e^{-∫_t^s lam} F_1(s-t, s) ds        (income annuity),
-    F3~(t, W, Y) = W + Y * ann(t),   F1~ = W  (zero support function).
+    F3~(t, W, Y) = W + Y * ann(t)   (zero support function).
 
 Every inner integral ∫_0^{s-t} q(s-u) du equals a difference of prefix
 integrals Q(s) - Q(t) on one shared grid, so all aggregate curves come
 out of cumulative-trapezoid tables in O(n).  The policy-independent
 node curves (survival, r, mu, sigma, 1 + lam g) are built once per
-grid with g; the optimizer's objective J~(0, W0, Y0) and its exact
-gradient with respect to the adjustment at the nodes come from one
-forward pass over these tables and one reverse (adjoint) pass back
-through them, both O(n).  Point evaluations at
-arbitrary t rebuild the tables on a grid anchored at t (same cost),
-which keeps finite-difference HJB verification clean; the simulator
-instead interpolates the precomputed curves linearly (documented fast
-path, error O(h^2), consistent with the trapezoid order).
+grid with g.  ``precompute_aggregates`` is the one forward pass over
+these tables: the optimizer's objective J~(0, W0, Y0) reads its node
+0, the exact gradient with respect to the adjustment at the nodes is
+one reverse (adjoint) pass back through it, both O(n), and
+``upper_bound`` reads node 0 of the same pass on a grid anchored at t
+(same cost), which keeps finite-difference HJB verification clean.
+The simulator instead interpolates the curves linearly (documented
+fast path, error O(h^2), consistent with the trapezoid order).
 
 The optimal feedback controls attached to the upper bound are
 
@@ -64,15 +66,13 @@ from .quadrature import (
 __all__ = [
     "GFunction",
     "DualAggregates",
-    "UpperBoundValue",
     "crra_utility",
     "compute_g",
     "g_value",
     "precompute_aggregates",
     "origin_upper_bound",
     "origin_upper_bound_and_gradient",
-    "upper_bound_working",
-    "upper_bound_retirement",
+    "upper_bound",
     "feedback_controls",
     "welfare_loss",
     "hjb_residual",
@@ -165,19 +165,20 @@ class DualAggregates:
     """Per-policy aggregate curves on a shared grid.
 
     Immutable snapshot holding everything the bound, the feedback
-    controls, and the simulator need: the drift adjustment at the
-    nodes, the adjusted price of risk, g, F2~, and the income annuity
-    (zero at and beyond T_R).
+    controls, and the simulator need: the adjusted price of risk, g,
+    F2~, and the income annuity (zero at and beyond T_R).  ``f3node``
+    and ``f1node`` are the exponentials of the F2~ and annuity rate
+    prefix tables, kept for the adjoint pass.
     """
 
     grid: UniformGrid
     scenario: MarketScenario
-    v0: np.ndarray
-    v_minus: np.ndarray
     kappa_v: np.ndarray
     g: np.ndarray
     tilde_f2: np.ndarray
     income_annuity: np.ndarray
+    f3node: np.ndarray
+    f1node: np.ndarray
 
     def interp_curves(self, t):
         """Linear interpolation of (g, F2~, ann, kappa_v) at time(s) t."""
@@ -190,61 +191,6 @@ class DualAggregates:
         return g, f2, ann, kv
 
 
-@dataclass(frozen=True)
-class _Tables:
-    """Node tables of one aggregate forward pass (see ``_forward_tables``)."""
-
-    kappa_v: np.ndarray
-    f3node: np.ndarray
-    c2: np.ndarray
-    f1node: np.ndarray
-    e1: np.ndarray
-    c1: np.ndarray
-    c1_tr: float | None  # ∫ e1 up to T_R; None when the grid starts past T_R
-
-
-def _policy_nodes(scenario: MarketScenario, curves: GFunction, policy):
-    s = curves.grid.nodes
-    v0, vm = evaluate_policy(policy, s, horizon=scenario.T)
-    v0 = np.broadcast_to(np.asarray(v0, dtype=float), s.shape)
-    vm = np.broadcast_to(np.asarray(vm, dtype=float), s.shape)
-    return v0, vm
-
-
-def _forward_tables(scenario: MarketScenario, curves: GFunction, v0, vm) -> _Tables:
-    """Prefix tables of the F2~ chain and the income-annuity chain.
-
-    F2~(t) = (c2[n] - c2(t) + surv[n] f3node[n]) / (surv(t) f3node(t))
-    and ann(t) = (c1_tr - c1(t)) / e1(t); the aggregates, the objective
-    and its adjoint all read these tables.
-    """
-    grid = curves.grid
-    gam = scenario.gamma
-    surv = curves.survival
-    # kappa() on the stored curves
-    kv = -(curves.mu + vm - (curves.r + v0)) / curves.sigma
-    r_v = curves.r + v0
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore", under="ignore"):
-        rate3 = scenario.delta_tilde / gam + (gam - 1.0) / gam * r_v + 0.5 * (
-            gam - 1.0
-        ) / gam**2 * kv**2
-        f3node = np.exp(-prefix_trapezoid(rate3, grid))
-        e2 = surv * curves.bequest_factor * f3node
-        c2 = prefix_trapezoid(e2, grid)
-
-        # income annuity: integrate F_1 up to T_R (empty past retirement)
-        rate1 = -scenario.mu_Y + r_v - scenario.sigma_Y * kv
-        f1node = np.exp(-prefix_trapezoid(rate1, grid))
-        e1 = surv * f1node
-        c1 = prefix_trapezoid(e1, grid)
-        c1_tr = None
-        if grid.t_start < scenario.T_R:
-            c1_tr = prefix_value_at(c1, e1, grid, min(scenario.T_R, grid.t_end))
-    return _Tables(
-        kappa_v=kv, f3node=f3node, c2=c2, f1node=f1node, e1=e1, c1=c1, c1_tr=c1_tr
-    )
-
-
 def precompute_aggregates(
     scenario: MarketScenario,
     g: GFunction,
@@ -255,8 +201,11 @@ def precompute_aggregates(
 
     Reuses ``g`` and its node curves when the grids coincide, otherwise
     recomputes them on the requested grid (same machinery, so node
-    values stay exact).  All curves cost O(n) via prefix-quotient
-    tables.
+    values stay exact).  Both curves are prefix quotients:
+    F2~(t) = (c2[n] - c2(t) + surv[n] f3node[n]) / (surv(t) f3node(t))
+    with c2 the prefix integral of e2 = surv (1 + lam g) f3node, and
+    ann(t) = (c1(T_R) - c1(t)) / e1(t) with c1 that of e1 = surv f1node,
+    so every curve costs O(n).
     """
     if grid is None:
         grid = g.grid
@@ -271,26 +220,43 @@ def precompute_aggregates(
     else:
         curves = compute_g(scenario, grid)
 
-    v0, vm = _policy_nodes(scenario, curves, policy)
-    tab = _forward_tables(scenario, curves, v0, vm)
-    surv, f3node, c2, e1, c1 = curves.survival, tab.f3node, tab.c2, tab.e1, tab.c1
     s = grid.nodes
+    v0, vm = evaluate_policy(policy, s, horizon=scenario.T)
+    v0 = np.broadcast_to(np.asarray(v0, dtype=float), s.shape)
+    vm = np.broadcast_to(np.asarray(vm, dtype=float), s.shape)
+    gam = scenario.gamma
+    surv = curves.survival
+    # kappa() on the stored curves
+    kv = -(curves.mu + vm - (curves.r + v0)) / curves.sigma
+    r_v = curves.r + v0
     with np.errstate(divide="ignore", invalid="ignore", over="ignore", under="ignore"):
+        rate3 = scenario.delta_tilde / gam + (gam - 1.0) / gam * r_v + 0.5 * (
+            gam - 1.0
+        ) / gam**2 * kv**2
+        f3node = np.exp(-prefix_trapezoid(rate3, grid))
+        c2 = prefix_trapezoid(surv * curves.bequest_factor * f3node, grid)
         tilde_f2 = (c2[-1] - c2 + surv[-1] * f3node[-1]) / (surv * f3node)
+
+        # income annuity: integrate F_1 up to T_R (empty past retirement)
+        rate1 = -scenario.mu_Y + r_v - scenario.sigma_Y * kv
+        f1node = np.exp(-prefix_trapezoid(rate1, grid))
+        e1 = surv * f1node
+        c1 = prefix_trapezoid(e1, grid)
         ann = np.zeros_like(s)
-        if tab.c1_tr is not None:
+        if grid.t_start < scenario.T_R:
+            c1_tr = prefix_value_at(c1, e1, grid, min(scenario.T_R, grid.t_end))
             pre = s <= scenario.T_R
-            ann[pre] = (tab.c1_tr - c1[pre]) / e1[pre]
+            ann[pre] = (c1_tr - c1[pre]) / e1[pre]
 
     return DualAggregates(
         grid=grid,
         scenario=scenario,
-        v0=v0,
-        v_minus=vm,
-        kappa_v=tab.kappa_v,
+        kappa_v=kv,
         g=np.asarray(curves.values),
         tilde_f2=tilde_f2,
         income_annuity=ann,
+        f3node=f3node,
+        f1node=f1node,
     )
 
 
@@ -298,60 +264,59 @@ def precompute_aggregates(
 # Upper-bound values
 
 
-@dataclass(frozen=True)
-class UpperBoundValue:
-    """Value of the adjusted market at one state.
+def _value(agg: DualAggregates, W, Y):
+    """J~ at the grid start: (u(F3~) F2~^gamma, F2~, F3~ = W + Y ann)."""
+    gam = agg.scenario.gamma
+    f2 = agg.tilde_f2[0]
+    f3 = W + Y * agg.income_annuity[0]
+    return float(crra_utility(f3, gam) * f2**gam), f2, f3
 
-    ``tilde_f3`` is the wealth-plus-income-annuity aggregate W + Y*ann;
-    in the retirement phase the annuity is empty, so it coincides with
-    the pure-wealth aggregate (W under a zero support function).
-    Negative for gamma > 1 (power utility is bounded above by 0).
+
+def upper_bound(
+    scenario: MarketScenario,
+    g: GFunction,
+    policy,
+    t: float,
+    W: float,
+    Y: float = 0.0,
+    n_intervals: int | None = None,
+) -> float:
+    """Upper bound J~(t, W, Y) = u(W + Y ann(t)) F2~(t)^gamma, t in [0, T].
+
+    Aggregates are rebuilt on a grid anchored at t (``n_intervals``
+    cells, default that of ``g``), so the value is a smooth function of
+    t (no interpolation kinks) — the property the finite-difference HJB
+    verifier relies on.  From T_R on the income annuity is empty, so Y
+    drops out and the value is the retirement value V_R(t, W); at t = T
+    F2~ = 1 and it reduces to the terminal utility u(W).  Negative for
+    gamma > 1 (power utility is bounded above by 0).
     """
-
-    value: float
-    tilde_f2: float
-    tilde_f3: float
-
-
-def _anchored_aggregates(scenario, g, policy, t, n_intervals):
+    if not 0 <= t <= scenario.T:
+        raise ValidationError("upper-bound value requires t in [0, T]")
+    if W <= 0:
+        raise ValidationError("W must be positive")
+    if Y < 0:
+        raise ValidationError("Y must be nonnegative")
     n = n_intervals if n_intervals is not None else g.grid.n_intervals
-    grid = UniformGrid(float(t), scenario.T, n)
-    return precompute_aggregates(scenario, g, policy, grid)
+    agg = precompute_aggregates(scenario, g, policy, UniformGrid(float(t), scenario.T, n))
+    return _value(agg, W, Y)[0]
 
 
-def _origin_forward(scenario: MarketScenario, g: GFunction, policy):
-    """Forward pass of J~(0, W0, Y0): (value, F2~(0), F3~, tables).
-
-    Only the first node of the F2~ and annuity quotients is formed;
-    its arithmetic matches ``precompute_aggregates`` operation for
-    operation, so the value equals u(F3~) F2~(0)^gamma of the full
-    curves bit for bit.
-    """
+def _origin_aggregates(scenario: MarketScenario, g: GFunction, policy) -> DualAggregates:
     if g.grid.t_start != 0.0:
         raise ValidationError("objective evaluation expects a grid starting at 0")
-    if scenario.gamma == 1.0:
-        raise ValidationError("gamma = 1 is outside the implemented utility branch")
-    v0, vm = _policy_nodes(scenario, g, policy)
-    tab = _forward_tables(scenario, g, v0, vm)
-    surv, f3node, c2 = g.survival, tab.f3node, tab.c2
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore", under="ignore"):
-        f2 = (c2[-1] - c2[0] + surv[-1] * f3node[-1]) / (surv[0] * f3node[0])
-        ann = 0.0
-        if tab.c1_tr is not None:
-            ann = (tab.c1_tr - tab.c1[0]) / tab.e1[0]
-    f3 = scenario.W0 + scenario.Y0 * ann
-    value = float(crra_utility(f3, scenario.gamma) * f2**scenario.gamma)
-    return value, f2, f3, tab
+    return precompute_aggregates(scenario, g, policy)
 
 
 def origin_upper_bound(scenario: MarketScenario, g: GFunction, policy) -> float:
     """J~ at the initial state (t=0, W0, Y0) on the shared grid.
 
-    This is the optimizer's objective; it touches only the first node
-    of the aggregate tables, where the prefix quotients are exactly
-    conditioned, so it is finite for every nonnegative adjustment.
+    This is the optimizer's objective: node 0 of the aggregate curves,
+    where the prefix quotients are exactly conditioned, so it is
+    finite for every nonnegative adjustment.
     """
-    return _origin_forward(scenario, g, policy)[0]
+    agg = _origin_aggregates(scenario, g, policy)
+    return _value(agg, scenario.W0, scenario.Y0)[0]
 
 
 def origin_upper_bound_and_gradient(scenario: MarketScenario, g: GFunction, policy):
@@ -368,7 +333,8 @@ def origin_upper_bound_and_gradient(scenario: MarketScenario, g: GFunction, poli
     and rate1(r + v0, kappa_v).  At t = 0 the denominators surv[0],
     f3node[0] and e1[0] are exactly 1 and do not depend on v.
     """
-    value, f2, f3, tab = _origin_forward(scenario, g, policy)
+    agg = _origin_aggregates(scenario, g, policy)
+    value, f2, f3 = _value(agg, scenario.W0, scenario.Y0)
     gam = scenario.gamma
     grid = g.grid
     surv = g.survival
@@ -379,84 +345,22 @@ def origin_upper_bound_and_gradient(scenario: MarketScenario, g: GFunction, poli
         # F2~ chain: F2~(0) = c2[n] + surv[n] f3node[n]
         d_f3node = d_f2 * prefix_value_weights(grid, grid.t_end) * surv * g.bequest_factor
         d_f3node[-1] += d_f2 * surv[-1]
-        d_rate3 = prefix_trapezoid_adjoint(-d_f3node * tab.f3node, grid)
+        d_rate3 = prefix_trapezoid_adjoint(-d_f3node * agg.f3node, grid)
 
         # annuity chain: ann(0) = ∫_0^{T_R} e1
         d_rate1 = np.zeros_like(d_rate3)
-        if tab.c1_tr is not None:
+        if grid.t_start < scenario.T_R:
             t_r = min(scenario.T_R, grid.t_end)
             d_e1 = scenario.Y0 * d_f3 * prefix_value_weights(grid, t_r)
-            d_rate1 = prefix_trapezoid_adjoint(-d_e1 * surv * tab.f1node, grid)
+            d_rate1 = prefix_trapezoid_adjoint(-d_e1 * surv * agg.f1node, grid)
 
         # rate3 = dt/gam + ((gam-1)/gam) r_v + (1/2)((gam-1)/gam^2) kappa_v^2,
         # rate1 = -mu_Y + r_v - sigma_Y kappa_v, r_v = r + v0 and
         # kappa_v = -(mu + v_minus - r - v0)/sigma
         d_rv = (gam - 1.0) / gam * d_rate3 + d_rate1
-        d_kv = (gam - 1.0) / gam**2 * tab.kappa_v * d_rate3 - scenario.sigma_Y * d_rate1
+        d_kv = (gam - 1.0) / gam**2 * agg.kappa_v * d_rate3 - scenario.sigma_Y * d_rate1
         d_kv_sig = d_kv / g.sigma
     return value, d_rv + d_kv_sig, -d_kv_sig
-
-
-def upper_bound_working(
-    scenario: MarketScenario,
-    g: GFunction,
-    policy,
-    t: float,
-    W: float,
-    Y: float,
-    n_intervals: int | None = None,
-) -> UpperBoundValue:
-    """Working-phase upper bound J~(t, W, Y), t in [0, T_R].
-
-    Aggregates are rebuilt on a grid anchored at t, so the value is a
-    smooth function of t (no interpolation kinks) — the property the
-    finite-difference HJB verifier relies on.  At t = T_R the income
-    annuity is empty and the value pastes continuously onto the
-    retirement branch.
-    """
-    if not 0 <= t <= scenario.T_R:
-        raise ValidationError("working-phase value requires t in [0, T_R]")
-    if W <= 0:
-        raise ValidationError("W must be positive")
-    if Y < 0:
-        raise ValidationError("Y must be nonnegative")
-    agg = _anchored_aggregates(scenario, g, policy, t, n_intervals)
-    gam = scenario.gamma
-    f2 = float(agg.tilde_f2[0])
-    f3 = float(W + Y * agg.income_annuity[0])
-    return UpperBoundValue(
-        value=float(crra_utility(f3, gam) * f2**gam),
-        tilde_f2=f2,
-        tilde_f3=f3,
-    )
-
-
-def upper_bound_retirement(
-    scenario: MarketScenario,
-    g: GFunction,
-    policy,
-    t: float,
-    W: float,
-    n_intervals: int | None = None,
-) -> UpperBoundValue:
-    """Retirement-phase upper bound V_R(t, W), t in [T_R, T].
-
-    With a zero support function the wealth aggregate is W itself, so
-    V_R = u(W) * F2~(t)^gamma; at t = T the integral term vanishes,
-    F2~ = 1, and V_R reduces to the terminal utility u(W).
-    """
-    if not scenario.T_R <= t <= scenario.T:
-        raise ValidationError("retirement-phase value requires t in [T_R, T]")
-    if W <= 0:
-        raise ValidationError("W must be positive")
-    agg = _anchored_aggregates(scenario, g, policy, t, n_intervals)
-    gam = scenario.gamma
-    f2 = float(agg.tilde_f2[0])
-    return UpperBoundValue(
-        value=float(crra_utility(W, gam) * f2**gam),
-        tilde_f2=f2,
-        tilde_f3=float(W),
-    )
 
 
 # ---------------------------------------------------------------------------

@@ -109,12 +109,33 @@ def _pop_float(kv, key, default):
     return _number(key, kv.pop(key)) if key in kv else default
 
 
-def _pop_int(kv, key, default):
-    return _number(key, kv.pop(key), int) if key in kv else default
+# config key -> (dataclass field, type); unset keys keep the field default
+_OPTIMIZER_KEYS = {
+    "opt.num_starts": ("num_starts", int),
+    "opt.iterations_per_start": ("iterations_per_start", int),
+}
+_SIMULATION_KEYS = {
+    "sim.n_paths": ("n_paths", int),
+    "sim.n_steps": ("n_steps", int),
+    "sim.sobol_skip": ("sobol_skip", int),
+}
+_RUN_KEYS = {
+    "policy.kind": ("policy_kind", str),
+    "policy.activation": ("activation", str),
+    "policy.snake_a": ("snake_a", float),
+    "quadrature.n_intervals": ("n_intervals", int),
+    "out.dir": ("out_dir", str),
+}
 
 
-def _pop_str(kv, key, default):
-    return kv.pop(key) if key in kv else default
+def _pop_fields(kv, keys) -> dict:
+    """Keyword arguments for those of ``keys`` that ``kv`` sets."""
+    fields = {}
+    for key, (field, kind) in keys.items():
+        if key in kv:
+            text = kv.pop(key)
+            fields[field] = text if kind is str else _number(key, text, kind)
+    return fields
 
 
 def _parse_table(key: str, text: str) -> list[tuple[float, float]]:
@@ -173,7 +194,7 @@ def build_run_config(
     if desk_scale:
         kv.update(DESK_SCALE)
 
-    preset_name = _pop_str(kv, "scenario.preset", None)
+    preset_name = kv.pop("scenario.preset", None)
     if preset is not None:
         preset_name = preset
     if preset_name is not None and preset_name not in _PRESET_NAMES:
@@ -203,35 +224,22 @@ def build_run_config(
         mortality=mortality,
     )
 
-    optimizer = OptimizerConfig(
-        num_starts=_pop_int(kv, "opt.num_starts", 30),
-        iterations_per_start=_pop_int(kv, "opt.iterations_per_start", 50),
-        obj_tol=_pop_float(kv, "opt.obj_tol", 1e-10),
-        param_tol=_pop_float(kv, "opt.param_tol", 1e-12),
-        affine_init_std=_pop_float(kv, "policy.affine_init_std", 1e-2),
-        mlp_init_std=_pop_float(kv, "policy.mlp_init_std", 1e-2),
-    )
-    master_seed = seed if seed is not None else _pop_int(kv, "seed", 0)
-    kv.pop("seed", None)
-    simulation = SimulationConfig(
-        n_paths=_pop_int(kv, "sim.n_paths", 20000),
-        n_steps=_pop_int(kv, "sim.n_steps", 1000),
-        sobol_skip=_pop_int(kv, "sim.sobol_skip", 4000),
-        seed=master_seed,
-    )
-
-    file_out_dir = _pop_str(kv, "out.dir", "out")
+    file_seed = kv.pop("seed", None)
+    if seed is None and file_seed is not None:
+        seed = _number("seed", file_seed, int)
+    seeds = {} if seed is None else {"seed": seed}
+    optimizer = OptimizerConfig(**_pop_fields(kv, _OPTIMIZER_KEYS))
+    simulation = SimulationConfig(**_pop_fields(kv, _SIMULATION_KEYS), **seeds)
+    run = _pop_fields(kv, _RUN_KEYS)
+    if out_dir is not None:
+        run["out_dir"] = out_dir
     config = RunConfig(
         scenario=scenario,
-        policy_kind=_pop_str(kv, "policy.kind", "affine"),
-        activation=_pop_str(kv, "policy.activation", "relu"),
-        snake_a=_pop_float(kv, "policy.snake_a", 10.0),
         optimizer=optimizer,
         simulation=simulation,
-        n_intervals=_pop_int(kv, "quadrature.n_intervals", 100),
-        out_dir=out_dir if out_dir is not None else file_out_dir,
-        seed=master_seed,
         preset=preset_name,
+        **run,
+        **seeds,
     )
     if kv:
         raise ValidationError(f"unknown config keys: {sorted(kv)}")

@@ -56,6 +56,7 @@ __all__ = [
 AFFINE_N_PARAMS = 8
 MLP_N_PARAMS = 42
 _HIDDEN = 10
+_INIT_STD = 1e-2  # scale of the initial parameter draws
 
 
 def snake(x, a: float):
@@ -213,26 +214,19 @@ def evaluate(policy, t, horizon: float | None = None):
     return policy(t)
 
 
-def init_params(
-    kind: str,
-    seed,
-    *,
-    affine_std: float = 1e-2,
-    mlp_std: float = 1e-2,
-) -> np.ndarray:
+def init_params(kind: str, seed) -> np.ndarray:
     """Draw a flat initial parameter vector, deterministic given seed.
 
-    Affine coefficients are N(0, affine_std) so the initial v(t) over a
-    multi-decade horizon is comparable in size to the drift spreads
-    being adjusted; network parameters use the same scale by default,
-    which keeps the initial outputs small without flattening the
-    network's gradients.
+    Parameters are N(0, _INIT_STD): affine coefficients of that size
+    make the initial v(t) over a multi-decade horizon comparable to the
+    drift spreads being adjusted, and the same scale keeps the
+    network's initial outputs small without flattening its gradients.
     """
     rng = np.random.default_rng(seed)
     if kind == "affine":
-        return rng.normal(0.0, affine_std, AFFINE_N_PARAMS)
+        return rng.normal(0.0, _INIT_STD, AFFINE_N_PARAMS)
     if kind == "mlp":
-        return rng.normal(0.0, mlp_std, MLP_N_PARAMS)
+        return rng.normal(0.0, _INIT_STD, MLP_N_PARAMS)
     raise ValidationError(f"unknown policy kind {kind!r}")
 
 

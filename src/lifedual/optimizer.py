@@ -34,6 +34,8 @@ __all__ = [
 ]
 
 _MAX_INIT_RETRIES = 3  # redraws of a start whose initial objective is non-finite
+_GTOL = 1e-10  # BFGS stopping rule on the gradient norm
+_XRTOL = 1e-12  # BFGS stopping rule on the relative step
 
 
 @dataclass(frozen=True)
@@ -42,24 +44,16 @@ class OptimizerConfig:
 
     ``iterations_per_start`` caps the solver iterations of each start
     (0 returns the best initialization unmodified).
-    ``obj_tol``/``param_tol`` map onto BFGS's stopping rules: the
-    gradient norm and the relative step.
     """
 
     num_starts: int = 30
     iterations_per_start: int = 50
-    obj_tol: float = 1e-10
-    param_tol: float = 1e-12
-    affine_init_std: float = 1e-2
-    mlp_init_std: float = 1e-2
 
     def __post_init__(self) -> None:
         if self.num_starts < 1:
             raise ValidationError("num_starts must be positive")
         if self.iterations_per_start < 0:
             raise ValidationError("iterations_per_start must be nonnegative")
-        if self.obj_tol <= 0 or self.param_tol <= 0:
-            raise ValidationError("tolerances must be positive")
 
 
 @dataclass(frozen=True)
@@ -139,8 +133,8 @@ def _run_single_start(value_and_grad, x0, f0, config, trace, start_idx):
         callback=callback,
         options={
             "maxiter": config.iterations_per_start,
-            "gtol": config.obj_tol,
-            "xrtol": config.param_tol,
+            "gtol": _GTOL,
+            "xrtol": _XRTOL,
         },
     )
     outcome = StartOutcome(
@@ -194,12 +188,7 @@ def minimize_upper_bound(
     for start in range(config.num_starts):
         x0 = None
         for retry in range(_MAX_INIT_RETRIES + 1):
-            candidate = drift_policy.init_params(
-                policy_kind,
-                (seed, start, retry),
-                affine_std=config.affine_init_std,
-                mlp_std=config.mlp_init_std,
-            )
+            candidate = drift_policy.init_params(policy_kind, (seed, start, retry))
             f0 = float(objective(candidate))
             if np.isfinite(f0):
                 x0 = candidate

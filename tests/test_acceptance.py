@@ -31,8 +31,7 @@ from lifedual.closed_form import (
     hjb_residual,
     origin_upper_bound,
     precompute_aggregates,
-    upper_bound_retirement,
-    upper_bound_working,
+    upper_bound,
     welfare_loss,
 )
 from lifedual.drift_policy import init_params, make_policy
@@ -200,8 +199,8 @@ def test_criterion_05_hjb_residual_suite():
     t0 = time.perf_counter()
 
     bequest = lambda t, W: crra_utility(W, 1.5) * g_value(scenario, t, 400) ** 1.5
-    retire = lambda t, W: upper_bound_retirement(scenario, g, zero, t, W, 400).value
-    working = lambda t, W, Y: upper_bound_working(scenario, g, zero, t, W, Y, 400).value
+    retire = lambda t, W: upper_bound(scenario, g, zero, t, W, n_intervals=400)
+    working = lambda t, W, Y: upper_bound(scenario, g, zero, t, W, Y, 400)
 
     worst = 0.0
     for _ in range(50):
@@ -254,7 +253,7 @@ def test_criterion_07_weak_duality_random_policies():
     for i in range(10):
         pol = make_policy(
             "affine",
-            np.abs(init_params("affine", (100, i), affine_std=0.03)),
+            np.abs(np.random.default_rng((100, i)).normal(0.0, 0.03, 8)),
             t_retire=scenario.T_R,
         )
         upper = origin_upper_bound(scenario, g, pol)

@@ -17,8 +17,8 @@ import lifedual.cli
 import lifedual.lower_bound
 from lifedual.cli import main
 from lifedual.closed_form import compute_g, origin_upper_bound, welfare_loss
-from lifedual.config import DESK_SCALE, build_run_config, parse_kv_file
-from lifedual.drift_policy import init_params, make_policy
+from lifedual.config import DESK_SCALE, RunConfig, build_run_config, parse_kv_file
+from lifedual.drift_policy import make_policy
 from lifedual.errors import NumericalError, ValidationError
 from lifedual.lower_bound import SimulationConfig, simulate_candidate_value
 from lifedual.market import preset_scenario
@@ -106,6 +106,8 @@ def test_build_run_config_precedence():
     # explicit out dir trumps the file out dir
     assert build_run_config({"out.dir": "cfg"}, out_dir="cli").out_dir == "cli"
     assert build_run_config({"out.dir": "cfg"}).out_dir == "cfg"
+    # unset keys keep the dataclass defaults
+    assert build_run_config({}) == RunConfig(scenario=preset_scenario("example1"))
 
 
 def test_build_run_config_curve_spellings():
@@ -136,11 +138,16 @@ def test_build_run_config_curve_spellings():
 
 
 def test_build_run_config_unknown_keys():
-    # the constraint descriptor and the optimizer choice are not config keys
+    # the constraint descriptor, the optimizer choice, the BFGS
+    # tolerances and the initialization scales are not config keys
     for key, value in (
         ("constraint.kind", "short_sale"),
         ("constraint.min_capital", "5"),
         ("opt.algorithm", "BFGS"),
+        ("opt.obj_tol", "1e-10"),
+        ("opt.param_tol", "1e-12"),
+        ("policy.affine_init_std", "0.01"),
+        ("policy.mlp_init_std", "0.01"),
     ):
         with pytest.raises(ValidationError, match=f"unknown config keys: \\['{key}'\\]"):
             build_run_config({key: value})
@@ -396,7 +403,7 @@ def test_cli_draws_one_normal_stream(tmp_path, monkeypatch, command):
 def test_cli_non_finite_dual_check_exits_2(tmp_path, monkeypatch, capsys, command):
     sc = preset_scenario("example1")
     extreme = make_policy(
-        "affine", np.abs(init_params("affine", (100, 1), affine_std=0.03)), t_retire=sc.T_R
+        "affine", np.abs(np.random.default_rng((100, 1)).normal(0.0, 0.03, 8)), t_retire=sc.T_R
     )
     simulate = lifedual.cli.simulate_candidate_value
 

@@ -18,8 +18,7 @@ from lifedual.closed_form import (
     hjb_residual,
     origin_upper_bound,
     precompute_aggregates,
-    upper_bound_retirement,
-    upper_bound_working,
+    upper_bound,
     welfare_loss,
 )
 from lifedual.drift_policy import AffinePolicy
@@ -111,45 +110,52 @@ def test_origin_value_matches_quadrature_oracle():
 
 def test_retirement_value_matches_quadrature_oracle():
     g = compute_g(SC, UniformGrid(0.0, SC.T, 100))
-    ub = upper_bound_retirement(SC, g, ZERO, 25.0, 150.0, n_intervals=4000)
+    ub = upper_bound(SC, g, ZERO, 25.0, 150.0, n_intervals=4000)
     oracle = crra_utility(150.0, 1.5) * _f2_oracle(25.0) ** 1.5
-    assert ub.value == pytest.approx(oracle, rel=1e-6)
+    assert ub == pytest.approx(oracle, rel=1e-6)
 
 
 def test_terminal_retirement_value_is_bare_utility():
     g = compute_g(SC, UniformGrid(0.0, SC.T, 100))
-    ub = upper_bound_retirement(SC, g, ZERO, SC.T, 123.0)
-    assert ub.value == pytest.approx(crra_utility(123.0, 1.5), rel=1e-14)
-    assert ub.tilde_f2 == pytest.approx(1.0, abs=1e-14)
+    ub = upper_bound(SC, g, ZERO, SC.T, 123.0)
+    assert ub == pytest.approx(crra_utility(123.0, 1.5), rel=1e-14)
+    agg = precompute_aggregates(SC, g, ZERO, UniformGrid(SC.T, SC.T, 100))
+    assert agg.tilde_f2[0] == pytest.approx(1.0, abs=1e-14)
 
 
 def test_value_homogeneity_in_wealth_and_income():
     g = compute_g(SC, UniformGrid(0.0, SC.T, 100))
     k = 3.7
-    vr1 = upper_bound_retirement(SC, g, ZERO, 30.0, 100.0).value
-    vrk = upper_bound_retirement(SC, g, ZERO, 30.0, k * 100.0).value
+    vr1 = upper_bound(SC, g, ZERO, 30.0, 100.0)
+    vrk = upper_bound(SC, g, ZERO, 30.0, k * 100.0)
     assert vrk == pytest.approx(k ** (1.0 - 1.5) * vr1, rel=1e-12)
-    jw1 = upper_bound_working(SC, g, ZERO, 10.0, 100.0, 40.0).value
-    jwk = upper_bound_working(SC, g, ZERO, 10.0, k * 100.0, k * 40.0).value
+    jw1 = upper_bound(SC, g, ZERO, 10.0, 100.0, 40.0)
+    jwk = upper_bound(SC, g, ZERO, 10.0, k * 100.0, k * 40.0)
     assert jwk == pytest.approx(k ** (1.0 - 1.5) * jw1, rel=1e-12)
 
 
 def test_working_value_pastes_onto_retirement_branch():
     g = compute_g(SC, UniformGrid(0.0, SC.T, 100))
-    w = upper_bound_working(SC, g, ZERO, SC.T_R, 140.0, 50.0)
-    r = upper_bound_retirement(SC, g, ZERO, SC.T_R, 140.0)
-    assert w.value == pytest.approx(r.value, rel=1e-12)
-    assert w.tilde_f3 == 140.0  # annuity empty at the breakpoint
+    w = upper_bound(SC, g, ZERO, SC.T_R, 140.0, 50.0)
+    r = upper_bound(SC, g, ZERO, SC.T_R, 140.0)
+    assert w == r  # annuity empty at the breakpoint
+    # from T_R on the income drops out of the value
+    for t in (SC.T_R, 30.0, SC.T):
+        retired = upper_bound(SC, g, ZERO, t, 140.0)
+        assert all(upper_bound(SC, g, ZERO, t, 140.0, y) == retired for y in (0.0, 50.0, 1e6))
 
 
 def test_phase_domain_validation():
     g = compute_g(SC, UniformGrid(0.0, SC.T, 100))
-    with pytest.raises(ValidationError):
-        upper_bound_working(SC, g, ZERO, 25.0, 100.0, 50.0)
-    with pytest.raises(ValidationError):
-        upper_bound_retirement(SC, g, ZERO, 10.0, 100.0)
-    with pytest.raises(ValidationError):
-        upper_bound_working(SC, g, ZERO, 10.0, -5.0, 50.0)
+    for t, W, Y in (
+        (-0.5, 100.0, 50.0),
+        (SC.T + 0.5, 100.0, 0.0),
+        (10.0, -5.0, 50.0),
+        (10.0, 0.0, 50.0),
+        (10.0, 100.0, -1.0),
+    ):
+        with pytest.raises(ValidationError):
+            upper_bound(SC, g, ZERO, t, W, Y)
 
 
 def _controls_at(g, policy, t, W, Y=0.0):
@@ -205,12 +211,12 @@ def test_hjb_residual_spot_checks():
     bequest = lambda t, W: crra_utility(W, 1.5) * g_value(SC, t, 400) ** 1.5
     assert abs(hjb_residual("bequest", bequest, (12.3, 80.0), SC)) < 1e-4
 
-    retire = lambda t, W: upper_bound_retirement(SC, g, ZERO, t, W, 400).value
+    retire = lambda t, W: upper_bound(SC, g, ZERO, t, W, n_intervals=400)
     assert (
         abs(hjb_residual("retirement", retire, (31.7, 150.0), SC, ZERO)) < 1e-4
     )
 
-    working = lambda t, W, Y: upper_bound_working(SC, g, ZERO, t, W, Y, 400).value
+    working = lambda t, W, Y: upper_bound(SC, g, ZERO, t, W, Y, 400)
     assert (
         abs(hjb_residual("working", working, (8.9, 120.0, 40.0), SC, ZERO)) < 1e-4
     )
@@ -223,6 +229,6 @@ def test_hjb_residual_argument_validation():
         hjb_residual("unknown", bequest, (10.0, 80.0), SC)
     with pytest.raises(ValidationError):
         hjb_residual("bequest", bequest, (0.0, 80.0), SC)  # boundary point
-    working = lambda t, W, Y: upper_bound_working(SC, g, ZERO, t, W, Y).value
+    working = lambda t, W, Y: upper_bound(SC, g, ZERO, t, W, Y)
     with pytest.raises(ValidationError):
         hjb_residual("working", working, (8.9, 120.0, 0.0), SC, ZERO)

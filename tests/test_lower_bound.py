@@ -249,7 +249,7 @@ def test_overflowing_dual_streams_flag_the_checks_only():
     # an extreme adjustment overflows the state-price streams: the checks
     # come out NaN (without warnings) while the candidate value is finite
     pol = make_policy(
-        "affine", np.abs(init_params("affine", (100, 1), affine_std=0.03)), t_retire=SC.T_R
+        "affine", np.abs(np.random.default_rng((100, 1)).normal(0.0, 0.03, 8)), t_retire=SC.T_R
     )
     sim = simulate_candidate_value(SC, _g100(), pol, SimulationConfig(n_paths=1024, n_steps=100))
     assert np.isfinite(sim.value)
