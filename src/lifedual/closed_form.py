@@ -377,7 +377,8 @@ def feedback_controls(scenario: MarketScenario, W, y, ann, f2, kv, g_t, sigma):
     f3 = W + y * ann
     c = f3 / f2
     theta = -f3 * kv / (scenario.gamma * sigma) - scenario.sigma_Y / sigma * y * ann
-    return np.clip(theta, 0.0, W), c, c * g_t
+    # np.clip(theta, 0.0, W) bit for bit, at half its cost on the pass's arrays
+    return np.minimum(np.maximum(theta, 0.0), W), c, c * g_t
 
 
 # ---------------------------------------------------------------------------

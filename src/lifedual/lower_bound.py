@@ -45,12 +45,21 @@ discounted optimal-wealth process
     H_t = beta_t e^{-Lam} W*_t + ∫_0^t beta e^{-Lam} (c* - Y + lam M*) ds,
 
 checked under the physical measure through the density ksi_t.
+
+The paths are independent, so the pass runs them as two blocks, the
+second in a forked child that does only numpy elementwise work and
+leaves by ``os._exit``.  The blocks are cut where numpy's pairwise sum
+splits a row of all paths, so every mean, standard error and z-score
+equals that of one pass over all paths bit for bit.
 """
 
 from __future__ import annotations
 
 import importlib.util
+import mmap
 import os
+import pickle
+import signal
 from collections.abc import Callable
 from dataclasses import dataclass
 
@@ -141,7 +150,7 @@ def _direction_integers(dim: int) -> np.ndarray:
 
 def sobol_normals(
     config: SimulationConfig,
-) -> tuple[np.ndarray, Callable[[int], np.ndarray]]:
+) -> tuple[np.ndarray, Callable[..., np.ndarray]]:
     """Standard-normal increments, one Sobol point per path, as (levels, row).
 
     The unscrambled Sobol points used are those with sequence index
@@ -156,7 +165,9 @@ def sobol_normals(
     integers of coordinate k (time step k) for every path, so
     ``levels[row(k)]`` is step k's normal increment per path; it equals
     column k of scipy's ``qmc.Sobol(d=n_steps, scramble=False)`` points
-    after ``fast_forward(1 + sobol_skip)``, times 2^m.
+    after ``fast_forward(1 + sobol_skip)``, times 2^m.  ``row(k, lo, hi)``
+    returns the same integers for paths lo..hi-1 only, so a block of
+    paths builds just its own part.
 
     Point i is the XOR of the direction integers selected by its Gray
     code i ^ (i >> 1) (Bratley & Fox 1988).  ``row(k)`` builds two XOR
@@ -181,9 +192,9 @@ def sobol_normals(
     gray_hi = gray_lo >> h
     gray_lo &= 2**h - 1
 
-    def row(k: int) -> np.ndarray:
-        out = _xor_table(top[k, :h])[gray_lo]
-        out ^= _xor_table(top[k, h:])[gray_hi]
+    def row(k: int, lo: int = 0, hi: int | None = None) -> np.ndarray:
+        out = _xor_table(top[k, :h])[gray_lo[lo:hi]]
+        out ^= _xor_table(top[k, h:])[gray_hi[lo:hi]]
         return out
 
     return levels, row
@@ -233,6 +244,59 @@ def _mean_se(x):
     return x.mean(), x.std(ddof=1) / np.sqrt(len(x))
 
 
+def _split(n_paths: int) -> int:
+    """First path of the second block: where numpy's pairwise sum splits.
+
+    ``np.add.reduce`` sums an array longer than 128 as the sum of its
+    halves, cut at n//2 rounded down to a multiple of 8, so the sums of
+    the two blocks add up to the sum of the whole row bit for bit.
+    """
+    return n_paths // 2 - (n_paths // 2) % 8
+
+
+def _in_two_processes(here: Callable[[], None], forked: Callable[[], None]) -> None:
+    """Run ``forked`` in a forked child while ``here`` runs in this process.
+
+    The child leaves only by ``os._exit``, so it never unwinds into the
+    caller's stack (which may write artifacts or spans).  An exception in
+    the child is pickled through a pipe and raised here once the child
+    is reaped; if ``here`` fails, the child is killed and still reaped.
+    """
+    read_fd, write_fd = os.pipe()
+    pid = os.fork()
+    if pid == 0:
+        status = 1
+        try:
+            os.close(read_fd)
+            try:
+                forked()
+                status = 0
+            except BaseException as exc:
+                try:
+                    payload = pickle.dumps(exc)
+                    pickle.loads(payload)
+                except Exception:
+                    payload = pickle.dumps(NumericalError(f"path block failed: {exc!r}"))
+                with os.fdopen(write_fd, "wb") as pipe:
+                    pipe.write(payload)
+        finally:
+            os._exit(status)
+    os.close(write_fd)
+    try:
+        here()
+    except BaseException:
+        os.kill(pid, signal.SIGKILL)
+        raise
+    finally:
+        with os.fdopen(read_fd, "rb") as pipe:
+            payload = pipe.read()
+        status = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+    if payload:
+        raise pickle.loads(payload)
+    if status != 0:
+        raise NumericalError(f"path block process ended with status {status}")
+
+
 def simulate_candidate_value(
     scenario: MarketScenario,
     g: GFunction,
@@ -248,18 +312,30 @@ def simulate_candidate_value(
     the feedback rule (used to exercise alternative feasible recipes);
     the liquidity truncation still applies on the zero-wealth boundary.
 
-    The same pass simulates log pi_v and log ksi_v (left-endpoint Euler
-    increments), evaluates the closed-form optimal streams
+    The same pass simulates log ksi_v (left-endpoint Euler increments)
+    and evaluates the closed-form optimal streams
     c*_t = c0 (pi_t e^{delta t})^{-1/gamma}, M*_t = g(t) c*_t and
-    W*_t = c*_t F2~(t) - Y_t ann(t) at every step boundary, and
-    accumulates the survival-weighted pricing integrals by the
-    trapezoid rule (the income flow stops at retirement, so that
-    integrand's right/left limits are tracked separately around T_R).
-    The budget check standardizes spend + terminal - income against
-    W0; the martingale check standardizes the increments of H_t
-    between quarter-horizon checkpoints (the first against the exact
-    H_0 = W0).  Overflow in these dual streams is left to show as a
-    non-finite z-score.
+    W*_t = c*_t F2~(t) - Y_t ann(t) at every step boundary.  With
+    pi_t = beta_t ksi_t, every pricing integrand is a node scalar times
+    ksi, e = ksi^{-1/gamma}, ksi e or Y, so the trapezoid sums
+    accumulate those with node weights built once (the income flow
+    stops at retirement: the right limit at T_R still pays, the cell
+    opening at T_R does not).  The budget check standardizes
+    spend + terminal - income against W0; the martingale check
+    standardizes the increments of H_t between quarter-horizon
+    checkpoints (the first against the exact H_0 = W0).  Overflow in
+    these dual streams is left to show as a non-finite z-score.
+
+    The paths run as two blocks, the second in a forked child (one
+    block in-process for at most 128 paths or without ``os.fork``).
+    Every operation on a path is elementwise, and the cut is where
+    numpy's pairwise sum splits a row, so the result is bit-identical
+    to one pass over all paths: the blocks write per-path finals into
+    one shared row per quantity and per-step trajectory sums per block.
+    The child does only numpy elementwise work and leaves by
+    ``os._exit``; its exceptions are raised here, and what a
+    ``controls_override`` records while stepping the child's block
+    stays in the child.
 
     Returns the path mean, its sample standard error (conservative for
     a low-discrepancy stream), mean trajectories of wealth, face value
@@ -267,6 +343,7 @@ def simulate_candidate_value(
     """
     gam = scenario.gamma
     mort = scenario.mortality
+    n_paths = config.n_paths
     n_steps = config.n_steps
     dt = scenario.T / n_steps
     agg = precompute_aggregates(scenario, g, policy, g.grid)
@@ -292,107 +369,132 @@ def simulate_candidate_value(
     # matching the frozen-coefficient ksi increments below
     log_beta = np.concatenate([[0.0], -np.cumsum((r_n[:-1] + v0_n[:-1]) * dt)])
     c0 = (scenario.W0 + scenario.Y0 * ann_n[0]) / f2_n[0]
-    check_steps = {max(j * n_steps // 4, 1) for j in range(1, 5)}  # quarters, last at T
+    # node factors of the dual integrands at log ksi = 0: beta e^{-Lam},
+    # c*, and beta e^{-Lam} c* (1 + lam g), the spend and financing rate
+    half = 0.5 * dt
+    bs_n = np.exp(log_beta) * surv_n
+    c_star0 = c0 * np.exp(-(scenario.delta_tilde * t_nodes + log_beta) / gam)
+    rate_n = bs_n * c_star0 * cap_fac
+    trap = np.full(n_steps + 1, dt)
+    trap[[0, -1]] = half
+    spend_w = trap * rate_n
+    pays = t_nodes <= scenario.T_R
+    pays[0] = False
+    income_w = (half * pays + half * working) * bs_n
+    checks = {k: j for j, k in enumerate(sorted({max(j * n_steps // 4, 1) for j in range(1, 5)}))}
 
     levels, row = sobol_normals(config)
     levels *= np.sqrt(dt)
 
-    W = np.full(config.n_paths, scenario.W0)
-    Y = np.full(config.n_paths, scenario.Y0)
-    util = np.zeros(config.n_paths)
-    mean_wealth = np.empty(n_steps + 1)
-    mean_face = np.empty(n_steps)
-    mean_cons = np.empty(n_steps)
-    log_xi = np.zeros(config.n_paths)
-    spend = np.zeros(config.n_paths)  # int pi e^{-Lam}(c* + lam M*) dt
-    income = np.zeros(config.n_paths)  # int pi e^{-Lam} Y dt
-    finance = np.zeros(config.n_paths)  # int beta e^{-Lam}(c* - Y + lam M*) dt
-    h_prev = np.full(config.n_paths, float(scenario.W0))
-    martingale_z = []
+    # per-path finals (utility, spend, terminal, income, one row per
+    # martingale increment) and, per block, the per-step sums of W,
+    # M - W and c, in memory a forked block writes into
+    n_rows = 4 + len(checks)
+    shared = np.frombuffer(
+        mmap.mmap(-1, 8 * (n_rows * n_paths + 2 * 3 * (n_steps + 1))), dtype=np.float64
+    )
+    finals = shared[: n_rows * n_paths].reshape(n_rows, n_paths)
+    sums = shared[n_rows * n_paths :].reshape(2, 3, n_steps + 1)
 
-    for k in range(n_steps + 1):
-        t = t_nodes[k]
-        # income flows on [0, T_R]: the right limit at T_R still pays,
-        # the segment opening at T_R does not
-        y_k = Y if working[k] else 0.0
-        y_close = Y if t <= scenario.T_R else 0.0
-        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-            log_pi = log_beta[k] + log_xi
-            pi_surv = np.exp(log_pi) * surv_n[k]
-            beta_surv = np.exp(log_beta[k]) * surv_n[k]
-            c_star = c0 * np.exp(-(scenario.delta_tilde * t + log_pi) / gam)
-            lam_m = lam_n[k] * g_n[k] * c_star
-            f_spend = pi_surv * (c_star + lam_m)
-            if k > 0:
-                spend += 0.5 * dt * (prev_spend + f_spend)
-                income += 0.5 * dt * (prev_income + pi_surv * y_close)
-                finance += 0.5 * dt * (prev_finance + beta_surv * (c_star - y_close + lam_m))
-            prev_spend = f_spend
-            prev_income = pi_surv * y_k
-            prev_finance = beta_surv * (c_star - y_k + lam_m)
-            if k in check_steps:
-                w_star = c_star * f2_n[k] - y_k * ann_n[k]
-                h = np.exp(log_xi) * (beta_surv * w_star + finance)
-                mean, se = _mean_se(h - h_prev)
-                martingale_z.append((float(t), float(mean / se)))
-                h_prev = h
-            if k == n_steps:
-                terminal = pi_surv * w_star  # W*_T = c*_T since F2~(T) = 1
-                diff = spend + terminal - income
-                mean, se = _mean_se(diff)
-                budget = BudgetCheck(
-                    lhs=float((spend + terminal).mean()),
-                    rhs=float(scenario.W0 + income.mean()),
-                    z_score=float((mean - scenario.W0) / se),
-                    std_error=float(se),
+    def block(b: int, lo: int, hi: int) -> None:
+        """Step paths [lo, hi), writing their finals and block b's sums."""
+        W = np.full(hi - lo, scenario.W0)
+        Y = np.full(hi - lo, scenario.Y0)
+        util, spend, terminal, income = finals[:4, lo:hi]
+        # spend = int pi e^{-Lam}(c* + lam M*) dt, income = int pi e^{-Lam} Y dt
+        finance = np.zeros(hi - lo)  # int beta e^{-Lam}(c* - Y + lam M*) dt
+        log_xi = np.zeros(hi - lo)
+        h_prev = float(scenario.W0)
+        for k in range(n_steps + 1):
+            t = t_nodes[k]
+            y_k = Y if working[k] else 0.0
+            with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+                xi = np.exp(log_xi)
+                e = np.exp(log_xi / -gam)
+                xi_e = xi * e
+                spend += spend_w[k] * xi_e
+                finance += spend_w[k] * e
+                if income_w[k]:  # zero after T_R
+                    finance -= income_w[k] * Y
+                    income += income_w[k] * (xi * Y)
+                if k in checks:
+                    fin = finance
+                    if k < n_steps:  # the running sum holds node k's opening half-cell
+                        fin = finance - half * (rate_n[k] * e - bs_n[k] * y_k)
+                    w_star = c_star0[k] * e * f2_n[k] - y_k * ann_n[k]
+                    h = xi * (bs_n[k] * w_star + fin)
+                    finals[4 + checks[k], lo:hi] = h - h_prev
+                    h_prev = h
+                if k == n_steps:
+                    terminal[:] = bs_n[k] * c_star0[k] * f2_n[k] * xi_e  # pi e^{-Lam} W*_T
+                    break
+                dz = levels[row(k, lo, hi)]
+                log_xi += kv_n[k] * dz
+                log_xi -= 0.5 * kv_n[k] * kv_n[k] * dt
+
+            if controls_override is None:
+                theta, c, m = feedback_controls(
+                    scenario, W, y_k, ann_n[k], f2_n[k], kv_n[k], g_n[k], sig_n[k]
                 )
-                break
-            dz = levels[row(k)]
-            log_xi = log_xi + kv_n[k] * dz - 0.5 * kv_n[k] * kv_n[k] * dt
+            else:
+                theta, c, m = controls_override(t, W, y_k)
+                theta = np.clip(theta, 0.0, W)
+            at_floor = W <= 1e-12
+            if working[k] and np.any(at_floor):
+                cap = Y / cap_fac[k]
+                c = np.where(at_floor, np.minimum(c, cap), c)
+                m = np.where(at_floor, c * g_n[k], m)
 
-        if controls_override is None:
-            theta, c, m = feedback_controls(
-                scenario, W, y_k, ann_n[k], f2_n[k], kv_n[k], g_n[k], sig_n[k]
-            )
-        else:
-            theta, c, m = controls_override(t, W, y_k)
-            theta = np.clip(theta, 0.0, W)
-        at_floor = W <= 1e-12
-        if working[k] and np.any(at_floor):
-            cap = Y / cap_fac[k]
-            c = np.where(at_floor, np.minimum(c, cap), c)
-            m = np.where(at_floor, c * g_n[k], m)
+            sums[b, :, k] = np.add.reduce(W), np.add.reduce(m - W), np.add.reduce(c)
+            util += w_cons[k] * np.maximum(c, _UTILITY_FLOOR) ** (1.0 - gam) / (1.0 - gam)
+            util += w_beq[k] * np.maximum(m, _UTILITY_FLOOR) ** (1.0 - gam) / (1.0 - gam)
 
-        mean_wealth[k] = W.mean()
-        mean_face[k] = (m - W).mean()
-        mean_cons[k] = c.mean()
-        util += w_cons[k] * np.maximum(c, _UTILITY_FLOOR) ** (1.0 - gam) / (1.0 - gam)
-        util += w_beq[k] * np.maximum(m, _UTILITY_FLOOR) ** (1.0 - gam) / (1.0 - gam)
+            drift = (r_n[k] + lam_n[k]) * W + theta * (mu_n[k] - r_n[k]) - c - lam_n[k] * m + y_k
+            W = W + drift * dt + theta * sig_n[k] * dz
+            np.maximum(W, 0.0, out=W)
+            if not np.all(np.isfinite(W)):
+                raise NumericalError(f"non-finite wealth at step {k} (t={t:.4f})")
+            if working[k]:
+                Y = Y * np.exp(
+                    (scenario.mu_Y - 0.5 * scenario.sigma_Y**2) * dt
+                    + scenario.sigma_Y * dz
+                )
 
-        drift = (r_n[k] + lam_n[k]) * W + theta * (mu_n[k] - r_n[k]) - c - lam_n[k] * m + y_k
-        W = W + drift * dt + theta * sig_n[k] * dz
-        np.maximum(W, 0.0, out=W)
-        if not np.all(np.isfinite(W)):
-            raise NumericalError(f"non-finite wealth at step {k} (t={t:.4f})")
-        if working[k]:
-            Y = Y * np.exp(
-                (scenario.mu_Y - 0.5 * scenario.sigma_Y**2) * dt
-                + scenario.sigma_Y * dz
-            )
+        sums[b, 0, n_steps] = np.add.reduce(W)
+        disc_T = np.exp(-mort.cumulative_hazard(0.0, scenario.T) - scenario.delta_tilde * scenario.T)
+        util += disc_T * np.maximum(W, _UTILITY_FLOOR) ** (1.0 - gam) / (1.0 - gam)
 
-    mean_wealth[-1] = W.mean()
-    disc_T = np.exp(-mort.cumulative_hazard(0.0, scenario.T) - scenario.delta_tilde * scenario.T)
-    util += disc_T * np.maximum(W, _UTILITY_FLOOR) ** (1.0 - gam) / (1.0 - gam)
+    if n_paths <= 128 or not hasattr(os, "fork"):  # numpy sums <= 128 terms unsplit
+        block(0, 0, n_paths)
+        totals = sums[0]
+    else:
+        cut = _split(n_paths)
+        _in_two_processes(lambda: block(0, 0, cut), lambda: block(1, cut, n_paths))
+        totals = sums[0] + sums[1]
+    means = totals / n_paths
 
+    util, spend, terminal, income = finals[:4]
     value, se = _mean_se(util)
+    with np.errstate(over="ignore", invalid="ignore"):
+        mean, budget_se = _mean_se(spend + terminal - income)
+        budget = BudgetCheck(
+            lhs=float((spend + terminal).mean()),
+            rhs=float(scenario.W0 + income.mean()),
+            z_score=float((mean - scenario.W0) / budget_se),
+            std_error=float(budget_se),
+        )
+        martingale_z = []
+        for k, j in checks.items():
+            mean, inc_se = _mean_se(finals[4 + j])
+            martingale_z.append((float(t_nodes[k]), float(mean / inc_se)))
     return SimulationResult(
         value=float(value),
         std_error=float(se),
         times=np.concatenate([t_nodes[:-1], [scenario.T]]),
-        mean_wealth=mean_wealth,
-        mean_face_value=mean_face,
-        mean_consumption=mean_cons,
-        n_paths=config.n_paths,
+        mean_wealth=means[0],
+        mean_face_value=means[1, :n_steps],
+        mean_consumption=means[2, :n_steps],
+        n_paths=n_paths,
         budget=budget,
         martingale_z=martingale_z,
     )

@@ -1,6 +1,7 @@
 """Sobol driver, candidate simulation, and dual-identity verifiers."""
 
 import dataclasses
+import os
 import tracemalloc
 
 import numpy as np
@@ -14,9 +15,10 @@ from scipy.stats import qmc
 from lifedual.closed_form import compute_g, origin_upper_bound, precompute_aggregates
 from lifedual.config import build_run_config
 from lifedual.drift_policy import AffinePolicy, init_params, make_policy
-from lifedual.errors import ValidationError
+from lifedual.errors import NumericalError, ValidationError
 from lifedual.lower_bound import (
     SimulationConfig,
+    _split,
     simulate_candidate_value,
     sobol_normals,
 )
@@ -304,20 +306,95 @@ def test_budget_and_martingale_for_nonzero_adjustment():
     assert all(abs(z) < 3.0 for _, z in zs)
 
 
+# values of the small protocol below, captured when the candidate
+# simulation and the two dual verifiers still ran as separate passes
+# (100 steps) and before the dual sums took node weights (77 steps,
+# where T_R = 20 falls between nodes)
+FUSED_GOLDENS = {
+    100: (
+        -9.561666470781898,
+        0.0396035632206979,
+        0.23647252204497612,
+        [12.5, 25.0, 37.5, 50.0],
+        [0.6759861443391401, 0.8812137010537932, 1.1455284909309345, -0.21239255849925837],
+    ),
+    77: (
+        -9.577717574320214,
+        0.03955772154647944,
+        1.508303310508526,
+        [12.337662337662337, 24.675324675324674, 37.01298701298701, 50.0],
+        [0.49241180880543545, 2.936346444604921, 0.2262551091149168, 0.267624056289844],
+    ),
+}
+
+
 def test_fused_pass_reproduces_reference_values():
-    # values of the small protocol below, captured when the candidate
-    # simulation and the two dual verifiers still ran as separate passes
     pol = AffinePolicy(
         params=(0.01, 0.0002, 0.005, 0.0, 0.01, 0.0, 0.005, 0.0), t_retire=SC.T_R
     )
-    sim = simulate_candidate_value(
-        SC, _g100(), pol, SimulationConfig(n_paths=2**11, n_steps=100)
+    for n_steps, (value, se, budget_z, times, zs) in FUSED_GOLDENS.items():
+        sim = simulate_candidate_value(
+            SC, _g100(), pol, SimulationConfig(n_paths=2**11, n_steps=n_steps)
+        )
+        assert sim.value == pytest.approx(value, rel=1e-12)
+        assert sim.std_error == pytest.approx(se, rel=1e-12)
+        assert sim.budget.z_score == pytest.approx(budget_z, rel=1e-12)
+        assert [t for t, _ in sim.martingale_z] == times
+        assert [z for _, z in sim.martingale_z] == pytest.approx(zs, rel=1e-12)
+
+
+@pytest.mark.parametrize("n", [129, 1001, 2048, 20000])
+def test_pairwise_sum_splits_at_block_cut(n):
+    # the two path blocks' sums add up to the whole row's sum bit for bit
+    rng = np.random.default_rng(n)
+    cut = _split(n)
+    for _ in range(200):
+        x = rng.standard_normal(n) * rng.exponential(size=n) ** 3
+        assert np.add.reduce(x[:cut]) + np.add.reduce(x[cut:]) == x.sum()
+        assert (np.add.reduce(x[:cut]) + np.add.reduce(x[cut:])) / n == x.mean()
+
+
+def _fields(sim):
+    return {f.name: getattr(sim, f.name) for f in dataclasses.fields(sim)}
+
+
+@pytest.mark.parametrize("n_paths", [2**11, 1001, 64])
+def test_forked_blocks_equal_one_block(n_paths, monkeypatch):
+    pol = AffinePolicy(
+        params=(0.01, 0.0002, 0.005, 0.0, 0.01, 0.0, 0.005, 0.0), t_retire=SC.T_R
     )
-    assert sim.value == pytest.approx(-9.561666470781898, rel=1e-12)
-    assert sim.std_error == pytest.approx(0.0396035632206979, rel=1e-12)
-    assert sim.budget.z_score == pytest.approx(0.23647252204497612, rel=1e-12)
-    assert [t for t, _ in sim.martingale_z] == [12.5, 25.0, 37.5, 50.0]
-    assert [z for _, z in sim.martingale_z] == pytest.approx(
-        [0.6759861443391401, 0.8812137010537932, 1.1455284909309345, -0.21239255849925837],
-        rel=1e-12,
-    )
+    cfg = SimulationConfig(n_paths=n_paths, n_steps=77)
+    g = _g100()
+    forked = _fields(simulate_candidate_value(SC, g, pol, cfg))
+    monkeypatch.delattr(os, "fork")
+    serial = _fields(simulate_candidate_value(SC, g, pol, cfg))
+    for name, value in serial.items():
+        if isinstance(value, np.ndarray):
+            assert np.array_equal(forked[name], value), name
+        else:
+            assert forked[name] == value, name
+
+
+def _nan_theta_in(block_is_child):
+    parent = os.getpid()
+
+    def override(t, W, y):
+        theta = np.zeros_like(W)
+        if (os.getpid() != parent) == block_is_child:
+            theta[:] = np.nan
+        c = np.full_like(W, 1.0)
+        return theta, c, c * 30.0
+
+    return override
+
+
+@pytest.mark.parametrize("block_is_child", [True, False], ids=["child", "parent"])
+def test_failing_block_raises_in_caller_and_reaps_child(block_is_child):
+    with pytest.raises(NumericalError, match="non-finite wealth at step 0") as err:
+        simulate_candidate_value(
+            SC, _g100(), ZERO, SimulationConfig(n_paths=256, n_steps=10),
+            controls_override=_nan_theta_in(block_is_child),
+        )
+    assert err.type is NumericalError
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
