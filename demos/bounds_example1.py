@@ -16,13 +16,13 @@ from lifedual import (
     OptimizerConfig,
     SimulationConfig,
     UniformGrid,
+    build_report,
     compute_g,
     make_policy,
     minimize_upper_bound,
     precompute_aggregates,
     preset_scenario,
     simulate_candidate_value,
-    welfare_loss,
 )
 
 N_INTERVALS = 100  # quadrature grid for g and the dual aggregates
@@ -55,10 +55,13 @@ print(
     f"({SIM.n_paths} paths x {SIM.n_steps} steps, {time.perf_counter() - t0:.1f}s)"
 )
 
-gap = abs(upper - sim.value)
+# The certificate: signed gap upper - lower, and a welfare loss only
+# when the bounds are ordered.
+rep = build_report(upper, sim.value, sim.std_error, scenario.gamma)
 print(
-    f"duality gap {gap:.5f}  relative {100 * gap / abs(sim.value):.3f}%  "
-    f"welfare loss {100 * welfare_loss(upper, sim.value, scenario.gamma):.4f}%"
+    f"certificate {rep.certificate}: duality gap {rep.duality_gap:+.5f}  "
+    f"relative {100 * rep.relative_gap:+.3f}%"
+    + ("" if rep.welfare_loss is None else f"  welfare loss {100 * rep.welfare_loss:.4f}%")
 )
 
 # The discounted value of what the paths spend should equal initial

@@ -17,11 +17,11 @@ from lifedual import (
     OptimizerConfig,
     SimulationConfig,
     UniformGrid,
+    build_report,
     compute_g,
     minimize_upper_bound,
     preset_scenario,
     simulate_candidate_value,
-    welfare_loss,
 )
 from lifedual.drift_policy import evaluate
 
@@ -44,20 +44,23 @@ print(
 )
 
 results = {}
-print(f"{'family':<10} {'upper':>11} {'lower':>11} {'s.e.':>8} {'rel gap':>8} {'welfare':>8}")
+print(
+    f"{'family':<10} {'upper':>11} {'lower':>11} {'s.e.':>8} {'rel gap':>8} "
+    f"{'welfare':>8}  certificate"
+)
 for label, kind, act in FAMILIES:
     t0 = time.perf_counter()
     policy, trace = minimize_upper_bound(
         scenario, g, kind, OPT, seed=0, activation=act or "relu"
     )
     sim = simulate_candidate_value(scenario, g, policy, SIM)
-    upper, lower = trace.best_objective, sim.value
-    rel = abs(upper - lower) / abs(lower)
-    loss = welfare_loss(upper, lower, scenario.gamma)
-    results[label] = (policy, upper, lower, rel)
+    rep = build_report(trace.best_objective, sim.value, sim.std_error, scenario.gamma)
+    results[label] = (policy, rep)
+    loss = "-" if rep.welfare_loss is None else f"{100 * rep.welfare_loss:.3f}%"
     print(
-        f"{label:<10} {upper:>11.6f} {lower:>11.6f} {sim.std_error:>8.1e} "
-        f"{100 * rel:>7.3f}% {100 * loss:>7.3f}%  ({time.perf_counter() - t0:.1f}s)"
+        f"{label:<10} {rep.upper_bound:>11.6f} {rep.lower_bound:>11.6f} "
+        f"{rep.lower_std_error:>8.1e} {100 * rep.relative_gap:>7.3f}% {loss:>8}  "
+        f"{rep.certificate} ({time.perf_counter() - t0:.1f}s)"
     )
 
 # The fitted bond adjustments themselves: the affine family is forced
@@ -66,9 +69,11 @@ for label, kind, act in FAMILIES:
 dates = np.arange(0.0, scenario.T + 1e-9, 5.0)
 print("\nfitted v0(t) by family:")
 print("  t:        " + " ".join(f"{t:>6.0f}" for t in dates))
-for label, (policy, *_rest) in results.items():
+for label, (policy, _) in results.items():
     v0 = [float(evaluate(policy, t, horizon=scenario.T)[0]) for t in dates]
     print(f"  {label:<9}" + " ".join(f"{x:>6.3f}" for x in v0))
 
-best = min(results, key=lambda k: results[k][3])
-print(f"\ntightest family: {best} (relative gap {100 * results[best][3]:.3f}%)")
+# a crossed pair certifies no gap, so only ordered pairs compete
+ordered = {k: rep for k, (_, rep) in results.items() if rep.certificate == "ordered"}
+best = min(ordered, key=lambda k: ordered[k].relative_gap)
+print(f"\ntightest family: {best} (relative gap {100 * ordered[best].relative_gap:.3f}%)")

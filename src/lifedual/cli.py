@@ -27,8 +27,6 @@ import numpy as np
 from . import __version__, market
 from .closed_form import compute_g
 from .config import RunConfig, build_run_config, parse_kv_file
-from .drift_policy import evaluate as evaluate_policy
-from .drift_policy import flatten
 from .errors import NumericalError, ValidationError
 from .lower_bound import simulate_candidate_value
 from .optimizer import minimize_upper_bound
@@ -125,27 +123,6 @@ def _solve(cfg: RunConfig):
     return grid, policy, trace, sim, clock
 
 
-def _provenance(cfg: RunConfig) -> dict[str, object]:
-    from importlib import metadata
-
-    return {
-        "code_version": __version__,
-        # the Sobol stream reads scipy's direction-number file
-        "numpy_version": metadata.version("numpy"),
-        "scipy_version": metadata.version("scipy"),
-        "preset": cfg.preset or "example1",
-        "seed": cfg.seed,
-        "n_intervals": cfg.n_intervals,
-        "n_paths": cfg.simulation.n_paths,
-        "n_steps": cfg.simulation.n_steps,
-        "sobol_skip": cfg.simulation.sobol_skip,
-        "num_starts": cfg.optimizer.num_starts,
-        "iterations_per_start": cfg.optimizer.iterations_per_start,
-        "policy_kind": cfg.policy_kind,
-        "activation": cfg.activation if cfg.policy_kind == "mlp" else "",
-    }
-
-
 def _cmd_run(args: argparse.Namespace) -> int:
     cfg = _resolve_config(args)
     grid, policy, trace, sim, clock = _solve(cfg)
@@ -158,29 +135,17 @@ def _cmd_run(args: argparse.Namespace) -> int:
             f"(lhs {budget.lhs:.6f}, rhs {budget.rhs:.6f})"
         )
 
-    v0, vm = evaluate_policy(policy, grid.nodes, horizon=cfg.scenario.T)
-    prov = _provenance(cfg)
-    prov["budget_z"] = f"{budget.z_score:.4f}"
     report = build_report(
-        method=cfg.policy_kind,
-        activation=cfg.activation if cfg.policy_kind == "mlp" else None,
-        upper_bound=trace.best_objective,
-        lower_bound=sim.value,
-        lower_std_error=sim.std_error,
-        gamma=cfg.scenario.gamma,
-        wall_clock=clock,
-        policy_params=flatten(policy),
-        vstar_times=grid.nodes,
-        vstar_v0=v0,
-        vstar_v_minus=vm,
-        provenance=prov,
+        trace.best_objective, sim.value, sim.std_error, cfg.scenario.gamma
     )
-    paths = emit_csv(report, sim, trace, cfg.out_dir)
+    paths = emit_csv(report, cfg, grid, policy, trace, sim, clock)
 
     print(f"upper bound   {report.upper_bound:.7f}")
     print(f"lower bound   {report.lower_bound:.7f}  (s.e. {report.lower_std_error:.2e})")
+    print(f"certificate   {report.certificate}")
     print(f"relative gap  {100.0 * report.relative_gap:.4f} %")
-    print(f"welfare loss  {100.0 * report.welfare_loss:.4f} %")
+    if report.welfare_loss is not None:
+        print(f"welfare loss  {100.0 * report.welfare_loss:.4f} %")
     print(f"budget z      {budget.z_score:+.3f}")
     for path in paths:
         print(f"wrote {path}")

@@ -47,7 +47,6 @@ __all__ = [
     "snake",
     "evaluate",
     "init_params",
-    "flatten",
     "make_policy",
     "AFFINE_N_PARAMS",
     "MLP_N_PARAMS",
@@ -228,11 +227,6 @@ def init_params(kind: str, seed) -> np.ndarray:
     if kind == "mlp":
         return rng.normal(0.0, _INIT_STD, MLP_N_PARAMS)
     raise ValidationError(f"unknown policy kind {kind!r}")
-
-
-def flatten(policy) -> np.ndarray:
-    """Flat parameter vector of a policy (inverse of make_policy)."""
-    return np.asarray(policy.params, dtype=float)
 
 
 def make_policy(

@@ -1,10 +1,15 @@
-"""Bound summaries and CSV artifact emission.
+"""Bound certificates and CSV artifact emission.
 
-One run produces a ``BoundsReport`` (the Table-style row: upper and
-lower bound, gap, relative gap, welfare loss, wall-clock per phase,
-policy parameters, provenance) plus plottable artifacts:
+``build_report`` turns a bound pair into its certificate, a
+``BoundsReport``: the bounds, the lower bound's standard error, the
+signed gap upper - lower, the signed relative gap gap/|lower|, the
+status ``ordered`` or ``crossed`` that follows from the gap's sign, and
+the welfare loss of an ordered pair.  ``emit_csv`` writes it with the
+run that produced it (config, grid, policy, trace, simulation, clock):
 
-* ``bounds.csv``     one row with the bound summary and protocol sizes
+* ``bounds.csv``     one row: method, the certificate's numbers (an
+                     empty welfare-loss cell when crossed), the protocol
+                     sizes and the ``certificate`` status
 * ``vstar.csv``      optimized drift adjustment (t, v0, v_minus) at the
                      quadrature nodes
 * ``trace.csv``      optimizer incumbents (iteration, objective, start)
@@ -22,13 +27,12 @@ of report.txt (bounds.csv itself is bit-identical across repeat runs).
 from __future__ import annotations
 
 import csv
+import math
 import os
-from dataclasses import dataclass, field
-
-import numpy as np
+from dataclasses import dataclass
 
 from .closed_form import welfare_loss
-from .drift_policy import TablePolicy
+from .drift_policy import TablePolicy, evaluate
 from .errors import NumericalError, ValidationError
 
 __all__ = [
@@ -51,92 +55,68 @@ def _fmt(x: float) -> str:
     return format(float(x), ".17g")
 
 
-@dataclass
+@dataclass(frozen=True)
 class BoundsReport:
-    """Summary row for one (scenario, policy family) run."""
+    """The certificate of one bound pair (see ``build_report``)."""
 
-    method: str
-    activation: str | None
     upper_bound: float
     lower_bound: float
     lower_std_error: float
     duality_gap: float
     relative_gap: float
-    welfare_loss: float
-    wall_clock: dict[str, float] = field(default_factory=dict)
-    policy_params: tuple[float, ...] = ()
-    vstar_times: np.ndarray | None = None
-    vstar_v0: np.ndarray | None = None
-    vstar_v_minus: np.ndarray | None = None
-    provenance: dict[str, object] = field(default_factory=dict)
+    welfare_loss: float | None
+
+    @property
+    def certificate(self) -> str:
+        return "ordered" if self.duality_gap >= 0.0 else "crossed"
 
 
-def build_report(
-    *,
-    method: str,
-    activation: str | None,
-    upper_bound: float,
-    lower_bound: float,
-    lower_std_error: float,
-    gamma: float,
-    wall_clock: dict[str, float],
-    policy_params,
-    vstar_times,
-    vstar_v0,
-    vstar_v_minus,
-    provenance: dict[str, object],
-) -> BoundsReport:
-    """Assemble a report; derived columns are computed here so the
-    identities gap = |upper - lower| and relative gap = gap/|lower|
-    hold exactly in every artifact."""
-    if lower_bound > upper_bound + 3.0 * lower_std_error:
+def build_report(upper: float, lower: float, std_error: float, gamma: float) -> BoundsReport:
+    """Turn a bound pair into its certificate; no other code does.
+
+    The gap upper - lower and the relative gap gap/|lower| keep their
+    sign, so a pair whose lower bound lies above the upper one within
+    3 standard errors reads ``crossed``, with negative gaps and no
+    welfare loss.  Beyond 3 standard errors the pair certifies nothing
+    and a ``NumericalError`` is raised.
+    """
+    upper, lower, std_error = float(upper), float(lower), float(std_error)
+    if not all(map(math.isfinite, (upper, lower, std_error))):
+        raise NumericalError("non-finite bound or standard error")
+    if lower > upper + 3.0 * std_error:
         raise NumericalError(
             "lower bound exceeds upper bound beyond Monte Carlo error "
-            f"({_fmt(lower_bound)} > {_fmt(upper_bound)} + 3*{_fmt(lower_std_error)})"
+            f"({_fmt(lower)} > {_fmt(upper)} + 3*{_fmt(std_error)})"
         )
-    gap = abs(upper_bound - lower_bound)
-    if lower_bound == 0.0:
+    if lower == 0.0:
         raise ValidationError("relative gap undefined for a zero lower bound")
-    loss = welfare_loss(
-        upper=max(upper_bound, lower_bound),
-        lower=min(upper_bound, lower_bound),
-        gamma=gamma,
-    )
-    return BoundsReport(
-        method=method,
-        activation=activation,
-        upper_bound=float(upper_bound),
-        lower_bound=float(lower_bound),
-        lower_std_error=float(lower_std_error),
-        duality_gap=gap,
-        relative_gap=gap / abs(lower_bound),
-        welfare_loss=loss,
-        wall_clock=dict(wall_clock),
-        policy_params=tuple(float(p) for p in policy_params),
-        vstar_times=np.asarray(vstar_times, dtype=float),
-        vstar_v0=np.asarray(vstar_v0, dtype=float),
-        vstar_v_minus=np.asarray(vstar_v_minus, dtype=float),
-        provenance=dict(provenance),
-    )
+    gap = upper - lower
+    loss = welfare_loss(upper, lower, gamma) if gap >= 0.0 else None
+    return BoundsReport(upper, lower, std_error, gap, gap / abs(lower), loss)
 
 
-_BOUNDS_COLUMNS = (
-    "method",
-    "activation",
-    "upper_bound",
-    "lower_bound",
-    "lower_std_error",
-    "duality_gap",
-    "relative_gap",
-    "welfare_loss",
-    "seed",
-    "n_intervals",
-    "n_paths",
-    "n_steps",
-    "sobol_skip",
-    "num_starts",
-    "iterations_per_start",
-)
+def _provenance(cfg, sim) -> dict[str, object]:
+    from importlib import metadata
+
+    from . import __version__
+
+    return {
+        "code_version": __version__,
+        # the Sobol stream reads scipy's direction-number file
+        "numpy_version": metadata.version("numpy"),
+        "scipy_version": metadata.version("scipy"),
+        "preset": cfg.preset or "example1",
+        "seed": cfg.seed,
+        "n_intervals": cfg.n_intervals,
+        "n_paths": cfg.simulation.n_paths,
+        "n_steps": cfg.simulation.n_steps,
+        "sobol_skip": cfg.simulation.sobol_skip,
+        "num_starts": cfg.optimizer.num_starts,
+        "iterations_per_start": cfg.optimizer.iterations_per_start,
+        "policy_kind": cfg.policy_kind,
+        "activation": cfg.activation if cfg.policy_kind == "mlp" else "",
+        "budget_z": f"{sim.budget.z_score:.4f}",
+    }
 
 
 def _write_rows(path: str, header, rows) -> None:
@@ -149,40 +129,55 @@ def _write_rows(path: str, header, rows) -> None:
         raise ValidationError(f"cannot write {path}: {exc}") from None
 
 
-def emit_csv(report: BoundsReport, trajectories, trace, out_dir: str) -> list[str]:
-    """Write the artifact set into out_dir; returns the written paths.
+def emit_csv(report: BoundsReport, cfg, grid, policy, trace, sim, clock) -> list[str]:
+    """Write the artifact set into ``cfg.out_dir``; returns the written paths.
 
-    ``trajectories`` is the simulation result carrying the step times
-    and the mean wealth / face value / consumption curves; ``trace`` is
-    the optimizer trace with (start, iteration, incumbent) entries.
+    ``grid`` is the quadrature grid the fitted ``policy`` is tabulated
+    on, ``trace`` the optimizer trace, ``sim`` the simulation result
+    (step times, mean wealth / face value / consumption curves, budget
+    check) and ``clock`` the wall-clock seconds per phase.
     """
+    out_dir = cfg.out_dir
     os.makedirs(out_dir, exist_ok=True)
+    prov = _provenance(cfg, sim)
     paths = []
 
-    row = [
-        report.method,
-        report.activation or "",
-        _fmt(report.upper_bound),
-        _fmt(report.lower_bound),
-        _fmt(report.lower_std_error),
-        _fmt(report.duality_gap),
-        _fmt(report.relative_gap),
-        _fmt(report.welfare_loss),
-    ]
-    # the provenance columns follow the computed ones
-    row += [str(report.provenance.get(c, "")) for c in _BOUNDS_COLUMNS[len(row) :]]
+    # the certificate status comes last, so readers of the earlier
+    # columns by position keep working
+    loss = report.welfare_loss
+    bounds = {
+        "method": prov["policy_kind"],
+        "activation": prov["activation"],
+        "upper_bound": _fmt(report.upper_bound),
+        "lower_bound": _fmt(report.lower_bound),
+        "lower_std_error": _fmt(report.lower_std_error),
+        "duality_gap": _fmt(report.duality_gap),
+        "relative_gap": _fmt(report.relative_gap),
+        "welfare_loss": "" if loss is None else _fmt(loss),
+        **{
+            key: str(prov[key])
+            for key in (
+                "seed",
+                "n_intervals",
+                "n_paths",
+                "n_steps",
+                "sobol_skip",
+                "num_starts",
+                "iterations_per_start",
+            )
+        },
+        "certificate": report.certificate,
+    }
     bounds_path = os.path.join(out_dir, "bounds.csv")
-    _write_rows(bounds_path, _BOUNDS_COLUMNS, [row])
+    _write_rows(bounds_path, bounds.keys(), [bounds.values()])
     paths.append(bounds_path)
 
+    v0, vm = evaluate(policy, grid.nodes, horizon=cfg.scenario.T)
     vstar_path = os.path.join(out_dir, "vstar.csv")
     _write_rows(
         vstar_path,
         ("t", "v0", "v_minus"),
-        (
-            (_fmt(t), _fmt(a), _fmt(b))
-            for t, a, b in zip(report.vstar_times, report.vstar_v0, report.vstar_v_minus)
-        ),
+        ((_fmt(t), _fmt(a), _fmt(b)) for t, a, b in zip(grid.nodes, v0, vm)),
     )
     paths.append(vstar_path)
 
@@ -198,25 +193,22 @@ def emit_csv(report: BoundsReport, trajectories, trace, out_dir: str) -> list[st
     _write_rows(
         face_path,
         ("t", "mean_face_value"),
-        (
-            (_fmt(t), _fmt(fv))
-            for t, fv in zip(trajectories.times, trajectories.mean_face_value)
-        ),
+        ((_fmt(t), _fmt(fv)) for t, fv in zip(sim.times, sim.mean_face_value)),
     )
     paths.append(face_path)
 
     # wealth is recorded at all step boundaries, consumption only at the
     # left endpoints; the terminal row gets an empty consumption cell.
     wealth_path = os.path.join(out_dir, "wealth.csv")
-    cons = list(trajectories.mean_consumption) + [None] * (
-        len(trajectories.times) - len(trajectories.mean_consumption)
+    cons = list(sim.mean_consumption) + [None] * (
+        len(sim.times) - len(sim.mean_consumption)
     )
     _write_rows(
         wealth_path,
         ("t", "mean_wealth", "mean_consumption"),
         (
             (_fmt(t), _fmt(w), "" if c is None else _fmt(c))
-            for t, w, c in zip(trajectories.times, trajectories.mean_wealth, cons)
+            for t, w, c in zip(sim.times, sim.mean_wealth, cons)
         ),
     )
     paths.append(wealth_path)
@@ -224,38 +216,41 @@ def emit_csv(report: BoundsReport, trajectories, trace, out_dir: str) -> list[st
     report_path = os.path.join(out_dir, "report.txt")
     try:
         with open(report_path, "w", encoding="utf-8") as fh:
-            fh.write(_render_text(report, trace))
+            fh.write(_render_text(report, prov, policy, trace, clock))
     except OSError as exc:
         raise ValidationError(f"cannot write {report_path}: {exc}") from None
     paths.append(report_path)
     return paths
 
 
-def _render_text(report: BoundsReport, trace) -> str:
+def _render_text(report: BoundsReport, prov, policy, trace, clock) -> str:
+    activation = prov["activation"]
     lines = [
         "life-cycle duality bounds",
         "=========================",
-        f"method:            {report.method}"
-        + (f" ({report.activation})" if report.activation else ""),
+        f"method:            {prov['policy_kind']}"
+        + (f" ({activation})" if activation else ""),
         f"upper bound:       {_fmt(report.upper_bound)}",
         f"lower bound:       {_fmt(report.lower_bound)}",
         f"lower std error:   {_fmt(report.lower_std_error)}",
+        f"certificate:       {report.certificate}",
         f"duality gap:       {_fmt(report.duality_gap)}",
         f"relative gap:      {_fmt(100.0 * report.relative_gap)} %",
-        f"welfare loss:      {_fmt(100.0 * report.welfare_loss)} %",
-        "",
-        "wall clock [s]:",
     ]
-    for phase, seconds in report.wall_clock.items():
+    if report.welfare_loss is not None:
+        lines.append(f"welfare loss:      {_fmt(100.0 * report.welfare_loss)} %")
+    lines.append("")
+    lines.append("wall clock [s]:")
+    for phase, seconds in clock.items():
         lines.append(f"  {phase:<12} {seconds:.3f}")
     lines.append("")
     lines.append("provenance:")
-    for key in sorted(report.provenance):
-        lines.append(f"  {key} = {report.provenance[key]}")
+    for key in sorted(prov):
+        lines.append(f"  {key} = {prov[key]}")
     lines.append(f"  {_NORMALS_NOTE}")
     lines.append("")
     lines.append("policy parameters:")
-    lines.append("  " + ", ".join(_fmt(p) for p in report.policy_params))
+    lines.append("  " + ", ".join(_fmt(p) for p in policy.params))
     lines.append("")
     lines.append("optimizer starts (scipy outcome; |grad| at the final point):")
     for start, (final, outcome) in enumerate(zip(trace.per_start_final, trace.outcomes)):

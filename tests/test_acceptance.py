@@ -32,7 +32,6 @@ from lifedual.closed_form import (
     origin_upper_bound,
     precompute_aggregates,
     upper_bound,
-    welfare_loss,
 )
 from lifedual.drift_policy import init_params, make_policy
 from lifedual.lower_bound import SimulationConfig, simulate_candidate_value
@@ -40,6 +39,7 @@ from lifedual.market import preset_scenario
 from lifedual.mortality import MortalityModel
 from lifedual.optimizer import OptimizerConfig, minimize_upper_bound
 from lifedual.quadrature import UniformGrid
+from lifedual.report import build_report
 
 N_INTERVALS = 100
 OPT = OptimizerConfig(num_starts=5, iterations_per_start=50)
@@ -64,7 +64,9 @@ def _desk_run(preset: str, kind: str, activation: str = "relu"):
         upper=upper,
         lower=lower,
         std_error=sim.std_error,
-        relative_gap=abs(upper - lower) / abs(lower),
+        relative_gap=build_report(
+            upper, lower, sim.std_error, scenario.gamma
+        ).relative_gap,
         sim=sim,
         runtime=runtime,
     )
@@ -179,8 +181,9 @@ def test_criterion_03_example2_activation_ordering(ex2_runs):
 
 
 def test_criterion_04_welfare_loss_arithmetic():
-    loss1 = welfare_loss(-8.4850600, -8.5064352, 1.5)
-    loss2 = welfare_loss(-8.3259363, -8.3489955, 1.5)
+    # the published pairs are ordered, so their certificates carry a loss
+    loss1 = build_report(-8.4850600, -8.5064352, 0.0, 1.5).welfare_loss
+    loss2 = build_report(-8.3259363, -8.3489955, 0.0, 1.5).welfare_loss
     ok1 = abs(loss1 - 0.005019) <= 1e-6
     ok2 = abs(loss2 - 0.005516) <= 1e-6
     _verdict(

@@ -11,6 +11,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import lifedual
 import lifedual.cli
@@ -162,41 +164,43 @@ def test_build_run_config_unknown_keys():
 
 
 def test_build_report_identities():
-    rep = build_report(
-        method="affine",
-        activation=None,
-        upper_bound=-8.0,
-        lower_bound=-8.2,
-        lower_std_error=0.01,
-        gamma=1.5,
-        wall_clock={"total": 1.0},
-        policy_params=(0.0,) * 8,
-        vstar_times=[0.0, 50.0],
-        vstar_v0=[0.0, 0.0],
-        vstar_v_minus=[0.0, 0.0],
-        provenance={"seed": 0},
-    )
-    assert rep.duality_gap == abs(rep.upper_bound - rep.lower_bound)
+    rep = build_report(-8.0, -8.2, 0.01, 1.5)
+    assert rep.duality_gap == rep.upper_bound - rep.lower_bound > 0
     assert rep.relative_gap == rep.duality_gap / abs(rep.lower_bound)
+    assert rep.certificate == "ordered"
     assert rep.welfare_loss == welfare_loss(-8.0, -8.2, 1.5)
+    # crossed within 3 s.e.: the gaps keep their sign, no welfare loss
+    crossed = build_report(-8.2, -8.19, 0.01, 1.5)
+    assert crossed.duality_gap == -8.2 - -8.19 < 0
+    assert crossed.relative_gap == crossed.duality_gap / 8.19
+    assert crossed.certificate == "crossed" and crossed.welfare_loss is None
 
 
 def test_build_report_rejects_crossed_bounds():
     with pytest.raises(NumericalError):
-        build_report(
-            method="affine",
-            activation=None,
-            upper_bound=-9.0,
-            lower_bound=-8.0,
-            lower_std_error=0.001,
-            gamma=1.5,
-            wall_clock={},
-            policy_params=(),
-            vstar_times=[0.0],
-            vstar_v0=[0.0],
-            vstar_v_minus=[0.0],
-            provenance={},
-        )
+        build_report(-9.0, -8.0, 0.001, 1.5)
+    with pytest.raises(NumericalError, match="non-finite"):
+        build_report(-9.0, float("nan"), 0.001, 1.5)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    upper=st.floats(-1e6, -1e-6),
+    lower=st.floats(-1e6, -1e-6),
+    std_error=st.floats(0.0, 10.0),
+    gamma=st.floats(1.01, 10.0),
+)
+def test_build_report_certificate_property(upper, lower, std_error, gamma):
+    try:
+        rep = build_report(upper, lower, std_error, gamma)
+    except NumericalError:
+        assert lower > upper + 3.0 * std_error
+        return
+    numbers = dataclasses.astuple(rep)
+    assert all(np.isfinite(x) for x in numbers if x is not None)
+    assert rep.duality_gap == upper - lower
+    assert rep.certificate == ("ordered" if upper >= lower else "crossed")
+    assert (rep.welfare_loss is None) == (lower > upper)
 
 
 def test_vstar_round_trip_reproduces_the_bound(tmp_path):
@@ -207,22 +211,9 @@ def test_vstar_round_trip_reproduces_the_bound(tmp_path):
     sim = simulate_candidate_value(
         sc, g, policy, SimulationConfig(n_paths=256, n_steps=50)
     )
-    v0, vm = policy(g.grid.nodes)
-    rep = build_report(
-        method="affine",
-        activation=None,
-        upper_bound=trace.best_objective,
-        lower_bound=sim.value,
-        lower_std_error=sim.std_error,
-        gamma=sc.gamma,
-        wall_clock={},
-        policy_params=policy.params,
-        vstar_times=g.grid.nodes,
-        vstar_v0=v0,
-        vstar_v_minus=vm,
-        provenance={"seed": 2},
-    )
-    paths = emit_csv(rep, sim, trace, str(tmp_path))
+    rep = build_report(trace.best_objective, sim.value, sim.std_error, sc.gamma)
+    run = RunConfig(scenario=sc, n_intervals=50, out_dir=str(tmp_path), seed=2)
+    paths = emit_csv(rep, run, g.grid, policy, trace, sim, {})
     vstar_path = [p for p in paths if p.endswith("vstar.csv")][0]
     table = read_vstar_csv(vstar_path)
     # the bound only reads the adjustment at the grid nodes, and 17
@@ -257,12 +248,15 @@ def test_cli_run_writes_wellformed_artifacts(tmp_path):
         "relative_gap",
         "welfare_loss",
     ]
+    assert header[-1] == "certificate"
     assert len(rows) == 1
     row = dict(zip(header, rows[0]))
     upper, lower = float(row["upper_bound"]), float(row["lower_bound"])
     assert lower <= upper + 3.0 * float(row["lower_std_error"])
-    assert float(row["duality_gap"]) == abs(upper - lower)
-    assert float(row["relative_gap"]) == abs(upper - lower) / abs(lower)
+    assert float(row["duality_gap"]) == upper - lower
+    assert float(row["relative_gap"]) == (upper - lower) / abs(lower)
+    assert row["certificate"] == ("ordered" if upper >= lower else "crossed")
+    assert (row["welfare_loss"] == "") == (row["certificate"] == "crossed")
     assert row["seed"] == "0" and row["n_paths"] == "4096"
 
     _, vrows = _read_csv(out / "vstar.csv")
@@ -293,6 +287,41 @@ def test_cli_run_is_deterministic(tmp_path):
     a = (tmp_path / "a" / "bounds.csv").read_bytes()
     b = (tmp_path / "b" / "bounds.csv").read_bytes()
     assert a == b
+
+
+def test_cli_run_reports_a_crossed_certificate(tmp_path, monkeypatch, capsys):
+    # a lower bound above the upper one, but within 3 s.e., is reported
+    # as a crossed certificate: signed gaps, no welfare loss, exit 0
+    minimize = lifedual.cli.minimize_upper_bound
+    simulate = lifedual.cli.simulate_candidate_value
+    fitted = {}
+
+    def fit(*args, **kwargs):
+        policy, trace = minimize(*args, **kwargs)
+        fitted["upper"] = trace.best_objective
+        return policy, trace
+
+    def crossed(scenario, g, policy, config):
+        sim = simulate(scenario, g, policy, config)
+        return dataclasses.replace(sim, value=fitted["upper"] + 0.5 * sim.std_error)
+
+    monkeypatch.setattr(lifedual.cli, "minimize_upper_bound", fit)
+    monkeypatch.setattr(lifedual.cli, "simulate_candidate_value", crossed)
+    cfg = _write(tmp_path, "run.cfg", SMALL_RUN_CFG)
+    out = tmp_path / "out"
+    assert main(["run", "--config", cfg, "--out", str(out), "--seed", "0"]) == 0
+    stdout = capsys.readouterr().out
+    assert "certificate   crossed\n" in stdout and "welfare loss" not in stdout
+
+    header, rows = _read_csv(out / "bounds.csv")
+    row = dict(zip(header, rows[0]))
+    assert float(row["upper_bound"]) == fitted["upper"]
+    assert row["certificate"] == "crossed" and row["welfare_loss"] == ""
+    assert float(row["duality_gap"]) < 0 and float(row["relative_gap"]) < 0
+    text = (out / "report.txt").read_text(encoding="utf-8")
+    assert "certificate:       crossed\n" in text and "welfare loss" not in text
+    for path in out.iterdir():
+        assert not re.search(r"\bnan\b", path.read_text(encoding="utf-8"), re.I), path.name
 
 
 def test_cli_validate_exit_codes(tmp_path, capsys):

@@ -12,7 +12,6 @@ from lifedual.drift_policy import (
     MlpPolicy,
     TablePolicy,
     evaluate,
-    flatten,
     init_params,
     make_policy,
     snake,
@@ -118,14 +117,14 @@ def test_init_params_deterministic_and_scaled():
         init_params("table", 0)
 
 
-def test_flatten_make_policy_round_trip():
+def test_params_make_policy_round_trip():
     p = init_params("mlp", 5)
     pol = make_policy("mlp", p, activation="snake", snake_a=7.0)
-    assert np.array_equal(flatten(pol), p)
+    assert np.array_equal(pol.params, p)
     assert pol.snake_a == 7.0
     q = init_params("affine", 5)
     aff = make_policy("affine", q, t_retire=20.0)
-    assert np.array_equal(flatten(aff), q)
+    assert np.array_equal(aff.params, q)
     with pytest.raises(ValidationError):
         make_policy("affine", q)  # breakpoint required
     with pytest.raises(ValidationError):
