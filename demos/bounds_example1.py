@@ -35,12 +35,13 @@ print(
     f"gamma={scenario.gamma:g} T_R={scenario.T_R:g} T={scenario.T:g}"
 )
 
+# g carries the scenario and grid; every bound below reads them from it
 g = compute_g(scenario, UniformGrid(0.0, scenario.T, N_INTERVALS))
 print(f"bequest multiplier g(0) = {g(0.0):.6f}")
 
 # Upper bound: minimize the closed-form dual value over affine policies.
 t0 = time.perf_counter()
-policy, trace = minimize_upper_bound(scenario, g, "affine", OPT, seed=0)
+policy, trace = minimize_upper_bound(g, "affine", OPT, seed=0)
 upper = trace.best_objective
 print(
     f"upper bound   J~   = {upper:.7f}  "
@@ -49,7 +50,7 @@ print(
 
 # Lower bound: run the induced strategy on quasi-Monte Carlo paths.
 t0 = time.perf_counter()
-sim = simulate_candidate_value(scenario, g, policy, SIM)
+sim = simulate_candidate_value(g, policy, SIM)
 print(
     f"lower bound   Jbar = {sim.value:.7f} +- {sim.std_error:.1e}  "
     f"({SIM.n_paths} paths x {SIM.n_steps} steps, {time.perf_counter() - t0:.1f}s)"
@@ -80,9 +81,7 @@ print(
 # is the trapezoid mismatch eps = max|g/F2~ - 1| of the zero adjustment,
 # taken per phase (working life and retirement).  Only values beyond
 # twice that share of mean wealth carry a sign.
-zero = precompute_aggregates(
-    scenario, g, make_policy("affine", np.zeros(8), t_retire=scenario.T_R)
-)
+zero = precompute_aggregates(g, make_policy("affine", np.zeros(8), t_retire=scenario.T_R))
 mismatch = np.abs(zero.g / zero.tilde_f2 - 1.0)
 node_working = g.grid.nodes < scenario.T_R
 eps_working, eps_retired = mismatch[node_working].max(), mismatch[~node_working].max()

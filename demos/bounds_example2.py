@@ -50,10 +50,8 @@ print(
 )
 for label, kind, act in FAMILIES:
     t0 = time.perf_counter()
-    policy, trace = minimize_upper_bound(
-        scenario, g, kind, OPT, seed=0, activation=act or "relu"
-    )
-    sim = simulate_candidate_value(scenario, g, policy, SIM)
+    policy, trace = minimize_upper_bound(g, kind, OPT, seed=0, activation=act or "relu")
+    sim = simulate_candidate_value(g, policy, SIM)
     rep = build_report(trace.best_objective, sim.value, sim.std_error, scenario.gamma)
     results[label] = (policy, rep)
     loss = "-" if rep.welfare_loss is None else f"{100 * rep.welfare_loss:.3f}%"

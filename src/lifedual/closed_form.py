@@ -29,12 +29,16 @@ Every inner integral ∫_0^{s-t} q(s-u) du equals a difference of prefix
 integrals Q(s) - Q(t) on one shared grid, so all aggregate curves come
 out of cumulative-trapezoid tables in O(n).  The policy-independent
 node curves (survival, r, mu, sigma, 1 + lam g) are built once per
-grid with g.  ``precompute_aggregates`` is the one forward pass over
-these tables: the optimizer's objective J~(0, W0, Y0) reads its node
-0, the exact gradient with respect to the adjustment at the nodes is
-one reverse (adjoint) pass back through it, both O(n), and
-``upper_bound`` reads node 0 of the same pass on a grid anchored at t
-(same cost), which keeps finite-difference HJB verification clean.
+grid with g by ``compute_g(scenario, grid)``, whose ``GFunction`` is
+the problem handle: it carries the scenario and grid, so no entry
+point below takes a scenario beside it.  ``precompute_aggregates(g,
+policy)`` is the one forward pass over these tables: the optimizer's
+objective ``origin_upper_bound(g, policy)`` = J~(0, W0, Y0) reads its
+node 0, the exact gradient with respect to the adjustment at the nodes
+is one reverse (adjoint) pass back through it, both O(n), and
+``upper_bound(g, policy, t, W, Y)`` reads node 0 of the same pass on a
+g anchored at t (same cost), which keeps finite-difference HJB
+verification clean.
 The simulator instead interpolates the curves linearly (documented
 fast path, error O(h^2), consistent with the trapezoid order).
 
@@ -94,7 +98,9 @@ def crra_utility(c, gamma: float):
 class GFunction:
     """g(t) on a grid; g(T) = 1 exactly and g > 0 everywhere.
 
-    Calling interpolates linearly between nodes (exact at nodes).  The
+    Also the problem handle: ``scenario`` and ``grid`` are the instance
+    every bound, the optimizer and the path pass read.  Calling
+    interpolates linearly between nodes (exact at nodes).  The
     remaining fields are the policy-independent node curves that every
     aggregate pass on this grid reads: the survival weight relative to
     the grid start (exact Gompertz exponent), the market coefficients
@@ -121,11 +127,13 @@ def compute_g(scenario: MarketScenario, grid: UniformGrid) -> GFunction:
     The integrand e^{-(dt~/g)(s-t)} F_B(s-t, s) factors into
     bnode(s)/bnode(t) with bnode(s) = exp(-∫_{t0}^s rate_B), so one
     cumulative table yields g at every node; the terminal node comes
-    out exactly 1.
+    out exactly 1.  The grid must end at the horizon T, where g = 1.
     """
     gam = scenario.gamma
     if gam == 1.0:
         raise ValidationError("gamma = 1 is outside the implemented utility branch")
+    if grid.t_end != scenario.T:
+        raise ValidationError("g needs a grid ending at the horizon T")
     s = grid.nodes
     k0 = np.asarray(kappa(scenario, s))
     rate_b = (
@@ -191,50 +199,33 @@ class DualAggregates:
         return g, f2, ann, kv
 
 
-def precompute_aggregates(
-    scenario: MarketScenario,
-    g: GFunction,
-    policy,
-    grid: UniformGrid | None = None,
-) -> DualAggregates:
-    """Build the aggregate curves for one policy.
+def precompute_aggregates(g: GFunction, policy) -> DualAggregates:
+    """Build the aggregate curves for one policy on ``g``'s grid.
 
-    Reuses ``g`` and its node curves when the grids coincide, otherwise
-    recomputes them on the requested grid (same machinery, so node
-    values stay exact).  Both curves are prefix quotients:
+    Reads the scenario, the grid and the policy-independent node curves
+    from ``g``.  Both curves are prefix quotients:
     F2~(t) = (c2[n] - c2(t) + surv[n] f3node[n]) / (surv(t) f3node(t))
     with c2 the prefix integral of e2 = surv (1 + lam g) f3node, and
     ann(t) = (c1(T_R) - c1(t)) / e1(t) with c1 that of e1 = surv f1node,
     so every curve costs O(n).
     """
-    if grid is None:
-        grid = g.grid
-    if scenario.gamma == 1.0:
-        raise ValidationError("gamma = 1 is outside the implemented utility branch")
-    if grid is g.grid or (
-        grid.t_start == g.grid.t_start
-        and grid.t_end == g.grid.t_end
-        and grid.n_intervals == g.grid.n_intervals
-    ):
-        curves = g
-    else:
-        curves = compute_g(scenario, grid)
-
+    scenario = g.scenario
+    grid = g.grid
     s = grid.nodes
     v0, vm = evaluate_policy(policy, s, horizon=scenario.T)
     v0 = np.broadcast_to(np.asarray(v0, dtype=float), s.shape)
     vm = np.broadcast_to(np.asarray(vm, dtype=float), s.shape)
     gam = scenario.gamma
-    surv = curves.survival
+    surv = g.survival
     # kappa() on the stored curves
-    kv = -(curves.mu + vm - (curves.r + v0)) / curves.sigma
-    r_v = curves.r + v0
+    kv = -(g.mu + vm - (g.r + v0)) / g.sigma
+    r_v = g.r + v0
     with np.errstate(divide="ignore", invalid="ignore", over="ignore", under="ignore"):
         rate3 = scenario.delta_tilde / gam + (gam - 1.0) / gam * r_v + 0.5 * (
             gam - 1.0
         ) / gam**2 * kv**2
         f3node = np.exp(-prefix_trapezoid(rate3, grid))
-        c2 = prefix_trapezoid(surv * curves.bequest_factor * f3node, grid)
+        c2 = prefix_trapezoid(surv * g.bequest_factor * f3node, grid)
         tilde_f2 = (c2[-1] - c2 + surv[-1] * f3node[-1]) / (surv * f3node)
 
         # income annuity: integrate F_1 up to T_R (empty past retirement)
@@ -252,7 +243,7 @@ def precompute_aggregates(
         grid=grid,
         scenario=scenario,
         kappa_v=kv,
-        g=np.asarray(curves.values),
+        g=g.values,
         tilde_f2=tilde_f2,
         income_annuity=ann,
         f3node=f3node,
@@ -273,7 +264,6 @@ def _value(agg: DualAggregates, W, Y):
 
 
 def upper_bound(
-    scenario: MarketScenario,
     g: GFunction,
     policy,
     t: float,
@@ -283,14 +273,16 @@ def upper_bound(
 ) -> float:
     """Upper bound J~(t, W, Y) = u(W + Y ann(t)) F2~(t)^gamma, t in [0, T].
 
-    Aggregates are rebuilt on a grid anchored at t (``n_intervals``
-    cells, default that of ``g``), so the value is a smooth function of
-    t (no interpolation kinks) — the property the finite-difference HJB
-    verifier relies on.  From T_R on the income annuity is empty, so Y
-    drops out and the value is the retirement value V_R(t, W); at t = T
-    F2~ = 1 and it reduces to the terminal utility u(W).  Negative for
-    gamma > 1 (power utility is bounded above by 0).
+    Aggregates are rebuilt for g's scenario on a grid anchored at t
+    (``n_intervals`` cells, default that of ``g``), so the value is a
+    smooth function of t (no interpolation kinks) — the property the
+    finite-difference HJB verifier relies on.  From T_R on the income
+    annuity is empty, so Y drops out and the value is the retirement
+    value V_R(t, W); at t = T F2~ = 1 and it reduces to the terminal
+    utility u(W).  Negative for gamma > 1 (power utility is bounded
+    above by 0).
     """
+    scenario = g.scenario
     if not 0 <= t <= scenario.T:
         raise ValidationError("upper-bound value requires t in [0, T]")
     if W <= 0:
@@ -298,28 +290,29 @@ def upper_bound(
     if Y < 0:
         raise ValidationError("Y must be nonnegative")
     n = n_intervals if n_intervals is not None else g.grid.n_intervals
-    agg = precompute_aggregates(scenario, g, policy, UniformGrid(float(t), scenario.T, n))
-    return _value(agg, W, Y)[0]
+    anchored = compute_g(scenario, UniformGrid(float(t), scenario.T, n))
+    return _value(precompute_aggregates(anchored, policy), W, Y)[0]
 
 
-def _origin_aggregates(scenario: MarketScenario, g: GFunction, policy) -> DualAggregates:
+def _origin_aggregates(g: GFunction, policy) -> DualAggregates:
+    """Aggregates for the initial state: the objective's and the path pass's."""
     if g.grid.t_start != 0.0:
-        raise ValidationError("objective evaluation expects a grid starting at 0")
-    return precompute_aggregates(scenario, g, policy)
+        raise ValidationError("initial-state aggregates need a grid starting at 0")
+    return precompute_aggregates(g, policy)
 
 
-def origin_upper_bound(scenario: MarketScenario, g: GFunction, policy) -> float:
+def origin_upper_bound(g: GFunction, policy) -> float:
     """J~ at the initial state (t=0, W0, Y0) on the shared grid.
 
     This is the optimizer's objective: node 0 of the aggregate curves,
     where the prefix quotients are exactly conditioned, so it is
     finite for every nonnegative adjustment.
     """
-    agg = _origin_aggregates(scenario, g, policy)
-    return _value(agg, scenario.W0, scenario.Y0)[0]
+    agg = _origin_aggregates(g, policy)
+    return _value(agg, g.scenario.W0, g.scenario.Y0)[0]
 
 
-def origin_upper_bound_and_gradient(scenario: MarketScenario, g: GFunction, policy):
+def origin_upper_bound_and_gradient(g: GFunction, policy):
     """J~(0, W0, Y0) and its exact gradient in the adjustment at the nodes.
 
     Returns ``(value, dJ/dv0, dJ/dv_minus)``, the last two as arrays
@@ -333,7 +326,8 @@ def origin_upper_bound_and_gradient(scenario: MarketScenario, g: GFunction, poli
     and rate1(r + v0, kappa_v).  At t = 0 the denominators surv[0],
     f3node[0] and e1[0] are exactly 1 and do not depend on v.
     """
-    agg = _origin_aggregates(scenario, g, policy)
+    scenario = g.scenario
+    agg = _origin_aggregates(g, policy)
     value, f2, f3 = _value(agg, scenario.W0, scenario.Y0)
     gam = scenario.gamma
     grid = g.grid

@@ -24,7 +24,6 @@ from dataclasses import dataclass, replace
 from .errors import ValidationError
 from .lower_bound import SimulationConfig
 from .market import CoefficientCurve, MarketScenario, preset_scenario
-from .mortality import MortalityModel
 from .optimizer import OptimizerConfig
 
 __all__ = ["RunConfig", "parse_kv_file", "build_run_config", "DESK_SCALE"]
@@ -105,11 +104,22 @@ def _number(key: str, text: str, kind=float):
     return value
 
 
-def _pop_float(kv, key, default):
-    return _number(key, kv.pop(key)) if key in kv else default
-
-
 # config key -> (dataclass field, type); unset keys keep the field default
+_MORTALITY_KEYS = {
+    "mortality.initial_age": ("x", float),
+    "mortality.modal_age": ("m", float),
+    "mortality.dispersion": ("b", float),
+}
+_SCENARIO_KEYS = {
+    "scenario.mu_y": ("mu_Y", float),
+    "scenario.sigma_y": ("sigma_Y", float),
+    "scenario.y0": ("Y0", float),
+    "scenario.w0": ("W0", float),
+    "scenario.gamma": ("gamma", float),
+    "scenario.delta_tilde": ("delta_tilde", float),
+    "scenario.t_retire": ("T_R", float),
+    "scenario.horizon": ("T", float),
+}
 _OPTIMIZER_KEYS = {
     "opt.num_starts": ("num_starts", int),
     "opt.iterations_per_start": ("iterations_per_start", int),
@@ -203,26 +213,11 @@ def build_run_config(
         )
     base = preset_scenario(preset_name or "example1")
 
-    mortality = MortalityModel(
-        x=_pop_float(kv, "mortality.initial_age", base.mortality.x),
-        m=_pop_float(kv, "mortality.modal_age", base.mortality.m),
-        b=_pop_float(kv, "mortality.dispersion", base.mortality.b),
-    )
-    scenario = replace(
-        base,
-        r=_pop_curve(kv, "r", base.r),
-        mu=_pop_curve(kv, "mu", base.mu),
-        sigma=_pop_curve(kv, "sigma", base.sigma),
-        mu_Y=_pop_float(kv, "scenario.mu_y", base.mu_Y),
-        sigma_Y=_pop_float(kv, "scenario.sigma_y", base.sigma_Y),
-        Y0=_pop_float(kv, "scenario.y0", base.Y0),
-        W0=_pop_float(kv, "scenario.w0", base.W0),
-        gamma=_pop_float(kv, "scenario.gamma", base.gamma),
-        delta_tilde=_pop_float(kv, "scenario.delta_tilde", base.delta_tilde),
-        T_R=_pop_float(kv, "scenario.t_retire", base.T_R),
-        T=_pop_float(kv, "scenario.horizon", base.T),
-        mortality=mortality,
-    )
+    # read order (mortality, curves, scalars) fixes which bad value is reported first
+    mortality = replace(base.mortality, **_pop_fields(kv, _MORTALITY_KEYS))
+    curves = {name: _pop_curve(kv, name, getattr(base, name)) for name in ("r", "mu", "sigma")}
+    scalars = _pop_fields(kv, _SCENARIO_KEYS)
+    scenario = replace(base, **curves, **scalars, mortality=mortality)
 
     file_seed = kv.pop("seed", None)
     if seed is None and file_seed is not None:

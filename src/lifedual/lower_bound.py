@@ -18,6 +18,8 @@ paths,
 
 is a genuine lower bound for the problem value (weak duality), so the
 pair (Jbar, J~) certifies the duality gap.
+``simulate_candidate_value(g, policy, config)`` estimates it for the
+problem that ``g`` carries, the same handle the upper bound reads.
 
 Paths are driven by a Sobol sequence: one point of dimension n_steps
 per path, mapped to normals by the inverse CDF, with a configurable
@@ -65,9 +67,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .closed_form import GFunction, feedback_controls, precompute_aggregates
+from .closed_form import GFunction, _origin_aggregates, feedback_controls
 from .errors import NumericalError, ValidationError
-from .market import MarketScenario
 
 __all__ = [
     "SimulationConfig",
@@ -298,7 +299,6 @@ def _in_two_processes(here: Callable[[], None], forked: Callable[[], None]) -> N
 
 
 def simulate_candidate_value(
-    scenario: MarketScenario,
     g: GFunction,
     policy,
     config: SimulationConfig,
@@ -306,11 +306,13 @@ def simulate_candidate_value(
 ) -> SimulationResult:
     """Estimate Jbar for the candidate strategy induced by ``policy``.
 
-    Controls are recomputed each step from the current state via the
-    feedback formulas on linearly interpolated aggregate curves.  The
-    optional ``controls_override(t, W, Y) -> (theta, c, M)`` replaces
-    the feedback rule (used to exercise alternative feasible recipes);
-    the liquidity truncation still applies on the zero-wealth boundary.
+    ``g`` carries the scenario and a grid starting at 0, on which the
+    aggregate curves are built once.  Controls are recomputed each
+    step from the current state via the feedback formulas on linearly
+    interpolated aggregate curves.  The optional
+    ``controls_override(t, W, Y) -> (theta, c, M)`` replaces the
+    feedback rule (used to exercise alternative feasible recipes); the
+    liquidity truncation still applies on the zero-wealth boundary.
 
     The same pass simulates log ksi_v (left-endpoint Euler increments)
     and evaluates the closed-form optimal streams
@@ -341,12 +343,13 @@ def simulate_candidate_value(
     a low-discrepancy stream), mean trajectories of wealth, face value
     M* - W, and consumption, and the two dual checks.
     """
+    scenario = g.scenario
     gam = scenario.gamma
     mort = scenario.mortality
     n_paths = config.n_paths
     n_steps = config.n_steps
     dt = scenario.T / n_steps
-    agg = precompute_aggregates(scenario, g, policy, g.grid)
+    agg = _origin_aggregates(g, policy)
     t_nodes = np.arange(n_steps + 1) * dt
     g_n, f2_n, ann_n, kv_n = agg.interp_curves(t_nodes)
     if not all(np.all(np.isfinite(a)) for a in (g_n, f2_n, ann_n, kv_n)):

@@ -52,21 +52,20 @@ def _desk_run(preset: str, kind: str, activation: str = "relu"):
     g = compute_g(scenario, UniformGrid(0.0, scenario.T, N_INTERVALS))
     t0 = time.perf_counter()
     policy, trace = minimize_upper_bound(
-        scenario, g, kind, OPT, seed=0, activation=activation
+        g, kind, OPT, seed=0, activation=activation
     )
-    sim = simulate_candidate_value(scenario, g, policy, SIM)
+    sim = simulate_candidate_value(g, policy, SIM)
     runtime = time.perf_counter() - t0
-    upper, lower = trace.best_objective, sim.value
+    report = build_report(trace.best_objective, sim.value, sim.std_error, scenario.gamma)
     return SimpleNamespace(
         scenario=scenario,
         g=g,
         policy=policy,
-        upper=upper,
-        lower=lower,
-        std_error=sim.std_error,
-        relative_gap=build_report(
-            upper, lower, sim.std_error, scenario.gamma
-        ).relative_gap,
+        upper=report.upper_bound,
+        lower=report.lower_bound,
+        std_error=report.lower_std_error,
+        relative_gap=report.relative_gap,
+        report=report,
         sim=sim,
         runtime=runtime,
     )
@@ -82,7 +81,7 @@ def ex1_zero(ex1_affine):
     """The zero adjustment (unconstrained market) on the same normal stream."""
     r = ex1_affine
     zero = make_policy("affine", np.zeros(8), t_retire=r.scenario.T_R)
-    return zero, simulate_candidate_value(r.scenario, r.g, zero, SIM)
+    return zero, simulate_candidate_value(r.g, zero, SIM)
 
 
 @pytest.fixture(scope="module")
@@ -152,14 +151,19 @@ def test_criterion_02_example1_network_parity(ex1_affine, ex1_relu):
     diff = abs(ex1_relu.upper - ex1_affine.upper)
     parity_ok = diff <= 0.005
     gap_ok = ex1_relu.relative_gap <= 0.005
+    # a crossed pair has a negative gap, so the gap bound alone would pass it
+    certs = {k: r.report.certificate for k, r in (("affine", ex1_affine), ("relu", ex1_relu))}
+    cert_ok = all(c == "ordered" for c in certs.values())
     _verdict(
         2,
-        parity_ok and gap_ok,
+        parity_ok and gap_ok and cert_ok,
         f"ReLU upper {ex1_relu.upper:.7f} vs affine {ex1_affine.upper:.7f} "
         f"(|diff| {diff:.5f} ≤ 0.005: {'ok' if parity_ok else 'off'}), "
-        f"relative gap {100 * ex1_relu.relative_gap:.4f}% (≤0.5%: {'ok' if gap_ok else 'off'})",
+        f"relative gap {100 * ex1_relu.relative_gap:.4f}% (≤0.5%: {'ok' if gap_ok else 'off'}), "
+        f"certificates affine {certs['affine']}, relu {certs['relu']} "
+        f"(ordered: {'ok' if cert_ok else 'off'})",
     )
-    assert parity_ok and gap_ok
+    assert parity_ok and gap_ok and cert_ok
 
 
 def test_criterion_03_example2_activation_ordering(ex2_runs):
@@ -167,17 +171,21 @@ def test_criterion_03_example2_activation_ordering(ex2_runs):
     order_ok = gaps["snake"] < gaps["relu"] < gaps["affine"]
     snake_ok = gaps["snake"] <= 0.006
     affine_ok = gaps["affine"] >= 0.012
+    # a crossed run's negative gap would sort first and pass the ordering
+    crossed = [k for k, r in ex2_runs.items() if r.report.certificate != "ordered"]
+    cert_ok = not crossed
     _verdict(
         3,
-        order_ok and snake_ok and affine_ok,
+        order_ok and snake_ok and affine_ok and cert_ok,
         "relative gaps affine {affine:.4%}, relu {relu:.4%}, snake {snake:.4%}".format(
             **gaps
         )
         + f" (snake<relu<affine: {'ok' if order_ok else 'off'}, "
         f"snake≤0.6%: {'ok' if snake_ok else 'off'}, "
-        f"affine≥1.2%: {'ok' if affine_ok else 'off'})",
+        f"affine≥1.2%: {'ok' if affine_ok else 'off'}, "
+        f"all ordered: {'ok' if cert_ok else 'off, crossed ' + ', '.join(crossed)})",
     )
-    assert order_ok and snake_ok and affine_ok
+    assert order_ok and snake_ok and affine_ok and cert_ok
 
 
 def test_criterion_04_welfare_loss_arithmetic():
@@ -202,8 +210,8 @@ def test_criterion_05_hjb_residual_suite():
     t0 = time.perf_counter()
 
     bequest = lambda t, W: crra_utility(W, 1.5) * g_value(scenario, t, 400) ** 1.5
-    retire = lambda t, W: upper_bound(scenario, g, zero, t, W, n_intervals=400)
-    working = lambda t, W, Y: upper_bound(scenario, g, zero, t, W, Y, 400)
+    retire = lambda t, W: upper_bound(g, zero, t, W, n_intervals=400)
+    working = lambda t, W, Y: upper_bound(g, zero, t, W, Y, 400)
 
     worst = 0.0
     for _ in range(50):
@@ -231,7 +239,6 @@ def test_criterion_05_hjb_residual_suite():
 def test_criterion_06_budget_identity(ex1_affine):
     t0 = time.perf_counter()
     chk = simulate_candidate_value(
-        ex1_affine.scenario,
         ex1_affine.g,
         ex1_affine.policy,
         SimulationConfig(n_paths=2**14, n_steps=1000),
@@ -259,8 +266,8 @@ def test_criterion_07_weak_duality_random_policies():
             np.abs(np.random.default_rng((100, i)).normal(0.0, 0.03, 8)),
             t_retire=scenario.T_R,
         )
-        upper = origin_upper_bound(scenario, g, pol)
-        sim = simulate_candidate_value(scenario, g, pol, cfg)
+        upper = origin_upper_bound(g, pol)
+        sim = simulate_candidate_value(g, pol, cfg)
         if sim.value > upper + 3.0 * sim.std_error:
             violations.append(("affine", i, sim.value, upper))
     for i in range(10):
@@ -269,8 +276,8 @@ def test_criterion_07_weak_duality_random_policies():
             init_params("mlp", (200, i)),
             activation="snake" if i % 2 else "relu",
         )
-        upper = origin_upper_bound(scenario, g, pol)
-        sim = simulate_candidate_value(scenario, g, pol, cfg)
+        upper = origin_upper_bound(g, pol)
+        sim = simulate_candidate_value(g, pol, cfg)
         if sim.value > upper + 3.0 * sim.std_error:
             violations.append(("mlp", i, sim.value, upper))
     _verdict(
@@ -320,7 +327,7 @@ def test_criterion_09_face_value_spoon_shape(ex1_affine, ex1_zero):
     # tol = c * eps(phase) * mean wealth carry no sign.
     r = ex1_affine
     zero, sim0 = ex1_zero
-    agg0 = precompute_aggregates(r.scenario, r.g, zero)
+    agg0 = precompute_aggregates(r.g, zero)
     mismatch = np.abs(agg0.g / agg0.tilde_f2 - 1.0)
     node_working = r.g.grid.nodes < r.scenario.T_R
     eps_working = float(np.max(mismatch[node_working]))

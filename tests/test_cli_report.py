@@ -207,9 +207,9 @@ def test_vstar_round_trip_reproduces_the_bound(tmp_path):
     sc = preset_scenario("example1")
     g = compute_g(sc, UniformGrid(0.0, sc.T, 50))
     cfg = OptimizerConfig(num_starts=1, iterations_per_start=15)
-    policy, trace = minimize_upper_bound(sc, g, "affine", cfg, seed=2)
+    policy, trace = minimize_upper_bound(g, "affine", cfg, seed=2)
     sim = simulate_candidate_value(
-        sc, g, policy, SimulationConfig(n_paths=256, n_steps=50)
+        g, policy, SimulationConfig(n_paths=256, n_steps=50)
     )
     rep = build_report(trace.best_objective, sim.value, sim.std_error, sc.gamma)
     run = RunConfig(scenario=sc, n_intervals=50, out_dir=str(tmp_path), seed=2)
@@ -218,7 +218,7 @@ def test_vstar_round_trip_reproduces_the_bound(tmp_path):
     table = read_vstar_csv(vstar_path)
     # the bound only reads the adjustment at the grid nodes, and 17
     # significant digits reproduce them exactly
-    revalued = origin_upper_bound(sc, g, table)
+    revalued = origin_upper_bound(g, table)
     assert revalued == pytest.approx(trace.best_objective, abs=1e-10)
 
 
@@ -301,8 +301,8 @@ def test_cli_run_reports_a_crossed_certificate(tmp_path, monkeypatch, capsys):
         fitted["upper"] = trace.best_objective
         return policy, trace
 
-    def crossed(scenario, g, policy, config):
-        sim = simulate(scenario, g, policy, config)
+    def crossed(g, policy, config):
+        sim = simulate(g, policy, config)
         return dataclasses.replace(sim, value=fitted["upper"] + 0.5 * sim.std_error)
 
     monkeypatch.setattr(lifedual.cli, "minimize_upper_bound", fit)
@@ -436,14 +436,14 @@ def test_cli_non_finite_dual_check_exits_2(tmp_path, monkeypatch, capsys, comman
     )
     simulate = lifedual.cli.simulate_candidate_value
 
-    def budget_z4(scenario, g, policy, config):
+    def budget_z4(g, policy, config):
         # finite, but past the |z| <= 3 that run and verify share
-        sim = simulate(scenario, g, policy, config)
+        sim = simulate(g, policy, config)
         return dataclasses.replace(sim, budget=dataclasses.replace(sim.budget, z_score=4.0))
 
     cfg = _write(tmp_path, "run.cfg", SMALL_RUN_CFG)
     for fake in (
-        lambda scenario, g, policy, config: simulate(scenario, g, extreme, config),
+        lambda g, policy, config: simulate(g, extreme, config),
         budget_z4,
     ):
         monkeypatch.setattr(lifedual.cli, "simulate_candidate_value", fake)

@@ -89,9 +89,15 @@ def test_g_matches_constant_coefficient_analytic_form():
         g_value(SC, -0.5)
 
 
+def test_g_needs_a_grid_ending_at_the_horizon():
+    # a g on [0, 30] for T = 50 used to make a finite, wrong objective
+    with pytest.raises(ValidationError, match="horizon"):
+        compute_g(SC, UniformGrid(0.0, 30.0, 100))
+
+
 def test_aggregates_match_quadrature_oracles():
     g = compute_g(SC, UniformGrid(0.0, SC.T, 4000))
-    agg = precompute_aggregates(SC, g, ZERO)
+    agg = precompute_aggregates(g, ZERO)
     assert agg.tilde_f2[0] == pytest.approx(_f2_oracle(0.0), rel=1e-6)
     assert agg.income_annuity[0] == pytest.approx(_annuity_oracle(0.0), rel=1e-6)
     # annuity is exhausted at retirement
@@ -103,46 +109,46 @@ def test_origin_value_matches_quadrature_oracle():
     g = compute_g(SC, UniformGrid(0.0, SC.T, 4000))
     f3 = SC.W0 + SC.Y0 * _annuity_oracle(0.0)
     oracle = crra_utility(f3, 1.5) * _f2_oracle(0.0) ** 1.5
-    assert origin_upper_bound(SC, g, ZERO) == pytest.approx(oracle, rel=1e-6)
+    assert origin_upper_bound(g, ZERO) == pytest.approx(oracle, rel=1e-6)
     coarse = compute_g(SC, UniformGrid(0.0, SC.T, 100))
-    assert origin_upper_bound(SC, coarse, ZERO) == pytest.approx(oracle, rel=2e-3)
+    assert origin_upper_bound(coarse, ZERO) == pytest.approx(oracle, rel=2e-3)
 
 
 def test_retirement_value_matches_quadrature_oracle():
     g = compute_g(SC, UniformGrid(0.0, SC.T, 100))
-    ub = upper_bound(SC, g, ZERO, 25.0, 150.0, n_intervals=4000)
+    ub = upper_bound(g, ZERO, 25.0, 150.0, n_intervals=4000)
     oracle = crra_utility(150.0, 1.5) * _f2_oracle(25.0) ** 1.5
     assert ub == pytest.approx(oracle, rel=1e-6)
 
 
 def test_terminal_retirement_value_is_bare_utility():
     g = compute_g(SC, UniformGrid(0.0, SC.T, 100))
-    ub = upper_bound(SC, g, ZERO, SC.T, 123.0)
+    ub = upper_bound(g, ZERO, SC.T, 123.0)
     assert ub == pytest.approx(crra_utility(123.0, 1.5), rel=1e-14)
-    agg = precompute_aggregates(SC, g, ZERO, UniformGrid(SC.T, SC.T, 100))
+    agg = precompute_aggregates(compute_g(SC, UniformGrid(SC.T, SC.T, 100)), ZERO)
     assert agg.tilde_f2[0] == pytest.approx(1.0, abs=1e-14)
 
 
 def test_value_homogeneity_in_wealth_and_income():
     g = compute_g(SC, UniformGrid(0.0, SC.T, 100))
     k = 3.7
-    vr1 = upper_bound(SC, g, ZERO, 30.0, 100.0)
-    vrk = upper_bound(SC, g, ZERO, 30.0, k * 100.0)
+    vr1 = upper_bound(g, ZERO, 30.0, 100.0)
+    vrk = upper_bound(g, ZERO, 30.0, k * 100.0)
     assert vrk == pytest.approx(k ** (1.0 - 1.5) * vr1, rel=1e-12)
-    jw1 = upper_bound(SC, g, ZERO, 10.0, 100.0, 40.0)
-    jwk = upper_bound(SC, g, ZERO, 10.0, k * 100.0, k * 40.0)
+    jw1 = upper_bound(g, ZERO, 10.0, 100.0, 40.0)
+    jwk = upper_bound(g, ZERO, 10.0, k * 100.0, k * 40.0)
     assert jwk == pytest.approx(k ** (1.0 - 1.5) * jw1, rel=1e-12)
 
 
 def test_working_value_pastes_onto_retirement_branch():
     g = compute_g(SC, UniformGrid(0.0, SC.T, 100))
-    w = upper_bound(SC, g, ZERO, SC.T_R, 140.0, 50.0)
-    r = upper_bound(SC, g, ZERO, SC.T_R, 140.0)
+    w = upper_bound(g, ZERO, SC.T_R, 140.0, 50.0)
+    r = upper_bound(g, ZERO, SC.T_R, 140.0)
     assert w == r  # annuity empty at the breakpoint
     # from T_R on the income drops out of the value
     for t in (SC.T_R, 30.0, SC.T):
-        retired = upper_bound(SC, g, ZERO, t, 140.0)
-        assert all(upper_bound(SC, g, ZERO, t, 140.0, y) == retired for y in (0.0, 50.0, 1e6))
+        retired = upper_bound(g, ZERO, t, 140.0)
+        assert all(upper_bound(g, ZERO, t, 140.0, y) == retired for y in (0.0, 50.0, 1e6))
 
 
 def test_phase_domain_validation():
@@ -155,12 +161,13 @@ def test_phase_domain_validation():
         (10.0, 100.0, -1.0),
     ):
         with pytest.raises(ValidationError):
-            upper_bound(SC, g, ZERO, t, W, Y)
+            upper_bound(g, ZERO, t, W, Y)
 
 
 def _controls_at(g, policy, t, W, Y=0.0):
     """(theta*, c*, M*) at one state, from aggregates on a grid anchored at t."""
-    agg = precompute_aggregates(SC, g, policy, UniformGrid(t, SC.T, g.grid.n_intervals))
+    anchored = compute_g(SC, UniformGrid(t, SC.T, g.grid.n_intervals))
+    agg = precompute_aggregates(anchored, policy)
     y = Y if t < SC.T_R else 0.0
     return feedback_controls(
         SC, W, y, agg.income_annuity[0], agg.tilde_f2[0], agg.kappa_v[0], agg.g[0],
@@ -211,12 +218,12 @@ def test_hjb_residual_spot_checks():
     bequest = lambda t, W: crra_utility(W, 1.5) * g_value(SC, t, 400) ** 1.5
     assert abs(hjb_residual("bequest", bequest, (12.3, 80.0), SC)) < 1e-4
 
-    retire = lambda t, W: upper_bound(SC, g, ZERO, t, W, n_intervals=400)
+    retire = lambda t, W: upper_bound(g, ZERO, t, W, n_intervals=400)
     assert (
         abs(hjb_residual("retirement", retire, (31.7, 150.0), SC, ZERO)) < 1e-4
     )
 
-    working = lambda t, W, Y: upper_bound(SC, g, ZERO, t, W, Y, 400)
+    working = lambda t, W, Y: upper_bound(g, ZERO, t, W, Y, 400)
     assert (
         abs(hjb_residual("working", working, (8.9, 120.0, 40.0), SC, ZERO)) < 1e-4
     )
@@ -229,6 +236,6 @@ def test_hjb_residual_argument_validation():
         hjb_residual("unknown", bequest, (10.0, 80.0), SC)
     with pytest.raises(ValidationError):
         hjb_residual("bequest", bequest, (0.0, 80.0), SC)  # boundary point
-    working = lambda t, W, Y: upper_bound(SC, g, ZERO, t, W, Y)
+    working = lambda t, W, Y: upper_bound(g, ZERO, t, W, Y)
     with pytest.raises(ValidationError):
         hjb_residual("working", working, (8.9, 120.0, 0.0), SC, ZERO)

@@ -153,34 +153,41 @@ def test_simulation_config_sobol_point_limit():
 def test_simulation_is_deterministic():
     g = _g100()
     cfg = SimulationConfig(n_paths=512, n_steps=50)
-    a = simulate_candidate_value(SC, g, ZERO, cfg)
-    b = simulate_candidate_value(SC, g, ZERO, cfg)
+    a = simulate_candidate_value(g, ZERO, cfg)
+    b = simulate_candidate_value(g, ZERO, cfg)
     assert a.value == b.value
     assert np.array_equal(a.mean_wealth, b.mean_wealth)
     c = simulate_candidate_value(
-        SC, g, ZERO, SimulationConfig(n_paths=512, n_steps=50, sobol_skip=0)
+        g, ZERO, SimulationConfig(n_paths=512, n_steps=50, sobol_skip=0)
     )
     assert c.value != a.value
 
 
 def test_std_error_scales_with_path_count():
     g = _g100()
-    small = simulate_candidate_value(SC, g, ZERO, SimulationConfig(n_paths=2000, n_steps=100))
-    large = simulate_candidate_value(SC, g, ZERO, SimulationConfig(n_paths=8000, n_steps=100))
+    small = simulate_candidate_value(g, ZERO, SimulationConfig(n_paths=2000, n_steps=100))
+    large = simulate_candidate_value(g, ZERO, SimulationConfig(n_paths=8000, n_steps=100))
     assert 1.7 < small.std_error / large.std_error < 2.3
 
 
 def test_initial_controls_match_closed_form():
     g = _g100()
     cfg = SimulationConfig(n_paths=256, n_steps=50)
-    res = simulate_candidate_value(SC, g, ZERO, cfg)
-    agg = precompute_aggregates(SC, g, ZERO)
+    res = simulate_candidate_value(g, ZERO, cfg)
+    agg = precompute_aggregates(g, ZERO)
     c0 = (SC.W0 + SC.Y0 * agg.income_annuity[0]) / agg.tilde_f2[0]
     assert res.mean_consumption[0] == pytest.approx(c0, rel=1e-12)
     assert res.mean_face_value[0] == pytest.approx(c0 * agg.g[0] - SC.W0, rel=1e-10)
     assert res.mean_face_value[0] > 0
     assert res.mean_wealth[0] == SC.W0
     assert res.times[0] == 0.0 and res.times[-1] == SC.T
+
+
+def test_path_pass_needs_a_grid_starting_at_0():
+    # a g anchored at 5 used to run, flat-extrapolating the curves over [0, 5]
+    anchored = compute_g(SC, UniformGrid(5.0, SC.T, 100))
+    with pytest.raises(ValidationError, match="starting at 0"):
+        simulate_candidate_value(anchored, ZERO, SimulationConfig(n_paths=64, n_steps=10))
 
 
 def test_income_stops_at_retirement():
@@ -193,7 +200,7 @@ def test_income_stops_at_retirement():
         return np.zeros_like(W), c, c * 30.0
 
     simulate_candidate_value(
-        SC, g, ZERO, SimulationConfig(n_paths=64, n_steps=10, sobol_skip=0),
+        g, ZERO, SimulationConfig(n_paths=64, n_steps=10, sobol_skip=0),
         controls_override=override,
     )
     for t, ymax in seen:
@@ -211,7 +218,7 @@ def test_zero_stock_half_spend_override_grows_wealth():
         return np.zeros_like(W), c, c * g(t)
 
     res = simulate_candidate_value(
-        SC, g, ZERO, SimulationConfig(n_paths=128, n_steps=200),
+        g, ZERO, SimulationConfig(n_paths=128, n_steps=200),
         controls_override=override,
     )
     assert np.all(np.diff(res.mean_wealth) > 0)
@@ -222,7 +229,7 @@ def test_starved_paths_stay_finite():
     poor = dataclasses.replace(preset_scenario("example1"), W0=1e-12)
     g = compute_g(poor, UniformGrid(0.0, poor.T, 100))
     res = simulate_candidate_value(
-        poor, g, ZERO, SimulationConfig(n_paths=64, n_steps=100)
+        g, ZERO, SimulationConfig(n_paths=64, n_steps=100)
     )
     assert np.isfinite(res.value)
     assert np.all(res.mean_wealth >= 0.0)
@@ -237,13 +244,13 @@ def test_weak_duality_for_sampled_policies():
     cfg = SimulationConfig(n_paths=4000, n_steps=250)
     for i in range(3):
         pol = make_policy("affine", np.abs(init_params("affine", (21, i))), t_retire=SC.T_R)
-        upper = origin_upper_bound(SC, g, pol)
-        res = simulate_candidate_value(SC, g, pol, cfg)
+        upper = origin_upper_bound(g, pol)
+        res = simulate_candidate_value(g, pol, cfg)
         assert res.value <= upper + 3.0 * res.std_error
     for i in range(2):
         pol = make_policy("mlp", init_params("mlp", (22, i)), activation="snake")
-        upper = origin_upper_bound(SC, g, pol)
-        res = simulate_candidate_value(SC, g, pol, cfg)
+        upper = origin_upper_bound(g, pol)
+        res = simulate_candidate_value(g, pol, cfg)
         assert res.value <= upper + 3.0 * res.std_error
 
 
@@ -253,7 +260,7 @@ def test_overflowing_dual_streams_flag_the_checks_only():
     pol = make_policy(
         "affine", np.abs(np.random.default_rng((100, 1)).normal(0.0, 0.03, 8)), t_retire=SC.T_R
     )
-    sim = simulate_candidate_value(SC, _g100(), pol, SimulationConfig(n_paths=1024, n_steps=100))
+    sim = simulate_candidate_value(_g100(), pol, SimulationConfig(n_paths=1024, n_steps=100))
     assert np.isfinite(sim.value)
     assert np.isnan(sim.budget.z_score)
     assert np.isnan(sim.martingale_z[-1][1])
@@ -282,7 +289,7 @@ def test_budget_identity_zero_adjustment_semianalytic():
 
     g = compute_g(SC, UniformGrid(0.0, SC.T, 250))
     chk = simulate_candidate_value(
-        SC, g, ZERO, SimulationConfig(n_paths=2**13, n_steps=500)
+        g, ZERO, SimulationConfig(n_paths=2**13, n_steps=500)
     ).budget
     # level anchors are loose (the unscrambled partial block drifts both
     # sides together by ~1 s.e.); the identity itself is the tight check
@@ -298,7 +305,7 @@ def test_budget_and_martingale_for_nonzero_adjustment():
     )
     g = compute_g(SC, UniformGrid(0.0, SC.T, 250))
     cfg = SimulationConfig(n_paths=2**13, n_steps=500)
-    sim = simulate_candidate_value(SC, g, pol, cfg)
+    sim = simulate_candidate_value(g, pol, cfg)
     chk = sim.budget
     assert abs(chk.z_score) < 3.0
     zs = sim.martingale_z
@@ -334,7 +341,7 @@ def test_fused_pass_reproduces_reference_values():
     )
     for n_steps, (value, se, budget_z, times, zs) in FUSED_GOLDENS.items():
         sim = simulate_candidate_value(
-            SC, _g100(), pol, SimulationConfig(n_paths=2**11, n_steps=n_steps)
+            _g100(), pol, SimulationConfig(n_paths=2**11, n_steps=n_steps)
         )
         assert sim.value == pytest.approx(value, rel=1e-12)
         assert sim.std_error == pytest.approx(se, rel=1e-12)
@@ -365,9 +372,9 @@ def test_forked_blocks_equal_one_block(n_paths, monkeypatch):
     )
     cfg = SimulationConfig(n_paths=n_paths, n_steps=77)
     g = _g100()
-    forked = _fields(simulate_candidate_value(SC, g, pol, cfg))
+    forked = _fields(simulate_candidate_value(g, pol, cfg))
     monkeypatch.delattr(os, "fork")
-    serial = _fields(simulate_candidate_value(SC, g, pol, cfg))
+    serial = _fields(simulate_candidate_value(g, pol, cfg))
     for name, value in serial.items():
         if isinstance(value, np.ndarray):
             assert np.array_equal(forked[name], value), name
@@ -392,7 +399,7 @@ def _nan_theta_in(block_is_child):
 def test_failing_block_raises_in_caller_and_reaps_child(block_is_child):
     with pytest.raises(NumericalError, match="non-finite wealth at step 0") as err:
         simulate_candidate_value(
-            SC, _g100(), ZERO, SimulationConfig(n_paths=256, n_steps=10),
+            _g100(), ZERO, SimulationConfig(n_paths=256, n_steps=10),
             controls_override=_nan_theta_in(block_is_child),
         )
     assert err.type is NumericalError

@@ -6,7 +6,12 @@ from unittest import mock
 import numpy as np
 import pytest
 
-from lifedual.closed_form import compute_g, origin_upper_bound, upper_bound
+from lifedual.closed_form import (
+    compute_g,
+    origin_upper_bound,
+    origin_upper_bound_and_gradient,
+    upper_bound,
+)
 from lifedual.drift_policy import (
     AFFINE_N_PARAMS,
     MLP_N_PARAMS,
@@ -30,7 +35,7 @@ def _g(n=100, scenario=SC):
     return compute_g(scenario, UniformGrid(0.0, scenario.T, n))
 
 
-def _central_differences(scenario, g, build, params, step=1e-6):
+def _central_differences(g, build, params, step=1e-6):
     grad = np.empty(params.size)
     for i in range(params.size):
         h = step * max(1.0, abs(params[i]))
@@ -38,8 +43,8 @@ def _central_differences(scenario, g, build, params, step=1e-6):
         up[i] += h
         dn[i] -= h
         grad[i] = (
-            origin_upper_bound(scenario, g, build(up))
-            - origin_upper_bound(scenario, g, build(dn))
+            origin_upper_bound(g, build(up))
+            - origin_upper_bound(g, build(dn))
         ) / (2.0 * h)
     return grad
 
@@ -67,12 +72,25 @@ def test_adjoint_gradient_matches_central_differences(n, kind, activation, std):
             break
     else:
         pytest.fail("no parameter draw with partly clamped outputs")
-    value, grad = upper_bound_and_gradient(sc, g, build(params))
-    assert value == origin_upper_bound(sc, g, build(params))
-    assert upper_bound(sc, g, build(params), 0.0, sc.W0, sc.Y0) == value
-    fd = _central_differences(sc, g, build, params)
+    value, grad = upper_bound_and_gradient(g, build(params))
+    assert value == origin_upper_bound(g, build(params))
+    assert upper_bound(g, build(params), 0.0, sc.W0, sc.Y0) == value
+    fd = _central_differences(g, build, params)
     assert np.linalg.norm(fd) > 0.0
     np.testing.assert_allclose(grad, fd, rtol=1e-6, atol=1e-6 * np.max(np.abs(fd)))
+
+
+def test_objective_needs_a_grid_starting_at_0():
+    anchored = compute_g(SC, UniformGrid(5.0, SC.T, 50))
+    zero = AffinePolicy(params=(0.0,) * 8, t_retire=SC.T_R)
+    cfg = OptimizerConfig(num_starts=1, iterations_per_start=0)
+    for call in (
+        lambda: origin_upper_bound(anchored, zero),
+        lambda: origin_upper_bound_and_gradient(anchored, zero),
+        lambda: minimize_upper_bound(anchored, "affine", cfg),
+    ):
+        with pytest.raises(ValidationError, match="starting at 0"):
+            call()
 
 
 def test_non_finite_gradient_raises():
@@ -84,23 +102,23 @@ def test_non_finite_gradient_raises():
         return_value=(-9.0, np.full(nodes.size, np.nan), np.zeros(nodes.size)),
     ):
         with pytest.raises(NumericalError, match="gradient"):
-            minimize_upper_bound(SC, g, "affine", cfg, seed=0)
+            minimize_upper_bound(g, "affine", cfg, seed=0)
 
 
 def test_start_outcomes_report_the_solver_end():
     g = _g(50)
     cfg = OptimizerConfig(num_starts=2, iterations_per_start=8)
-    policy, trace = minimize_upper_bound(SC, g, "affine", cfg, seed=3)
+    policy, trace = minimize_upper_bound(g, "affine", cfg, seed=3)
     assert len(trace.outcomes) == 2
     for start, outcome in enumerate(trace.outcomes):
         assert outcome.nit == max(it for s, it, _ in trace.entries if s == start)
         assert outcome.nfev >= outcome.njev >= 1
         assert outcome.message
     best = trace.outcomes[trace.best_start]
-    _, grad = upper_bound_and_gradient(SC, g, policy)
+    _, grad = upper_bound_and_gradient(g, policy)
     assert best.grad_norm == pytest.approx(np.linalg.norm(grad), rel=1e-12)
     _, zero_it = minimize_upper_bound(
-        SC, g, "affine", OptimizerConfig(num_starts=1, iterations_per_start=0)
+        g, "affine", OptimizerConfig(num_starts=1, iterations_per_start=0)
     )
     assert zero_it.outcomes == [None]
 
@@ -115,10 +133,10 @@ def test_config_validation():
 def test_zero_iterations_returns_best_initialization():
     g = _g()
     cfg = OptimizerConfig(num_starts=3, iterations_per_start=0)
-    policy, trace = minimize_upper_bound(SC, g, "affine", cfg, seed=9)
+    policy, trace = minimize_upper_bound(g, "affine", cfg, seed=9)
     inits = [init_params("affine", (9, s, 0)) for s in range(3)]
     values = [
-        origin_upper_bound(SC, g, AffinePolicy(params=tuple(p), t_retire=SC.T_R))
+        origin_upper_bound(g, AffinePolicy(params=tuple(p), t_retire=SC.T_R))
         for p in inits
     ]
     k = int(np.argmin(values))
@@ -134,9 +152,9 @@ def test_slack_constraint_recovers_zero_adjustment():
     # must land on the unadjusted value from above
     sc = dataclasses.replace(SC, Y0=0.0)
     g = _g(scenario=sc)
-    j0 = origin_upper_bound(sc, g, AffinePolicy(params=(0.0,) * 8, t_retire=sc.T_R))
+    j0 = origin_upper_bound(g, AffinePolicy(params=(0.0,) * 8, t_retire=sc.T_R))
     cfg = OptimizerConfig(num_starts=3, iterations_per_start=30)
-    _, trace = minimize_upper_bound(sc, g, "affine", cfg, seed=5)
+    _, trace = minimize_upper_bound(g, "affine", cfg, seed=5)
     assert trace.best_objective >= j0 - 1e-12
     assert trace.best_objective <= j0 + 1e-6 * abs(j0)
 
@@ -144,18 +162,18 @@ def test_slack_constraint_recovers_zero_adjustment():
 def test_multi_start_is_reproducible():
     g = _g(50)
     cfg = OptimizerConfig(num_starts=2, iterations_per_start=10)
-    _, t1 = minimize_upper_bound(SC, g, "affine", cfg, seed=3)
-    _, t2 = minimize_upper_bound(SC, g, "affine", cfg, seed=3)
+    _, t1 = minimize_upper_bound(g, "affine", cfg, seed=3)
+    _, t2 = minimize_upper_bound(g, "affine", cfg, seed=3)
     assert np.array_equal(t1.best_params, t2.best_params)
     assert t1.entries == t2.entries
-    _, t3 = minimize_upper_bound(SC, g, "affine", cfg, seed=4)
+    _, t3 = minimize_upper_bound(g, "affine", cfg, seed=4)
     assert not np.array_equal(t1.best_params, t3.best_params)
 
 
 def test_incumbent_sequences_are_nonincreasing():
     g = _g(50)
     cfg = OptimizerConfig(num_starts=2, iterations_per_start=25)
-    _, trace = minimize_upper_bound(SC, g, "mlp", cfg, seed=1)
+    _, trace = minimize_upper_bound(g, "mlp", cfg, seed=1)
     for s in range(2):
         inc = [f for (start, _, f) in trace.entries if start == s]
         assert len(inc) >= 1
@@ -177,14 +195,14 @@ def test_bad_initialization_is_redrawn():
     bad = tuple(init_params("affine", (7, 0, 0)))
     real = origin_upper_bound
 
-    def fake(scenario, gg, policy):
+    def fake(gg, policy):
         if np.array_equal(policy.params, bad):
             return float("nan")
-        return real(scenario, gg, policy)
+        return real(gg, policy)
 
     cfg = OptimizerConfig(num_starts=1, iterations_per_start=0)
     with mock.patch("lifedual.optimizer.origin_upper_bound", side_effect=fake):
-        _, trace = minimize_upper_bound(SC, g, "affine", cfg, seed=7)
+        _, trace = minimize_upper_bound(g, "affine", cfg, seed=7)
     assert np.array_equal(trace.best_params, init_params("affine", (7, 0, 1)))
 
 
@@ -195,12 +213,12 @@ def test_unrecoverable_initialization_raises():
         "lifedual.optimizer.origin_upper_bound", return_value=float("nan")
     ):
         with pytest.raises(NumericalError, match="redraws"):
-            minimize_upper_bound(SC, g, "affine", cfg, seed=7)
+            minimize_upper_bound(g, "affine", cfg, seed=7)
 
 
 def test_exact_ties_go_to_the_lowest_start():
     g = _g(50)
     cfg = OptimizerConfig(num_starts=4, iterations_per_start=0)
     with mock.patch("lifedual.optimizer.origin_upper_bound", return_value=-1.0):
-        _, trace = minimize_upper_bound(SC, g, "affine", cfg, seed=0)
+        _, trace = minimize_upper_bound(g, "affine", cfg, seed=0)
     assert trace.best_start == 0
