@@ -1,0 +1,114 @@
+"""Work split between the calling process and one forked child.
+
+``in_two_processes(here, forked)`` runs ``forked`` in a child made by
+``os.fork`` while ``here`` runs in the caller, and returns both values.
+``IndexQueue(n)`` hands the indices 0, 1, ..., n - 1 out in order to
+whichever of the two processes asks first.
+
+Python 3.12 and later warn (``DeprecationWarning``) when a process
+with more than one thread forks.  The warning is attributed to this
+module, not to ``__main__``, so Python's default filters hide it.
+"""
+
+from __future__ import annotations
+
+import os
+import pickle
+import signal
+from collections.abc import Callable
+from typing import TypeVar
+
+from .errors import NumericalError
+
+__all__ = ["IndexQueue", "in_two_processes"]
+
+A = TypeVar("A")
+B = TypeVar("B")
+
+
+def in_two_processes(here: Callable[[], A], forked: Callable[[], B]) -> tuple[A, B]:
+    """Run ``forked`` in a forked child while ``here`` runs in this process.
+
+    Returns ``(here(), forked())``.  The child's value, or its
+    exception, is pickled through a pipe and returned or raised here
+    once the child is reaped.  The child leaves only by ``os._exit``, so
+    it never unwinds into the caller's stack (which may write artifacts
+    or spans) and never flushes the caller's buffered output.  If
+    ``here`` fails, the child is killed and still reaped.
+    """
+    read_fd, write_fd = os.pipe()
+    pid = os.fork()
+    if pid == 0:
+        status = 1
+        try:
+            os.close(read_fd)
+            try:
+                payload = pickle.dumps((True, forked()))
+            except BaseException as exc:
+                try:
+                    payload = pickle.dumps((False, exc))
+                    pickle.loads(payload)
+                except Exception:
+                    payload = pickle.dumps(
+                        (False, NumericalError(f"forked process failed: {exc!r}"))
+                    )
+            with os.fdopen(write_fd, "wb") as pipe:
+                pipe.write(payload)
+            status = 0
+        finally:
+            os._exit(status)
+    os.close(write_fd)
+    try:
+        value = here()
+    except BaseException:
+        os.kill(pid, signal.SIGKILL)
+        raise
+    finally:
+        with os.fdopen(read_fd, "rb") as pipe:
+            payload = pipe.read()
+        status = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+    if status != 0 or not payload:
+        raise NumericalError(f"forked process ended with status {status}")
+    ok, child_value = pickle.loads(payload)
+    if not ok:
+        raise child_value
+    return value, child_value
+
+
+class IndexQueue:
+    """The indices 0, 1, ..., n - 1, each handed out once, in order.
+
+    The next index is the one token in a pipe: ``take`` reads it and
+    writes back its successor, so a forked child and its parent share
+    the queue, and the pipe holds 8 bytes whatever n is.  Iterating
+    takes indices until none is left; ``stop`` hands out no further
+    index.  Use it as a context manager to close the pipe.
+    """
+
+    def __init__(self, n: int) -> None:
+        self._n = n
+        self._read, self._write = os.pipe()
+        self._put(0)
+
+    def _put(self, index: int) -> None:
+        os.write(self._write, index.to_bytes(8, "little"))
+
+    def take(self) -> int | None:
+        """The next index, or None once all n are out or after ``stop``."""
+        index = int.from_bytes(os.read(self._read, 8), "little")
+        self._put(min(index + 1, self._n))
+        return index if index < self._n else None
+
+    def stop(self) -> None:
+        os.read(self._read, 8)
+        self._put(self._n)
+
+    def __iter__(self):
+        return iter(self.take, None)
+
+    def __enter__(self) -> IndexQueue:
+        return self
+
+    def __exit__(self, *exc) -> None:
+        os.close(self._read)
+        os.close(self._write)

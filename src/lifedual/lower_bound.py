@@ -60,8 +60,6 @@ from __future__ import annotations
 import importlib.util
 import mmap
 import os
-import pickle
-import signal
 from collections.abc import Callable
 from dataclasses import dataclass
 
@@ -69,6 +67,7 @@ import numpy as np
 
 from .closed_form import GFunction, _origin_aggregates, feedback_controls
 from .errors import NumericalError, ValidationError
+from .fork import in_two_processes
 
 __all__ = [
     "SimulationConfig",
@@ -255,49 +254,6 @@ def _split(n_paths: int) -> int:
     return n_paths // 2 - (n_paths // 2) % 8
 
 
-def _in_two_processes(here: Callable[[], None], forked: Callable[[], None]) -> None:
-    """Run ``forked`` in a forked child while ``here`` runs in this process.
-
-    The child leaves only by ``os._exit``, so it never unwinds into the
-    caller's stack (which may write artifacts or spans).  An exception in
-    the child is pickled through a pipe and raised here once the child
-    is reaped; if ``here`` fails, the child is killed and still reaped.
-    """
-    read_fd, write_fd = os.pipe()
-    pid = os.fork()
-    if pid == 0:
-        status = 1
-        try:
-            os.close(read_fd)
-            try:
-                forked()
-                status = 0
-            except BaseException as exc:
-                try:
-                    payload = pickle.dumps(exc)
-                    pickle.loads(payload)
-                except Exception:
-                    payload = pickle.dumps(NumericalError(f"path block failed: {exc!r}"))
-                with os.fdopen(write_fd, "wb") as pipe:
-                    pipe.write(payload)
-        finally:
-            os._exit(status)
-    os.close(write_fd)
-    try:
-        here()
-    except BaseException:
-        os.kill(pid, signal.SIGKILL)
-        raise
-    finally:
-        with os.fdopen(read_fd, "rb") as pipe:
-            payload = pipe.read()
-        status = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
-    if payload:
-        raise pickle.loads(payload)
-    if status != 0:
-        raise NumericalError(f"path block process ended with status {status}")
-
-
 def simulate_candidate_value(
     g: GFunction,
     policy,
@@ -472,7 +428,7 @@ def simulate_candidate_value(
         totals = sums[0]
     else:
         cut = _split(n_paths)
-        _in_two_processes(lambda: block(0, 0, cut), lambda: block(1, cut, n_paths))
+        in_two_processes(lambda: block(0, 0, cut), lambda: block(1, cut, n_paths))
         totals = sums[0] + sums[1]
     means = totals / n_paths
 

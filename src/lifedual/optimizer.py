@@ -12,11 +12,16 @@ parameters, both from the one evaluation that yields the value.
 Each start draws its own initialization from the configured seed;
 starts are independent, and the reduction picks the lowest final
 objective with ties broken by the lowest start index, so results are
-reproducible regardless of evaluation order.
+reproducible regardless of evaluation order.  The starts therefore run
+in two processes: ``scipy.optimize`` is imported once, then one child
+is forked, and it and the caller take starts from one shared queue.
+The child's per-start results come back pickled and are merged in
+start order, so the trace equals that of one process bit for bit.
 """
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -24,6 +29,7 @@ import numpy as np
 from . import drift_policy
 from .closed_form import GFunction, origin_upper_bound, origin_upper_bound_and_gradient
 from .errors import NumericalError, ValidationError
+from .fork import IndexQueue, in_two_processes
 
 __all__ = [
     "OptimizerConfig",
@@ -104,28 +110,27 @@ def upper_bound_and_gradient(g: GFunction, policy):
     return value, grad
 
 
-def _run_single_start(value_and_grad, x0, f0, config, trace, start_idx):
-    """One local minimization from x0 (objective f0); records per-iteration incumbents."""
+def _run_single_start(minimize, value_and_grad, x0, f0, config, start_idx):
+    """One local minimization from x0 (objective f0).
+
+    Returns the start's trace entries (its per-iteration incumbents),
+    the best point and value, and the solver's ``StartOutcome``.
+    """
     best_x = np.asarray(x0, dtype=float)
     best_f = f0
-    trace.entries.append((start_idx, 0, best_f))
+    entries = [(start_idx, 0, best_f)]
     if config.iterations_per_start == 0:
-        return best_x, best_f, None
-
-    iteration = [0]
+        return entries, best_x, best_f, None
 
     def callback(intermediate_result):
         nonlocal best_x, best_f
-        iteration[0] += 1
         fk = float(intermediate_result.fun)
         if np.isfinite(fk) and fk < best_f:
             best_f = fk
             best_x = np.asarray(intermediate_result.x, dtype=float).copy()
-        trace.entries.append((start_idx, iteration[0], best_f))
+        entries.append((start_idx, len(entries), best_f))
 
-    from scipy import optimize as sciopt  # imported here: validate needs no scipy
-
-    res = sciopt.minimize(
+    res = minimize(
         value_and_grad,
         x0,
         method="BFGS",
@@ -149,7 +154,7 @@ def _run_single_start(value_and_grad, x0, f0, config, trace, start_idx):
     if np.isfinite(f_final) and f_final < best_f:
         best_f = f_final
         best_x = np.asarray(res.x, dtype=float)
-    return best_x, best_f, outcome
+    return entries, best_x, best_f, outcome
 
 
 def minimize_upper_bound(
@@ -166,6 +171,11 @@ def minimize_upper_bound(
     from ``seed``; a start whose initial objective is non-finite is
     redrawn up to ``_MAX_INIT_RETRIES`` times before failing.  The
     returned objective is the minimum over every start's final value.
+
+    The starts run in this process and one forked child (all in this
+    process for one start or without ``os.fork``).  If starts fail, the
+    error of the lowest failing start is raised, as one process running
+    the starts in order would raise it.
     """
 
     def build(params):
@@ -185,8 +195,12 @@ def minimize_upper_bound(
     def value_and_grad(params):
         return upper_bound_and_gradient(g, build(params))
 
-    trace = OptimizationTrace()
-    for start in range(config.num_starts):
+    minimize = None
+    if config.iterations_per_start:
+        # imported here, once and before the fork: validate needs no scipy
+        from scipy.optimize import minimize
+
+    def run_start(start):
         x0 = None
         for retry in range(_MAX_INIT_RETRIES + 1):
             candidate = drift_policy.init_params(policy_kind, (seed, start, retry))
@@ -198,9 +212,33 @@ def minimize_upper_bound(
             raise NumericalError(
                 f"start {start}: objective non-finite after {_MAX_INIT_RETRIES} redraws"
             )
-        x_final, f_final, outcome = _run_single_start(
-            value_and_grad, x0, f0, config, trace, start
-        )
+        return _run_single_start(minimize, value_and_grad, x0, f0, config, start)
+
+    def run_starts(queue):
+        """Results of the starts taken from ``queue``, and the first failure."""
+        done = {}
+        for start in queue:
+            try:
+                done[start] = run_start(start)
+            except Exception as exc:
+                queue.stop()  # every lower start is already taken
+                return done, (start, exc)
+        return done, None
+
+    with IndexQueue(config.num_starts) as queue:
+        if config.num_starts == 1 or not hasattr(os, "fork"):
+            parts = [run_starts(queue)]
+        else:
+            parts = in_two_processes(lambda: run_starts(queue), lambda: run_starts(queue))
+    failures = [failure for _, failure in parts if failure is not None]
+    if failures:
+        raise min(failures, key=lambda failure: failure[0])[1]
+
+    results = {start: result for done, _ in parts for start, result in done.items()}
+    trace = OptimizationTrace()
+    for start in range(config.num_starts):
+        entries, x_final, f_final, outcome = results[start]
+        trace.entries.extend(entries)
         trace.per_start_final.append(f_final)
         trace.outcomes.append(outcome)
         if f_final < trace.best_objective:

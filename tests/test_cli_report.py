@@ -6,6 +6,7 @@ import os
 import re
 import subprocess
 import sys
+import tomllib
 from importlib import metadata
 from pathlib import Path
 
@@ -371,16 +372,45 @@ def test_cli_malformed_value_is_a_typed_error(tmp_path, key, value):
 
 
 def _python(*args):
-    """A fresh interpreter on this checkout of lifedual."""
+    """A fresh interpreter on this checkout of lifedual.
+
+    Its stdout is a block-buffered pipe even where the environment sets
+    PYTHONUNBUFFERED, so output lost to a missing flush shows.
+    """
     src = str(Path(lifedual.__file__).resolve().parents[1])
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=path)
+    env.pop("PYTHONUNBUFFERED", None)
     return subprocess.run(
         [sys.executable, *args],
         capture_output=True,
         text=True,
-        env=dict(os.environ, PYTHONPATH=path),
+        env=env,
         timeout=120,
     )
+
+
+def test_cli_module_exit_flushes_output(tmp_path):
+    # python -m lifedual.cli leaves by os._exit, after flushing its streams
+    cfg = _write(tmp_path, "run.cfg", SMALL_RUN_CFG)
+    out = tmp_path / "out"
+    proc = _python(
+        "-m", "lifedual.cli", "run", "--preset", "example1", "--config", cfg,
+        "--out", str(out), "--seed", "0",
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.endswith(f"wrote {out / 'report.txt'}\n")
+    typo = _write(tmp_path, "typo.cfg", "sim.npaths = 100\n")
+    proc = _python("-m", "lifedual.cli", "run", "--config", typo)
+    assert proc.returncode == 1
+    assert proc.stderr.startswith("error:") and "sim.npaths" in proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
+def test_console_script_ends_like_the_module():
+    pyproject = Path(__file__).resolve().parents[1] / "pyproject.toml"
+    target = tomllib.loads(pyproject.read_text(encoding="utf-8"))["project"]["scripts"]
+    assert target == {"lifedual": "lifedual.cli:exit_main"}
 
 
 _LIST_SCIPY = "print(*sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"

@@ -1,6 +1,8 @@
 """The exact objective gradient and the multi-start reduction."""
 
 import dataclasses
+import os
+import time
 from unittest import mock
 
 import numpy as np
@@ -222,3 +224,118 @@ def test_exact_ties_go_to_the_lowest_start():
     with mock.patch("lifedual.optimizer.origin_upper_bound", return_value=-1.0):
         _, trace = minimize_upper_bound(g, "affine", cfg, seed=0)
     assert trace.best_start == 0
+
+
+@pytest.mark.parametrize(
+    "kind, activation, preset, num_starts, iterations",
+    [("affine", "relu", "example1", 5, 50), ("mlp", "snake", "example2", 4, 10)],
+    ids=["affine", "snake"],
+)
+def test_forked_starts_equal_one_process(
+    kind, activation, preset, num_starts, iterations, monkeypatch
+):
+    # the Snake case runs BFGS's np.dot and the MLP's matmuls in the child
+    g = _g(100, preset_scenario(preset))
+    cfg = OptimizerConfig(num_starts=num_starts, iterations_per_start=iterations)
+    forks = []
+    fork = os.fork
+
+    def counting_fork():
+        forks.append(os.getpid())
+        return fork()
+
+    monkeypatch.setattr(os, "fork", counting_fork)
+    _, forked = minimize_upper_bound(g, kind, cfg, seed=0, activation=activation)
+    assert forks == [os.getpid()]
+    monkeypatch.delattr(os, "fork")
+    _, serial = minimize_upper_bound(g, kind, cfg, seed=0, activation=activation)
+    for name in ("entries", "per_start_final", "outcomes", "best_start"):
+        assert getattr(forked, name) == getattr(serial, name), name
+    assert forked.best_params.tobytes() == serial.best_params.tobytes()
+
+
+def _fail_starts(g, failures, seed=0):
+    """Patch the objective so each start in ``failures`` fails.
+
+    ``failures`` maps a start index to (kind, predicate, delay): the
+    start fails by exhausting its init redraws (kind "redraws") or by a
+    non-finite gradient at its first BFGS point ("gradient"), where
+    ``predicate()`` holds, ``delay`` seconds after its first failing
+    evaluation.  Elsewhere the first evaluation of a process sleeps
+    0.2 s, so the failing process takes a start first.
+    """
+    # every redraw of a failing start, as its first point may be a redraw
+    nan_value, nan_grad = (
+        {
+            init_params("affine", (seed, s, r)).tobytes(): s
+            for s, (kind, _, _) in failures.items() if kind == which
+            for r in range(4)
+        }
+        for which in ("redraws", "gradient")
+    )
+    slept = set()
+    real_value, real_grad = origin_upper_bound, origin_upper_bound_and_gradient
+
+    def failing(table, policy):
+        start = table.get(np.asarray(policy.params, dtype=float).tobytes())
+        fails = start is not None and failures[start][1]()
+        key = start if fails else "first evaluation"
+        if key not in slept:
+            slept.add(key)
+            time.sleep(failures[start][2] if fails else 0.2)
+        return fails
+
+    def value(gg, policy):
+        return float("nan") if failing(nan_value, policy) else real_value(gg, policy)
+
+    def value_and_grad(gg, policy):
+        value, d_v0, d_vm = real_grad(gg, policy)
+        if failing(nan_grad, policy):
+            return value, np.full_like(d_v0, np.nan), np.full_like(d_vm, np.nan)
+        return value, d_v0, d_vm
+
+    return mock.patch.multiple(
+        "lifedual.optimizer",
+        origin_upper_bound=value,
+        origin_upper_bound_and_gradient=value_and_grad,
+    )
+
+
+def _in_child(flag):
+    parent = os.getpid()
+    return lambda: (os.getpid() != parent) == flag
+
+
+@pytest.mark.parametrize("kind", ["redraws", "gradient"])
+@pytest.mark.parametrize("in_child", [True, False], ids=["child", "parent"])
+def test_failing_start_raises_in_caller_and_reaps_child(kind, in_child):
+    g = _g(50)
+    cfg = OptimizerConfig(num_starts=3, iterations_per_start=5)
+    here = _in_child(in_child)
+    with _fail_starts(g, {s: (kind, here, 0.0) for s in range(3)}):
+        with pytest.raises(NumericalError, match=kind) as err:
+            minimize_upper_bound(g, "affine", cfg, seed=0)
+    assert err.type is NumericalError
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@pytest.mark.parametrize("forked", [True, False], ids=["forked", "serial"])
+@pytest.mark.parametrize(
+    "lower, higher, match",
+    [("redraws", "gradient", "start 1: .*redraws"), ("gradient", "redraws", "gradient")],
+    ids=["redraws-below-gradient", "gradient-below-redraws"],
+)
+def test_lowest_failing_start_wins(lower, higher, match, forked, monkeypatch):
+    # start 2 fails at once, start 1 only after 0.5 s, yet start 1's
+    # error is raised, as one process running the starts in order raises it
+    g = _g(50)
+    cfg = OptimizerConfig(num_starts=4, iterations_per_start=5)
+    if not forked:
+        monkeypatch.delattr(os, "fork")
+    always = lambda: True  # noqa: E731
+    with _fail_starts(g, {1: (lower, always, 0.5), 2: (higher, always, 0.0)}):
+        with pytest.raises(NumericalError, match=match):
+            minimize_upper_bound(g, "affine", cfg, seed=0)
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
