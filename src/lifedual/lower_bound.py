@@ -49,16 +49,15 @@ discounted optimal-wealth process
 checked under the physical measure through the density ksi_t.
 
 The paths are independent, so the pass runs them as two blocks, the
-second in a forked child that does only numpy elementwise work and
-leaves by ``os._exit``.  The blocks are cut where numpy's pairwise sum
-splits a row of all paths, so every mean, standard error and z-score
-equals that of one pass over all paths bit for bit.
+second in a forked child whose rows come back pickled through
+``lifedual.fork.in_two_processes``.  The blocks are cut where numpy's
+pairwise sum splits a row of all paths, so every mean, standard error
+and z-score equals that of one pass over all paths bit for bit.
 """
 
 from __future__ import annotations
 
 import importlib.util
-import mmap
 import os
 from collections.abc import Callable
 from dataclasses import dataclass
@@ -234,7 +233,6 @@ class SimulationResult:
     mean_wealth: np.ndarray
     mean_face_value: np.ndarray
     mean_consumption: np.ndarray
-    n_paths: int
     budget: BudgetCheck
     martingale_z: list[tuple[float, float]]
 
@@ -288,16 +286,17 @@ def simulate_candidate_value(
     block in-process for at most 128 paths or without ``os.fork``).
     Every operation on a path is elementwise, and the cut is where
     numpy's pairwise sum splits a row, so the result is bit-identical
-    to one pass over all paths: the blocks write per-path finals into
-    one shared row per quantity and per-step trajectory sums per block.
-    The child does only numpy elementwise work and leaves by
-    ``os._exit``; its exceptions are raised here, and what a
-    ``controls_override`` records while stepping the child's block
-    stays in the child.
+    to one pass over all paths: each block returns its per-path finals
+    and per-step trajectory sums, the finals are joined in path order
+    and the sums added.  The child does only numpy elementwise work;
+    its block comes back pickled through ``in_two_processes``, its
+    exceptions are raised here, and what a ``controls_override``
+    records while stepping the child's block stays in the child.
 
-    Returns the path mean, its sample standard error (conservative for
-    a low-discrepancy stream), mean trajectories of wealth, face value
-    M* - W, and consumption, and the two dual checks.
+    Returns the path mean, its sample standard error (the iid formula,
+    not a valid error for a low-discrepancy stream; ROADMAP item 2),
+    mean trajectories of wealth, face value M* - W, and consumption,
+    and the two dual checks.
     """
     scenario = g.scenario
     gam = scenario.gamma
@@ -345,21 +344,17 @@ def simulate_candidate_value(
     levels, row = sobol_normals(config)
     levels *= np.sqrt(dt)
 
-    # per-path finals (utility, spend, terminal, income, one row per
-    # martingale increment) and, per block, the per-step sums of W,
-    # M - W and c, in memory a forked block writes into
-    n_rows = 4 + len(checks)
-    shared = np.frombuffer(
-        mmap.mmap(-1, 8 * (n_rows * n_paths + 2 * 3 * (n_steps + 1))), dtype=np.float64
-    )
-    finals = shared[: n_rows * n_paths].reshape(n_rows, n_paths)
-    sums = shared[n_rows * n_paths :].reshape(2, 3, n_steps + 1)
+    def block(lo: int, hi: int) -> tuple[np.ndarray, np.ndarray]:
+        """Step paths [lo, hi); return their finals and per-step sums.
 
-    def block(b: int, lo: int, hi: int) -> None:
-        """Step paths [lo, hi), writing their finals and block b's sums."""
+        The finals are per path: utility, spend, terminal, income and
+        each martingale increment; the sums are per step: of W, M - W, c.
+        """
+        finals = np.zeros((4 + len(checks), hi - lo))
+        sums = np.zeros((3, n_steps + 1))
         W = np.full(hi - lo, scenario.W0)
         Y = np.full(hi - lo, scenario.Y0)
-        util, spend, terminal, income = finals[:4, lo:hi]
+        util, spend, terminal, income = finals[:4]
         # spend = int pi e^{-Lam}(c* + lam M*) dt, income = int pi e^{-Lam} Y dt
         finance = np.zeros(hi - lo)  # int beta e^{-Lam}(c* - Y + lam M*) dt
         log_xi = np.zeros(hi - lo)
@@ -382,7 +377,7 @@ def simulate_candidate_value(
                         fin = finance - half * (rate_n[k] * e - bs_n[k] * y_k)
                     w_star = c_star0[k] * e * f2_n[k] - y_k * ann_n[k]
                     h = xi * (bs_n[k] * w_star + fin)
-                    finals[4 + checks[k], lo:hi] = h - h_prev
+                    finals[4 + checks[k]] = h - h_prev
                     h_prev = h
                 if k == n_steps:
                     terminal[:] = bs_n[k] * c_star0[k] * f2_n[k] * xi_e  # pi e^{-Lam} W*_T
@@ -404,7 +399,7 @@ def simulate_candidate_value(
                 c = np.where(at_floor, np.minimum(c, cap), c)
                 m = np.where(at_floor, c * g_n[k], m)
 
-            sums[b, :, k] = np.add.reduce(W), np.add.reduce(m - W), np.add.reduce(c)
+            sums[:, k] = np.add.reduce(W), np.add.reduce(m - W), np.add.reduce(c)
             util += w_cons[k] * np.maximum(c, _UTILITY_FLOOR) ** (1.0 - gam) / (1.0 - gam)
             util += w_beq[k] * np.maximum(m, _UTILITY_FLOOR) ** (1.0 - gam) / (1.0 - gam)
 
@@ -419,17 +414,20 @@ def simulate_candidate_value(
                     + scenario.sigma_Y * dz
                 )
 
-        sums[b, 0, n_steps] = np.add.reduce(W)
+        sums[0, n_steps] = np.add.reduce(W)
         disc_T = np.exp(-mort.cumulative_hazard(0.0, scenario.T) - scenario.delta_tilde * scenario.T)
         util += disc_T * np.maximum(W, _UTILITY_FLOOR) ** (1.0 - gam) / (1.0 - gam)
+        return finals, sums
 
     if n_paths <= 128 or not hasattr(os, "fork"):  # numpy sums <= 128 terms unsplit
-        block(0, 0, n_paths)
-        totals = sums[0]
+        finals, totals = block(0, n_paths)
     else:
         cut = _split(n_paths)
-        in_two_processes(lambda: block(0, 0, cut), lambda: block(1, cut, n_paths))
-        totals = sums[0] + sums[1]
+        (f0, s0), (f1, s1) = in_two_processes(
+            lambda: block(0, cut), lambda: block(cut, n_paths)
+        )
+        finals = np.concatenate([f0, f1], axis=1)
+        totals = s0 + s1
     means = totals / n_paths
 
     util, spend, terminal, income = finals[:4]
@@ -453,7 +451,6 @@ def simulate_candidate_value(
         mean_wealth=means[0],
         mean_face_value=means[1, :n_steps],
         mean_consumption=means[2, :n_steps],
-        n_paths=n_paths,
         budget=budget,
         martingale_z=martingale_z,
     )

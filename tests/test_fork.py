@@ -1,7 +1,9 @@
 """The two-process helper and the index queue its two processes share."""
 
 import os
+import time
 
+import numpy as np
 import pytest
 
 from lifedual.fork import IndexQueue, in_two_processes
@@ -14,6 +16,36 @@ def test_queue_hands_out_each_index_once_to_two_processes():
         here, forked = in_two_processes(lambda: list(queue), lambda: list(queue))
     assert here == sorted(here) and forked == sorted(forked)
     assert sorted(here + forked) == list(range(n))
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def test_child_value_larger_than_the_pipe_buffer_comes_back_equal():
+    big = np.arange(2**17, dtype=np.float64)  # 1 MiB, 16 times a 64 KB pipe buffer
+    here, forked = in_two_processes(lambda: "here", lambda: big * 1.0)
+    assert here == "here" and np.array_equal(forked, big)
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def test_failing_here_reaps_a_child_blocked_on_its_payload():
+    started_r, started_w = os.pipe()
+
+    def forked():
+        os.write(started_w, b"x")
+        return np.zeros(2**17)  # blocks in the write until the caller reads
+
+    def here():
+        os.read(started_r, 1)
+        time.sleep(0.2)  # time for the child to fill the pipe
+        raise KeyError("here failed")
+
+    try:
+        with pytest.raises(KeyError, match="here failed"):
+            in_two_processes(here, forked)
+    finally:
+        os.close(started_r)
+        os.close(started_w)
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
 

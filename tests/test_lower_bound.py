@@ -365,7 +365,8 @@ def _fields(sim):
     return {f.name: getattr(sim, f.name) for f in dataclasses.fields(sim)}
 
 
-@pytest.mark.parametrize("n_paths", [2**11, 1001, 64])
+# 20000 paths send the child's block back as ~640 KB, as at desk scale
+@pytest.mark.parametrize("n_paths", [2**11, 1001, 64, 20000])
 def test_forked_blocks_equal_one_block(n_paths, monkeypatch):
     pol = AffinePolicy(
         params=(0.01, 0.0002, 0.005, 0.0, 0.01, 0.0, 0.005, 0.0), t_retire=SC.T_R
