@@ -77,6 +77,7 @@ __all__ = [
     "origin_upper_bound",
     "origin_upper_bound_and_gradient",
     "upper_bound",
+    "feedback_coefficients",
     "feedback_controls",
     "welfare_loss",
     "hjb_residual",
@@ -361,18 +362,29 @@ def origin_upper_bound_and_gradient(g: GFunction, policy):
 # Feedback strategy
 
 
-def feedback_controls(scenario: MarketScenario, W, y, ann, f2, kv, g_t, sigma):
-    """Optimal (theta*, c*, M*) from the aggregate curves at one time.
+def feedback_coefficients(scenario: MarketScenario, ann, f2, kv, sigma):
+    """Node coefficients (ann, 1/F2~, a, b) of the feedback rule.
+
+    Vectorised over times: ann, F2~, kappa_v and sigma are the curve
+    values there.  With F3~ = W + y ann, the rule of
+    ``feedback_controls`` is c* = F3~ / F2~ and theta* = F3~ a - y b,
+    where a = -kappa_v/(gamma sigma) and b = sigma_Y ann / sigma, so a
+    caller that applies it at many states forms these once per time.
+    """
+    return ann, 1.0 / f2, -kv / (scenario.gamma * sigma), scenario.sigma_Y * ann / sigma
+
+
+def feedback_controls(W, y, ann, inv_f2, a, b):
+    """Optimal (theta*, c*) at one time from its feedback coefficients.
 
     Vectorised over wealth W and the income flow y (zero once retired);
-    ann, F2~, kappa_v, g(t) and sigma(t) are the curve values at that
-    time.  theta* is clipped to [0, W] and M* = c* g(t).
+    (ann, inv_f2, a, b) is ``feedback_coefficients`` at that time.
+    theta* is clipped to [0, W]; the death benefit is M* = c* g(t).
     """
     f3 = W + y * ann
-    c = f3 / f2
-    theta = -f3 * kv / (scenario.gamma * sigma) - scenario.sigma_Y / sigma * y * ann
+    theta = f3 * a - y * b
     # np.clip(theta, 0.0, W) bit for bit, at half its cost on the pass's arrays
-    return np.minimum(np.maximum(theta, 0.0), W), c, c * g_t
+    return np.minimum(np.maximum(theta, 0.0), W), f3 * inv_f2
 
 
 # ---------------------------------------------------------------------------

@@ -28,11 +28,22 @@ number of initial points skipped.  The sequence is scipy's unscrambled
 direction numbers (read from the file scipy installs, so no scipy
 submodule is imported for it).  The normals are held as a table of
 inverse-CDF levels; each step builds its own row of grid integers into
-that table from the Gray codes of the points, so no (n_steps, n_paths)
-array exists.  Wealth uses Euler-Maruyama steps
-(the feedback drift precludes exact stepping); income uses exact
-log-normal steps; utility integrals use the left-endpoint rule,
-consistent with previsible controls.
+that table, so no (n_steps, n_paths) array exists.  The row is one
+broadcast XOR of two small tables, one over the high and one over the
+low half of the points' Gray codes, so no path gathers from a table.
+Wealth uses Euler-Maruyama steps (the feedback drift precludes exact
+stepping); income uses exact log-normal steps; utility integrals use
+the left-endpoint rule, consistent with previsible controls.
+
+Every per-node constant of a step is formed once per run, so a step
+costs about fifty passes over its paths.  Since M* = c* g at every
+path, the liquidity floor included, the two utility integrands fold
+into one power: u(c) weighted by e^{-Lam - dt~ t} (1 + lam g) dt.  The
+controls are c* = F3~ (1/F2~) and theta* = F3~ a - Y b with node
+coefficients a and b, and the Euler step is the one line
+W [1 + (r + lam) dt] + theta* [(mu - r) dt + sigma dz] - c* [(1 + lam g) dt]
++ Y dt, each bracketed factor but dz a node constant.  The pass sums
+W and c* per step; the mean face value is g times mean c* less mean W.
 
 The same pass over the same normals checks the dual bookkeeping: the
 static budget identity
@@ -64,7 +75,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .closed_form import GFunction, _origin_aggregates, feedback_controls
+from .closed_form import (
+    GFunction,
+    _origin_aggregates,
+    feedback_coefficients,
+    feedback_controls,
+)
 from .errors import NumericalError, ValidationError
 from .fork import in_two_processes
 
@@ -169,13 +185,17 @@ def sobol_normals(
     paths builds just its own part.
 
     Point i is the XOR of the direction integers selected by its Gray
-    code i ^ (i >> 1) (Bratley & Fox 1988).  ``row(k)`` builds two XOR
-    tables of at most 2^ceil(m/2) entries from coordinate k's direction
-    integers, one over the low and one over the high half of the
-    Gray-code bits, and indexes them by those halves.  Each call builds
-    its row afresh, so a reader may ask for a row more than once and
-    nothing of size n_steps x n_paths is held.  Deterministic given the
-    config.
+    code i ^ (i >> 1) (Bratley & Fox 1988).  Split i = j 2^h + l with
+    h = ceil(m/2): the high half of the Gray code is the Gray code of j,
+    and the low half is that of l XOR (j & 1) 2^(h-1).  ``row(k)``
+    therefore XOR-reduces coordinate k's direction integers into two
+    small tables, one masked reduce each: A over the 2^h values of l
+    (in that order) and B over the values of j that the paths reach,
+    with the parity term folded into B.  Consecutive points then read
+    ``(B[:, None] ^ A).ravel()``, sliced to the paths asked for, so no
+    path gathers from a table.  Each call builds its row afresh, so a
+    reader may ask for a row more than once and nothing of size
+    n_steps x n_paths is held.  Deterministic given the config.
     """
     from scipy.special import ndtri  # imported here: validate needs no scipy
 
@@ -185,26 +205,27 @@ def sobol_normals(
     ndtri(levels, out=levels)
 
     top = _direction_integers(config.n_steps)[:, :m] >> (_SOBOL_BITS - m)
-    gray_lo = np.arange(1 + config.sobol_skip, 1 + config.sobol_skip + config.n_paths)
-    gray_lo ^= gray_lo >> 1
-    h = (m + 1) // 2
-    gray_hi = gray_lo >> h
-    gray_lo &= 2**h - 1
+    h = (m + 1) // 2  # m >= 2, since n_paths >= 2
+    dirs = top[:, np.r_[:m, h - 1]]  # the parity of j selects direction h - 1
+    first = 1 + config.sobol_skip  # sequence index of path 0
+    j0 = first >> h
+    # each table XOR-reduces mask & direction over the first axis, with
+    # the mask -1 where a direction enters an entry and 0 where not
+    low = np.arange(2**h)
+    low_mask = -((low ^ (low >> 1)) >> np.arange(h)[:, None] & 1)
+    high = np.arange(j0, ((first + config.n_paths - 1) >> h) + 1)
+    high_mask = -(np.vstack([(high ^ (high >> 1)) >> np.arange(m - h)[:, None], high]) & 1)
 
     def row(k: int, lo: int = 0, hi: int | None = None) -> np.ndarray:
-        out = _xor_table(top[k, :h])[gray_lo[lo:hi]]
-        out ^= _xor_table(top[k, h:])[gray_hi[lo:hi]]
-        return out
+        hi = config.n_paths if hi is None else hi
+        j_lo, j_hi = (first + lo) >> h, (first + hi - 1) >> h
+        a = np.bitwise_xor.reduce(low_mask & dirs[k, :h, None], axis=0)
+        b_mask = high_mask[:, j_lo - j0 : j_hi - j0 + 1]
+        b = np.bitwise_xor.reduce(b_mask & dirs[k, h:, None], axis=0)
+        skip = first + lo - (j_lo << h)
+        return (b[:, None] ^ a).ravel()[skip : skip + hi - lo]
 
     return levels, row
-
-
-def _xor_table(directions: np.ndarray) -> np.ndarray:
-    """Table[g] = XOR of directions[b] over the set bits b of g."""
-    table = np.zeros(2 ** len(directions), dtype=directions.dtype)
-    for b, d in enumerate(directions):
-        np.bitwise_xor(table[: 2**b], d, out=table[2**b : 2 ** (b + 1)])
-    return table
 
 
 @dataclass(frozen=True)
@@ -262,11 +283,14 @@ def simulate_candidate_value(
 
     ``g`` carries the scenario and a grid starting at 0, on which the
     aggregate curves are built once.  Controls are recomputed each
-    step from the current state via the feedback formulas on linearly
-    interpolated aggregate curves.  The optional
-    ``controls_override(t, W, Y) -> (theta, c, M)`` replaces the
-    feedback rule (used to exercise alternative feasible recipes); the
-    liquidity truncation still applies on the zero-wealth boundary.
+    step from the current state by ``closed_form.feedback_controls``,
+    on coefficients of the linearly interpolated aggregate curves
+    formed once per node.  The optional
+    ``controls_override(t, W, Y) -> (theta, c)`` replaces the feedback
+    rule (used to exercise alternative feasible recipes); theta is
+    clipped to [0, W], the death benefit is M = c g(t) as in the
+    candidate recipe, and the liquidity truncation of c still applies
+    on the zero-wealth boundary.
 
     The same pass simulates log ksi_v (left-endpoint Euler increments)
     and evaluates the closed-form optimal streams
@@ -294,7 +318,7 @@ def simulate_candidate_value(
     records while stepping the child's block stays in the child.
 
     Returns the path mean, its sample standard error (the iid formula,
-    not a valid error for a low-discrepancy stream; ROADMAP item 2),
+    not a valid error for a low-discrepancy stream; ROADMAP item 1),
     mean trajectories of wealth, face value M* - W, and consumption,
     and the two dual checks.
     """
@@ -317,10 +341,18 @@ def simulate_candidate_value(
     cum_haz = np.asarray(mort.cumulative_hazard(0.0, t_nodes))
     surv_n = np.exp(-cum_haz)
     disc_n = np.exp(-cum_haz - scenario.delta_tilde * t_nodes)
-    w_cons = disc_n * dt
-    w_beq = lam_n * disc_n * g_n**gam * dt
     cap_fac = 1.0 + lam_n * g_n
     working = t_nodes < scenario.T_R
+    # node coefficients of the candidate step, with M = c g: the feedback
+    # rule's, the Euler step's, and the weight of c^(1-gamma) for
+    # consumption plus bequest, w u(c) + lam w g^gamma u(c g) = w (1 + lam g) u(c)
+    # with w = disc dt
+    coef = np.stack(feedback_coefficients(scenario, ann_n, f2_n, kv_n, sig_n))
+    grow_n = 1.0 + (r_n + lam_n) * dt
+    excess_n = (mu_n - r_n) * dt
+    rho_n = cap_fac * dt
+    u_n = disc_n * rho_n / (1.0 - gam)
+    y_drift = (scenario.mu_Y - 0.5 * scenario.sigma_Y**2) * dt  # exact log-normal income step
 
     v0_n = np.asarray(policy(t_nodes)[0]) + np.zeros_like(t_nodes)
     # deterministic part of the kernel: log beta by the left rule,
@@ -348,10 +380,10 @@ def simulate_candidate_value(
         """Step paths [lo, hi); return their finals and per-step sums.
 
         The finals are per path: utility, spend, terminal, income and
-        each martingale increment; the sums are per step: of W, M - W, c.
+        each martingale increment; the sums are per step: of W and c.
         """
         finals = np.zeros((4 + len(checks), hi - lo))
-        sums = np.zeros((3, n_steps + 1))
+        sums = np.zeros((2, n_steps + 1))
         W = np.full(hi - lo, scenario.W0)
         Y = np.full(hi - lo, scenario.Y0)
         util, spend, terminal, income = finals[:4]
@@ -359,10 +391,16 @@ def simulate_candidate_value(
         finance = np.zeros(hi - lo)  # int beta e^{-Lam}(c* - Y + lam M*) dt
         log_xi = np.zeros(hi - lo)
         h_prev = float(scenario.W0)
-        for k in range(n_steps + 1):
-            t = t_nodes[k]
-            y_k = Y if working[k] else 0.0
-            with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            for k in range(n_steps + 1):
+                # after the floor every W is >= 0 or not finite, so the
+                # sum is finite exactly when every path's wealth is
+                sums[0, k] = np.add.reduce(W)
+                if not np.isfinite(sums[0, k]):
+                    raise NumericalError(
+                        f"non-finite wealth at step {k - 1} (t={t_nodes[k - 1]:.4f})"
+                    )
+                y_k = Y if working[k] else 0.0
                 xi = np.exp(log_xi)
                 e = np.exp(log_xi / -gam)
                 xi_e = xi * e
@@ -386,35 +424,25 @@ def simulate_candidate_value(
                 log_xi += kv_n[k] * dz
                 log_xi -= 0.5 * kv_n[k] * kv_n[k] * dt
 
-            if controls_override is None:
-                theta, c, m = feedback_controls(
-                    scenario, W, y_k, ann_n[k], f2_n[k], kv_n[k], g_n[k], sig_n[k]
-                )
-            else:
-                theta, c, m = controls_override(t, W, y_k)
-                theta = np.clip(theta, 0.0, W)
-            at_floor = W <= 1e-12
-            if working[k] and np.any(at_floor):
-                cap = Y / cap_fac[k]
-                c = np.where(at_floor, np.minimum(c, cap), c)
-                m = np.where(at_floor, c * g_n[k], m)
+                if controls_override is None:
+                    theta, c = feedback_controls(W, y_k, *coef[:, k])
+                else:
+                    theta, c = controls_override(t_nodes[k], W, y_k)
+                    theta = np.clip(theta, 0.0, W)
+                if working[k]:
+                    at_floor = W <= 1e-12
+                    if np.any(at_floor):  # the liquidity rule caps c (and M = c g)
+                        c = np.where(at_floor, np.minimum(c, Y / cap_fac[k]), c)
 
-            sums[:, k] = np.add.reduce(W), np.add.reduce(m - W), np.add.reduce(c)
-            util += w_cons[k] * np.maximum(c, _UTILITY_FLOOR) ** (1.0 - gam) / (1.0 - gam)
-            util += w_beq[k] * np.maximum(m, _UTILITY_FLOOR) ** (1.0 - gam) / (1.0 - gam)
+                sums[1, k] = np.add.reduce(c)
+                util += u_n[k] * np.maximum(c, _UTILITY_FLOOR) ** (1.0 - gam)
 
-            drift = (r_n[k] + lam_n[k]) * W + theta * (mu_n[k] - r_n[k]) - c - lam_n[k] * m + y_k
-            W = W + drift * dt + theta * sig_n[k] * dz
-            np.maximum(W, 0.0, out=W)
-            if not np.all(np.isfinite(W)):
-                raise NumericalError(f"non-finite wealth at step {k} (t={t:.4f})")
-            if working[k]:
-                Y = Y * np.exp(
-                    (scenario.mu_Y - 0.5 * scenario.sigma_Y**2) * dt
-                    + scenario.sigma_Y * dz
-                )
+                W = W * grow_n[k] + theta * (excess_n[k] + sig_n[k] * dz) - c * rho_n[k]
+                if working[k]:
+                    W += Y * dt
+                    Y = Y * np.exp(y_drift + scenario.sigma_Y * dz)
+                np.maximum(W, 0.0, out=W)
 
-        sums[0, n_steps] = np.add.reduce(W)
         disc_T = np.exp(-mort.cumulative_hazard(0.0, scenario.T) - scenario.delta_tilde * scenario.T)
         util += disc_T * np.maximum(W, _UTILITY_FLOOR) ** (1.0 - gam) / (1.0 - gam)
         return finals, sums
@@ -449,8 +477,8 @@ def simulate_candidate_value(
         std_error=float(se),
         times=np.concatenate([t_nodes[:-1], [scenario.T]]),
         mean_wealth=means[0],
-        mean_face_value=means[1, :n_steps],
-        mean_consumption=means[2, :n_steps],
+        mean_face_value=g_n[:-1] * means[1, :-1] - means[0, :-1],
+        mean_consumption=means[1, :-1],
         budget=budget,
         martingale_z=martingale_z,
     )

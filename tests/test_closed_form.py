@@ -13,6 +13,7 @@ from scipy.integrate import quad
 from lifedual.closed_form import (
     compute_g,
     crra_utility,
+    feedback_coefficients,
     feedback_controls,
     g_value,
     hjb_residual,
@@ -169,10 +170,12 @@ def _controls_at(g, policy, t, W, Y=0.0):
     anchored = compute_g(SC, UniformGrid(t, SC.T, g.grid.n_intervals))
     agg = precompute_aggregates(anchored, policy)
     y = Y if t < SC.T_R else 0.0
-    return feedback_controls(
-        SC, W, y, agg.income_annuity[0], agg.tilde_f2[0], agg.kappa_v[0], agg.g[0],
-        SC.sigma(t),
+    theta, c = feedback_controls(
+        W, y, *feedback_coefficients(
+            SC, agg.income_annuity[0], agg.tilde_f2[0], agg.kappa_v[0], SC.sigma(t)
+        )
     )
+    return theta, c, c * agg.g[0]
 
 
 def test_feedback_strategy_examples():

@@ -12,7 +12,13 @@ from scipy.integrate import quad
 from scipy.special import ndtri
 from scipy.stats import qmc
 
-from lifedual.closed_form import compute_g, origin_upper_bound, precompute_aggregates
+from lifedual.closed_form import (
+    compute_g,
+    feedback_coefficients,
+    feedback_controls,
+    origin_upper_bound,
+    precompute_aggregates,
+)
 from lifedual.config import build_run_config
 from lifedual.drift_policy import AffinePolicy, init_params, make_policy
 from lifedual.errors import NumericalError, ValidationError
@@ -109,6 +115,29 @@ def test_sobol_rows_match_engine_and_repeat(n_paths, n_steps, sobol_skip):
         assert np.array_equal(row(k), first)
 
 
+@pytest.mark.parametrize(
+    "cfg",
+    [
+        SimulationConfig(n_paths=20000, n_steps=40),  # desk paths, cut at _split
+        SimulationConfig(n_paths=1001, n_steps=20, sobol_skip=4001),  # unaligned skip
+        SimulationConfig(n_paths=3, n_steps=6, sobol_skip=0),  # m = 2, h = 1
+        SimulationConfig(n_paths=2, n_steps=4, sobol_skip=1),  # m = 2, from index 2
+    ],
+    ids=["desk", "skip-4001", "m2", "m2-skip"],
+)
+def test_sobol_row_on_unaligned_ranges(cfg):
+    # a block's row is the slice of the whole row, wherever the block
+    # starts and ends relative to the 2^h points of one high-table entry
+    _, row = sobol_normals(cfg)
+    n = cfg.n_paths
+    cut = _split(n)
+    ranges = {(0, cut), (cut, n), (1, n - 1), (0, 1), (n - 1, n), (n // 3, 2 * n // 3)}
+    for k in range(cfg.n_steps):
+        whole = row(k)
+        for lo, hi in ranges:
+            assert np.array_equal(row(k, lo, hi), whole[lo:hi]), (k, lo, hi)
+
+
 def test_sobol_normals_desk_scale_memory():
     # reading every desk row holds one row (160 KB), its two XOR tables
     # and the 2^15-entry level table, never the (1000, 20000) stream
@@ -196,8 +225,7 @@ def test_income_stops_at_retirement():
 
     def override(t, W, y):
         seen.append((t, np.max(np.asarray(y))))
-        c = np.full_like(W, 1.0)
-        return np.zeros_like(W), c, c * 30.0
+        return np.zeros_like(W), np.full_like(W, 1.0)
 
     simulate_candidate_value(
         g, ZERO, SimulationConfig(n_paths=64, n_steps=10, sobol_skip=0),
@@ -215,7 +243,7 @@ def test_zero_stock_half_spend_override_grows_wealth():
     def override(t, W, y):
         lam = SC.mortality.hazard(t)
         c = ((SC.r(t) + lam) * W + y) / (2.0 * (1.0 + lam * g(t)))
-        return np.zeros_like(W), c, c * g(t)
+        return np.zeros_like(W), c
 
     res = simulate_candidate_value(
         g, ZERO, SimulationConfig(n_paths=128, n_steps=200),
@@ -223,6 +251,29 @@ def test_zero_stock_half_spend_override_grows_wealth():
     )
     assert np.all(np.diff(res.mean_wealth) > 0)
     assert res.value < 0  # CRRA gamma > 1 keeps utility negative
+
+
+def test_feedback_override_reproduces_default_pass():
+    # the feedback rule applied from the interpolated curves at t is the
+    # default pass, so an override that does just that changes nothing
+    pol = AffinePolicy(
+        params=(0.01, 0.0002, 0.005, 0.0, 0.01, 0.0, 0.005, 0.0), t_retire=SC.T_R
+    )
+    g = _g100()
+    agg = precompute_aggregates(g, pol)
+
+    def override(t, W, y):
+        _, f2, ann, kv = agg.interp_curves(t)
+        return feedback_controls(W, y, *feedback_coefficients(SC, ann, f2, kv, SC.sigma(t)))
+
+    cfg = SimulationConfig(n_paths=2048, n_steps=77)
+    ref = simulate_candidate_value(g, pol, cfg)
+    sim = simulate_candidate_value(g, pol, cfg, controls_override=override)
+    assert sim.value == pytest.approx(ref.value, rel=1e-12)
+    assert sim.std_error == pytest.approx(ref.std_error, rel=1e-12)
+    assert sim.budget.z_score == pytest.approx(ref.budget.z_score, rel=1e-12)
+    for name in ("mean_wealth", "mean_face_value", "mean_consumption"):
+        assert getattr(sim, name) == pytest.approx(getattr(ref, name), rel=1e-12), name
 
 
 def test_starved_paths_stay_finite():
@@ -237,6 +288,13 @@ def test_starved_paths_stay_finite():
     lam0 = poor.mortality.hazard(0.0)
     cap0 = poor.Y0 / (1.0 + lam0 * g(0.0))
     assert res.mean_consumption[0] <= cap0 * (1.0 + 1e-12)
+    # captured while the floor branch still capped the death benefit
+    # beside consumption; M = c g makes capping c alone the same rule
+    assert res.value == pytest.approx(-10.76735064313255, rel=1e-12)
+    assert res.mean_consumption[:3] == pytest.approx(
+        [28.246505715977232, 28.338830164071172, 28.47968195555211], rel=1e-12
+    )
+    assert res.mean_wealth[-1] == pytest.approx(131.14371321503253, rel=1e-12)
 
 
 def test_weak_duality_for_sampled_policies():
@@ -390,8 +448,7 @@ def _nan_theta_in(block_is_child):
         theta = np.zeros_like(W)
         if (os.getpid() != parent) == block_is_child:
             theta[:] = np.nan
-        c = np.full_like(W, 1.0)
-        return theta, c, c * 30.0
+        return theta, np.full_like(W, 1.0)
 
     return override
 
