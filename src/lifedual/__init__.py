@@ -38,6 +38,7 @@ from .lower_bound import (
     BudgetCheck,
     SimulationConfig,
     SimulationResult,
+    dual_checks,
     simulate_candidate_value,
     sobol_normals,
 )
@@ -79,6 +80,7 @@ __all__ = [
     "build_run_config",
     "compute_g",
     "crra_utility",
+    "dual_checks",
     "emit_csv",
     "g_value",
     "hjb_residual",

@@ -5,8 +5,8 @@ Subcommands
 run       optimize the upper bound, simulate the candidate lower bound,
           verify the budget identity, and write the CSV artifact set
 validate  check scenario coefficient conditions and report violations
-verify    optimize, simulate, and print the budget and kernel-martingale
-          checks of that path pass
+verify    optimize, then step only the dual streams and print the budget
+          and kernel-martingale checks (no candidate simulation)
 gfun      write the consumption-annuity curve g(t) as CSV
 
 Common flags: ``--config PATH`` (flat key=value file), ``--preset
@@ -28,7 +28,7 @@ from . import __version__, market
 from .closed_form import compute_g
 from .config import RunConfig, build_run_config, parse_kv_file
 from .errors import NumericalError, ValidationError
-from .lower_bound import simulate_candidate_value
+from .lower_bound import dual_checks, simulate_candidate_value
 from .optimizer import minimize_upper_bound
 from .quadrature import UniformGrid
 from .report import build_report, emit_csv, write_gfun_csv
@@ -89,15 +89,16 @@ def _validate_or_die(cfg: RunConfig) -> None:
         raise ValidationError("scenario validation failed")
 
 
-def _solve(cfg: RunConfig):
-    """Validate, build g, minimize the upper bound and run the path pass.
+def _fit(cfg: RunConfig):
+    """Validate, build g and minimize the upper bound.
 
-    Returns the grid, the fitted policy, the optimizer trace, the
-    simulation result and the wall-clock seconds of each phase.
+    Returns g (which carries the grid), the fitted policy, the optimizer
+    trace and the wall-clock seconds of each phase.  ``run`` then
+    simulates the candidate; ``verify`` steps only the dual streams
+    with ``dual_checks``.
     """
     _validate_or_die(cfg)
     clock: dict[str, float] = {}
-    t_total = time.perf_counter()
 
     t0 = time.perf_counter()
     grid = UniformGrid(0.0, cfg.scenario.T, cfg.n_intervals)
@@ -114,19 +115,18 @@ def _solve(cfg: RunConfig):
         snake_a=cfg.snake_a,
     )
     clock["optimize"] = time.perf_counter() - t0
+    return g, policy, trace, clock
 
+
+def _cmd_run(args: argparse.Namespace) -> int:
+    cfg = _resolve_config(args)
+    g, policy, trace, clock = _fit(cfg)
     t0 = time.perf_counter()
     # config by keyword: the perfbench tracer counts path steps from the
     # config at args[3] or kwargs["config"]
     sim = simulate_candidate_value(g, policy, config=cfg.simulation)
     clock["simulate"] = time.perf_counter() - t0
-    clock["total"] = time.perf_counter() - t_total
-    return grid, policy, trace, sim, clock
-
-
-def _cmd_run(args: argparse.Namespace) -> int:
-    cfg = _resolve_config(args)
-    grid, policy, trace, sim, clock = _solve(cfg)
+    clock["total"] = sum(clock.values())
     budget = sim.budget
     if not np.isfinite(budget.z_score):
         raise NumericalError("budget check produced a non-finite z-score")
@@ -139,7 +139,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
     report = build_report(
         trace.best_objective, sim.value, sim.std_error, cfg.scenario.gamma
     )
-    paths = emit_csv(report, cfg, grid, policy, trace, sim, clock)
+    paths = emit_csv(report, cfg, g.grid, policy, trace, sim, clock)
 
     print(f"upper bound   {report.upper_bound:.7f}")
     print(f"lower bound   {report.lower_bound:.7f}  (s.e. {report.lower_std_error:.2e})")
@@ -161,14 +161,15 @@ def _cmd_validate(args: argparse.Namespace) -> int:
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
-    _, _, _, sim, _ = _solve(_resolve_config(args))
-    budget = sim.budget
+    cfg = _resolve_config(args)
+    g, policy, _, _ = _fit(cfg)
+    budget, martingale_z = dual_checks(g, policy, cfg.simulation)
     print(
         f"budget identity: lhs {budget.lhs:.6f}  rhs {budget.rhs:.6f}  "
         f"z {budget.z_score:+.3f}"
     )
     ok = np.isfinite(budget.z_score) and abs(budget.z_score) <= _Z_LIMIT
-    for t, z in sim.martingale_z:
+    for t, z in martingale_z:
         print(f"kernel martingale at t={t:7.3f}: z {z:+.3f}")
         ok = ok and np.isfinite(z) and abs(z) <= _Z_LIMIT
     if not ok:

@@ -58,6 +58,8 @@ discounted optimal-wealth process
     H_t = beta_t e^{-Lam} W*_t + ∫_0^t beta e^{-Lam} (c* - Y + lam M*) ds,
 
 checked under the physical measure through the density ksi_t.
+``dual_checks(g, policy, config)`` steps only these dual streams, with
+no candidate controls or wealth, and returns the same two checks.
 
 The paths are independent, so the pass runs them as two blocks, the
 second in a forked child whose rows come back pickled through
@@ -90,6 +92,7 @@ __all__ = [
     "BudgetCheck",
     "sobol_normals",
     "simulate_candidate_value",
+    "dual_checks",
 ]
 
 _MAX_SOBOL_DIM = 21201  # dimensions in the Joe-Kuo direction-number file
@@ -273,54 +276,45 @@ def _split(n_paths: int) -> int:
     return n_paths // 2 - (n_paths // 2) % 8
 
 
-def simulate_candidate_value(
-    g: GFunction,
-    policy,
-    config: SimulationConfig,
-    controls_override=None,
-) -> SimulationResult:
-    """Estimate Jbar for the candidate strategy induced by ``policy``.
+def _checkpoints(n_steps: int) -> dict[int, int]:
+    """Martingale checkpoints: step of each quarter horizon -> its row offset."""
+    steps = sorted({max(j * n_steps // 4, 1) for j in range(1, 5)})
+    return {k: j for j, k in enumerate(steps)}
 
-    ``g`` carries the scenario and a grid starting at 0, on which the
-    aggregate curves are built once.  Controls are recomputed each
-    step from the current state by ``closed_form.feedback_controls``,
-    on coefficients of the linearly interpolated aggregate curves
-    formed once per node.  The optional
-    ``controls_override(t, W, Y) -> (theta, c)`` replaces the feedback
-    rule (used to exercise alternative feasible recipes); theta is
-    clipped to [0, W], the death benefit is M = c g(t) as in the
-    candidate recipe, and the liquidity truncation of c still applies
-    on the zero-wealth boundary.
 
-    The same pass simulates log ksi_v (left-endpoint Euler increments)
-    and evaluates the closed-form optimal streams
-    c*_t = c0 (pi_t e^{delta t})^{-1/gamma}, M*_t = g(t) c*_t and
-    W*_t = c*_t F2~(t) - Y_t ann(t) at every step boundary.  With
-    pi_t = beta_t ksi_t, every pricing integrand is a node scalar times
-    ksi, e = ksi^{-1/gamma}, ksi e or Y, so the trapezoid sums
-    accumulate those with node weights built once (the income flow
-    stops at retirement: the right limit at T_R still pays, the cell
-    opening at T_R does not).  The budget check standardizes
-    spend + terminal - income against W0; the martingale check
-    standardizes the increments of H_t between quarter-horizon
-    checkpoints (the first against the exact H_0 = W0).  Overflow in
-    these dual streams is left to show as a non-finite z-score.
+def _dual_summary(
+    finals: np.ndarray, t_nodes: np.ndarray, w0: float
+) -> tuple[BudgetCheck, list[tuple[float, float]]]:
+    """The budget check and martingale z-scores from a pass's per-path finals.
 
-    The paths run as two blocks, the second in a forked child (one
-    block in-process for at most 128 paths or without ``os.fork``).
-    Every operation on a path is elementwise, and the cut is where
-    numpy's pairwise sum splits a row, so the result is bit-identical
-    to one pass over all paths: each block returns its per-path finals
-    and per-step trajectory sums, the finals are joined in path order
-    and the sums added.  The child does only numpy elementwise work;
-    its block comes back pickled through ``in_two_processes``, its
-    exceptions are raised here, and what a ``controls_override``
-    records while stepping the child's block stays in the child.
+    Overflow in the dual streams is left to show as a non-finite z-score.
+    """
+    spend, terminal, income = finals[1:4]
+    with np.errstate(over="ignore", invalid="ignore"):
+        mean, budget_se = _mean_se(spend + terminal - income)
+        budget = BudgetCheck(
+            lhs=float((spend + terminal).mean()),
+            rhs=float(w0 + income.mean()),
+            z_score=float((mean - w0) / budget_se),
+            std_error=float(budget_se),
+        )
+        martingale_z = []
+        for k, j in _checkpoints(len(t_nodes) - 1).items():
+            mean, inc_se = _mean_se(finals[4 + j])
+            martingale_z.append((float(t_nodes[k]), float(mean / inc_se)))
+    return budget, martingale_z
 
-    Returns the path mean, its sample standard error (the iid formula,
-    not a valid error for a low-discrepancy stream; ROADMAP item 1),
-    mean trajectories of wealth, face value M* - W, and consumption,
-    and the two dual checks.
+
+def _path_pass(
+    g: GFunction, policy, config: SimulationConfig, candidate: bool, controls_override=None
+):
+    """Step every path; return (t_nodes, g_n, finals, means).
+
+    ``finals`` holds per path the utility, spend, terminal and income
+    sums and each martingale increment; ``means`` the per-step path
+    means of W and c.  The dual streams always step; the candidate's
+    controls, wealth and utility only when ``candidate`` is true, and
+    otherwise the utility row and ``means`` stay zero.
     """
     scenario = g.scenario
     gam = scenario.gamma
@@ -371,17 +365,13 @@ def simulate_candidate_value(
     pays = t_nodes <= scenario.T_R
     pays[0] = False
     income_w = (half * pays + half * working) * bs_n
-    checks = {k: j for j, k in enumerate(sorted({max(j * n_steps // 4, 1) for j in range(1, 5)}))}
+    checks = _checkpoints(n_steps)
 
     levels, row = sobol_normals(config)
     levels *= np.sqrt(dt)
 
     def block(lo: int, hi: int) -> tuple[np.ndarray, np.ndarray]:
-        """Step paths [lo, hi); return their finals and per-step sums.
-
-        The finals are per path: utility, spend, terminal, income and
-        each martingale increment; the sums are per step: of W and c.
-        """
+        """Step paths [lo, hi); return their finals and per-step sums."""
         finals = np.zeros((4 + len(checks), hi - lo))
         sums = np.zeros((2, n_steps + 1))
         W = np.full(hi - lo, scenario.W0)
@@ -393,13 +383,14 @@ def simulate_candidate_value(
         h_prev = float(scenario.W0)
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
             for k in range(n_steps + 1):
-                # after the floor every W is >= 0 or not finite, so the
-                # sum is finite exactly when every path's wealth is
-                sums[0, k] = np.add.reduce(W)
-                if not np.isfinite(sums[0, k]):
-                    raise NumericalError(
-                        f"non-finite wealth at step {k - 1} (t={t_nodes[k - 1]:.4f})"
-                    )
+                if candidate:
+                    # after the floor every W is >= 0 or not finite, so the
+                    # sum is finite exactly when every path's wealth is
+                    sums[0, k] = np.add.reduce(W)
+                    if not np.isfinite(sums[0, k]):
+                        raise NumericalError(
+                            f"non-finite wealth at step {k - 1} (t={t_nodes[k - 1]:.4f})"
+                        )
                 y_k = Y if working[k] else 0.0
                 xi = np.exp(log_xi)
                 e = np.exp(log_xi / -gam)
@@ -424,27 +415,30 @@ def simulate_candidate_value(
                 log_xi += kv_n[k] * dz
                 log_xi -= 0.5 * kv_n[k] * kv_n[k] * dt
 
-                if controls_override is None:
-                    theta, c = feedback_controls(W, y_k, *coef[:, k])
-                else:
-                    theta, c = controls_override(t_nodes[k], W, y_k)
-                    theta = np.clip(theta, 0.0, W)
-                if working[k]:
-                    at_floor = W <= 1e-12
-                    if np.any(at_floor):  # the liquidity rule caps c (and M = c g)
-                        c = np.where(at_floor, np.minimum(c, Y / cap_fac[k]), c)
+                if candidate:
+                    if controls_override is None:
+                        theta, c = feedback_controls(W, y_k, *coef[:, k])
+                    else:
+                        theta, c = controls_override(t_nodes[k], W, y_k)
+                        theta = np.clip(theta, 0.0, W)
+                    if working[k]:
+                        at_floor = W <= 1e-12
+                        if np.any(at_floor):  # the liquidity rule caps c (and M = c g)
+                            c = np.where(at_floor, np.minimum(c, Y / cap_fac[k]), c)
 
-                sums[1, k] = np.add.reduce(c)
-                util += u_n[k] * np.maximum(c, _UTILITY_FLOOR) ** (1.0 - gam)
+                    sums[1, k] = np.add.reduce(c)
+                    util += u_n[k] * np.maximum(c, _UTILITY_FLOOR) ** (1.0 - gam)
 
-                W = W * grow_n[k] + theta * (excess_n[k] + sig_n[k] * dz) - c * rho_n[k]
+                    W = W * grow_n[k] + theta * (excess_n[k] + sig_n[k] * dz) - c * rho_n[k]
+                    if working[k]:
+                        W += Y * dt
+                    np.maximum(W, 0.0, out=W)
                 if working[k]:
-                    W += Y * dt
                     Y = Y * np.exp(y_drift + scenario.sigma_Y * dz)
-                np.maximum(W, 0.0, out=W)
 
-        disc_T = np.exp(-mort.cumulative_hazard(0.0, scenario.T) - scenario.delta_tilde * scenario.T)
-        util += disc_T * np.maximum(W, _UTILITY_FLOOR) ** (1.0 - gam) / (1.0 - gam)
+        if candidate:
+            disc_T = np.exp(-mort.cumulative_hazard(0.0, scenario.T) - scenario.delta_tilde * scenario.T)
+            util += disc_T * np.maximum(W, _UTILITY_FLOOR) ** (1.0 - gam) / (1.0 - gam)
         return finals, sums
 
     if n_paths <= 128 or not hasattr(os, "fork"):  # numpy sums <= 128 terms unsplit
@@ -456,29 +450,84 @@ def simulate_candidate_value(
         )
         finals = np.concatenate([f0, f1], axis=1)
         totals = s0 + s1
-    means = totals / n_paths
+    return t_nodes, g_n, finals, totals / n_paths
 
-    util, spend, terminal, income = finals[:4]
-    value, se = _mean_se(util)
-    with np.errstate(over="ignore", invalid="ignore"):
-        mean, budget_se = _mean_se(spend + terminal - income)
-        budget = BudgetCheck(
-            lhs=float((spend + terminal).mean()),
-            rhs=float(scenario.W0 + income.mean()),
-            z_score=float((mean - scenario.W0) / budget_se),
-            std_error=float(budget_se),
-        )
-        martingale_z = []
-        for k, j in checks.items():
-            mean, inc_se = _mean_se(finals[4 + j])
-            martingale_z.append((float(t_nodes[k]), float(mean / inc_se)))
+
+def simulate_candidate_value(
+    g: GFunction,
+    policy,
+    config: SimulationConfig,
+    controls_override=None,
+) -> SimulationResult:
+    """Estimate Jbar for the candidate strategy induced by ``policy``.
+
+    ``g`` carries the scenario and a grid starting at 0, on which the
+    aggregate curves are built once.  Controls are recomputed each
+    step from the current state by ``closed_form.feedback_controls``,
+    on coefficients of the linearly interpolated aggregate curves
+    formed once per node.  The optional
+    ``controls_override(t, W, Y) -> (theta, c)`` replaces the feedback
+    rule (used to exercise alternative feasible recipes); theta is
+    clipped to [0, W], the death benefit is M = c g(t) as in the
+    candidate recipe, and the liquidity truncation of c still applies
+    on the zero-wealth boundary.
+
+    The same pass simulates log ksi_v (left-endpoint Euler increments)
+    and evaluates the closed-form optimal streams
+    c*_t = c0 (pi_t e^{delta t})^{-1/gamma}, M*_t = g(t) c*_t and
+    W*_t = c*_t F2~(t) - Y_t ann(t) at every step boundary.  With
+    pi_t = beta_t ksi_t, every pricing integrand is a node scalar times
+    ksi, e = ksi^{-1/gamma}, ksi e or Y, so the trapezoid sums
+    accumulate those with node weights built once (the income flow
+    stops at retirement: the right limit at T_R still pays, the cell
+    opening at T_R does not).  The budget check standardizes
+    spend + terminal - income against W0; the martingale check
+    standardizes the increments of H_t between quarter-horizon
+    checkpoints (the first against the exact H_0 = W0).  Overflow in
+    these dual streams is left to show as a non-finite z-score.
+
+    The paths run as two blocks, the second in a forked child (one
+    block in-process for at most 128 paths or without ``os.fork``).
+    Every operation on a path is elementwise, and the cut is where
+    numpy's pairwise sum splits a row, so the result is bit-identical
+    to one pass over all paths: each block returns its per-path finals
+    and per-step trajectory sums, the finals are joined in path order
+    and the sums added.  The child does only numpy elementwise work;
+    its block comes back pickled through ``in_two_processes``, its
+    exceptions are raised here, and what a ``controls_override``
+    records while stepping the child's block stays in the child.
+
+    Returns the path mean, its sample standard error (the iid formula,
+    not a valid error for a low-discrepancy stream; ROADMAP item 1),
+    mean trajectories of wealth, face value M* - W, and consumption,
+    and the two dual checks.
+    """
+    t_nodes, g_n, finals, means = _path_pass(g, policy, config, True, controls_override)
+    value, se = _mean_se(finals[0])
+    budget, martingale_z = _dual_summary(finals, t_nodes, g.scenario.W0)
     return SimulationResult(
         value=float(value),
         std_error=float(se),
-        times=np.concatenate([t_nodes[:-1], [scenario.T]]),
+        times=np.concatenate([t_nodes[:-1], [g.scenario.T]]),
         mean_wealth=means[0],
         mean_face_value=g_n[:-1] * means[1, :-1] - means[0, :-1],
         mean_consumption=means[1, :-1],
         budget=budget,
         martingale_z=martingale_z,
     )
+
+
+def dual_checks(
+    g: GFunction, policy, config: SimulationConfig
+) -> tuple[BudgetCheck, list[tuple[float, float]]]:
+    """The budget check and martingale z-scores, without the candidate.
+
+    Steps only the dual streams of ``simulate_candidate_value``'s pass
+    (ksi, the optimal streams and the income Y) over the same paths, cut
+    into the same two blocks, so the result equals that pass's
+    ``budget`` and ``martingale_z`` bit for bit, non-finite z-scores
+    included.  No control, wealth or utility is formed, so no
+    non-finite wealth can stop it.
+    """
+    t_nodes, _, finals, _ = _path_pass(g, policy, config, False)
+    return _dual_summary(finals, t_nodes, g.scenario.W0)

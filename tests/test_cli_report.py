@@ -458,25 +458,38 @@ def test_cli_draws_one_normal_stream(tmp_path, monkeypatch, command):
     assert len(calls) == 1
 
 
+# the path pass each command calls, and how to set the budget z in its result
+_DUAL_ENTRY = {
+    "run": (
+        "simulate_candidate_value",
+        lambda sim, z: dataclasses.replace(sim, budget=dataclasses.replace(sim.budget, z_score=z)),
+    ),
+    "verify": (
+        "dual_checks",
+        lambda checks, z: (dataclasses.replace(checks[0], z_score=z), checks[1]),
+    ),
+}
+
+
 @pytest.mark.parametrize("command", ["run", "verify"])
 def test_cli_non_finite_dual_check_exits_2(tmp_path, monkeypatch, capsys, command):
     sc = preset_scenario("example1")
     extreme = make_policy(
         "affine", np.abs(np.random.default_rng((100, 1)).normal(0.0, 0.03, 8)), t_retire=sc.T_R
     )
-    simulate = lifedual.cli.simulate_candidate_value
+    name, with_budget_z = _DUAL_ENTRY[command]
+    entry = getattr(lifedual.cli, name)
 
     def budget_z4(g, policy, config):
         # finite, but past the |z| <= 3 that run and verify share
-        sim = simulate(g, policy, config)
-        return dataclasses.replace(sim, budget=dataclasses.replace(sim.budget, z_score=4.0))
+        return with_budget_z(entry(g, policy, config), 4.0)
 
     cfg = _write(tmp_path, "run.cfg", SMALL_RUN_CFG)
     for fake in (
-        lambda g, policy, config: simulate(g, extreme, config),
+        lambda g, policy, config: entry(g, extreme, config),
         budget_z4,
     ):
-        monkeypatch.setattr(lifedual.cli, "simulate_candidate_value", fake)
+        monkeypatch.setattr(lifedual.cli, name, fake)
         assert main([command, "--config", cfg, "--out", str(tmp_path / "out"), "--seed", "0"]) == 2
         assert "numerical failure" in capsys.readouterr().err
 

@@ -25,6 +25,7 @@ from lifedual.errors import NumericalError, ValidationError
 from lifedual.lower_bound import (
     SimulationConfig,
     _split,
+    dual_checks,
     simulate_candidate_value,
     sobol_normals,
 )
@@ -33,6 +34,10 @@ from lifedual.quadrature import UniformGrid
 
 SC = preset_scenario("example1")
 ZERO = AffinePolicy(params=(0.0,) * 8, t_retire=SC.T_R)
+# overflows the state-price streams of a 100-node g
+EXTREME = make_policy(
+    "affine", np.abs(np.random.default_rng((100, 1)).normal(0.0, 0.03, 8)), t_retire=SC.T_R
+)
 
 
 def _g100():
@@ -315,10 +320,7 @@ def test_weak_duality_for_sampled_policies():
 def test_overflowing_dual_streams_flag_the_checks_only():
     # an extreme adjustment overflows the state-price streams: the checks
     # come out NaN (without warnings) while the candidate value is finite
-    pol = make_policy(
-        "affine", np.abs(np.random.default_rng((100, 1)).normal(0.0, 0.03, 8)), t_retire=SC.T_R
-    )
-    sim = simulate_candidate_value(_g100(), pol, SimulationConfig(n_paths=1024, n_steps=100))
+    sim = simulate_candidate_value(_g100(), EXTREME, SimulationConfig(n_paths=1024, n_steps=100))
     assert np.isfinite(sim.value)
     assert np.isnan(sim.budget.z_score)
     assert np.isnan(sim.martingale_z[-1][1])
@@ -463,3 +465,34 @@ def test_failing_block_raises_in_caller_and_reaps_child(block_is_child):
     assert err.type is NumericalError
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
+
+
+def _nan_equal(a, b):
+    return np.array_equal(np.asarray(a, float), np.asarray(b, float), equal_nan=True)
+
+
+@pytest.mark.parametrize("n_paths, n_steps", [(128, 100), (4096, 200)], ids=["one-block", "forked"])
+@pytest.mark.parametrize(
+    "pol",
+    [ZERO, make_policy("affine", np.abs(init_params("affine", (21, 0))), t_retire=SC.T_R), EXTREME],
+    ids=["zero", "sampled", "extreme"],
+)
+def test_dual_checks_equal_the_fused_pass(pol, n_paths, n_steps):
+    g = _g100()
+    cfg = SimulationConfig(n_paths=n_paths, n_steps=n_steps)
+    sim = simulate_candidate_value(g, pol, cfg)
+    budget, martingale_z = dual_checks(g, pol, cfg)
+    assert _nan_equal(dataclasses.astuple(budget), dataclasses.astuple(sim.budget))
+    assert _nan_equal(martingale_z, sim.martingale_z)
+
+
+def test_dual_checks_step_no_candidate(monkeypatch):
+    def no_controls(*args):
+        raise AssertionError("candidate controls formed")
+
+    monkeypatch.setattr("lifedual.lower_bound.feedback_controls", no_controls)
+    cfg = SimulationConfig(n_paths=4096, n_steps=50)  # forked: the child is checked too
+    budget, martingale_z = dual_checks(_g100(), ZERO, cfg)
+    assert np.isfinite(budget.z_score) and len(martingale_z) == 4
+    with pytest.raises(AssertionError, match="candidate controls formed"):
+        simulate_candidate_value(_g100(), ZERO, cfg)
