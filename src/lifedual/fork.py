@@ -2,12 +2,18 @@
 
 ``in_two_processes(here, forked)`` runs ``forked`` in a child made by
 ``os.fork`` while ``here`` runs in the caller, and returns both values.
-``IndexQueue(n)`` hands the indices 0, 1, ..., n - 1 out in order to
-whichever of the two processes asks first.
+It is the only code that decides whether to fork: without ``os.fork``
+it runs both in the caller, so its callers run the same two pieces of
+work on every platform.  ``IndexQueue(n)`` hands the indices
+0, 1, ..., n - 1 out in order to whichever of the two processes asks
+first.
 
-Python 3.12 and later warn (``DeprecationWarning``) when a process
-with more than one thread forks.  The warning is attributed to this
-module, not to ``__main__``, so Python's default filters hide it.
+numpy's and scipy's OpenBLAS builds each keep an idle worker thread.
+OpenBLAS shuts its pool down in a ``pthread_atfork`` handler and
+restarts it at the next threaded BLAS call, so the child starts with a
+fresh pool.  Python 3.12 and later warn (``DeprecationWarning``) when a
+process with more than one thread forks.  The warning is attributed to
+this module, not to ``__main__``, so Python's default filters hide it.
 """
 
 from __future__ import annotations
@@ -35,7 +41,12 @@ def in_two_processes(here: Callable[[], A], forked: Callable[[], B]) -> tuple[A,
     it never unwinds into the caller's stack (which may write artifacts
     or spans) and never flushes the caller's buffered output.  If
     ``here`` fails, the child is killed and still reaped.
+
+    Without ``os.fork``, ``here`` and then ``forked`` run in this
+    process; if ``here`` raises, ``forked`` is not run.
     """
+    if not hasattr(os, "fork"):
+        return here(), forked()
     read_fd, write_fd = os.pipe()
     pid = os.fork()
     if pid == 0:

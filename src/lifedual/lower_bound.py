@@ -61,11 +61,10 @@ checked under the physical measure through the density ksi_t.
 ``dual_checks(g, policy, config)`` steps only these dual streams, with
 no candidate controls or wealth, and returns the same two checks.
 
-The paths are independent, so the pass runs them as two blocks, the
-second in a forked child whose rows come back pickled through
-``lifedual.fork.in_two_processes``.  The blocks are cut where numpy's
-pairwise sum splits a row of all paths, so every mean, standard error
-and z-score equals that of one pass over all paths bit for bit.
+The paths are independent, so the pass always runs them as the two
+blocks [0, n/2) and [n/2, n) through ``lifedual.fork.in_two_processes``,
+the second in a forked child where ``os.fork`` exists.  A forked and a
+serial run step the same two blocks, so they agree bit for bit.
 """
 
 from __future__ import annotations
@@ -266,16 +265,6 @@ def _mean_se(x):
     return x.mean(), x.std(ddof=1) / np.sqrt(len(x))
 
 
-def _split(n_paths: int) -> int:
-    """First path of the second block: where numpy's pairwise sum splits.
-
-    ``np.add.reduce`` sums an array longer than 128 as the sum of its
-    halves, cut at n//2 rounded down to a multiple of 8, so the sums of
-    the two blocks add up to the sum of the whole row bit for bit.
-    """
-    return n_paths // 2 - (n_paths // 2) % 8
-
-
 def _checkpoints(n_steps: int) -> dict[int, int]:
     """Martingale checkpoints: step of each quarter horizon -> its row offset."""
     steps = sorted({max(j * n_steps // 4, 1) for j in range(1, 5)})
@@ -441,16 +430,9 @@ def _path_pass(
             util += disc_T * np.maximum(W, _UTILITY_FLOOR) ** (1.0 - gam) / (1.0 - gam)
         return finals, sums
 
-    if n_paths <= 128 or not hasattr(os, "fork"):  # numpy sums <= 128 terms unsplit
-        finals, totals = block(0, n_paths)
-    else:
-        cut = _split(n_paths)
-        (f0, s0), (f1, s1) = in_two_processes(
-            lambda: block(0, cut), lambda: block(cut, n_paths)
-        )
-        finals = np.concatenate([f0, f1], axis=1)
-        totals = s0 + s1
-    return t_nodes, g_n, finals, totals / n_paths
+    cut = n_paths // 2
+    (f0, s0), (f1, s1) = in_two_processes(lambda: block(0, cut), lambda: block(cut, n_paths))
+    return t_nodes, g_n, np.concatenate([f0, f1], axis=1), (s0 + s1) / n_paths
 
 
 def simulate_candidate_value(
@@ -486,16 +468,14 @@ def simulate_candidate_value(
     checkpoints (the first against the exact H_0 = W0).  Overflow in
     these dual streams is left to show as a non-finite z-score.
 
-    The paths run as two blocks, the second in a forked child (one
-    block in-process for at most 128 paths or without ``os.fork``).
-    Every operation on a path is elementwise, and the cut is where
-    numpy's pairwise sum splits a row, so the result is bit-identical
-    to one pass over all paths: each block returns its per-path finals
-    and per-step trajectory sums, the finals are joined in path order
-    and the sums added.  The child does only numpy elementwise work;
-    its block comes back pickled through ``in_two_processes``, its
-    exceptions are raised here, and what a ``controls_override``
-    records while stepping the child's block stays in the child.
+    The paths run as two blocks, the second in a forked child where
+    ``os.fork`` exists; each block returns its per-path finals and
+    per-step trajectory sums, the finals are joined in path order and
+    the sums added, so a forked and a serial run agree bit for bit.
+    The child does only numpy elementwise work; its block comes back
+    pickled through ``in_two_processes``, its exceptions are raised
+    here, and what a ``controls_override`` records while stepping the
+    child's block stays in the child.
 
     Returns the path mean, its sample standard error (the iid formula,
     not a valid error for a low-discrepancy stream; ROADMAP item 1),

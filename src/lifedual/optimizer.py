@@ -21,7 +21,6 @@ start order, so the trace equals that of one process bit for bit.
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -172,10 +171,10 @@ def minimize_upper_bound(
     redrawn up to ``_MAX_INIT_RETRIES`` times before failing.  The
     returned objective is the minimum over every start's final value.
 
-    The starts run in this process and one forked child (all in this
-    process for one start or without ``os.fork``).  If starts fail, the
-    error of the lowest failing start is raised, as one process running
-    the starts in order would raise it.
+    The starts run in this process and one forked child, which take
+    them from one queue (without ``os.fork`` this process takes them
+    all).  If starts fail, the error of the lowest failing start is
+    raised, as one process running the starts in order would raise it.
     """
 
     def build(params):
@@ -226,10 +225,7 @@ def minimize_upper_bound(
         return done, None
 
     with IndexQueue(config.num_starts) as queue:
-        if config.num_starts == 1 or not hasattr(os, "fork"):
-            parts = [run_starts(queue)]
-        else:
-            parts = in_two_processes(lambda: run_starts(queue), lambda: run_starts(queue))
+        parts = in_two_processes(lambda: run_starts(queue), lambda: run_starts(queue))
     failures = [failure for _, failure in parts if failure is not None]
     if failures:
         raise min(failures, key=lambda failure: failure[0])[1]

@@ -56,3 +56,27 @@ def test_stopped_queue_hands_out_nothing():
         queue.stop()
         assert queue.take() is None
         assert list(queue) == []
+
+
+def test_without_fork_both_run_here_in_order(monkeypatch):
+    monkeypatch.delattr(os, "fork")
+    calls = []
+
+    def step(name):
+        calls.append((name, os.getpid()))
+        return name
+
+    assert in_two_processes(lambda: step("here"), lambda: step("forked")) == ("here", "forked")
+    assert calls == [("here", os.getpid()), ("forked", os.getpid())]
+
+
+def test_without_fork_a_failing_here_skips_forked(monkeypatch):
+    monkeypatch.delattr(os, "fork")
+    calls = []
+
+    def here():
+        raise KeyError("here failed")
+
+    with pytest.raises(KeyError, match="here failed"):
+        in_two_processes(here, lambda: calls.append("forked"))
+    assert calls == []

@@ -24,7 +24,6 @@ from lifedual.drift_policy import AffinePolicy, init_params, make_policy
 from lifedual.errors import NumericalError, ValidationError
 from lifedual.lower_bound import (
     SimulationConfig,
-    _split,
     dual_checks,
     simulate_candidate_value,
     sobol_normals,
@@ -123,7 +122,7 @@ def test_sobol_rows_match_engine_and_repeat(n_paths, n_steps, sobol_skip):
 @pytest.mark.parametrize(
     "cfg",
     [
-        SimulationConfig(n_paths=20000, n_steps=40),  # desk paths, cut at _split
+        SimulationConfig(n_paths=20000, n_steps=40),  # desk paths, cut at n // 2
         SimulationConfig(n_paths=1001, n_steps=20, sobol_skip=4001),  # unaligned skip
         SimulationConfig(n_paths=3, n_steps=6, sobol_skip=0),  # m = 2, h = 1
         SimulationConfig(n_paths=2, n_steps=4, sobol_skip=1),  # m = 2, from index 2
@@ -135,7 +134,7 @@ def test_sobol_row_on_unaligned_ranges(cfg):
     # starts and ends relative to the 2^h points of one high-table entry
     _, row = sobol_normals(cfg)
     n = cfg.n_paths
-    cut = _split(n)
+    cut = n // 2
     ranges = {(0, cut), (cut, n), (1, n - 1), (0, 1), (n - 1, n), (n // 3, 2 * n // 3)}
     for k in range(cfg.n_steps):
         whole = row(k)
@@ -410,17 +409,6 @@ def test_fused_pass_reproduces_reference_values():
         assert [z for _, z in sim.martingale_z] == pytest.approx(zs, rel=1e-12)
 
 
-@pytest.mark.parametrize("n", [129, 1001, 2048, 20000])
-def test_pairwise_sum_splits_at_block_cut(n):
-    # the two path blocks' sums add up to the whole row's sum bit for bit
-    rng = np.random.default_rng(n)
-    cut = _split(n)
-    for _ in range(200):
-        x = rng.standard_normal(n) * rng.exponential(size=n) ** 3
-        assert np.add.reduce(x[:cut]) + np.add.reduce(x[cut:]) == x.sum()
-        assert (np.add.reduce(x[:cut]) + np.add.reduce(x[cut:])) / n == x.mean()
-
-
 def _fields(sim):
     return {f.name: getattr(sim, f.name) for f in dataclasses.fields(sim)}
 
@@ -471,7 +459,7 @@ def _nan_equal(a, b):
     return np.array_equal(np.asarray(a, float), np.asarray(b, float), equal_nan=True)
 
 
-@pytest.mark.parametrize("n_paths, n_steps", [(128, 100), (4096, 200)], ids=["one-block", "forked"])
+@pytest.mark.parametrize("n_paths, n_steps", [(128, 100), (4096, 200)], ids=["128-paths", "forked"])
 @pytest.mark.parametrize(
     "pol",
     [ZERO, make_policy("affine", np.abs(init_params("affine", (21, 0))), t_retire=SC.T_R), EXTREME],

@@ -228,13 +228,18 @@ def test_exact_ties_go_to_the_lowest_start():
 
 @pytest.mark.parametrize(
     "kind, activation, preset, num_starts, iterations",
-    [("affine", "relu", "example1", 5, 50), ("mlp", "snake", "example2", 4, 10)],
-    ids=["affine", "snake"],
+    [
+        ("affine", "relu", "example1", 5, 50),
+        ("mlp", "snake", "example2", 4, 10),
+        ("affine", "relu", "example1", 1, 50),
+    ],
+    ids=["affine", "snake", "one-start"],
 )
 def test_forked_starts_equal_one_process(
     kind, activation, preset, num_starts, iterations, monkeypatch
 ):
-    # the Snake case runs BFGS's np.dot and the MLP's matmuls in the child
+    # the Snake case runs BFGS's np.dot and the MLP's matmuls in the
+    # child; one start still forks once, and the child finds the queue empty
     g = _g(100, preset_scenario(preset))
     cfg = OptimizerConfig(num_starts=num_starts, iterations_per_start=iterations)
     forks = []
