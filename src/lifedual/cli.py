@@ -10,9 +10,9 @@ verify    optimize, then step only the dual streams and print the budget
 gfun      write the consumption-annuity curve g(t) as CSV
 
 Common flags: ``--config PATH`` (flat key=value file), ``--preset
-example1|example2``, ``--out DIR``, ``--seed N``, ``--desk-scale``
-(reduced acceptance protocol).  Exit codes: 0 success, 1 validation
-failure, 2 numerical failure.
+NAME`` (a ``market.PRESETS`` name), ``--out DIR``, ``--seed N``,
+``--desk-scale`` (the protocol ``config.DESK_SCALE``).  Exit codes:
+0 success, 1 validation failure, 2 numerical failure.
 """
 
 from __future__ import annotations
@@ -26,7 +26,7 @@ import numpy as np
 
 from . import __version__, market
 from .closed_form import compute_g
-from .config import RunConfig, build_run_config, parse_kv_file
+from .config import DESK_SCALE, RunConfig, build_run_config, parse_kv_file
 from .errors import NumericalError, ValidationError
 from .lower_bound import dual_checks, simulate_candidate_value
 from .optimizer import minimize_upper_bound
@@ -41,15 +41,14 @@ _Z_LIMIT = 3.0
 
 def _add_common_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--config", metavar="PATH", help="flat key=value config file")
-    parser.add_argument(
-        "--preset", choices=("example1", "example2"), help="named base scenario"
-    )
+    parser.add_argument("--preset", choices=sorted(market.PRESETS), help="named base scenario")
     parser.add_argument("--out", metavar="DIR", help="output directory")
     parser.add_argument("--seed", type=int, metavar="N", help="master seed")
     parser.add_argument(
         "--desk-scale",
         action="store_true",
-        help="apply the reduced acceptance protocol (5 starts, n=100 grid)",
+        help="apply the reduced acceptance protocol: "
+        + ", ".join(f"{key}={value}" for key, value in DESK_SCALE.items()),
     )
 
 

@@ -58,7 +58,7 @@ import numpy as np
 
 from .drift_policy import evaluate as evaluate_policy
 from .errors import ValidationError
-from .market import MarketScenario, kappa
+from .market import MarketScenario, kappa, price_of_risk
 from .quadrature import (
     UniformGrid,
     prefix_trapezoid,
@@ -89,6 +89,12 @@ def crra_utility(c, gamma: float):
     c = np.asarray(c, dtype=float)
     out = c ** (1.0 - gamma) / (1.0 - gamma)
     return out if out.ndim else float(out)
+
+
+def _discount_rate(scenario: MarketScenario, r, k):
+    """dt~/g + ((g-1)/g) r + (1/2)((g-1)/g^2) k^2, the rate of F_B (r, kappa_0) and F_3."""
+    gam = scenario.gamma
+    return scenario.delta_tilde / gam + (gam - 1.0) / gam * r + 0.5 * (gam - 1.0) / gam**2 * k**2
 
 
 # ---------------------------------------------------------------------------
@@ -130,18 +136,12 @@ def compute_g(scenario: MarketScenario, grid: UniformGrid) -> GFunction:
     cumulative table yields g at every node; the terminal node comes
     out exactly 1.  The grid must end at the horizon T, where g = 1.
     """
-    gam = scenario.gamma
-    if gam == 1.0:
+    if scenario.gamma == 1.0:
         raise ValidationError("gamma = 1 is outside the implemented utility branch")
     if grid.t_end != scenario.T:
         raise ValidationError("g needs a grid ending at the horizon T")
     s = grid.nodes
-    k0 = np.asarray(kappa(scenario, s))
-    rate_b = (
-        scenario.delta_tilde / gam
-        + (gam - 1.0) / gam * np.asarray(scenario.r(s))
-        + 0.5 * (gam - 1.0) / gam**2 * k0**2
-    )
+    rate_b = _discount_rate(scenario, np.asarray(scenario.r(s)), np.asarray(kappa(scenario, s)))
     bnode = np.exp(-prefix_trapezoid(rate_b, grid))
     cg = prefix_trapezoid(bnode, grid)
     values = (cg[-1] - cg + bnode[-1]) / bnode
@@ -216,15 +216,11 @@ def precompute_aggregates(g: GFunction, policy) -> DualAggregates:
     v0, vm = evaluate_policy(policy, s, horizon=scenario.T)
     v0 = np.broadcast_to(np.asarray(v0, dtype=float), s.shape)
     vm = np.broadcast_to(np.asarray(vm, dtype=float), s.shape)
-    gam = scenario.gamma
     surv = g.survival
-    # kappa() on the stored curves
-    kv = -(g.mu + vm - (g.r + v0)) / g.sigma
+    kv = price_of_risk(g.mu, g.r, g.sigma, v0, vm)
     r_v = g.r + v0
     with np.errstate(divide="ignore", invalid="ignore", over="ignore", under="ignore"):
-        rate3 = scenario.delta_tilde / gam + (gam - 1.0) / gam * r_v + 0.5 * (
-            gam - 1.0
-        ) / gam**2 * kv**2
+        rate3 = _discount_rate(scenario, r_v, kv)
         f3node = np.exp(-prefix_trapezoid(rate3, grid))
         c2 = prefix_trapezoid(surv * g.bequest_factor * f3node, grid)
         tilde_f2 = (c2[-1] - c2 + surv[-1] * f3node[-1]) / (surv * f3node)
@@ -349,9 +345,8 @@ def origin_upper_bound_and_gradient(g: GFunction, policy):
             d_e1 = scenario.Y0 * d_f3 * prefix_value_weights(grid, t_r)
             d_rate1 = prefix_trapezoid_adjoint(-d_e1 * surv * agg.f1node, grid)
 
-        # rate3 = dt/gam + ((gam-1)/gam) r_v + (1/2)((gam-1)/gam^2) kappa_v^2,
-        # rate1 = -mu_Y + r_v - sigma_Y kappa_v, r_v = r + v0 and
-        # kappa_v = -(mu + v_minus - r - v0)/sigma
+        # rate3 = _discount_rate(r_v, kappa_v), rate1 = -mu_Y + r_v - sigma_Y kappa_v,
+        # r_v = r + v0 and kappa_v = price_of_risk(mu, r, sigma, v0, v_minus)
         d_rv = (gam - 1.0) / gam * d_rate3 + d_rate1
         d_kv = (gam - 1.0) / gam**2 * agg.kappa_v * d_rate3 - scenario.sigma_Y * d_rate1
         d_kv_sig = d_kv / g.sigma

@@ -38,8 +38,6 @@ DESK_SCALE = {
     "sim.n_steps": "1000",
 }
 
-_PRESET_NAMES = ("example1", "example2")
-
 
 @dataclass(frozen=True)
 class RunConfig:
@@ -54,7 +52,7 @@ class RunConfig:
     n_intervals: int = 100
     out_dir: str = "out"
     seed: int = 0
-    preset: str | None = None
+    preset: str = "example1"  # the base scenario's name
 
     def __post_init__(self) -> None:
         if self.policy_kind not in ("affine", "mlp"):
@@ -204,14 +202,10 @@ def build_run_config(
     if desk_scale:
         kv.update(DESK_SCALE)
 
-    preset_name = kv.pop("scenario.preset", None)
+    preset_name = kv.pop("scenario.preset", RunConfig.preset)
     if preset is not None:
         preset_name = preset
-    if preset_name is not None and preset_name not in _PRESET_NAMES:
-        raise ValidationError(
-            f"unknown preset {preset_name!r}; choose from {list(_PRESET_NAMES)}"
-        )
-    base = preset_scenario(preset_name or "example1")
+    base = preset_scenario(preset_name)
 
     # read order (mortality, curves, scalars) fixes which bad value is reported first
     mortality = replace(base.mortality, **_pop_fields(kv, _MORTALITY_KEYS))

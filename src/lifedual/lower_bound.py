@@ -21,19 +21,13 @@ pair (Jbar, J~) certifies the duality gap.
 ``simulate_candidate_value(g, policy, config)`` estimates it for the
 problem that ``g`` carries, the same handle the upper bound reads.
 
-Paths are driven by a Sobol sequence: one point of dimension n_steps
-per path, mapped to normals by the inverse CDF, with a configurable
-number of initial points skipped.  The sequence is scipy's unscrambled
-``qmc.Sobol`` stream, built here in numpy from the same Joe-Kuo
-direction numbers (read from the file scipy installs, so no scipy
-submodule is imported for it).  The normals are held as a table of
-inverse-CDF levels; each step builds its own row of grid integers into
-that table, so no (n_steps, n_paths) array exists.  The row is one
-broadcast XOR of two small tables, one over the high and one over the
-low half of the points' Gray codes, so no path gathers from a table.
-Wealth uses Euler-Maruyama steps (the feedback drift precludes exact
-stepping); income uses exact log-normal steps; utility integrals use
-the left-endpoint rule, consistent with previsible controls.
+Paths are driven by scipy's unscrambled ``qmc.Sobol`` stream, one
+point of dimension n_steps per path, mapped to normals by the inverse
+CDF; ``sobol_normals`` builds it in numpy one step at a time, so no
+(n_steps, n_paths) array exists.  Wealth uses Euler-Maruyama steps
+(the feedback drift precludes exact stepping); income uses exact
+log-normal steps; utility integrals use the left-endpoint rule,
+consistent with previsible controls.
 
 Every per-node constant of a step is formed once per run, so a step
 costs about fifty passes over its paths.  Since M* = c* g at every
@@ -89,6 +83,7 @@ __all__ = [
     "SimulationConfig",
     "SimulationResult",
     "BudgetCheck",
+    "NORMALS_NOTE",
     "sobol_normals",
     "simulate_candidate_value",
     "dual_checks",
@@ -98,6 +93,17 @@ _MAX_SOBOL_DIM = 21201  # dimensions in the Joe-Kuo direction-number file
 _SOBOL_BITS = 30  # width of the direction integers, as in scipy's engine
 _MAX_SOBOL_POINTS = 2**_SOBOL_BITS  # 30-bit Gray codes index this many points
 _UTILITY_FLOOR = 1e-300  # utility of a starved path is astronomically negative, not -inf
+
+# The stream of ``sobol_normals`` as report.txt states it.  The error is the largest
+# |levels[k] - Phi^-1(k / 2^m)| over k = 1 .. 2^m - 1 against mpmath's erfinv at 40
+# digits: 8.5e-16 at m = 15, 1.09e-15 at m = 17, both at k = 1.
+NORMALS_NOTE = (
+    "normals: unscrambled Sobol points (origin dropped, then sobol_skip "
+    "points skipped) mapped through the inverse normal CDF "
+    "(scipy.special.ndtri; absolute error below 1.1e-15, measured on tables "
+    "of 2^15 and 2^17 levels); the stream is fully determined by "
+    "(n_paths, n_steps, sobol_skip)."
+)
 
 
 @dataclass(frozen=True)
@@ -130,15 +136,17 @@ class SimulationConfig:
             )
 
 
-def _direction_integers(dim: int) -> np.ndarray:
-    """The (dim, 30) int64 Sobol direction integers of scipy's engine.
+def _direction_integers(dim: int, m: int) -> np.ndarray:
+    """The first m of scipy's 30 Sobol direction integers, as (dim, m) int64.
 
-    Row j holds V[j, b], the 30-bit integer XORed into coordinate j when
-    bit b of a point's Gray code is set.  The primitive polynomials and
-    initial numbers (Joe & Kuo 2008) come from the ``.npz`` file scipy
-    ships, read without importing any scipy submodule; the recurrence is
-    Bratley & Fox (1988), as in ``scipy.stats._sobol``.  The first
-    dimension is the van der Corput sequence (all direction numbers 1).
+    Row j holds the top m bits of V[j, b] for b < m, where V[j, b] is
+    the 30-bit integer XORed into coordinate j when bit b of a point's
+    Gray code is set; a point below 2^m reads no other column.  The
+    primitive polynomials and initial numbers (Joe & Kuo 2008) come
+    from the ``.npz`` file scipy ships, read without importing any scipy
+    submodule; the recurrence is Bratley & Fox (1988), as in
+    ``scipy.stats._sobol``.  The first dimension is the van der Corput
+    sequence (all direction numbers 1).
     """
     spec = importlib.util.find_spec("scipy")
     path = os.path.join(
@@ -146,15 +154,15 @@ def _direction_integers(dim: int) -> np.ndarray:
     )
     with np.load(path) as data:
         poly = data["poly"][:dim]
-        vinit = data["vinit"][:dim]
+        vinit = data["vinit"][:dim, :m]
     deg = np.frexp(poly)[1] - 1  # degree of each primitive polynomial
-    v = np.zeros((dim, _SOBOL_BITS), dtype=np.int64)
+    v = np.zeros((dim, m), dtype=np.int64)
     v[:, : vinit.shape[1]] = vinit
     v[0] = 1
     # v_b = v_{b-d} ^ XOR over k = 1..d of a_k (v_{b-k} << k), where a_k is
     # bit d - k of the polynomial, for the dimensions of degree d <= b;
     # column b is set before any later column reads it
-    for b in range(1, _SOBOL_BITS):
+    for b in range(1, m):
         rows = np.flatnonzero(deg[1:] <= b) + 1
         d, p = deg[rows], poly[rows]
         new = v[rows, b - d]
@@ -162,7 +170,7 @@ def _direction_integers(dim: int) -> np.ndarray:
             tap = (k <= d) & ((p >> np.maximum(d - k, 0)) & 1 == 1)
             new ^= np.where(tap, v[rows, max(b - k, 0)] << k, 0)
         v[rows, b] = new
-    return v << np.arange(_SOBOL_BITS - 1, -1, -1)
+    return v << np.arange(m - 1, -1, -1)  # v_b < 2^(b+1)
 
 
 def sobol_normals(
@@ -175,8 +183,8 @@ def sobol_normals(
     m = (sobol_skip + n_paths).bit_length(), so only the top m of the
     30 bits of each coordinate can be set and every coordinate is an
     integer multiple of 2^-m.  ``levels`` holds the inverse normal CDF
-    (double precision, max absolute error well below 1e-9) of the 2^m
-    grid values k / 2^m, clipped to [1e-12, 1 - 1e-12]; since
+    (its error is in ``NORMALS_NOTE``) of the 2^m grid values k / 2^m,
+    clipped to [1e-12, 1 - 1e-12]; since
     1 + sobol_skip + n_paths <= 2^30, it has at most
     2 (sobol_skip + n_paths) entries.  ``row(k)`` returns the int64 grid
     integers of coordinate k (time step k) for every path, so
@@ -206,7 +214,7 @@ def sobol_normals(
     np.clip(levels, 1e-12, 1.0 - 1e-12, out=levels)
     ndtri(levels, out=levels)
 
-    top = _direction_integers(config.n_steps)[:, :m] >> (_SOBOL_BITS - m)
+    top = _direction_integers(config.n_steps, m)
     h = (m + 1) // 2  # m >= 2, since n_paths >= 2
     dirs = top[:, np.r_[:m, h - 1]]  # the parity of j selects direction h - 1
     first = 1 + config.sobol_skip  # sequence index of path 0
@@ -468,14 +476,10 @@ def simulate_candidate_value(
     checkpoints (the first against the exact H_0 = W0).  Overflow in
     these dual streams is left to show as a non-finite z-score.
 
-    The paths run as two blocks, the second in a forked child where
-    ``os.fork`` exists; each block returns its per-path finals and
-    per-step trajectory sums, the finals are joined in path order and
-    the sums added, so a forked and a serial run agree bit for bit.
-    The child does only numpy elementwise work; its block comes back
-    pickled through ``in_two_processes``, its exceptions are raised
-    here, and what a ``controls_override`` records while stepping the
-    child's block stays in the child.
+    Each of the two blocks returns its per-path finals and per-step
+    trajectory sums; the finals are joined in path order and the sums
+    added.  What a ``controls_override`` records while stepping the
+    forked child's block stays in the child.
 
     Returns the path mean, its sample standard error (the iid formula,
     not a valid error for a low-discrepancy stream; ROADMAP item 1),

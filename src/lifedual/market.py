@@ -32,8 +32,10 @@ __all__ = [
     "CoefficientCurve",
     "MarketScenario",
     "ValidationReport",
+    "PRESETS",
     "preset_scenario",
     "kappa",
+    "price_of_risk",
     "validate",
 ]
 
@@ -100,22 +102,20 @@ class MarketScenario:
     mortality: MortalityModel = field(default_factory=MortalityModel)
 
 
-_PRESETS = {
-    "example1": dict(mu=CoefficientCurve.constant(0.07)),
-    "example2": dict(mu=CoefficientCurve.sinusoid(0.07, 0.03, 0.5)),
+# name -> stock drift of the base scenarios ``--preset`` names; the rest is shared
+PRESETS = {
+    "example1": CoefficientCurve.constant(0.07),
+    "example2": CoefficientCurve.sinusoid(0.07, 0.03, 0.5),
 }
 
 
 def preset_scenario(name: str) -> MarketScenario:
-    """Named base scenarios: constant drift ("example1") or a
-    sinusoidally perturbed stock drift ("example2")."""
-    if name not in _PRESETS:
-        raise ValidationError(
-            f"unknown preset {name!r}; choose from {sorted(_PRESETS)}"
-        )
+    """The named base scenario, whose stock drift is ``PRESETS[name]``."""
+    if name not in PRESETS:
+        raise ValidationError(f"unknown preset {name!r}; choose from {sorted(PRESETS)}")
     return MarketScenario(
         r=CoefficientCurve.constant(0.02),
-        mu=_PRESETS[name]["mu"],
+        mu=PRESETS[name],
         sigma=CoefficientCurve.constant(0.2),
         mu_Y=0.01,
         sigma_Y=0.05,
@@ -137,8 +137,13 @@ def kappa(scenario: MarketScenario, t, v0=0.0, v_minus=0.0):
     sig = scenario.sigma(t)
     if np.any(np.asarray(sig) <= 0):
         raise ValidationError("sigma(t) must be positive")
-    out = -(scenario.mu(t) + v_minus - (scenario.r(t) + v0)) / sig
+    out = price_of_risk(scenario.mu(t), scenario.r(t), sig, v0, v_minus)
     return out if np.ndim(out) else float(out)
+
+
+def price_of_risk(mu, r, sigma, v0=0.0, v_minus=0.0):
+    """``kappa``'s arithmetic on curve values already taken, unchecked."""
+    return -(mu + v_minus - (r + v0)) / sigma
 
 
 @dataclass(frozen=True)

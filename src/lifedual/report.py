@@ -34,6 +34,7 @@ from dataclasses import dataclass
 from .closed_form import welfare_loss
 from .drift_policy import TablePolicy, evaluate
 from .errors import NumericalError, ValidationError
+from .lower_bound import NORMALS_NOTE
 
 __all__ = [
     "BoundsReport",
@@ -42,13 +43,6 @@ __all__ = [
     "read_vstar_csv",
     "write_gfun_csv",
 ]
-
-_NORMALS_NOTE = (
-    "normals: unscrambled Sobol points (origin dropped, then sobol_skip "
-    "points skipped) mapped through the inverse normal CDF "
-    "(scipy.special.ndtri, absolute error below 1e-8); the stream is "
-    "fully determined by (n_paths, n_steps, sobol_skip)."
-)
 
 
 def _fmt(x: float) -> str:
@@ -105,7 +99,7 @@ def _provenance(cfg, sim) -> dict[str, object]:
         # the Sobol stream reads scipy's direction-number file
         "numpy_version": metadata.version("numpy"),
         "scipy_version": metadata.version("scipy"),
-        "preset": cfg.preset or "example1",
+        "preset": cfg.preset,
         "seed": cfg.seed,
         "n_intervals": cfg.n_intervals,
         "n_paths": cfg.simulation.n_paths,
@@ -247,7 +241,7 @@ def _render_text(report: BoundsReport, prov, policy, trace, clock) -> str:
     lines.append("provenance:")
     for key in sorted(prov):
         lines.append(f"  {key} = {prov[key]}")
-    lines.append(f"  {_NORMALS_NOTE}")
+    lines.append(f"  {NORMALS_NOTE}")
     lines.append("")
     lines.append("policy parameters:")
     lines.append("  " + ", ".join(_fmt(p) for p in policy.params))

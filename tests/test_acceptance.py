@@ -2,9 +2,9 @@
 
 Each test prints one ``[criterion N] PASS/FAIL`` line with the measured
 quantities before asserting, so a transcript shows every verdict.  The
-shared protocol is 5 starts x 50 iterations on the n=100 quadrature
-grid with 20,000 Sobol paths x 1,000 steps, master seed 0 (run with
-``-rA`` to see the lines for passing tests too).
+shared protocol is ``config.DESK_SCALE``, the one ``--desk-scale``
+applies, with master seed 0 (run with ``-rA`` to see the lines for
+passing tests too).
 
 Where the anchors come from: the bound pair of criterion 1
 (-8.4851 / -8.5064) is the affine row of the paper's Example 1 table,
@@ -33,17 +33,17 @@ from lifedual.closed_form import (
     precompute_aggregates,
     upper_bound,
 )
+from lifedual.config import build_run_config
 from lifedual.drift_policy import init_params, make_policy
 from lifedual.lower_bound import SimulationConfig, simulate_candidate_value
 from lifedual.market import preset_scenario
 from lifedual.mortality import MortalityModel
-from lifedual.optimizer import OptimizerConfig, minimize_upper_bound
+from lifedual.optimizer import minimize_upper_bound
 from lifedual.quadrature import UniformGrid
 from lifedual.report import build_report
 
-N_INTERVALS = 100
-OPT = OptimizerConfig(num_starts=5, iterations_per_start=50)
-SIM = SimulationConfig(n_paths=20000, n_steps=1000)
+DESK = build_run_config(desk_scale=True)
+N_INTERVALS, OPT, SIM = DESK.n_intervals, DESK.optimizer, DESK.simulation
 FACE_TOL_MARGIN = 2.0  # c in the face-value zero tolerance c * eps * mean wealth
 
 

@@ -20,7 +20,17 @@ import lifedual.cli
 import lifedual.lower_bound
 from lifedual.cli import main
 from lifedual.closed_form import compute_g, origin_upper_bound, welfare_loss
-from lifedual.config import DESK_SCALE, RunConfig, build_run_config, parse_kv_file
+from lifedual.config import (
+    _MORTALITY_KEYS,
+    _OPTIMIZER_KEYS,
+    _RUN_KEYS,
+    _SCENARIO_KEYS,
+    _SIMULATION_KEYS,
+    DESK_SCALE,
+    RunConfig,
+    build_run_config,
+    parse_kv_file,
+)
 from lifedual.drift_policy import make_policy
 from lifedual.errors import NumericalError, ValidationError
 from lifedual.lower_bound import SimulationConfig, simulate_candidate_value
@@ -494,11 +504,47 @@ def test_cli_non_finite_dual_check_exits_2(tmp_path, monkeypatch, capsys, comman
         assert "numerical failure" in capsys.readouterr().err
 
 
+def _readme():
+    return (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+
+
+def _readme_block(lang):
+    """The first fenced ``lang`` block of README.md."""
+    return re.search(rf"```{lang}\n(.*?)```", _readme(), re.S).group(1)
+
+
 def test_readme_config_example_is_accepted(tmp_path):
-    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
-    block = re.search(r"```ini\n(.*?)```", readme, re.S).group(1)
+    block = _readme_block("ini")
     cfg = build_run_config(parse_kv_file(_write(tmp_path, "readme.cfg", block)))
     assert cfg.policy_kind == "mlp" and cfg.simulation.n_paths == 20000
+
+
+def test_readme_documents_every_config_key():
+    # the README is the only user-facing list of the keys build_run_config accepts
+    words = {w.rstrip(".") for w in re.findall(r"[\w.]+", _readme())}
+    keys = {
+        *_MORTALITY_KEYS,
+        *_SCENARIO_KEYS,
+        *_OPTIMIZER_KEYS,
+        *_SIMULATION_KEYS,
+        *_RUN_KEYS,
+        *DESK_SCALE,
+        "scenario.preset",
+        "seed",
+        "scenario.r",
+        "scenario.mu",
+        "scenario.sigma",
+    }
+    assert sorted(keys - words) == []
+    for spelling in (".base", ".amplitude", ".frequency", ".table"):
+        assert any(w.startswith("scenario.") and w.endswith(spelling) for w in words), spelling
+
+
+def test_readme_library_quick_start_runs(capsys):
+    exec(_readme_block("python"), {})
+    # bounds, then the certificate line, then the dual checks
+    lines = capsys.readouterr().out.splitlines()
+    assert len(lines) == 3 and lines[1].split()[0] == "ordered"
 
 
 def test_cli_gfun_matches_library_curve(tmp_path):
