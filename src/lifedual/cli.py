@@ -182,7 +182,6 @@ def _cmd_gfun(args: argparse.Namespace) -> int:
     _validate_or_die(cfg)
     grid = UniformGrid(0.0, cfg.scenario.T, cfg.n_intervals)
     g = compute_g(cfg.scenario, grid)
-    os.makedirs(cfg.out_dir, exist_ok=True)
     path = os.path.join(cfg.out_dir, "gfun.csv")
     write_gfun_csv(g, path)
     print(f"wrote {path}")

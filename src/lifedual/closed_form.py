@@ -158,11 +158,12 @@ def compute_g(scenario: MarketScenario, grid: UniformGrid) -> GFunction:
     )
 
 
-def g_value(scenario: MarketScenario, t: float, n_intervals: int = 400) -> float:
-    """g at one instant, from a grid anchored at t (no interpolation)."""
+def g_value(g: GFunction, t: float) -> float:
+    """g at one instant, from a grid of ``g``'s size anchored at t (no interpolation)."""
+    scenario = g.scenario
     if not 0 <= t <= scenario.T:
         raise ValidationError("t outside [0, T]")
-    return float(compute_g(scenario, UniformGrid(t, scenario.T, n_intervals)).values[0])
+    return float(compute_g(scenario, UniformGrid(t, scenario.T, g.grid.n_intervals)).values[0])
 
 
 # ---------------------------------------------------------------------------
@@ -260,24 +261,16 @@ def _value(agg: DualAggregates, W, Y):
     return float(crra_utility(f3, gam) * f2**gam), f2, f3
 
 
-def upper_bound(
-    g: GFunction,
-    policy,
-    t: float,
-    W: float,
-    Y: float = 0.0,
-    n_intervals: int | None = None,
-) -> float:
+def upper_bound(g: GFunction, policy, t: float, W: float, Y: float = 0.0) -> float:
     """Upper bound J~(t, W, Y) = u(W + Y ann(t)) F2~(t)^gamma, t in [0, T].
 
-    Aggregates are rebuilt for g's scenario on a grid anchored at t
-    (``n_intervals`` cells, default that of ``g``), so the value is a
-    smooth function of t (no interpolation kinks) — the property the
-    finite-difference HJB verifier relies on.  From T_R on the income
-    annuity is empty, so Y drops out and the value is the retirement
-    value V_R(t, W); at t = T F2~ = 1 and it reduces to the terminal
-    utility u(W).  Negative for gamma > 1 (power utility is bounded
-    above by 0).
+    Aggregates are rebuilt for g's scenario on a grid of g's size
+    anchored at t, so the value is a smooth function of t (no
+    interpolation kinks) — the property the finite-difference HJB
+    verifier relies on.  From T_R on the income annuity is empty, so Y
+    drops out and the value is the retirement value V_R(t, W); at t = T
+    F2~ = 1 and it reduces to the terminal utility u(W).  Negative for
+    gamma > 1 (power utility is bounded above by 0).
     """
     scenario = g.scenario
     if not 0 <= t <= scenario.T:
@@ -286,8 +279,7 @@ def upper_bound(
         raise ValidationError("W must be positive")
     if Y < 0:
         raise ValidationError("Y must be nonnegative")
-    n = n_intervals if n_intervals is not None else g.grid.n_intervals
-    anchored = compute_g(scenario, UniformGrid(float(t), scenario.T, n))
+    anchored = compute_g(scenario, UniformGrid(float(t), scenario.T, g.grid.n_intervals))
     return _value(precompute_aggregates(anchored, policy), W, Y)[0]
 
 
@@ -410,145 +402,98 @@ def welfare_loss(upper: float, lower: float, gamma: float) -> float:
 # HJB residual verification
 
 
-def _fd1(f, x: float, h: float) -> float:
-    return (f(x + h) - f(x - h)) / (2.0 * h)
-
-
-def _fd2(f, x: float, h: float) -> float:
-    return (f(x + h) - 2.0 * f(x) + f(x - h)) / (h * h)
-
-
-def hjb_residual(
-    kind: str,
-    value_fn,
-    point,
-    scenario: MarketScenario,
-    policy=None,
-    n_intervals: int = 400,
-) -> float:
+def hjb_residual(kind: str, value_fn, point, g: GFunction, policy=None) -> float:
     """Normalized HJB residual of a value-function closure at a point.
 
-    kind selects the equation; derivatives are central finite
-    differences of the supplied closure (relative steps 1e-5), so the
-    check exercises the shipped evaluation path end to end.  The
-    returned residual is the sum of the equation's terms divided by
-    the largest term magnitude.
+    One equation in (t, W, Y) covers the three phases of ``kind``:
 
-    * "bequest":    value_fn(t, W);  0 = -dt~ V + V_t + V_W r W
-                    - kappa_0^2 V_W^2/(2 V_WW) + g/(1-g) V_W^((g-1)/g)
-    * "retirement": value_fn(t, W);  0 = -(lam+dt~) V + V_t
-                    + V_W (r+lam+v0) W - kappa_v^2 V_W^2/(2 V_WW)
-                    + g/(1-g) (1+lam g(t)) V_W^((g-1)/g)
-    * "working":    value_fn(t, W, Y);  adds the income terms
-                    V_W Y + V_Y mu_Y Y + V_YY sigma_Y^2 Y^2/2 and the
-                    cross term -(V_W kappa_v - V_WY sigma_Y Y)^2/(2 V_WW).
+        0 = -(lam+dt~) V + V_t + V_W ((r+lam+v0) W + Y) + V_Y mu_Y Y
+            + V_YY sigma_Y^2 Y^2/2 - (V_W kappa_v - V_WY sigma_Y Y)^2/(2 V_WW)
+            + g/(1-g) (1+lam g(t)) V_W^((g-1)/g)
 
-    The support-function term is zero for the exercised constraint
-    (cone constraints); interior points only — the time coordinate must
-    stay clear of the domain ends (and of T_R, where affine policies
-    may kink) by at least the differencing step.
+    "working" takes value_fn(t, W, Y) on [0, T_R] with Y > 0;
+    "retirement" takes value_fn(t, W) on [T_R, T] (Y = 0); "bequest"
+    takes value_fn(t, W) on [0, T] with lam = v = Y = 0.  The scenario
+    and the grid size of g(t) are ``g``'s.  Derivatives are central
+    finite differences of the closure (relative steps 1e-5), so the
+    check exercises the shipped evaluation path end to end; the
+    residual is the terms' sum over the largest term magnitude.
+
+    The support-function term is zero for the exercised (cone)
+    constraints.  Interior points only: t must stay clear of the domain
+    ends by the differencing step.  v must be continuous over [0, T_R]:
+    an anchored-grid closure integrates across T_R, where a jump of v
+    leaves a trapezoid error O(h * jump) that moves with t and so
+    breaks every working-phase point, not only those near T_R.
     """
-    gam = scenario.gamma
-    dt_ = scenario.delta_tilde
-    T = scenario.T
-
-    if kind == "bequest":
-        t, W = point
-        lo, hi = 0.0, T
-    elif kind == "retirement":
-        t, W = point
-        lo, hi = scenario.T_R, T
-    elif kind == "working":
-        t, W, Y = point
-        lo, hi = 0.0, scenario.T_R
-    else:
+    sc = g.scenario
+    phases = {  # kind: (domain, mortality and adjustment apply, income applies)
+        "bequest": (0.0, sc.T, False, False),
+        "retirement": (sc.T_R, sc.T, True, False),
+        "working": (0.0, sc.T_R, True, True),
+    }
+    if kind not in phases:
         raise ValidationError(f"unknown HJB kind {kind!r}")
+    lo, hi, insured, working = phases[kind]
+    if working:
+        t, W, Y = point
+        f = value_fn
+    else:
+        (t, W), Y = point, 0.0
+        f = lambda tt, ww, yy: value_fn(tt, ww)
 
-    h_t = 1e-5 * T
+    h_t = 1e-5 * sc.T
     h_w = 1e-5 * max(1.0, abs(W))
     if not (lo + h_t < t < hi - h_t) or W <= h_w:
         raise ValidationError("HJB residual requires an interior point")
-
-    if kind == "bequest":
-        f_t = lambda tt: value_fn(tt, W)
-        f_w = lambda ww: value_fn(t, ww)
-        V = value_fn(t, W)
-        V_t = _fd1(f_t, t, h_t)
-        V_w = _fd1(f_w, W, h_w)
-        V_ww = _fd2(f_w, W, h_w)
-        r = float(scenario.r(t))
-        k0 = float(kappa(scenario, t))
-        terms = np.array(
-            [
-                -dt_ * V,
-                V_t,
-                V_w * r * W,
-                -0.5 * k0**2 * V_w**2 / V_ww,
-                gam / (1.0 - gam) * V_w ** ((gam - 1.0) / gam),
-            ]
-        )
-        return float(terms.sum() / np.max(np.abs(terms)))
-
-    lam = float(scenario.mortality.hazard(t))
-    r = float(scenario.r(t))
-    if policy is None:
-        v0, vm = 0.0, 0.0
-    else:
-        v0, vm = (float(x) for x in evaluate_policy(policy, t, horizon=T))
-    kv = float(kappa(scenario, t, v0, vm))
-    g_t = g_value(scenario, t, n_intervals)
-    bequest_gain = gam / (1.0 - gam) * (1.0 + lam * g_t)
-
-    if kind == "retirement":
-        f_t = lambda tt: value_fn(tt, W)
-        f_w = lambda ww: value_fn(t, ww)
-        V = value_fn(t, W)
-        V_t = _fd1(f_t, t, h_t)
-        V_w = _fd1(f_w, W, h_w)
-        V_ww = _fd2(f_w, W, h_w)
-        terms = np.array(
-            [
-                -(lam + dt_) * V,
-                V_t,
-                V_w * (r + lam + v0) * W,
-                -0.5 * kv**2 * V_w**2 / V_ww,
-                bequest_gain * V_w ** ((gam - 1.0) / gam),
-            ]
-        )
-        return float(terms.sum() / np.max(np.abs(terms)))
-
-    if Y <= 0:
+    if working and Y <= 0:
         raise ValidationError("working-phase residual requires Y > 0")
-    h_y = 1e-5 * max(1.0, abs(Y))
-    V = value_fn(t, W, Y)
-    # With capitalized income the value varies on the scale of total
-    # implied wealth, not W alone, so a W-step taken from |W| makes the
-    # second difference cancel to roundoff when income dominates.
-    # First differences stay well-conditioned at the naive step, so
-    # probe the slope once and re-step from the value's own scale.
-    slope = _fd1(lambda ww: value_fn(t, ww, Y), W, h_w)
-    if np.isfinite(slope) and slope != 0.0:
-        h_w = min(1e-5 * max(1.0, abs(W), abs(V / slope)), 0.5 * W)
-    V_t = _fd1(lambda tt: value_fn(tt, W, Y), t, h_t)
-    V_w = _fd1(lambda ww: value_fn(t, ww, Y), W, h_w)
-    V_ww = _fd2(lambda ww: value_fn(t, ww, Y), W, h_w)
-    V_y = _fd1(lambda yy: value_fn(t, W, yy), Y, h_y)
-    V_yy = _fd2(lambda yy: value_fn(t, W, yy), Y, h_y)
-    V_wy = (
-        value_fn(t, W + h_w, Y + h_y)
-        - value_fn(t, W + h_w, Y - h_y)
-        - value_fn(t, W - h_w, Y + h_y)
-        + value_fn(t, W - h_w, Y - h_y)
-    ) / (4.0 * h_w * h_y)
+
+    V = f(t, W, Y)
+    if working:
+        # With capitalized income the value varies on the scale of total
+        # implied wealth, not W alone, so a W-step taken from |W| makes
+        # the second difference cancel to roundoff when income dominates.
+        # First differences stay well-conditioned at the naive step, so
+        # probe the slope once and re-step from the value's own scale.
+        slope = (f(t, W + h_w, Y) - f(t, W - h_w, Y)) / (2.0 * h_w)
+        if np.isfinite(slope) and slope != 0.0:
+            h_w = min(1e-5 * max(1.0, abs(W), abs(V / slope)), 0.5 * W)
+    V_t = (f(t + h_t, W, Y) - f(t - h_t, W, Y)) / (2.0 * h_t)
+    w_up, w_dn = f(t, W + h_w, Y), f(t, W - h_w, Y)
+    V_w = (w_up - w_dn) / (2.0 * h_w)
+    V_ww = (w_up - 2.0 * V + w_dn) / (h_w * h_w)
+    V_y = V_yy = V_wy = 0.0
+    if working:
+        h_y = 1e-5 * max(1.0, abs(Y))
+        y_up, y_dn = f(t, W, Y + h_y), f(t, W, Y - h_y)
+        V_y = (y_up - y_dn) / (2.0 * h_y)
+        V_yy = (y_up - 2.0 * V + y_dn) / (h_y * h_y)
+        V_wy = (
+            f(t, W + h_w, Y + h_y)
+            - f(t, W + h_w, Y - h_y)
+            - f(t, W - h_w, Y + h_y)
+            + f(t, W - h_w, Y - h_y)
+        ) / (4.0 * h_w * h_y)
+
+    lam = g_t = v0 = vm = 0.0
+    if insured:
+        lam = float(sc.mortality.hazard(t))
+        g_t = g_value(g, t)
+        if policy is not None:
+            v0, vm = (float(x) for x in evaluate_policy(policy, t, horizon=sc.T))
+    r = float(sc.r(t))
+    kv = float(kappa(sc, t, v0, vm))
+    gam = sc.gamma
     terms = np.array(
         [
-            -(lam + dt_) * V,
+            -(lam + sc.delta_tilde) * V,
             V_t,
             V_w * ((r + lam + v0) * W + Y),
-            V_y * scenario.mu_Y * Y,
-            0.5 * V_yy * scenario.sigma_Y**2 * Y**2,
-            -0.5 * (V_w * kv - V_wy * scenario.sigma_Y * Y) ** 2 / V_ww,
-            bequest_gain * V_w ** ((gam - 1.0) / gam),
+            V_y * sc.mu_Y * Y,
+            0.5 * V_yy * sc.sigma_Y**2 * Y**2,
+            -0.5 * (V_w * kv - V_wy * sc.sigma_Y * Y) ** 2 / V_ww,
+            gam / (1.0 - gam) * (1.0 + lam * g_t) * V_w ** ((gam - 1.0) / gam),
         ]
     )
     return float(terms.sum() / np.max(np.abs(terms)))

@@ -21,6 +21,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 
+from .drift_policy import MlpPolicy
 from .errors import ValidationError
 from .lower_bound import SimulationConfig
 from .market import CoefficientCurve, MarketScenario, preset_scenario
@@ -45,8 +46,8 @@ class RunConfig:
 
     scenario: MarketScenario
     policy_kind: str = "affine"
-    activation: str = "relu"
-    snake_a: float = 10.0
+    activation: str = MlpPolicy.activation
+    snake_a: float = MlpPolicy.snake_a
     optimizer: OptimizerConfig = OptimizerConfig()
     simulation: SimulationConfig = SimulationConfig()
     n_intervals: int = 100

@@ -234,8 +234,8 @@ def make_policy(
     params,
     *,
     t_retire: float | None = None,
-    activation: str = "relu",
-    snake_a: float = 10.0,
+    activation: str = MlpPolicy.activation,
+    snake_a: float = MlpPolicy.snake_a,
 ):
     """Build a policy from a flat parameter vector.
 

@@ -161,8 +161,8 @@ def minimize_upper_bound(
     policy_kind: str,
     config: OptimizerConfig,
     seed: int = 0,
-    activation: str = "relu",
-    snake_a: float = 10.0,
+    activation: str = drift_policy.MlpPolicy.activation,
+    snake_a: float = drift_policy.MlpPolicy.snake_a,
 ):
     """Minimize J~(0, W0, Y0) of ``g``'s problem over flat policy parameters.
 

@@ -115,6 +115,7 @@ def _provenance(cfg, sim) -> dict[str, object]:
 
 def _write_rows(path: str, header, rows) -> None:
     try:
+        os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
         with open(path, "w", newline="", encoding="utf-8") as fh:
             writer = csv.writer(fh)
             writer.writerow(header)
@@ -132,7 +133,6 @@ def emit_csv(report: BoundsReport, cfg, grid, policy, trace, sim, clock) -> list
     check) and ``clock`` the wall-clock seconds per phase.
     """
     out_dir = cfg.out_dir
-    os.makedirs(out_dir, exist_ok=True)
     prov = _provenance(cfg, sim)
     paths = []
 

@@ -209,20 +209,20 @@ def test_criterion_05_hjb_residual_suite():
     rng = np.random.default_rng(2024)
     t0 = time.perf_counter()
 
-    bequest = lambda t, W: crra_utility(W, 1.5) * g_value(scenario, t, 400) ** 1.5
-    retire = lambda t, W: upper_bound(g, zero, t, W, n_intervals=400)
-    working = lambda t, W, Y: upper_bound(g, zero, t, W, Y, 400)
+    bequest = lambda t, W: crra_utility(W, 1.5) * g_value(g, t) ** 1.5
+    retire = lambda t, W: upper_bound(g, zero, t, W)
+    working = lambda t, W, Y: upper_bound(g, zero, t, W, Y)
 
     worst = 0.0
     for _ in range(50):
         p = (rng.uniform(1.0, 49.0), rng.uniform(10.0, 300.0))
-        worst = max(worst, abs(hjb_residual("bequest", bequest, p, scenario)))
+        worst = max(worst, abs(hjb_residual("bequest", bequest, p, g)))
     for _ in range(50):
         p = (rng.uniform(21.0, 49.0), rng.uniform(10.0, 300.0))
-        worst = max(worst, abs(hjb_residual("retirement", retire, p, scenario, zero)))
+        worst = max(worst, abs(hjb_residual("retirement", retire, p, g, zero)))
     for _ in range(50):
         p = (rng.uniform(1.0, 19.0), rng.uniform(10.0, 300.0), rng.uniform(5.0, 100.0))
-        worst = max(worst, abs(hjb_residual("working", working, p, scenario, zero)))
+        worst = max(worst, abs(hjb_residual("working", working, p, g, zero)))
     elapsed = time.perf_counter() - t0
 
     res_ok = worst < 1e-4

@@ -352,6 +352,13 @@ def test_cli_error_exit_codes(tmp_path, capsys):
     # run refuses an invalid scenario before any heavy work
     bad = _write(tmp_path, "bad.cfg", "scenario.sigma_y = 0.3\n")
     assert main(["run", "--config", bad, "--out", str(tmp_path)]) == 1
+    # --out naming an existing file is a typed error, not a traceback
+    blocker = _write(tmp_path, "blocker", "")
+    small = _write(tmp_path, "small.cfg", SMALL_RUN_CFG)
+    capsys.readouterr()
+    for argv in (["gfun"], ["run", "--config", small]):
+        assert main([*argv, "--out", blocker]) == 1
+        assert "error: cannot write" in capsys.readouterr().err
 
 
 def test_cli_sobol_point_limit_exits_1(tmp_path, monkeypatch, capsys):

@@ -29,6 +29,12 @@ from lifedual.quadrature import UniformGrid
 
 SC = preset_scenario("example1")
 ZERO = AffinePolicy(params=(0.0,) * 8, t_retire=SC.T_R)
+# a time-varying adjustment, positive and continuous at T_R = 20:
+# a5 = a1 + 20 (a2 - a6) and a7 = a3 + 20 (a4 - a8)
+ADJUSTED = AffinePolicy(
+    params=(0.02, 5e-4, 0.01, 2e-4, 0.02 + 20 * 6e-4, -1e-4, 0.01 + 20 * 1e-4, 1e-4),
+    t_retire=SC.T_R,
+)
 
 # constant-coefficient aggregates for the preset: kappa_0 = -0.25 and
 # rho = delta~/gamma + (gamma-1)/gamma r + (gamma-1)/(2 gamma^2) kappa^2
@@ -76,18 +82,14 @@ def test_g_terminal_node_is_exactly_one():
 
 
 def test_g_matches_constant_coefficient_analytic_form():
-    assert g_value(SC, 0.0, n_intervals=4000) == pytest.approx(
-        _g_analytic(0.0), rel=1e-7
-    )
-    assert g_value(SC, 32.5, n_intervals=4000) == pytest.approx(
-        _g_analytic(32.5), rel=1e-7
-    )
+    fine = compute_g(SC, UniformGrid(0.0, SC.T, 4000))
+    assert g_value(fine, 0.0) == pytest.approx(_g_analytic(0.0), rel=1e-7)
+    assert g_value(fine, 32.5) == pytest.approx(_g_analytic(32.5), rel=1e-7)
     # pinned desk-grid value so coarse-grid drift is caught early
-    assert g_value(SC, 0.0, n_intervals=100) == pytest.approx(
-        27.725727871765223, abs=1e-12
-    )
+    desk = compute_g(SC, UniformGrid(0.0, SC.T, 100))
+    assert g_value(desk, 0.0) == pytest.approx(27.725727871765223, abs=1e-12)
     with pytest.raises(ValidationError):
-        g_value(SC, -0.5)
+        g_value(desk, -0.5)
 
 
 def test_g_needs_a_grid_ending_at_the_horizon():
@@ -116,8 +118,8 @@ def test_origin_value_matches_quadrature_oracle():
 
 
 def test_retirement_value_matches_quadrature_oracle():
-    g = compute_g(SC, UniformGrid(0.0, SC.T, 100))
-    ub = upper_bound(g, ZERO, 25.0, 150.0, n_intervals=4000)
+    g = compute_g(SC, UniformGrid(0.0, SC.T, 4000))
+    ub = upper_bound(g, ZERO, 25.0, 150.0)
     oracle = crra_utility(150.0, 1.5) * _f2_oracle(25.0) ** 1.5
     assert ub == pytest.approx(oracle, rel=1e-6)
 
@@ -197,7 +199,7 @@ def test_insurance_scales_consumption_by_g():
     g = compute_g(SC, UniformGrid(0.0, SC.T, 100))
     for t, W, Y in ((5.0, 180.0, 50.0), (35.0, 90.0, 0.0)):
         _, c_star, m_star = _controls_at(g, ZERO, t, W, Y)
-        assert m_star / c_star == pytest.approx(g_value(SC, t, 100), rel=1e-12)
+        assert m_star / c_star == pytest.approx(g_value(g, t), rel=1e-12)
 
 
 def test_welfare_loss_published_identities():
@@ -218,27 +220,49 @@ def test_welfare_loss_published_identities():
 def test_hjb_residual_spot_checks():
     g = compute_g(SC, UniformGrid(0.0, SC.T, 400))
 
-    bequest = lambda t, W: crra_utility(W, 1.5) * g_value(SC, t, 400) ** 1.5
-    assert abs(hjb_residual("bequest", bequest, (12.3, 80.0), SC)) < 1e-4
+    bequest = lambda t, W: crra_utility(W, 1.5) * g_value(g, t) ** 1.5
+    assert abs(hjb_residual("bequest", bequest, (12.3, 80.0), g)) < 1e-4
 
-    retire = lambda t, W: upper_bound(g, ZERO, t, W, n_intervals=400)
-    assert (
-        abs(hjb_residual("retirement", retire, (31.7, 150.0), SC, ZERO)) < 1e-4
-    )
+    retire = lambda t, W: upper_bound(g, ZERO, t, W)
+    assert abs(hjb_residual("retirement", retire, (31.7, 150.0), g, ZERO)) < 1e-4
 
-    working = lambda t, W, Y: upper_bound(g, ZERO, t, W, Y, 400)
-    assert (
-        abs(hjb_residual("working", working, (8.9, 120.0, 40.0), SC, ZERO)) < 1e-4
-    )
+    working = lambda t, W, Y: upper_bound(g, ZERO, t, W, Y)
+    assert abs(hjb_residual("working", working, (8.9, 120.0, 40.0), g, ZERO)) < 1e-4
+
+
+def test_hjb_residual_with_a_time_varying_adjustment():
+    # exercises the v0 and v_minus terms, which the zero policy leaves at 0
+    g = compute_g(SC, UniformGrid(0.0, SC.T, 400))
+    rng = np.random.default_rng(2024)
+    retire = lambda t, W: upper_bound(g, ADJUSTED, t, W)
+    working = lambda t, W, Y: upper_bound(g, ADJUSTED, t, W, Y)
+    for _ in range(20):
+        p = (rng.uniform(21.0, 49.0), rng.uniform(10.0, 300.0))
+        assert abs(hjb_residual("retirement", retire, p, g, ADJUSTED)) < 1e-4
+    for _ in range(20):
+        p = (rng.uniform(1.0, 19.0), rng.uniform(10.0, 300.0), rng.uniform(5.0, 100.0))
+        assert abs(hjb_residual("working", working, p, g, ADJUSTED)) < 1e-4
+
+
+def test_hjb_residual_flags_wrong_value_functions():
+    g = compute_g(SC, UniformGrid(0.0, SC.T, 400))
+    # values of the adjusted market, checked against the unadjusted equation
+    retire = lambda t, W: upper_bound(g, ADJUSTED, t, W)
+    assert abs(hjb_residual("retirement", retire, (30.0, 150.0), g)) > 1e-3
+    working = lambda t, W, Y: upper_bound(g, ADJUSTED, t, W, Y)
+    assert abs(hjb_residual("working", working, (8.0, 120.0, 40.0), g)) > 1e-3
+    # a bequest value with the wrong power of g
+    bequest = lambda t, W: crra_utility(W, 1.5) * g_value(g, t) ** 1.4
+    assert abs(hjb_residual("bequest", bequest, (12.3, 80.0), g)) > 1e-3
 
 
 def test_hjb_residual_argument_validation():
     g = compute_g(SC, UniformGrid(0.0, SC.T, 100))
-    bequest = lambda t, W: crra_utility(W, 1.5) * g_value(SC, t, 100) ** 1.5
+    bequest = lambda t, W: crra_utility(W, 1.5) * g_value(g, t) ** 1.5
     with pytest.raises(ValidationError):
-        hjb_residual("unknown", bequest, (10.0, 80.0), SC)
+        hjb_residual("unknown", bequest, (10.0, 80.0), g)
     with pytest.raises(ValidationError):
-        hjb_residual("bequest", bequest, (0.0, 80.0), SC)  # boundary point
+        hjb_residual("bequest", bequest, (0.0, 80.0), g)  # boundary point
     working = lambda t, W, Y: upper_bound(g, ZERO, t, W, Y)
     with pytest.raises(ValidationError):
-        hjb_residual("working", working, (8.9, 120.0, 0.0), SC, ZERO)
+        hjb_residual("working", working, (8.9, 120.0, 0.0), g, ZERO)
