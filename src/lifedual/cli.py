@@ -25,7 +25,7 @@ import time
 import numpy as np
 
 from . import __version__, market
-from .closed_form import compute_g
+from .closed_form import compute_g, origin_upper_bound
 from .config import DESK_SCALE, RunConfig, build_run_config, parse_kv_file
 from .errors import NumericalError, ValidationError
 from .lower_bound import dual_checks, simulate_candidate_value
@@ -89,19 +89,18 @@ def _validate_or_die(cfg: RunConfig) -> None:
 
 
 def _fit(cfg: RunConfig):
-    """Validate, build g and minimize the upper bound.
+    """Build g on the search and path grids and minimize the upper bound.
 
-    Returns g (which carries the grid), the fitted policy, the optimizer
-    trace and the wall-clock seconds of each phase.  ``run`` then
-    simulates the candidate; ``verify`` steps only the dual streams
-    with ``dual_checks``.
+    Returns g on the search grid of ``quadrature.n_intervals``, which the
+    optimizer and ``vstar.csv`` read; ``cert``, g on the path grid of
+    ``sim.n_steps``, which the certificate's bounds and checks read; the
+    fitted policy, the optimizer trace and each phase's wall-clock seconds.
     """
-    _validate_or_die(cfg)
     clock: dict[str, float] = {}
 
     t0 = time.perf_counter()
-    grid = UniformGrid(0.0, cfg.scenario.T, cfg.n_intervals)
-    g = compute_g(cfg.scenario, grid)
+    g = compute_g(cfg.scenario, UniformGrid(0.0, cfg.scenario.T, cfg.n_intervals))
+    cert = compute_g(cfg.scenario, UniformGrid(0.0, cfg.scenario.T, cfg.simulation.n_steps))
     clock["g_function"] = time.perf_counter() - t0
 
     t0 = time.perf_counter()
@@ -114,16 +113,22 @@ def _fit(cfg: RunConfig):
         snake_a=cfg.snake_a,
     )
     clock["optimize"] = time.perf_counter() - t0
-    return g, policy, trace, clock
+    return g, cert, policy, trace, clock
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
     cfg = _resolve_config(args)
-    g, policy, trace, clock = _fit(cfg)
+    _validate_or_die(cfg)
+    try:  # an unusable --out fails here, not after the optimizer and the paths
+        os.makedirs(cfg.out_dir, exist_ok=True)
+    except OSError as exc:
+        raise ValidationError(f"cannot write {cfg.out_dir}: {exc}") from None
+    g, cert, policy, trace, clock = _fit(cfg)
     t0 = time.perf_counter()
+    upper = origin_upper_bound(cert, policy)
     # config by keyword: the perfbench tracer counts path steps from the
     # config at args[3] or kwargs["config"]
-    sim = simulate_candidate_value(g, policy, config=cfg.simulation)
+    sim = simulate_candidate_value(cert, policy, config=cfg.simulation)
     clock["simulate"] = time.perf_counter() - t0
     clock["total"] = sum(clock.values())
     budget = sim.budget
@@ -135,9 +140,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
             f"(lhs {budget.lhs:.6f}, rhs {budget.rhs:.6f})"
         )
 
-    report = build_report(
-        trace.best_objective, sim.value, sim.std_error, cfg.scenario.gamma
-    )
+    report = build_report(upper, sim.value, sim.std_error, cfg.scenario.gamma)
     paths = emit_csv(report, cfg, g.grid, policy, trace, sim, clock)
 
     print(f"upper bound   {report.upper_bound:.7f}")
@@ -161,8 +164,9 @@ def _cmd_validate(args: argparse.Namespace) -> int:
 
 def _cmd_verify(args: argparse.Namespace) -> int:
     cfg = _resolve_config(args)
-    g, policy, _, _ = _fit(cfg)
-    budget, martingale_z = dual_checks(g, policy, cfg.simulation)
+    _validate_or_die(cfg)
+    _, cert, policy, _, _ = _fit(cfg)
+    budget, martingale_z = dual_checks(cert, policy, cfg.simulation)
     print(
         f"budget identity: lhs {budget.lhs:.6f}  rhs {budget.rhs:.6f}  "
         f"z {budget.z_score:+.3f}"

@@ -38,9 +38,10 @@ node 0, the exact gradient with respect to the adjustment at the nodes
 is one reverse (adjoint) pass back through it, both O(n), and
 ``upper_bound(g, policy, t, W, Y)`` reads node 0 of the same pass on a
 g anchored at t (same cost), which keeps finite-difference HJB
-verification clean.
-The simulator instead interpolates the curves linearly (documented
-fast path, error O(h^2), consistent with the trapezoid order).
+verification clean.  The certificate's two bounds share one grid: the
+path pass steps on the nodes of the g it is given and reads its curves
+there, and the upper bound it is paired with is that g's
+``origin_upper_bound``.
 
 The optimal feedback controls attached to the upper bound are
 
@@ -106,8 +107,7 @@ class GFunction:
     """g(t) on a grid; g(T) = 1 exactly and g > 0 everywhere.
 
     Also the problem handle: ``scenario`` and ``grid`` are the instance
-    every bound, the optimizer and the path pass read.  Calling
-    interpolates linearly between nodes (exact at nodes).  The
+    every bound, the optimizer and the path pass read.  The
     remaining fields are the policy-independent node curves that every
     aggregate pass on this grid reads: the survival weight relative to
     the grid start (exact Gompertz exponent), the market coefficients
@@ -122,10 +122,6 @@ class GFunction:
     mu: np.ndarray
     sigma: np.ndarray
     bequest_factor: np.ndarray
-
-    def __call__(self, t):
-        out = np.interp(t, self.grid.nodes, self.values)
-        return out if np.ndim(out) else float(out)
 
 
 def compute_g(scenario: MarketScenario, grid: UniformGrid) -> GFunction:
@@ -175,7 +171,7 @@ class DualAggregates:
     """Per-policy aggregate curves on a shared grid.
 
     Immutable snapshot holding everything the bound, the feedback
-    controls, and the simulator need: the adjusted price of risk, g,
+    controls, and the path pass need: the adjusted price of risk, g,
     F2~, and the income annuity (zero at and beyond T_R).  ``f3node``
     and ``f1node`` are the exponentials of the F2~ and annuity rate
     prefix tables, kept for the adjoint pass.
@@ -189,16 +185,6 @@ class DualAggregates:
     income_annuity: np.ndarray
     f3node: np.ndarray
     f1node: np.ndarray
-
-    def interp_curves(self, t):
-        """Linear interpolation of (g, F2~, ann, kappa_v) at time(s) t."""
-        nodes = self.grid.nodes
-        g = np.interp(t, nodes, self.g)
-        f2 = np.interp(t, nodes, self.tilde_f2)
-        ann = np.interp(t, nodes, self.income_annuity)
-        kv = np.interp(t, nodes, self.kappa_v)
-        ann = np.where(np.asarray(t) >= self.scenario.T_R, 0.0, ann)
-        return g, f2, ann, kv
 
 
 def precompute_aggregates(g: GFunction, policy) -> DualAggregates:

@@ -252,10 +252,11 @@ class BudgetCheck:
 class SimulationResult:
     """Candidate value estimate with trajectory summaries and dual checks.
 
-    ``times`` has n_steps+1 entries; wealth means align with it, while
-    the control summaries (face value, consumption) are recorded at
-    the n_steps left endpoints.  ``budget`` and ``martingale_z`` are
-    the static-budget and kernel-martingale checks on the same paths.
+    ``times`` holds the n_steps+1 nodes of the path grid; wealth means
+    align with it, while the control summaries (face value,
+    consumption) are recorded at the n_steps left endpoints.
+    ``budget`` and ``martingale_z`` are the static-budget and
+    kernel-martingale checks on the same paths.
     """
 
     value: float
@@ -305,7 +306,7 @@ def _dual_summary(
 def _path_pass(
     g: GFunction, policy, config: SimulationConfig, candidate: bool, controls_override=None
 ):
-    """Step every path; return (t_nodes, g_n, finals, means).
+    """Step every path on the nodes of ``g``'s grid; return (finals, means).
 
     ``finals`` holds per path the utility, spend, terminal and income
     sums and each martingale increment; ``means`` the per-step path
@@ -315,32 +316,38 @@ def _path_pass(
     """
     scenario = g.scenario
     gam = scenario.gamma
-    mort = scenario.mortality
     n_paths = config.n_paths
     n_steps = config.n_steps
-    dt = scenario.T / n_steps
     agg = _origin_aggregates(g, policy)
-    t_nodes = np.arange(n_steps + 1) * dt
-    g_n, f2_n, ann_n, kv_n = agg.interp_curves(t_nodes)
-    if not all(np.all(np.isfinite(a)) for a in (g_n, f2_n, ann_n, kv_n)):
+    if g.grid.n_intervals != n_steps:
+        raise ValidationError(f"sim.n_steps = {n_steps}, but g has {g.grid.n_intervals} steps")
+    k_retire = n_steps * scenario.T_R / scenario.T
+    if abs(k_retire - round(k_retire)) > 1e-9 * n_steps:
+        raise ValidationError(
+            f"sim.n_steps = {n_steps} puts T_R = {scenario.T_R:g} inside a step; "
+            "n_steps * T_R / T must be an integer"
+        )
+    f2_n, ann_n, kv_n = agg.tilde_f2, agg.income_annuity, agg.kappa_v
+    if not all(np.all(np.isfinite(a)) for a in (g.values, f2_n, ann_n, kv_n)):
         raise NumericalError("aggregate curves are not finite; adjustment too extreme")
+    t_nodes, dt = g.grid.nodes, g.grid.step
+    # drawn before the node constants below are held: reading the direction
+    # numbers briefly loads scipy's whole 3 MB table, the pass's memory peak
+    levels, row = sobol_normals(config)
+    levels *= np.sqrt(dt)
 
-    r_n = np.asarray(scenario.r(t_nodes)) + np.zeros_like(t_nodes)
-    mu_n = np.asarray(scenario.mu(t_nodes)) + np.zeros_like(t_nodes)
-    sig_n = np.asarray(scenario.sigma(t_nodes)) + np.zeros_like(t_nodes)
-    lam_n = np.asarray(mort.hazard(t_nodes))
-    cum_haz = np.asarray(mort.cumulative_hazard(0.0, t_nodes))
-    surv_n = np.exp(-cum_haz)
-    disc_n = np.exp(-cum_haz - scenario.delta_tilde * t_nodes)
-    cap_fac = 1.0 + lam_n * g_n
-    working = t_nodes < scenario.T_R
+    r_n, sig_n, surv_n, cap_fac = g.r, g.sigma, g.survival, g.bequest_factor
+    lam_n = np.asarray(scenario.mortality.hazard(t_nodes))
+    disc_n = surv_n * np.exp(-scenario.delta_tilde * t_nodes)
+    node = np.arange(n_steps + 1)
+    working = node < round(k_retire)
     # node coefficients of the candidate step, with M = c g: the feedback
     # rule's, the Euler step's, and the weight of c^(1-gamma) for
     # consumption plus bequest, w u(c) + lam w g^gamma u(c g) = w (1 + lam g) u(c)
     # with w = disc dt
     coef = np.stack(feedback_coefficients(scenario, ann_n, f2_n, kv_n, sig_n))
     grow_n = 1.0 + (r_n + lam_n) * dt
-    excess_n = (mu_n - r_n) * dt
+    excess_n = (g.mu - r_n) * dt
     rho_n = cap_fac * dt
     u_n = disc_n * rho_n / (1.0 - gam)
     y_drift = (scenario.mu_Y - 0.5 * scenario.sigma_Y**2) * dt  # exact log-normal income step
@@ -359,13 +366,10 @@ def _path_pass(
     trap = np.full(n_steps + 1, dt)
     trap[[0, -1]] = half
     spend_w = trap * rate_n
-    pays = t_nodes <= scenario.T_R
+    pays = node <= round(k_retire)
     pays[0] = False
     income_w = (half * pays + half * working) * bs_n
     checks = _checkpoints(n_steps)
-
-    levels, row = sobol_normals(config)
-    levels *= np.sqrt(dt)
 
     def block(lo: int, hi: int) -> tuple[np.ndarray, np.ndarray]:
         """Step paths [lo, hi); return their finals and per-step sums."""
@@ -434,13 +438,12 @@ def _path_pass(
                     Y = Y * np.exp(y_drift + scenario.sigma_Y * dz)
 
         if candidate:
-            disc_T = np.exp(-mort.cumulative_hazard(0.0, scenario.T) - scenario.delta_tilde * scenario.T)
-            util += disc_T * np.maximum(W, _UTILITY_FLOOR) ** (1.0 - gam) / (1.0 - gam)
+            util += disc_n[-1] * np.maximum(W, _UTILITY_FLOOR) ** (1.0 - gam) / (1.0 - gam)
         return finals, sums
 
     cut = n_paths // 2
     (f0, s0), (f1, s1) = in_two_processes(lambda: block(0, cut), lambda: block(cut, n_paths))
-    return t_nodes, g_n, np.concatenate([f0, f1], axis=1), (s0 + s1) / n_paths
+    return np.concatenate([f0, f1], axis=1), (s0 + s1) / n_paths
 
 
 def simulate_candidate_value(
@@ -451,11 +454,13 @@ def simulate_candidate_value(
 ) -> SimulationResult:
     """Estimate Jbar for the candidate strategy induced by ``policy``.
 
-    ``g`` carries the scenario and a grid starting at 0, on which the
-    aggregate curves are built once.  Controls are recomputed each
-    step from the current state by ``closed_form.feedback_controls``,
-    on coefficients of the linearly interpolated aggregate curves
-    formed once per node.  The optional
+    ``g`` carries the scenario and the path grid, on whose nodes every
+    curve is read: it starts at 0, has ``config.n_steps`` intervals and
+    puts T_R on a node (a step across T_R would pay income past
+    retirement), or a ``ValidationError`` names ``sim.n_steps``.  The
+    aggregate curves are built once on it.  Controls are recomputed each step from the
+    current state by ``closed_form.feedback_controls``, on coefficients
+    of the node curves formed once per node.  The optional
     ``controls_override(t, W, Y) -> (theta, c)`` replaces the feedback
     rule (used to exercise alternative feasible recipes); theta is
     clipped to [0, W], the death benefit is M = c g(t) as in the
@@ -482,19 +487,19 @@ def simulate_candidate_value(
     forked child's block stays in the child.
 
     Returns the path mean, its sample standard error (the iid formula,
-    not a valid error for a low-discrepancy stream; ROADMAP item 1),
+    not a valid error for a low-discrepancy stream; ROADMAP item 4),
     mean trajectories of wealth, face value M* - W, and consumption,
     and the two dual checks.
     """
-    t_nodes, g_n, finals, means = _path_pass(g, policy, config, True, controls_override)
+    finals, means = _path_pass(g, policy, config, True, controls_override)
     value, se = _mean_se(finals[0])
-    budget, martingale_z = _dual_summary(finals, t_nodes, g.scenario.W0)
+    budget, martingale_z = _dual_summary(finals, g.grid.nodes, g.scenario.W0)
     return SimulationResult(
         value=float(value),
         std_error=float(se),
-        times=np.concatenate([t_nodes[:-1], [g.scenario.T]]),
+        times=g.grid.nodes,
         mean_wealth=means[0],
-        mean_face_value=g_n[:-1] * means[1, :-1] - means[0, :-1],
+        mean_face_value=g.values[:-1] * means[1, :-1] - means[0, :-1],
         mean_consumption=means[1, :-1],
         budget=budget,
         martingale_z=martingale_z,
@@ -513,5 +518,5 @@ def dual_checks(
     included.  No control, wealth or utility is formed, so no
     non-finite wealth can stop it.
     """
-    t_nodes, _, finals, _ = _path_pass(g, policy, config, False)
-    return _dual_summary(finals, t_nodes, g.scenario.W0)
+    finals, _ = _path_pass(g, policy, config, False)
+    return _dual_summary(finals, g.grid.nodes, g.scenario.W0)

@@ -11,7 +11,7 @@ run that produced it (config, grid, policy, trace, simulation, clock):
                      empty welfare-loss cell when crossed), the protocol
                      sizes and the ``certificate`` status
 * ``vstar.csv``      optimized drift adjustment (t, v0, v_minus) at the
-                     quadrature nodes
+                     nodes of the optimizer's search grid
 * ``trace.csv``      optimizer incumbents (iteration, objective, start)
 * ``facevalue.csv``  mean simulated insurance face value per time step
 * ``wealth.csv``     mean simulated wealth and consumption per step
@@ -127,8 +127,8 @@ def _write_rows(path: str, header, rows) -> None:
 def emit_csv(report: BoundsReport, cfg, grid, policy, trace, sim, clock) -> list[str]:
     """Write the artifact set into ``cfg.out_dir``; returns the written paths.
 
-    ``grid`` is the quadrature grid the fitted ``policy`` is tabulated
-    on, ``trace`` the optimizer trace, ``sim`` the simulation result
+    ``grid`` is the optimizer's search grid the fitted ``policy`` is
+    tabulated on, ``trace`` the optimizer trace, ``sim`` the simulation result
     (step times, mean wealth / face value / consumption curves, budget
     check) and ``clock`` the wall-clock seconds per phase.
     """

@@ -47,19 +47,25 @@ N_INTERVALS, OPT, SIM = DESK.n_intervals, DESK.optimizer, DESK.simulation
 FACE_TOL_MARGIN = 2.0  # c in the face-value zero tolerance c * eps * mean wealth
 
 
+def _path_g(scenario, n_steps):
+    """g on the path grid, the grid of the certificate's two bounds."""
+    return compute_g(scenario, UniformGrid(0.0, scenario.T, n_steps))
+
+
 def _desk_run(preset: str, kind: str, activation: str = "relu"):
+    # as ``lifedual run``: search on N_INTERVALS, certify on the path grid
     scenario = preset_scenario(preset)
     g = compute_g(scenario, UniformGrid(0.0, scenario.T, N_INTERVALS))
+    cert = _path_g(scenario, SIM.n_steps)
     t0 = time.perf_counter()
-    policy, trace = minimize_upper_bound(
-        g, kind, OPT, seed=0, activation=activation
-    )
-    sim = simulate_candidate_value(g, policy, SIM)
+    policy, _ = minimize_upper_bound(g, kind, OPT, seed=0, activation=activation)
+    sim = simulate_candidate_value(cert, policy, SIM)
     runtime = time.perf_counter() - t0
-    report = build_report(trace.best_objective, sim.value, sim.std_error, scenario.gamma)
+    upper = origin_upper_bound(cert, policy)
+    report = build_report(upper, sim.value, sim.std_error, scenario.gamma)
     return SimpleNamespace(
         scenario=scenario,
-        g=g,
+        cert=cert,
         policy=policy,
         upper=report.upper_bound,
         lower=report.lower_bound,
@@ -81,7 +87,7 @@ def ex1_zero(ex1_affine):
     """The zero adjustment (unconstrained market) on the same normal stream."""
     r = ex1_affine
     zero = make_policy("affine", np.zeros(8), t_retire=r.scenario.T_R)
-    return zero, simulate_candidate_value(r.g, zero, SIM)
+    return zero, simulate_candidate_value(r.cert, zero, SIM)
 
 
 @pytest.fixture(scope="module")
@@ -239,7 +245,7 @@ def test_criterion_05_hjb_residual_suite():
 def test_criterion_06_budget_identity(ex1_affine):
     t0 = time.perf_counter()
     chk = simulate_candidate_value(
-        ex1_affine.g,
+        ex1_affine.cert,
         ex1_affine.policy,
         SimulationConfig(n_paths=2**14, n_steps=1000),
     ).budget
@@ -257,8 +263,8 @@ def test_criterion_06_budget_identity(ex1_affine):
 
 def test_criterion_07_weak_duality_random_policies():
     scenario = preset_scenario("example1")
-    g = compute_g(scenario, UniformGrid(0.0, scenario.T, N_INTERVALS))
     cfg = SimulationConfig(n_paths=4096, n_steps=250)
+    g = _path_g(scenario, cfg.n_steps)
     violations = []
     for i in range(10):
         pol = make_policy(
@@ -320,16 +326,16 @@ def test_criterion_09_face_value_spoon_shape(ex1_affine, ex1_zero):
     # is at least g's rate, so F2~ <= g and the face value is >= Y ann > 0
     # over working life; from T_R on the fitted v* is 0, where F2~ = g
     # exactly, so the face value is zero up to the trapezoid mismatch
-    # eps = max|g/F2~ - 1| of the zero adjustment on the run's grid,
-    # taken per phase: ~7e-6 over working life, ~1.2e-3 in retirement
-    # at n=100.  One global eps would put the working-life floor above
-    # Y ann near T_R on finer simulation steps.  Values within
-    # tol = c * eps(phase) * mean wealth carry no sign.
+    # eps = max|g/F2~ - 1| of the zero adjustment on the path grid,
+    # taken per phase: ~7.1e-8 over working life, ~1.24e-5 in retirement
+    # at 1,000 steps.  One global eps would put the working-life floor
+    # above Y ann near T_R.  Values within tol = c * eps(phase) * mean
+    # wealth carry no sign.
     r = ex1_affine
     zero, sim0 = ex1_zero
-    agg0 = precompute_aggregates(r.g, zero)
+    agg0 = precompute_aggregates(r.cert, zero)
     mismatch = np.abs(agg0.g / agg0.tilde_f2 - 1.0)
-    node_working = r.g.grid.nodes < r.scenario.T_R
+    node_working = r.cert.grid.nodes < r.scenario.T_R
     eps_working = float(np.max(mismatch[node_working]))
     eps_retired = float(np.max(mismatch[~node_working]))
     face = r.sim.mean_face_value

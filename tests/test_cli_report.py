@@ -303,20 +303,15 @@ def test_cli_run_is_deterministic(tmp_path):
 def test_cli_run_reports_a_crossed_certificate(tmp_path, monkeypatch, capsys):
     # a lower bound above the upper one, but within 3 s.e., is reported
     # as a crossed certificate: signed gaps, no welfare loss, exit 0
-    minimize = lifedual.cli.minimize_upper_bound
     simulate = lifedual.cli.simulate_candidate_value
     fitted = {}
 
-    def fit(*args, **kwargs):
-        policy, trace = minimize(*args, **kwargs)
-        fitted["upper"] = trace.best_objective
-        return policy, trace
-
     def crossed(g, policy, config):
+        # g is the path grid's, whose bound is the reported upper bound
         sim = simulate(g, policy, config)
+        fitted["upper"] = origin_upper_bound(g, policy)
         return dataclasses.replace(sim, value=fitted["upper"] + 0.5 * sim.std_error)
 
-    monkeypatch.setattr(lifedual.cli, "minimize_upper_bound", fit)
     monkeypatch.setattr(lifedual.cli, "simulate_candidate_value", crossed)
     cfg = _write(tmp_path, "run.cfg", SMALL_RUN_CFG)
     out = tmp_path / "out"
@@ -343,7 +338,14 @@ def test_cli_validate_exit_codes(tmp_path, capsys):
     assert "income_vol_dominated" in capsys.readouterr().out
 
 
-def test_cli_error_exit_codes(tmp_path, capsys):
+def _optimizer_must_not_run(monkeypatch):
+    def never(*args, **kwargs):
+        raise AssertionError("the optimizer ran")
+
+    monkeypatch.setattr(lifedual.cli, "minimize_upper_bound", never)
+
+
+def test_cli_error_exit_codes(tmp_path, monkeypatch, capsys):
     missing = str(tmp_path / "nope.cfg")
     assert main(["run", "--config", missing]) == 1
     assert "error:" in capsys.readouterr().err
@@ -352,10 +354,12 @@ def test_cli_error_exit_codes(tmp_path, capsys):
     # run refuses an invalid scenario before any heavy work
     bad = _write(tmp_path, "bad.cfg", "scenario.sigma_y = 0.3\n")
     assert main(["run", "--config", bad, "--out", str(tmp_path)]) == 1
-    # --out naming an existing file is a typed error, not a traceback
+    # --out naming an existing file is a typed error, not a traceback,
+    # and run reports it before optimizing
     blocker = _write(tmp_path, "blocker", "")
     small = _write(tmp_path, "small.cfg", SMALL_RUN_CFG)
     capsys.readouterr()
+    _optimizer_must_not_run(monkeypatch)
     for argv in (["gfun"], ["run", "--config", small]):
         assert main([*argv, "--out", blocker]) == 1
         assert "error: cannot write" in capsys.readouterr().err
@@ -363,16 +367,21 @@ def test_cli_error_exit_codes(tmp_path, capsys):
 
 def test_cli_sobol_point_limit_exits_1(tmp_path, monkeypatch, capsys):
     # both Sobol limits are config checks, so the run stops before optimizing
-    def never(*args, **kwargs):
-        raise AssertionError("the optimizer ran")
-
-    monkeypatch.setattr(lifedual.cli, "minimize_upper_bound", never)
+    _optimizer_must_not_run(monkeypatch)
     huge = _write(tmp_path, "huge.cfg", "sim.n_paths = 2000000000\n")
     assert main(["run", "--config", huge, "--out", str(tmp_path)]) == 1
     assert "Sobol points" in capsys.readouterr().err
     deep = _write(tmp_path, "deep.cfg", "sim.n_steps = 30000\n")
     assert main(["run", "--config", deep, "--out", str(tmp_path)]) == 1
     assert "Sobol dimension" in capsys.readouterr().err
+
+
+def test_cli_retirement_between_path_nodes_exits_1(tmp_path, capsys):
+    # T_R = 20 of T = 50 falls inside a step of a 1012-step path grid
+    text = SMALL_RUN_CFG.replace("sim.n_steps = 200", "sim.n_steps = 1012")
+    cfg = _write(tmp_path, "off.cfg", text)
+    assert main(["run", "--config", cfg, "--out", str(tmp_path / "out")]) == 1
+    assert "error: sim.n_steps = 1012 puts T_R = 20 inside a step" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize(

@@ -39,8 +39,9 @@ EXTREME = make_policy(
 )
 
 
-def _g100():
-    return compute_g(SC, UniformGrid(0.0, SC.T, 100))
+def _g(n_steps):
+    """g on the path grid of ``n_steps`` steps, the grid the pass steps on."""
+    return compute_g(SC, UniformGrid(0.0, SC.T, n_steps))
 
 
 def _grid_integers(cfg):
@@ -184,7 +185,7 @@ def test_simulation_config_sobol_point_limit():
 
 
 def test_simulation_is_deterministic():
-    g = _g100()
+    g = _g(50)
     cfg = SimulationConfig(n_paths=512, n_steps=50)
     a = simulate_candidate_value(g, ZERO, cfg)
     b = simulate_candidate_value(g, ZERO, cfg)
@@ -197,14 +198,14 @@ def test_simulation_is_deterministic():
 
 
 def test_std_error_scales_with_path_count():
-    g = _g100()
+    g = _g(100)
     small = simulate_candidate_value(g, ZERO, SimulationConfig(n_paths=2000, n_steps=100))
     large = simulate_candidate_value(g, ZERO, SimulationConfig(n_paths=8000, n_steps=100))
     assert 1.7 < small.std_error / large.std_error < 2.3
 
 
 def test_initial_controls_match_closed_form():
-    g = _g100()
+    g = _g(50)
     cfg = SimulationConfig(n_paths=256, n_steps=50)
     res = simulate_candidate_value(g, ZERO, cfg)
     agg = precompute_aggregates(g, ZERO)
@@ -223,8 +224,25 @@ def test_path_pass_needs_a_grid_starting_at_0():
         simulate_candidate_value(anchored, ZERO, SimulationConfig(n_paths=64, n_steps=10))
 
 
+def test_path_pass_steps_on_the_grid_of_g():
+    # the paths step on g's nodes, so g must have sim.n_steps intervals
+    for entry in (simulate_candidate_value, dual_checks):
+        with pytest.raises(ValidationError, match="sim.n_steps = 50, but g has 100 steps"):
+            entry(_g(100), ZERO, SimulationConfig(n_paths=64, n_steps=50))
+
+
+@pytest.mark.parametrize("n_steps", [77, 1012, 1024])
+def test_retirement_between_nodes_is_rejected(n_steps):
+    # T_R = 20 of T = 50 falls inside a step, which would pay income Y dt
+    # past retirement and inflate the lower bound
+    cfg = SimulationConfig(n_paths=64, n_steps=n_steps)
+    for entry in (simulate_candidate_value, dual_checks):
+        with pytest.raises(ValidationError, match=f"sim.n_steps = {n_steps} puts T_R"):
+            entry(_g(n_steps), ZERO, cfg)
+
+
 def test_income_stops_at_retirement():
-    g = _g100()
+    g = _g(10)
     seen = []
 
     def override(t, W, y):
@@ -242,11 +260,11 @@ def test_income_stops_at_retirement():
 def test_zero_stock_half_spend_override_grows_wealth():
     # theta = 0 and c(1 + lam g) at half the financing inflow leave a
     # strictly positive riskless drift, so mean wealth must increase
-    g = _g100()
+    g = _g(200)
 
     def override(t, W, y):
-        lam = SC.mortality.hazard(t)
-        c = ((SC.r(t) + lam) * W + y) / (2.0 * (1.0 + lam * g(t)))
+        k = round(t / g.grid.step)  # t is a node of g's grid
+        c = ((g.r[k] + SC.mortality.hazard(t)) * W + y) / (2.0 * g.bequest_factor[k])
         return np.zeros_like(W), c
 
     res = simulate_candidate_value(
@@ -258,19 +276,22 @@ def test_zero_stock_half_spend_override_grows_wealth():
 
 
 def test_feedback_override_reproduces_default_pass():
-    # the feedback rule applied from the interpolated curves at t is the
-    # default pass, so an override that does just that changes nothing
+    # the feedback rule applied from the node curves at t is the default
+    # pass, so an override that does just that changes nothing
     pol = AffinePolicy(
         params=(0.01, 0.0002, 0.005, 0.0, 0.01, 0.0, 0.005, 0.0), t_retire=SC.T_R
     )
-    g = _g100()
+    g = _g(75)
     agg = precompute_aggregates(g, pol)
 
     def override(t, W, y):
-        _, f2, ann, kv = agg.interp_curves(t)
-        return feedback_controls(W, y, *feedback_coefficients(SC, ann, f2, kv, SC.sigma(t)))
+        k = round(t / g.grid.step)  # t is a node of g's grid
+        coef = feedback_coefficients(
+            SC, agg.income_annuity[k], agg.tilde_f2[k], agg.kappa_v[k], g.sigma[k]
+        )
+        return feedback_controls(W, y, *coef)
 
-    cfg = SimulationConfig(n_paths=2048, n_steps=77)
+    cfg = SimulationConfig(n_paths=2048, n_steps=75)
     ref = simulate_candidate_value(g, pol, cfg)
     sim = simulate_candidate_value(g, pol, cfg, controls_override=override)
     assert sim.value == pytest.approx(ref.value, rel=1e-12)
@@ -290,7 +311,7 @@ def test_starved_paths_stay_finite():
     assert np.all(res.mean_wealth >= 0.0)
     # at the floor, consumption is capped by the liquidity rule
     lam0 = poor.mortality.hazard(0.0)
-    cap0 = poor.Y0 / (1.0 + lam0 * g(0.0))
+    cap0 = poor.Y0 / (1.0 + lam0 * g.values[0])
     assert res.mean_consumption[0] <= cap0 * (1.0 + 1e-12)
     # captured while the floor branch still capped the death benefit
     # beside consumption; M = c g makes capping c alone the same rule
@@ -302,7 +323,7 @@ def test_starved_paths_stay_finite():
 
 
 def test_weak_duality_for_sampled_policies():
-    g = _g100()
+    g = _g(250)
     cfg = SimulationConfig(n_paths=4000, n_steps=250)
     for i in range(3):
         pol = make_policy("affine", np.abs(init_params("affine", (21, i))), t_retire=SC.T_R)
@@ -319,7 +340,7 @@ def test_weak_duality_for_sampled_policies():
 def test_overflowing_dual_streams_flag_the_checks_only():
     # an extreme adjustment overflows the state-price streams: the checks
     # come out NaN (without warnings) while the candidate value is finite
-    sim = simulate_candidate_value(_g100(), EXTREME, SimulationConfig(n_paths=1024, n_steps=100))
+    sim = simulate_candidate_value(_g(100), EXTREME, SimulationConfig(n_paths=1024, n_steps=100))
     assert np.isfinite(sim.value)
     assert np.isnan(sim.budget.z_score)
     assert np.isnan(sim.martingale_z[-1][1])
@@ -346,9 +367,8 @@ def test_budget_identity_zero_adjustment_semianalytic():
     lhs_exact = c0 * f2_quad
     rhs_exact = SC.W0 + SC.Y0 * ann_quad
 
-    g = compute_g(SC, UniformGrid(0.0, SC.T, 250))
     chk = simulate_candidate_value(
-        g, ZERO, SimulationConfig(n_paths=2**13, n_steps=500)
+        _g(500), ZERO, SimulationConfig(n_paths=2**13, n_steps=500)
     ).budget
     # level anchors are loose (the unscrambled partial block drifts both
     # sides together by ~1 s.e.); the identity itself is the tight check
@@ -362,9 +382,8 @@ def test_budget_and_martingale_for_nonzero_adjustment():
     pol = AffinePolicy(
         params=(0.01, 0.0002, 0.005, 0.0, 0.01, 0.0, 0.005, 0.0), t_retire=SC.T_R
     )
-    g = compute_g(SC, UniformGrid(0.0, SC.T, 250))
     cfg = SimulationConfig(n_paths=2**13, n_steps=500)
-    sim = simulate_candidate_value(g, pol, cfg)
+    sim = simulate_candidate_value(_g(500), pol, cfg)
     chk = sim.budget
     assert abs(chk.z_score) < 3.0
     zs = sim.martingale_z
@@ -374,8 +393,7 @@ def test_budget_and_martingale_for_nonzero_adjustment():
 
 # values of the small protocol below, captured when the candidate
 # simulation and the two dual verifiers still ran as separate passes
-# (100 steps) and before the dual sums took node weights (77 steps,
-# where T_R = 20 falls between nodes)
+# (100 steps, where the path grid is g's grid)
 FUSED_GOLDENS = {
     100: (
         -9.561666470781898,
@@ -383,13 +401,6 @@ FUSED_GOLDENS = {
         0.23647252204497612,
         [12.5, 25.0, 37.5, 50.0],
         [0.6759861443391401, 0.8812137010537932, 1.1455284909309345, -0.21239255849925837],
-    ),
-    77: (
-        -9.577717574320214,
-        0.03955772154647944,
-        1.508303310508526,
-        [12.337662337662337, 24.675324675324674, 37.01298701298701, 50.0],
-        [0.49241180880543545, 2.936346444604921, 0.2262551091149168, 0.267624056289844],
     ),
 }
 
@@ -400,7 +411,7 @@ def test_fused_pass_reproduces_reference_values():
     )
     for n_steps, (value, se, budget_z, times, zs) in FUSED_GOLDENS.items():
         sim = simulate_candidate_value(
-            _g100(), pol, SimulationConfig(n_paths=2**11, n_steps=n_steps)
+            _g(n_steps), pol, SimulationConfig(n_paths=2**11, n_steps=n_steps)
         )
         assert sim.value == pytest.approx(value, rel=1e-12)
         assert sim.std_error == pytest.approx(se, rel=1e-12)
@@ -419,8 +430,8 @@ def test_forked_blocks_equal_one_block(n_paths, monkeypatch):
     pol = AffinePolicy(
         params=(0.01, 0.0002, 0.005, 0.0, 0.01, 0.0, 0.005, 0.0), t_retire=SC.T_R
     )
-    cfg = SimulationConfig(n_paths=n_paths, n_steps=77)
-    g = _g100()
+    cfg = SimulationConfig(n_paths=n_paths, n_steps=75)
+    g = _g(75)
     forked = _fields(simulate_candidate_value(g, pol, cfg))
     monkeypatch.delattr(os, "fork")
     serial = _fields(simulate_candidate_value(g, pol, cfg))
@@ -447,7 +458,7 @@ def _nan_theta_in(block_is_child):
 def test_failing_block_raises_in_caller_and_reaps_child(block_is_child):
     with pytest.raises(NumericalError, match="non-finite wealth at step 0") as err:
         simulate_candidate_value(
-            _g100(), ZERO, SimulationConfig(n_paths=256, n_steps=10),
+            _g(10), ZERO, SimulationConfig(n_paths=256, n_steps=10),
             controls_override=_nan_theta_in(block_is_child),
         )
     assert err.type is NumericalError
@@ -466,7 +477,7 @@ def _nan_equal(a, b):
     ids=["zero", "sampled", "extreme"],
 )
 def test_dual_checks_equal_the_fused_pass(pol, n_paths, n_steps):
-    g = _g100()
+    g = _g(n_steps)
     cfg = SimulationConfig(n_paths=n_paths, n_steps=n_steps)
     sim = simulate_candidate_value(g, pol, cfg)
     budget, martingale_z = dual_checks(g, pol, cfg)
@@ -480,7 +491,7 @@ def test_dual_checks_step_no_candidate(monkeypatch):
 
     monkeypatch.setattr("lifedual.lower_bound.feedback_controls", no_controls)
     cfg = SimulationConfig(n_paths=4096, n_steps=50)  # forked: the child is checked too
-    budget, martingale_z = dual_checks(_g100(), ZERO, cfg)
+    budget, martingale_z = dual_checks(_g(50), ZERO, cfg)
     assert np.isfinite(budget.z_score) and len(martingale_z) == 4
     with pytest.raises(AssertionError, match="candidate controls formed"):
-        simulate_candidate_value(_g100(), ZERO, cfg)
+        simulate_candidate_value(_g(50), ZERO, cfg)
