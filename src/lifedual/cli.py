@@ -218,8 +218,7 @@ def exit_main() -> None:
     The entry point of ``python -m lifedual.cli`` and the ``lifedual``
     script.  After flushing stdout and stderr it leaves by ``os._exit``:
     every artifact is closed by then, and the interpreter's teardown of
-    numpy and scipy would add 0.1-0.2 s to each invocation (measured on
-    a 2-vCPU VM).
+    numpy would only add to each invocation's time.
     """
     status = main()
     sys.stdout.flush()

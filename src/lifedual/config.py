@@ -23,7 +23,7 @@ from dataclasses import dataclass, replace
 
 from .drift_policy import MlpPolicy
 from .errors import ValidationError
-from .lower_bound import SimulationConfig
+from .lower_bound import SimulationConfig, check_path_grid
 from .market import CoefficientCurve, MarketScenario, preset_scenario
 from .optimizer import OptimizerConfig
 
@@ -197,7 +197,8 @@ def build_run_config(
 
     Precedence, lowest to highest: preset defaults, config-file keys,
     the desk-scale preset, then the explicit --out/--seed overrides.
-    Unknown keys are rejected so typos cannot silently change a run.
+    Unknown keys are rejected so typos cannot silently change a run, and
+    so is a ``sim.n_steps`` that puts T_R inside a path step.
     """
     kv = dict(kv or {})
     if desk_scale:
@@ -233,4 +234,6 @@ def build_run_config(
     )
     if kv:
         raise ValidationError(f"unknown config keys: {sorted(kv)}")
+    if 0.0 <= scenario.T_R < scenario.T:  # market.validate reports any other horizon
+        check_path_grid(scenario, simulation.n_steps)
     return config

@@ -8,10 +8,9 @@ work on every platform.  ``IndexQueue(n)`` hands the indices
 0, 1, ..., n - 1 out in order to whichever of the two processes asks
 first.
 
-numpy's and scipy's OpenBLAS builds each keep an idle worker thread.
-OpenBLAS shuts its pool down in a ``pthread_atfork`` handler and
-restarts it at the next threaded BLAS call, so the child starts with a
-fresh pool.  Python 3.12 and later warn (``DeprecationWarning``) when a
+numpy's OpenBLAS build keeps an idle worker thread.  OpenBLAS shuts
+its pool down in a ``pthread_atfork`` handler and restarts it at the
+next threaded BLAS call, so the child starts with a fresh pool.  Python 3.12 and later warn (``DeprecationWarning``) when a
 process with more than one thread forks.  The warning is attributed to
 this module, not to ``__main__``, so Python's default filters hide it.
 """

@@ -23,7 +23,8 @@ problem that ``g`` carries, the same handle the upper bound reads.
 
 Paths are driven by scipy's unscrambled ``qmc.Sobol`` stream, one
 point of dimension n_steps per path, mapped to normals by the inverse
-CDF; ``sobol_normals`` builds it in numpy one step at a time, so no
+CDF of ``statistics.NormalDist``, so no scipy module is imported;
+``sobol_normals`` builds it in numpy one step at a time, so no
 (n_steps, n_paths) array exists.  Wealth uses Euler-Maruyama steps
 (the feedback drift precludes exact stepping); income uses exact
 log-normal steps; utility integrals use the left-endpoint rule,
@@ -67,6 +68,7 @@ import importlib.util
 import os
 from collections.abc import Callable
 from dataclasses import dataclass
+from statistics import NormalDist
 
 import numpy as np
 
@@ -84,6 +86,7 @@ __all__ = [
     "SimulationResult",
     "BudgetCheck",
     "NORMALS_NOTE",
+    "check_path_grid",
     "sobol_normals",
     "simulate_candidate_value",
     "dual_checks",
@@ -94,15 +97,16 @@ _SOBOL_BITS = 30  # width of the direction integers, as in scipy's engine
 _MAX_SOBOL_POINTS = 2**_SOBOL_BITS  # 30-bit Gray codes index this many points
 _UTILITY_FLOOR = 1e-300  # utility of a starved path is astronomically negative, not -inf
 
-# The stream of ``sobol_normals`` as report.txt states it.  The error is the largest
-# |levels[k] - Phi^-1(k / 2^m)| over k = 1 .. 2^m - 1 against mpmath's erfinv at 40
-# digits: 8.5e-16 at m = 15, 1.09e-15 at m = 17, both at k = 1.
+# The largest |levels[k] - Phi^-1(k / 2^m)| over k = 1 .. 2^m - 1 against mpmath's
+# erfinv at 40 digits: 1.35e-15 at m = 15 (k = 10), 2.63e-15 at m = 17 (k = 2).
+_LEVEL_ERROR = 2.7e-15
+# The stream of ``sobol_normals`` as report.txt states it.
 NORMALS_NOTE = (
     "normals: unscrambled Sobol points (origin dropped, then sobol_skip "
     "points skipped) mapped through the inverse normal CDF "
-    "(scipy.special.ndtri; absolute error below 1.1e-15, measured on tables "
-    "of 2^15 and 2^17 levels); the stream is fully determined by "
-    "(n_paths, n_steps, sobol_skip)."
+    f"(statistics.NormalDist().inv_cdf; absolute error below {_LEVEL_ERROR:.1e}, "
+    "measured on tables of 2^15 and 2^17 levels); the stream is fully "
+    "determined by (n_paths, n_steps, sobol_skip)."
 )
 
 
@@ -134,6 +138,21 @@ class SimulationConfig:
             raise ValidationError(
                 f"1 + sobol_skip + n_paths must not exceed {_MAX_SOBOL_POINTS} Sobol points"
             )
+
+
+def check_path_grid(scenario, n_steps: int) -> int:
+    """The node of T_R on the path grid of ``n_steps`` steps over [0, T].
+
+    Raises ``ValidationError`` naming ``sim.n_steps`` when T_R falls
+    inside a step: a step across T_R would pay income past retirement.
+    """
+    k_retire = n_steps * scenario.T_R / scenario.T
+    if abs(k_retire - round(k_retire)) > 1e-9 * n_steps:
+        raise ValidationError(
+            f"sim.n_steps = {n_steps} puts T_R = {scenario.T_R:g} inside a step; "
+            "n_steps * T_R / T must be an integer"
+        )
+    return round(k_retire)
 
 
 def _direction_integers(dim: int, m: int) -> np.ndarray:
@@ -207,12 +226,16 @@ def sobol_normals(
     reader may ask for a row more than once and nothing of size
     n_steps x n_paths is held.  Deterministic given the config.
     """
-    from scipy.special import ndtri  # imported here: validate needs no scipy
-
     m = (config.sobol_skip + config.n_paths).bit_length()
-    levels = np.arange(2**m) / float(2**m)
-    np.clip(levels, 1e-12, 1.0 - 1e-12, out=levels)
-    ndtri(levels, out=levels)
+    # Phi^-1(1 - k/2^m) = -Phi^-1(k/2^m) holds exactly in inv_cdf, as
+    # 1 - k/2^m is exact, so half the table is computed and mirrored
+    n, half = 2**m, 2 ** (m - 1)
+    inv_cdf = NormalDist().inv_cdf
+    levels = np.empty(n)
+    levels[0] = inv_cdf(1e-12)
+    levels[1:half] = [inv_cdf(k / n) for k in range(1, half)]
+    levels[half] = 0.0
+    levels[half + 1 :] = -levels[half - 1 : 0 : -1]
 
     top = _direction_integers(config.n_steps, m)
     h = (m + 1) // 2  # m >= 2, since n_paths >= 2
@@ -321,12 +344,7 @@ def _path_pass(
     agg = _origin_aggregates(g, policy)
     if g.grid.n_intervals != n_steps:
         raise ValidationError(f"sim.n_steps = {n_steps}, but g has {g.grid.n_intervals} steps")
-    k_retire = n_steps * scenario.T_R / scenario.T
-    if abs(k_retire - round(k_retire)) > 1e-9 * n_steps:
-        raise ValidationError(
-            f"sim.n_steps = {n_steps} puts T_R = {scenario.T_R:g} inside a step; "
-            "n_steps * T_R / T must be an integer"
-        )
+    k_retire = check_path_grid(scenario, n_steps)
     f2_n, ann_n, kv_n = agg.tilde_f2, agg.income_annuity, agg.kappa_v
     if not all(np.all(np.isfinite(a)) for a in (g.values, f2_n, ann_n, kv_n)):
         raise NumericalError("aggregate curves are not finite; adjustment too extreme")
@@ -340,7 +358,7 @@ def _path_pass(
     lam_n = np.asarray(scenario.mortality.hazard(t_nodes))
     disc_n = surv_n * np.exp(-scenario.delta_tilde * t_nodes)
     node = np.arange(n_steps + 1)
-    working = node < round(k_retire)
+    working = node < k_retire
     # node coefficients of the candidate step, with M = c g: the feedback
     # rule's, the Euler step's, and the weight of c^(1-gamma) for
     # consumption plus bequest, w u(c) + lam w g^gamma u(c g) = w (1 + lam g) u(c)
@@ -366,7 +384,7 @@ def _path_pass(
     trap = np.full(n_steps + 1, dt)
     trap[[0, -1]] = half
     spend_w = trap * rate_n
-    pays = node <= round(k_retire)
+    pays = node <= k_retire
     pays[0] = False
     income_w = (half * pays + half * working) * bs_n
     checks = _checkpoints(n_steps)

@@ -9,18 +9,28 @@ gradient: the closed form's adjoint pass gives dJ/dv at the grid nodes
 and the policy family's vector-Jacobian product carries it onto the
 parameters, both from the one evaluation that yields the value.
 
+``_bfgs`` is that BFGS in numpy, so no scipy module is loaded.  It
+keeps scipy's conventions (identity start, first trial step, Wolfe
+constants 1e-4 and 0.9) and searches each line for the strong Wolfe
+conditions (Nocedal & Wright, Algorithms 3.5 and 3.6), zooming by a
+safeguarded cubic.  A non-finite objective is a step too long.  When
+the zoom runs out of trial steps it takes the lowest point that met
+sufficient decrease, and an update with y.s <= 0 is skipped, so the
+inverse Hessian stays positive definite.
+
 Each start draws its own initialization from the configured seed;
 starts are independent, and the reduction picks the lowest final
 objective with ties broken by the lowest start index, so results are
 reproducible regardless of evaluation order.  The starts therefore run
-in two processes: ``scipy.optimize`` is imported once, then one child
-is forked, and it and the caller take starts from one shared queue.
-The child's per-start results come back pickled and are merged in
-start order, so the trace equals that of one process bit for bit.
+in two processes: one child is forked, and it and the caller take
+starts from one shared queue.  The child's per-start results come
+back pickled and are merged in start order, so the trace equals that
+of one process bit for bit.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -39,8 +49,11 @@ __all__ = [
 ]
 
 _MAX_INIT_RETRIES = 3  # redraws of a start whose initial objective is non-finite
-_GTOL = 1e-10  # BFGS stopping rule on the gradient norm
+_GTOL = 1e-10  # BFGS stopping rule on the largest gradient entry
 _XRTOL = 1e-12  # BFGS stopping rule on the relative step
+_STALL_ULPS = 4  # BFGS stops once an iteration lowers f by at most this many ulp(f)
+_C1, _C2 = 1e-4, 0.9  # strong Wolfe constants: sufficient decrease, curvature
+_LINE_STEPS = 10  # trial steps of each line-search phase (bracket, then zoom)
 
 
 @dataclass(frozen=True)
@@ -63,8 +76,14 @@ class OptimizerConfig:
 
 @dataclass(frozen=True)
 class StartOutcome:
-    """How one start's solver run ended, as scipy reports it.
+    """How one start's BFGS run ended.
 
+    ``status`` is 0 when a stopping rule held (the largest gradient
+    entry at most ``_GTOL``, a relative step at most ``_XRTOL``, or a
+    decrease of f at most ``_STALL_ULPS`` ulp), 1 when ``nit`` reached
+    the iteration cap and 2 when a line search found no step of
+    sufficient decrease; ``message`` says which.  Every evaluation
+    yields value and gradient, so ``nfev`` equals ``njev``.
     ``grad_norm`` is the Euclidean norm of the exact gradient at the
     solver's final point.
     """
@@ -109,51 +128,152 @@ def upper_bound_and_gradient(g: GFunction, policy):
     return value, grad
 
 
-def _run_single_start(minimize, value_and_grad, x0, f0, config, start_idx):
-    """One local minimization from x0 (objective f0).
+def _cubic_step(lo, hi):
+    """Trial step of a zoom between the bracket ends ``lo`` and ``hi``.
 
-    Returns the start's trace entries (its per-iteration incumbents),
-    the best point and value, and the solver's ``StartOutcome``.
+    Each end is (step, value, slope).  The minimizer of the cubic that
+    matches both ends' values and slopes (Nocedal & Wright, eq. 3.59)
+    is taken when it lies in the middle 80 % of the bracket; otherwise,
+    or when an end is not finite, the midpoint.
     """
-    best_x = np.asarray(x0, dtype=float)
-    best_f = f0
-    entries = [(start_idx, 0, best_f)]
-    if config.iterations_per_start == 0:
-        return entries, best_x, best_f, None
+    (a0, f0, d0), (a1, f1, d1) = lo[:3], hi[:3]
+    mid = 0.5 * (a0 + a1)
+    if not math.isfinite(f1 + d1):
+        return mid
+    e1 = d0 + d1 - 3.0 * (f0 - f1) / (a0 - a1)
+    rad = e1 * e1 - d0 * d1
+    if not rad >= 0.0:
+        return mid
+    e2 = math.copysign(math.sqrt(rad), a1 - a0)
+    denom = d1 - d0 + 2.0 * e2
+    if denom == 0.0:
+        return mid
+    a = a1 - (a1 - a0) * (d1 + e2 - e1) / denom
+    margin = 0.1 * abs(a1 - a0)
+    return a if min(a0, a1) + margin <= a <= max(a0, a1) - margin else mid
 
-    def callback(intermediate_result):
-        nonlocal best_x, best_f
-        fk = float(intermediate_result.fun)
-        if np.isfinite(fk) and fk < best_f:
-            best_f = fk
-            best_x = np.asarray(intermediate_result.x, dtype=float).copy()
-        entries.append((start_idx, len(entries), best_f))
 
-    res = minimize(
-        value_and_grad,
-        x0,
-        method="BFGS",
-        jac=True,
-        callback=callback,
-        options={
-            "maxiter": config.iterations_per_start,
-            "gtol": _GTOL,
-            "xrtol": _XRTOL,
-        },
-    )
+def _line_search(value_and_grad, x, p, f, g, alpha):
+    """A step along ``p`` from ``x`` that meets the strong Wolfe conditions.
+
+    Brackets from the trial step ``alpha``, doubling it while the slope
+    stays negative (Algorithm 3.5), then zooms (Algorithm 3.6).  A
+    non-finite value fails the sufficient-decrease test, so it bounds
+    the bracket from above.  Returns (step, value, slope, gradient), or
+    None; when neither phase meets both conditions within
+    ``_LINE_STEPS`` trial steps, the lowest trial point that met
+    sufficient decrease is returned, and None only when none did.
+    """
+    slope0 = float(g @ p)
+    best = None
+
+    def decreases(point):
+        return point[1] <= f + _C1 * point[0] * slope0  # False for NaN
+
+    def trial(a):
+        nonlocal best
+        fa, ga = value_and_grad(x + a * p)
+        point = (a, float(fa), float(ga @ p), ga)
+        if decreases(point) and (best is None or point[1] < best[1]):
+            best = point
+        return point
+
+    def curved(point):
+        return abs(point[2]) <= -_C2 * slope0
+
+    def zoom(lo, hi):
+        for _ in range(_LINE_STEPS):
+            point = trial(_cubic_step(lo, hi))
+            if not decreases(point) or point[1] >= lo[1]:
+                hi = point
+                continue
+            if curved(point):
+                return point
+            if point[2] * (hi[0] - lo[0]) >= 0.0:
+                hi = lo
+            lo = point
+        return best
+
+    prev = (0.0, f, slope0, g)
+    for i in range(_LINE_STEPS):
+        point = trial(alpha)
+        if not decreases(point) or (i > 0 and point[1] >= prev[1]):
+            return zoom(prev, point)
+        if curved(point):
+            return point
+        if point[2] >= 0.0:
+            return zoom(point, prev)
+        prev = point
+        alpha *= 2.0
+    return best
+
+
+def _bfgs(value_and_grad, x0, maxiter, callback):
+    """Minimize from ``x0`` by BFGS; return (x, f, StartOutcome).
+
+    ``value_and_grad(x)`` returns the value and the gradient.  The
+    inverse Hessian starts at the identity, and the first trial step of
+    each line search is min(1, 2.02 (f - f_prev) / slope), with
+    f_prev = f0 + |g0| / 2 at the first iteration, as in scipy.  Every
+    accepted point met sufficient decrease, so f never rises, and
+    ``callback(x, f)`` sees each one.  See ``StartOutcome`` for the
+    stopping rules.
+    """
+    nfev = 0
+
+    def evaluate(x):
+        nonlocal nfev
+        nfev += 1
+        return value_and_grad(x)
+
+    x = np.asarray(x0, dtype=float)
+    f, g = evaluate(x)
+    f = float(f)
+    f_prev = f + float(np.linalg.norm(g)) / 2.0
+    H = np.eye(x.size)
+    nit = 0
+    status, message = 0, None
+    if np.max(np.abs(g)) <= _GTOL:
+        message = "gradient below tolerance"
+    while message is None:
+        if nit >= maxiter:
+            status, message = 1, "iteration limit reached"
+            break
+        p = -(H @ g)
+        slope = float(g @ p)
+        step = None
+        if slope < 0.0:  # else H lost positive definiteness to rounding
+            alpha = min(1.0, 2.02 * (f - f_prev) / slope)
+            step = _line_search(evaluate, x, p, f, g, alpha if alpha > 0.0 else 1.0)
+        if step is None:
+            status, message = 2, "line search found no decrease"
+            break
+        a, f_new, _, g_new = step
+        s, y = a * p, g_new - g
+        x = x + s
+        f_prev, f, g = f, f_new, g_new
+        nit += 1
+        callback(x, f)
+        sy = float(s @ y)
+        if sy > 0.0:  # else skip the update, keeping H positive definite
+            Hy = H @ y
+            H += ((sy + y @ Hy) / sy**2) * np.outer(s, s)
+            H -= np.outer(Hy, s / sy) + np.outer(s / sy, Hy)
+        if np.max(np.abs(g)) <= _GTOL:
+            message = "gradient below tolerance"
+        elif np.linalg.norm(s) <= _XRTOL * (_XRTOL + np.linalg.norm(x)):
+            message = "relative step below tolerance"
+        elif f_prev - f <= _STALL_ULPS * math.ulp(f):
+            message = "objective change at rounding level"
     outcome = StartOutcome(
-        status=int(res.status),
-        message=str(res.message),
-        nit=int(res.nit),
-        nfev=int(res.nfev),
-        njev=int(res.njev),
-        grad_norm=float(np.linalg.norm(res.jac)),
+        status=status,
+        message=message,
+        nit=nit,
+        nfev=nfev,
+        njev=nfev,
+        grad_norm=float(np.linalg.norm(g)),
     )
-    f_final = float(res.fun)
-    if np.isfinite(f_final) and f_final < best_f:
-        best_f = f_final
-        best_x = np.asarray(res.x, dtype=float)
-    return entries, best_x, best_f, outcome
+    return x, f, outcome
 
 
 def minimize_upper_bound(
@@ -194,11 +314,6 @@ def minimize_upper_bound(
     def value_and_grad(params):
         return upper_bound_and_gradient(g, build(params))
 
-    minimize = None
-    if config.iterations_per_start:
-        # imported here, once and before the fork: validate needs no scipy
-        from scipy.optimize import minimize
-
     def run_start(start):
         x0 = None
         for retry in range(_MAX_INIT_RETRIES + 1):
@@ -211,7 +326,18 @@ def minimize_upper_bound(
             raise NumericalError(
                 f"start {start}: objective non-finite after {_MAX_INIT_RETRIES} redraws"
             )
-        return _run_single_start(minimize, value_and_grad, x0, f0, config, start)
+        # trace entries (start, iteration, incumbent): BFGS never accepts
+        # a rise in f, so each iterate is the start's incumbent
+        entries = [(start, 0, f0)]
+        if config.iterations_per_start == 0:
+            return entries, x0, f0, None
+        x, f, outcome = _bfgs(
+            value_and_grad,
+            x0,
+            config.iterations_per_start,
+            lambda x, f: entries.append((start, len(entries), f)),
+        )
+        return entries, x, f, outcome
 
     def run_starts(queue):
         """Results of the starts taken from ``queue``, and the first failure."""

@@ -246,7 +246,7 @@ def _render_text(report: BoundsReport, prov, policy, trace, clock) -> str:
     lines.append("policy parameters:")
     lines.append("  " + ", ".join(_fmt(p) for p in policy.params))
     lines.append("")
-    lines.append("optimizer starts (scipy outcome; |grad| at the final point):")
+    lines.append("optimizer starts (solver outcome; |grad| at the final point):")
     for start, (final, outcome) in enumerate(zip(trace.per_start_final, trace.outcomes)):
         head = f"  start {start:>2}: final {_fmt(final)}"
         if outcome is None:

@@ -376,12 +376,16 @@ def test_cli_sobol_point_limit_exits_1(tmp_path, monkeypatch, capsys):
     assert "Sobol dimension" in capsys.readouterr().err
 
 
-def test_cli_retirement_between_path_nodes_exits_1(tmp_path, capsys):
-    # T_R = 20 of T = 50 falls inside a step of a 1012-step path grid
+def test_cli_retirement_between_path_nodes_exits_1(tmp_path, monkeypatch, capsys):
+    # T_R = 20 of T = 50 falls inside a step of a 1012-step path grid; a
+    # config check, so the run stops before optimizing
+    _optimizer_must_not_run(monkeypatch)
     text = SMALL_RUN_CFG.replace("sim.n_steps = 200", "sim.n_steps = 1012")
     cfg = _write(tmp_path, "off.cfg", text)
     assert main(["run", "--config", cfg, "--out", str(tmp_path / "out")]) == 1
     assert "error: sim.n_steps = 1012 puts T_R = 20 inside a step" in capsys.readouterr().err
+    with pytest.raises(ValidationError, match="sim.n_steps = 1012 puts T_R"):
+        build_run_config({"sim.n_steps": "1012"})
 
 
 @pytest.mark.parametrize(
@@ -459,6 +463,28 @@ def test_cold_start_imports_no_scipy_stats():
     lines = proc.stdout.splitlines()
     assert lines[0] == "scenario valid"
     assert lines[1:] == [""]  # validate imports no scipy module at all
+
+
+@pytest.mark.parametrize("command", ["run", "verify"])
+def test_run_and_verify_import_no_scipy(tmp_path, command):
+    # the optimizer's BFGS is numpy and the level table comes from the
+    # stdlib; the Sobol direction numbers are read from scipy's file
+    # without importing any scipy module
+    cfg = _write(
+        tmp_path,
+        "small.cfg",
+        "opt.num_starts = 2\nopt.iterations_per_start = 5\n"
+        "sim.n_paths = 256\nsim.n_steps = 100\n",
+    )
+    argv = [command, "--config", cfg, "--out", str(tmp_path / "out"), "--seed", "0"]
+    runner = (
+        "import sys\nfrom lifedual import cli\n"
+        f"status = cli.main({argv!r})\n"
+        f"{_LIST_SCIPY}\nsys.exit(status)"
+    )
+    proc = _python("-c", runner)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == ""
 
 
 def test_cli_verify_passes_for_optimized_policy(tmp_path, capsys):

@@ -3,6 +3,7 @@
 import dataclasses
 import os
 import tracemalloc
+from statistics import NormalDist
 
 import numpy as np
 import pytest
@@ -23,6 +24,8 @@ from lifedual.config import build_run_config
 from lifedual.drift_policy import AffinePolicy, init_params, make_policy
 from lifedual.errors import NumericalError, ValidationError
 from lifedual.lower_bound import (
+    _LEVEL_ERROR,
+    NORMALS_NOTE,
     SimulationConfig,
     dual_checks,
     simulate_candidate_value,
@@ -50,13 +53,19 @@ def _grid_integers(cfg):
 
 
 def _qmc_normals(cfg):
-    """The (n_paths, n_steps) inverse-CDF matrix of scipy's engine."""
+    """The (n_paths, n_steps) inverse-CDF matrix of scipy's engine.
+
+    Each point u is mapped to inv_cdf(max(u, 1e-12)); u is a multiple
+    of 2^-m, so the map is a table of every such multiple.
+    """
     engine = qmc.Sobol(d=cfg.n_steps, scramble=False)
     engine.fast_forward(1 + cfg.sobol_skip)
-    direct = engine.random(cfg.n_paths)
-    np.clip(direct, 1e-12, 1 - 1e-12, out=direct)
-    ndtri(direct, out=direct)
-    return direct
+    n = 2 ** (cfg.sobol_skip + cfg.n_paths).bit_length()
+    grid = engine.random(cfg.n_paths) * n
+    index = grid.astype(np.int64)
+    assert np.array_equal(index, grid)
+    inv_cdf = NormalDist().inv_cdf
+    return np.array([inv_cdf(max(k / n, 1e-12)) for k in range(n)])[index]
 
 
 def _normal_matrix(cfg):
@@ -102,6 +111,21 @@ def test_sobol_table_matches_direct_inverse_cdf(cfg):
     assert index.shape == (cfg.n_steps, cfg.n_paths)
     assert len(levels) == 2 ** (cfg.sobol_skip + cfg.n_paths).bit_length()
     assert np.array_equal(levels[index].T, _qmc_normals(cfg))
+
+
+@pytest.mark.parametrize(
+    "cfg",
+    [SimulationConfig(), SimulationConfig(n_paths=40000, n_steps=3, sobol_skip=30000)],
+    ids=["m15", "m17"],
+)
+def test_sobol_levels_match_ndtri_within_the_stated_error(cfg):
+    # NORMALS_NOTE states the levels' error against the exact quantile;
+    # scipy's ndtri, the stream's earlier quantile, lies within it too
+    levels, _ = sobol_normals(cfg)
+    u = np.arange(len(levels)) / len(levels)
+    u[0] = 1e-12
+    assert np.max(np.abs(levels - ndtri(u))) <= _LEVEL_ERROR
+    assert f"absolute error below {_LEVEL_ERROR:.1e}" in NORMALS_NOTE
 
 
 @settings(max_examples=30, deadline=None)

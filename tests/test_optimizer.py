@@ -24,7 +24,10 @@ from lifedual.drift_policy import (
 from lifedual.errors import NumericalError, ValidationError
 from lifedual.market import preset_scenario
 from lifedual.optimizer import (
+    _GTOL,
+    _STALL_ULPS,
     OptimizerConfig,
+    _bfgs,
     minimize_upper_bound,
     upper_bound_and_gradient,
 )
@@ -80,6 +83,87 @@ def test_adjoint_gradient_matches_central_differences(n, kind, activation, std):
     fd = _central_differences(g, build, params)
     assert np.linalg.norm(fd) > 0.0
     np.testing.assert_allclose(grad, fd, rtol=1e-6, atol=1e-6 * np.max(np.abs(fd)))
+
+
+def _rosenbrock(x):
+    value = 100.0 * (x[1] - x[0] ** 2) ** 2 + (1.0 - x[0]) ** 2
+    grad = np.array([-400.0 * x[0] * (x[1] - x[0] ** 2) - 2.0 * (1.0 - x[0]),
+                     200.0 * (x[1] - x[0] ** 2)])
+    return value, grad
+
+
+def _bfgs_values(value_and_grad, x0, maxiter):
+    """``_bfgs``'s result and the objective at each accepted point."""
+    seen = []
+    x, f, outcome = _bfgs(value_and_grad, np.asarray(x0, dtype=float), maxiter,
+                          lambda x, f: seen.append(f))
+    return x, f, outcome, seen
+
+
+def test_bfgs_solves_rosenbrock():
+    x, f, outcome, seen = _bfgs_values(_rosenbrock, [-1.2, 1.0], 200)
+    np.testing.assert_allclose(x, [1.0, 1.0], rtol=0.0, atol=1e-8)
+    assert outcome.status == 0 and outcome.nit == len(seen)
+    assert outcome.nfev == outcome.njev
+    assert all(b <= a for a, b in zip(seen, seen[1:]))
+
+
+def test_bfgs_iteration_limit_and_zero_gradient():
+    _, _, outcome, seen = _bfgs_values(_rosenbrock, [-1.2, 1.0], 5)
+    assert (outcome.status, outcome.nit, len(seen)) == (1, 5, 5)
+    x, f, outcome, seen = _bfgs_values(lambda x: (float(x @ x), 2.0 * x), [0.0, 0.0], 5)
+    assert (outcome.status, outcome.nit, outcome.nfev, seen) == (0, 0, 1, [])
+    assert f == 0.0 and np.array_equal(x, [0.0, 0.0])
+
+
+def test_bfgs_steps_back_from_an_infinite_objective():
+    # f = a.x - log(1 - |x|^2) is +inf outside the unit ball; the first
+    # trial step from 0 lands outside it, and the search steps back
+    a = np.array([3.0, 0.0])
+    evaluated = []
+
+    def barrier(x):
+        inside = x @ x < 1.0
+        evaluated.append(inside)
+        if not inside:
+            return float("inf"), np.full(2, np.nan)
+        return a @ x - np.log1p(-(x @ x)), a + 2.0 * x / (1.0 - x @ x)
+
+    x, f, outcome, seen = _bfgs_values(barrier, [0.0, 0.0], 50)
+    assert not all(evaluated)
+    assert outcome.status == 0 and np.isfinite(seen).all()
+    t = (np.sqrt(40.0) - 2.0) / 6.0  # 3 = 2t / (1 - t^2)
+    np.testing.assert_allclose(x, [-t, 0.0], rtol=0.0, atol=1e-8)
+
+
+def test_bfgs_stops_when_f_changes_at_rounding_level():
+    # the constant 1e6 puts f's ulp far above the decrease that is left
+    # while the gradient is still above the tolerance
+    def shifted(x):
+        value = 1e6 + 0.5 * (x[0] ** 2 + 100.0 * x[1] ** 2) + x[0] ** 4
+        return value, np.array([x[0] + 4.0 * x[0] ** 3, 100.0 * x[1]])
+
+    x, f, outcome, seen = _bfgs_values(shifted, [1e-5, 1e-5], 50)
+    assert outcome.status == 0 and outcome.message == "objective change at rounding level"
+    assert outcome.nit < 50 and outcome.grad_norm > _GTOL
+    assert 0.0 <= seen[-2] - seen[-1] <= _STALL_ULPS * np.spacing(f)
+
+
+@pytest.mark.parametrize("start", [0, 4])  # the seed-0 desk starts that descend
+def test_bfgs_matches_scipy_on_the_desk_affine_starts(start):
+    from scipy.optimize import minimize
+
+    g = _g()
+
+    def value_and_grad(params):
+        return upper_bound_and_gradient(g, make_policy("affine", params, t_retire=SC.T_R))
+
+    x0 = init_params("affine", (0, start, 0))
+    _, f, outcome, _ = _bfgs_values(value_and_grad, x0, 50)
+    ref = minimize(value_and_grad, x0, method="BFGS", jac=True,
+                   options={"maxiter": 50, "gtol": 1e-10, "xrtol": 1e-12})
+    assert f < -9.45 and outcome.status == 0
+    assert f == pytest.approx(ref.fun, rel=1e-12, abs=0.0)
 
 
 def test_objective_needs_a_grid_starting_at_0():
@@ -238,7 +322,7 @@ def test_exact_ties_go_to_the_lowest_start():
 def test_forked_starts_equal_one_process(
     kind, activation, preset, num_starts, iterations, monkeypatch
 ):
-    # the Snake case runs BFGS's np.dot and the MLP's matmuls in the
+    # the Snake case runs BFGS's and the MLP's matrix products in the
     # child; one start still forks once, and the child finds the queue empty
     g = _g(100, preset_scenario(preset))
     cfg = OptimizerConfig(num_starts=num_starts, iterations_per_start=iterations)
