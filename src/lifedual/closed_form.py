@@ -354,11 +354,8 @@ def feedback_controls(W, y, ann, inv_f2, a, b):
     (ann, inv_f2, a, b) is ``feedback_coefficients`` at that time.
     theta* is clipped to [0, W]; the death benefit is M* = c* g(t).
     """
-    if np.ndim(y) == 0 and y == 0.0:  # retired: the income terms add zero
-        f3, theta = W, W * a
-    else:
-        f3 = W + y * ann
-        theta = f3 * a - y * b
+    f3 = W + y * ann
+    theta = f3 * a - y * b
     # np.clip(theta, 0.0, W) bit for bit, at half its cost on the pass's arrays
     return np.minimum(np.maximum(theta, 0.0), W), f3 * inv_f2
 

@@ -30,15 +30,26 @@ CDF of ``statistics.NormalDist``, so no scipy module is imported;
 log-normal steps; utility integrals use the left-endpoint rule,
 consistent with previsible controls.
 
-Every per-node constant of a step is formed once per run, so a step
-costs about fifty passes over its paths.  Since M* = c* g at every
-path, the liquidity floor included, the two utility integrands fold
-into one power: u(c) weighted by e^{-Lam - dt~ t} (1 + lam g) dt.  The
-controls are c* = F3~ (1/F2~) and theta* = F3~ a - Y b with node
-coefficients a and b, and the Euler step is the one line
+Every per-node constant of a step is formed once per run, and the
+loop reads them as Python floats.  Since M* = c* g at every path, the
+liquidity floor included, the two utility integrands fold into one
+power: u(c) weighted by e^{-Lam - dt~ t} (1 + lam g) dt, with
+c^(1-gamma) formed as exp((1-gamma) log c) for every gamma.  While
+income flows, the controls are c* = F3~ (1/F2~) and
+theta* = F3~ a - Y b with node coefficients a and b, and the Euler
+step is the one line
 W [1 + (r + lam) dt] + theta* [(mu - r) dt + sigma dz] - c* [(1 + lam g) dt]
-+ Y dt, each bracketed factor but dz a node constant.  The pass sums
-W and c* per step; the mean face value is g times mean c* less mean W.
++ Y dt, each bracketed factor but dz a node constant.  From T_R on
+there is no income and the rule is Merton's: for W >= 0 (the floor
+keeps it so) theta* = W clip(a, 0, 1) and c* = W/F2~, so the same
+step is one multiplication W (alpha + beta dz) with node constants
+alpha = 1 + (r + lam) dt - (1 + lam g) dt/F2~ + clip(a, 0, 1)(mu - r) dt
+and beta = clip(a, 0, 1) sigma.  A working step then costs 47
+elementwise passes over its paths and a retired step 24, counting the
+Sobol row and its gather as one pass each.  A ``controls_override``
+takes the working step's line at every step.  The pass sums W and c*
+per step (retired, sum c* = (sum W)/F2~); the mean face value is g
+times mean c* less mean W.
 
 The same pass over the same normals checks the dual bookkeeping: the
 static budget identity
@@ -155,6 +166,51 @@ def check_path_grid(scenario, n_steps: int) -> int:
     return round(k_retire)
 
 
+def _scipy_path(*parts: str) -> str:
+    """The path of a file in the installed scipy package, found without importing it."""
+    return os.path.join(importlib.util.find_spec("scipy").submodule_search_locations[0], *parts)
+
+
+def _column_heads(member, rows: int, cols: int) -> np.ndarray:
+    """The first ``rows`` entries of the first ``cols`` columns of a ``.npy`` stream.
+
+    The stored array is 1-D (one column) or 2-D in Fortran order, so
+    each column is one contiguous run: its head is read and the rest
+    skipped, and no more than the (rows, cols) result is held.
+    """
+    version = np.lib.format.read_magic(member)
+    read_header = {
+        (1, 0): np.lib.format.read_array_header_1_0,
+        (2, 0): np.lib.format.read_array_header_2_0,
+    }[version]
+    shape, fortran_order, dtype = read_header(member)
+    if len(shape) == 2 and not fortran_order:
+        raise ValueError("expected a 1-D or Fortran-ordered array")
+    cols = min(cols, shape[1] if len(shape) == 2 else 1)
+    heads = np.empty((cols, rows), dtype)
+    for j in range(cols):
+        if j:  # skip the tail of the column before
+            member.seek((shape[0] - rows) * dtype.itemsize, os.SEEK_CUR)
+        heads[j] = np.frombuffer(member.read(rows * dtype.itemsize), dtype)
+    return heads.T
+
+
+def _direction_file(dim: int, m: int) -> tuple[np.ndarray, np.ndarray]:
+    """``poly[:dim]`` and ``vinit[:dim, :m]`` of scipy's direction-number file.
+
+    Both are read from the ``.npz`` member streams, so the whole
+    21201 x 18 ``vinit`` table is never held.
+    """
+    import zipfile
+
+    with zipfile.ZipFile(_scipy_path("stats", "_sobol_direction_numbers.npz")) as npz:
+        with npz.open("poly.npy") as member:
+            poly = _column_heads(member, dim, 1)[:, 0]
+        with npz.open("vinit.npy") as member:
+            vinit = _column_heads(member, dim, m)
+    return poly, vinit
+
+
 def _direction_integers(dim: int, m: int) -> np.ndarray:
     """The first m of scipy's 30 Sobol direction integers, as (dim, m) int64.
 
@@ -167,13 +223,7 @@ def _direction_integers(dim: int, m: int) -> np.ndarray:
     ``scipy.stats._sobol``.  The first dimension is the van der Corput
     sequence (all direction numbers 1).
     """
-    spec = importlib.util.find_spec("scipy")
-    path = os.path.join(
-        spec.submodule_search_locations[0], "stats", "_sobol_direction_numbers.npz"
-    )
-    with np.load(path) as data:
-        poly = data["poly"][:dim]
-        vinit = data["vinit"][:dim, :m]
+    poly, vinit = _direction_file(dim, m)
     deg = np.frexp(poly)[1] - 1  # degree of each primitive polynomial
     v = np.zeros((dim, m), dtype=np.int64)
     v[:, : vinit.shape[1]] = vinit
@@ -349,8 +399,6 @@ def _path_pass(
     if not all(np.all(np.isfinite(a)) for a in (g.values, f2_n, ann_n, kv_n)):
         raise NumericalError("aggregate curves are not finite; adjustment too extreme")
     t_nodes, dt = g.grid.nodes, g.grid.step
-    # drawn before the node constants below are held: reading the direction
-    # numbers briefly loads scipy's whole 3 MB table, the pass's memory peak
     levels, row = sobol_normals(config)
     levels *= np.sqrt(dt)
 
@@ -363,11 +411,17 @@ def _path_pass(
     # rule's, the Euler step's, and the weight of c^(1-gamma) for
     # consumption plus bequest, w u(c) + lam w g^gamma u(c g) = w (1 + lam g) u(c)
     # with w = disc dt
-    coef = np.stack(feedback_coefficients(scenario, ann_n, f2_n, kv_n, sig_n))
+    coef = feedback_coefficients(scenario, ann_n, f2_n, kv_n, sig_n)
+    _, inv_f2, a_n, _ = coef
     grow_n = 1.0 + (r_n + lam_n) * dt
     excess_n = (g.mu - r_n) * dt
     rho_n = cap_fac * dt
     u_n = disc_n * rho_n / (1.0 - gam)
+    # retired, the rule is Merton's: theta* = W clip(a, 0, 1) for W >= 0 and
+    # c* = W / F2~, so the Euler step is W (alpha + beta dz)
+    a_bar = np.clip(a_n, 0.0, 1.0)
+    alpha_n = grow_n - rho_n * inv_f2 + a_bar * excess_n
+    beta_n = a_bar * sig_n
     y_drift = (scenario.mu_Y - 0.5 * scenario.sigma_Y**2) * dt  # exact log-normal income step
 
     v0_n = np.asarray(policy(t_nodes)[0]) + np.zeros_like(t_nodes)
@@ -387,7 +441,22 @@ def _path_pass(
     pays = node <= k_retire
     pays[0] = False
     income_w = (half * pays + half * working) * bs_n
+    xi_drift = 0.5 * kv_n * kv_n * dt
     checks = _checkpoints(n_steps)
+    # the step loop reads its node constants as Python floats, not numpy scalars
+    coef_k = np.stack(coef, axis=1).tolist()
+    (working, cap_fac, grow_n, excess_n, rho_n, u_n, alpha_n, beta_n, inv_f2, sig_n,
+     kv_n, xi_drift, bs_n, c_star0, rate_n, spend_w, income_w, f2_n, ann_n) = (
+        x.tolist() for x in (
+            working, cap_fac, grow_n, excess_n, rho_n, u_n, alpha_n, beta_n, inv_f2, sig_n,
+            kv_n, xi_drift, bs_n, c_star0, rate_n, spend_w, income_w, f2_n, ann_n,
+        )
+    )
+    e_pow = -1.0 / gam
+
+    def power(x):
+        """x^(1-gamma) of the floored x, one formula for every gamma."""
+        return np.exp((1.0 - gam) * np.log(np.maximum(x, _UTILITY_FLOOR)))
 
     def block(lo: int, hi: int) -> tuple[np.ndarray, np.ndarray]:
         """Step paths [lo, hi); return their finals and per-step sums."""
@@ -402,23 +471,25 @@ def _path_pass(
         h_prev = float(scenario.W0)
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
             for k in range(n_steps + 1):
+                work = working[k]
                 if candidate:
                     # after the floor every W is >= 0 or not finite, so the
                     # sum is finite exactly when every path's wealth is
-                    sums[0, k] = np.add.reduce(W)
-                    if not np.isfinite(sums[0, k]):
+                    w_sum = sums[0, k] = np.add.reduce(W)
+                    if not np.isfinite(w_sum):
                         raise NumericalError(
                             f"non-finite wealth at step {k - 1} (t={t_nodes[k - 1]:.4f})"
                         )
-                y_k = Y if working[k] else 0.0
+                y_k = Y if work else 0.0
                 xi = np.exp(log_xi)
-                e = np.exp(log_xi / -gam)
-                xi_e = xi * e
-                spend += spend_w[k] * xi_e
-                finance += spend_w[k] * e
+                e = np.exp(log_xi * e_pow)
+                e_w = spend_w[k] * e
+                finance += e_w
+                spend += xi * e_w
                 if income_w[k]:  # zero after T_R
-                    finance -= income_w[k] * Y
-                    income += income_w[k] * (xi * Y)
+                    y_w = income_w[k] * Y
+                    finance -= y_w
+                    income += xi * y_w
                 if k in checks:
                     fin = finance
                     if k < n_steps:  # the running sum holds node k's opening half-cell
@@ -428,35 +499,39 @@ def _path_pass(
                     finals[4 + checks[k]] = h - h_prev
                     h_prev = h
                 if k == n_steps:
-                    terminal[:] = bs_n[k] * c_star0[k] * f2_n[k] * xi_e  # pi e^{-Lam} W*_T
+                    terminal[:] = bs_n[k] * c_star0[k] * f2_n[k] * (xi * e)  # pi e^{-Lam} W*_T
                     break
                 dz = levels[row(k, lo, hi)]
                 log_xi += kv_n[k] * dz
-                log_xi -= 0.5 * kv_n[k] * kv_n[k] * dt
+                log_xi -= xi_drift[k]
 
-                if candidate:
+                if candidate and (work or controls_override is not None):
                     if controls_override is None:
-                        theta, c = feedback_controls(W, y_k, *coef[:, k])
+                        theta, c = feedback_controls(W, y_k, *coef_k[k])
                     else:
                         theta, c = controls_override(t_nodes[k], W, y_k)
                         theta = np.clip(theta, 0.0, W)
-                    if working[k]:
-                        at_floor = W <= 1e-12
-                        if np.any(at_floor):  # the liquidity rule caps c (and M = c g)
-                            c = np.where(at_floor, np.minimum(c, Y / cap_fac[k]), c)
+                    # the liquidity rule caps c (and M = c g) at the floor
+                    if work and np.minimum.reduce(W) <= 1e-12:
+                        c = np.where(W <= 1e-12, np.minimum(c, Y / cap_fac[k]), c)
 
                     sums[1, k] = np.add.reduce(c)
-                    util += u_n[k] * np.maximum(c, _UTILITY_FLOOR) ** (1.0 - gam)
+                    util += u_n[k] * power(c)
 
                     W = W * grow_n[k] + theta * (excess_n[k] + sig_n[k] * dz) - c * rho_n[k]
-                    if working[k]:
+                    if work:
                         W += Y * dt
                     np.maximum(W, 0.0, out=W)
-                if working[k]:
+                elif candidate:  # retired, default rule: c* = W / F2~
+                    sums[1, k] = w_sum * inv_f2[k]
+                    util += u_n[k] * power(W * inv_f2[k])
+                    W *= alpha_n[k] + beta_n[k] * dz
+                    np.maximum(W, 0.0, out=W)
+                if work:
                     Y = Y * np.exp(y_drift + scenario.sigma_Y * dz)
 
         if candidate:
-            util += disc_n[-1] * np.maximum(W, _UTILITY_FLOOR) ** (1.0 - gam) / (1.0 - gam)
+            util += disc_n[-1] * power(W) / (1.0 - gam)
         return finals, sums
 
     cut = n_paths // 2
@@ -476,11 +551,13 @@ def simulate_candidate_value(
     curve is read: it starts at 0, has ``config.n_steps`` intervals and
     puts T_R on a node (a step across T_R would pay income past
     retirement), or a ``ValidationError`` names ``sim.n_steps``.  The
-    aggregate curves are built once on it.  Controls are recomputed each step from the
-    current state by ``closed_form.feedback_controls``, on coefficients
-    of the node curves formed once per node.  The optional
+    aggregate curves are built once on it.  Before T_R, controls are
+    recomputed each step from the current state by
+    ``closed_form.feedback_controls``, on coefficients of the node
+    curves formed once per node; from T_R on, the same rule is the
+    multiplicative Merton step of the module docstring.  The optional
     ``controls_override(t, W, Y) -> (theta, c)`` replaces the feedback
-    rule (used to exercise alternative feasible recipes); theta is
+    rule at every step (used to exercise alternative feasible recipes); theta is
     clipped to [0, W], the death benefit is M = c g(t) as in the
     candidate recipe, and the liquidity truncation of c still applies
     on the zero-wealth boundary.

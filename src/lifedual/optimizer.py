@@ -208,10 +208,12 @@ def _line_search(value_and_grad, x, p, f, g, alpha):
     return best
 
 
-def _bfgs(value_and_grad, x0, maxiter, callback):
+def _bfgs(value_and_grad, x0, first, maxiter, callback):
     """Minimize from ``x0`` by BFGS; return (x, f, StartOutcome).
 
-    ``value_and_grad(x)`` returns the value and the gradient.  The
+    ``value_and_grad(x)`` returns the value and the gradient, and
+    ``first`` is its result at ``x0``, counted as the first
+    evaluation.  The
     inverse Hessian starts at the identity, and the first trial step of
     each line search is min(1, 2.02 (f - f_prev) / slope), with
     f_prev = f0 + |g0| / 2 at the first iteration, as in scipy.  Every
@@ -219,7 +221,7 @@ def _bfgs(value_and_grad, x0, maxiter, callback):
     ``callback(x, f)`` sees each one.  See ``StartOutcome`` for the
     stopping rules.
     """
-    nfev = 0
+    nfev = 1
 
     def evaluate(x):
         nonlocal nfev
@@ -227,7 +229,7 @@ def _bfgs(value_and_grad, x0, maxiter, callback):
         return value_and_grad(x)
 
     x = np.asarray(x0, dtype=float)
-    f, g = evaluate(x)
+    f, g = first
     f = float(f)
     f_prev = f + float(np.linalg.norm(g)) / 2.0
     H = np.eye(x.size)
@@ -288,7 +290,9 @@ def minimize_upper_bound(
 
     Returns (best policy, trace).  Initializations are drawn per start
     from ``seed``; a start whose initial objective is non-finite is
-    redrawn up to ``_MAX_INIT_RETRIES`` times before failing.  The
+    redrawn up to ``_MAX_INIT_RETRIES`` times before failing; with
+    iterations to run, that evaluation yields the gradient too and is
+    BFGS's first, so no start evaluates its initialization twice.  The
     returned objective is the minimum over every start's final value.
 
     The starts run in this process and one forked child, which take
@@ -306,19 +310,23 @@ def minimize_upper_bound(
             snake_a=snake_a,
         )
 
-    def objective(params):
-        # policy by keyword: the perfbench tracer counts repeated
-        # evaluations from the policy at args[2] or kwargs["policy"]
-        return origin_upper_bound(g, policy=build(params))
-
     def value_and_grad(params):
         return upper_bound_and_gradient(g, build(params))
+
+    def initial_evaluation(params):
+        """(value, gradient) at ``params``; the gradient is None without iterations."""
+        if config.iterations_per_start == 0:
+            # policy by keyword: the perfbench tracer counts repeated
+            # evaluations from the policy at args[2] or kwargs["policy"]
+            return origin_upper_bound(g, policy=build(params)), None
+        return value_and_grad(params)
 
     def run_start(start):
         x0 = None
         for retry in range(_MAX_INIT_RETRIES + 1):
             candidate = drift_policy.init_params(policy_kind, (seed, start, retry))
-            f0 = float(objective(candidate))
+            first = initial_evaluation(candidate)
+            f0 = float(first[0])
             if np.isfinite(f0):
                 x0 = candidate
                 break
@@ -334,6 +342,7 @@ def minimize_upper_bound(
         x, f, outcome = _bfgs(
             value_and_grad,
             x0,
+            first,
             config.iterations_per_start,
             lambda x, f: entries.append((start, len(entries), f)),
         )

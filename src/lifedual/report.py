@@ -31,10 +31,12 @@ import math
 import os
 from dataclasses import dataclass
 
+import numpy as np
+
 from .closed_form import welfare_loss
 from .drift_policy import TablePolicy, evaluate
 from .errors import NumericalError, ValidationError
-from .lower_bound import NORMALS_NOTE
+from .lower_bound import NORMALS_NOTE, _scipy_path
 
 __all__ = [
     "BoundsReport",
@@ -90,15 +92,18 @@ def build_report(upper: float, lower: float, std_error: float, gamma: float) -> 
 
 
 def _provenance(cfg, sim) -> dict[str, object]:
-    from importlib import metadata
-
     from . import __version__
 
+    # scipy's version.py read as a file, so neither scipy nor
+    # importlib.metadata is imported
+    scipy_version: dict[str, object] = {}
+    with open(_scipy_path("version.py"), encoding="utf-8") as fh:
+        exec(fh.read(), scipy_version)
     return {
         "code_version": __version__,
         # the Sobol stream reads scipy's direction-number file
-        "numpy_version": metadata.version("numpy"),
-        "scipy_version": metadata.version("scipy"),
+        "numpy_version": np.__version__,
+        "scipy_version": scipy_version["version"],
         "preset": cfg.preset,
         "seed": cfg.seed,
         "n_intervals": cfg.n_intervals,

@@ -469,7 +469,8 @@ def test_cold_start_imports_no_scipy_stats():
 def test_run_and_verify_import_no_scipy(tmp_path, command):
     # the optimizer's BFGS is numpy and the level table comes from the
     # stdlib; the Sobol direction numbers are read from scipy's file
-    # without importing any scipy module
+    # without importing any scipy module, and the provenance's package
+    # versions without importlib.metadata
     cfg = _write(
         tmp_path,
         "small.cfg",
@@ -480,11 +481,12 @@ def test_run_and_verify_import_no_scipy(tmp_path, command):
     runner = (
         "import sys\nfrom lifedual import cli\n"
         f"status = cli.main({argv!r})\n"
+        "print('importlib.metadata' in sys.modules)\n"
         f"{_LIST_SCIPY}\nsys.exit(status)"
     )
     proc = _python("-c", runner)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.splitlines()[-1] == ""
+    assert proc.stdout.splitlines()[-2:] == ["False", ""]
 
 
 def test_cli_verify_passes_for_optimized_policy(tmp_path, capsys):

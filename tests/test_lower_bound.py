@@ -27,11 +27,13 @@ from lifedual.lower_bound import (
     _LEVEL_ERROR,
     NORMALS_NOTE,
     SimulationConfig,
+    _direction_file,
+    _scipy_path,
     dual_checks,
     simulate_candidate_value,
     sobol_normals,
 )
-from lifedual.market import preset_scenario
+from lifedual.market import CoefficientCurve, preset_scenario
 from lifedual.quadrature import UniformGrid
 
 SC = preset_scenario("example1")
@@ -181,6 +183,16 @@ def test_sobol_normals_desk_scale_memory():
     assert peak < 8e6
 
 
+@pytest.mark.parametrize("dim, m", [(1, 2), (1000, 15), (21201, 30)])
+def test_direction_file_streams_the_np_load_slices(dim, m):
+    # vinit is stored Fortran-ordered, so each column's head is one read
+    with np.load(_scipy_path("stats", "_sobol_direction_numbers.npz")) as data:
+        poly, vinit = data["poly"][:dim], data["vinit"][:dim, :m]
+    streamed = _direction_file(dim, m)
+    assert np.array_equal(streamed[0], poly) and streamed[0].dtype == poly.dtype
+    assert np.array_equal(streamed[1], vinit) and streamed[1].dtype == vinit.dtype
+
+
 def test_sobol_dimension_validation():
     with pytest.raises(ValidationError):
         sobol_normals(SimulationConfig(n_paths=4, n_steps=0))
@@ -299,19 +311,16 @@ def test_zero_stock_half_spend_override_grows_wealth():
     assert res.value < 0  # CRRA gamma > 1 keeps utility negative
 
 
-def test_feedback_override_reproduces_default_pass():
-    # the feedback rule applied from the node curves at t is the default
-    # pass, so an override that does just that changes nothing
-    pol = AffinePolicy(
-        params=(0.01, 0.0002, 0.005, 0.0, 0.01, 0.0, 0.005, 0.0), t_retire=SC.T_R
-    )
-    g = _g(75)
+def _assert_override_reproduces_default_pass(sc, pol):
+    """The feedback rule as a ``controls_override`` (the general step) gives
+    the default pass's results."""
+    g = compute_g(sc, UniformGrid(0.0, sc.T, 75))
     agg = precompute_aggregates(g, pol)
 
     def override(t, W, y):
         k = round(t / g.grid.step)  # t is a node of g's grid
         coef = feedback_coefficients(
-            SC, agg.income_annuity[k], agg.tilde_f2[k], agg.kappa_v[k], g.sigma[k]
+            sc, agg.income_annuity[k], agg.tilde_f2[k], agg.kappa_v[k], g.sigma[k]
         )
         return feedback_controls(W, y, *coef)
 
@@ -323,6 +332,27 @@ def test_feedback_override_reproduces_default_pass():
     assert sim.budget.z_score == pytest.approx(ref.budget.z_score, rel=1e-12)
     for name in ("mean_wealth", "mean_face_value", "mean_consumption"):
         assert getattr(sim, name) == pytest.approx(getattr(ref, name), rel=1e-12), name
+
+
+def test_feedback_override_reproduces_default_pass():
+    # the feedback rule applied from the node curves at t is the default
+    # pass, so an override that does just that changes nothing
+    pol = AffinePolicy(
+        params=(0.01, 0.0002, 0.005, 0.0, 0.01, 0.0, 0.005, 0.0), t_retire=SC.T_R
+    )
+    _assert_override_reproduces_default_pass(SC, pol)
+
+
+@pytest.mark.parametrize("mu", [0.12, 0.01], ids=["fraction-above-1", "fraction-below-0"])
+def test_retired_merton_step_matches_the_general_step(mu):
+    # retired, the default pass steps W (alpha + beta dz) with theta* =
+    # W clip(a, 0, 1); the Merton fraction a = (mu - r)/(gamma sigma^2)
+    # is 5/3 at mu = 0.12 (theta* clipped to W) and -1/6 at mu = 0.01
+    # (theta* = 0), where the general step clips W a instead
+    sc = dataclasses.replace(SC, mu=CoefficientCurve.constant(mu))
+    a = (sc.mu(sc.T) - sc.r(sc.T)) / (sc.gamma * sc.sigma(sc.T) ** 2)
+    assert a > 1.0 if mu > 0.1 else a < 0.0
+    _assert_override_reproduces_default_pass(sc, ZERO)
 
 
 def test_starved_paths_stay_finite():

@@ -95,7 +95,8 @@ def _rosenbrock(x):
 def _bfgs_values(value_and_grad, x0, maxiter):
     """``_bfgs``'s result and the objective at each accepted point."""
     seen = []
-    x, f, outcome = _bfgs(value_and_grad, np.asarray(x0, dtype=float), maxiter,
+    x0 = np.asarray(x0, dtype=float)
+    x, f, outcome = _bfgs(value_and_grad, x0, value_and_grad(x0), maxiter,
                           lambda x, f: seen.append(f))
     return x, f, outcome, seen
 
@@ -347,39 +348,38 @@ def _fail_starts(g, failures, seed=0):
     """Patch the objective so each start in ``failures`` fails.
 
     ``failures`` maps a start index to (kind, predicate, delay): the
-    start fails by exhausting its init redraws (kind "redraws") or by a
-    non-finite gradient at its first BFGS point ("gradient"), where
-    ``predicate()`` holds, ``delay`` seconds after its first failing
-    evaluation.  Elsewhere the first evaluation of a process sleeps
-    0.2 s, so the failing process takes a start first.
+    start fails by exhausting its init redraws (kind "redraws", a
+    non-finite value) or by a non-finite gradient at its first BFGS
+    point ("gradient"), where ``predicate()`` holds, ``delay`` seconds
+    after its first failing evaluation.  Elsewhere the first evaluation
+    of a process sleeps 0.2 s, so the failing process takes a start first.
     """
     # every redraw of a failing start, as its first point may be a redraw
-    nan_value, nan_grad = (
-        {
-            init_params("affine", (seed, s, r)).tobytes(): s
-            for s, (kind, _, _) in failures.items() if kind == which
-            for r in range(4)
-        }
-        for which in ("redraws", "gradient")
-    )
+    first_points = {
+        init_params("affine", (seed, s, r)).tobytes(): s for s in failures for r in range(4)
+    }
     slept = set()
     real_value, real_grad = origin_upper_bound, origin_upper_bound_and_gradient
 
-    def failing(table, policy):
-        start = table.get(np.asarray(policy.params, dtype=float).tobytes())
+    def failing(policy):
+        """The kind of failure at this evaluation, or None."""
+        start = first_points.get(np.asarray(policy.params, dtype=float).tobytes())
         fails = start is not None and failures[start][1]()
         key = start if fails else "first evaluation"
         if key not in slept:
             slept.add(key)
             time.sleep(failures[start][2] if fails else 0.2)
-        return fails
+        return failures[start][0] if fails else None
 
     def value(gg, policy):
-        return float("nan") if failing(nan_value, policy) else real_value(gg, policy)
+        return float("nan") if failing(policy) == "redraws" else real_value(gg, policy)
 
     def value_and_grad(gg, policy):
         value, d_v0, d_vm = real_grad(gg, policy)
-        if failing(nan_grad, policy):
+        kind = failing(policy)
+        if kind == "redraws":
+            return float("nan"), d_v0, d_vm
+        if kind == "gradient":
             return value, np.full_like(d_v0, np.nan), np.full_like(d_vm, np.nan)
         return value, d_v0, d_vm
 
