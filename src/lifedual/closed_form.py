@@ -31,17 +31,24 @@ out of cumulative-trapezoid tables in O(n).  The policy-independent
 node curves (survival, r, mu, sigma, 1 + lam g) are built once per
 grid with g by ``compute_g(scenario, grid)``, whose ``GFunction`` is
 the problem handle: it carries the scenario and grid, so no entry
-point below takes a scenario beside it.  ``precompute_aggregates(g,
-policy)`` is the one forward pass over these tables: the optimizer's
-objective ``origin_upper_bound(g, policy)`` = J~(0, W0, Y0) reads its
-node 0, the exact gradient with respect to the adjustment at the nodes
-is one reverse (adjoint) pass back through it, both O(n), and
-``upper_bound(g, policy, t, W, Y)`` reads node 0 of the same pass on a
-g anchored at t (same cost), which keeps finite-difference HJB
-verification clean.  The certificate's two bounds share one grid: the
-path pass steps on the nodes of the g it is given and reads its curves
-there, and the upper bound it is paired with is that g's
-``origin_upper_bound``.
+point below takes a scenario beside it.
+
+The optimizer's objective J~(0, W0, Y0) needs only node 0 of F2~ and
+of the annuity: F2~(0) = c2[n] + surv[n] f3node[n] and ann(0) = c1 at
+T_R.  ``origin_upper_bounds(g, v0, v_minus)`` forms exactly these for a
+(k, n+1) stack of adjustments at the nodes, one row per candidate, and
+with ``gradient=True`` runs the reverse (adjoint) pass back through the
+same tables for dJ/dv at the nodes; both are O(n) per row, and the
+grid constants they read (the weights at T and at T_R, T_R's partial
+cell) are formed once per g.  ``origin_upper_bound`` and
+``origin_upper_bound_and_gradient`` are its one-policy case.  The full
+curves come from ``precompute_aggregates(g, policy)``, which the path
+pass and ``upper_bound(g, policy, t, W, Y)`` call: the latter reads
+node 0 of that pass on a g anchored at t, so its value is smooth in t,
+which keeps finite-difference HJB verification clean.  The
+certificate's two bounds share one grid: the path pass steps on the
+nodes of the g it is given and reads its curves there, and the upper
+bound it is paired with is that g's ``origin_upper_bound``.
 
 The optimal feedback controls attached to the upper bound are
 
@@ -54,6 +61,7 @@ with face value M* - W (insurance purchased at rate lam*(M*-W)).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -77,6 +85,7 @@ __all__ = [
     "precompute_aggregates",
     "origin_upper_bound",
     "origin_upper_bound_and_gradient",
+    "origin_upper_bounds",
     "upper_bound",
     "feedback_coefficients",
     "feedback_controls",
@@ -122,6 +131,19 @@ class GFunction:
     mu: np.ndarray
     sigma: np.ndarray
     bequest_factor: np.ndarray
+
+    @cached_property
+    def origin_weights(self) -> tuple[np.ndarray, np.ndarray | None]:
+        """Node weights of the prefix values at T and at T_R (None from T_R on).
+
+        F2~(0) is linear in c2 through the first, and ann(0) in e1
+        through the second; the objective's adjoint pass reads both.
+        """
+        grid = self.grid
+        at_t = prefix_value_weights(grid, grid.t_end)
+        if grid.t_start >= self.scenario.T_R:
+            return at_t, None
+        return at_t, prefix_value_weights(grid, min(self.scenario.T_R, grid.t_end))
 
 
 def compute_g(scenario: MarketScenario, grid: UniformGrid) -> GFunction:
@@ -239,12 +261,9 @@ def precompute_aggregates(g: GFunction, policy) -> DualAggregates:
 # Upper-bound values
 
 
-def _value(agg: DualAggregates, W, Y):
-    """J~ at the grid start: (u(F3~) F2~^gamma, F2~, F3~ = W + Y ann)."""
-    gam = agg.scenario.gamma
-    f2 = agg.tilde_f2[0]
-    f3 = W + Y * agg.income_annuity[0]
-    return float(crra_utility(f3, gam) * f2**gam), f2, f3
+def _value(f2, f3, gamma: float) -> float:
+    """J~ = u(F3~) F2~^gamma from the two aggregates at one point."""
+    return float(crra_utility(f3, gamma) * f2**gamma)
 
 
 def upper_bound(g: GFunction, policy, t: float, W: float, Y: float = 0.0) -> float:
@@ -266,14 +285,94 @@ def upper_bound(g: GFunction, policy, t: float, W: float, Y: float = 0.0) -> flo
     if Y < 0:
         raise ValidationError("Y must be nonnegative")
     anchored = compute_g(scenario, UniformGrid(float(t), scenario.T, g.grid.n_intervals))
-    return _value(precompute_aggregates(anchored, policy), W, Y)[0]
+    agg = precompute_aggregates(anchored, policy)
+    return _value(agg.tilde_f2[0], W + Y * agg.income_annuity[0], scenario.gamma)
 
 
 def _origin_aggregates(g: GFunction, policy) -> DualAggregates:
-    """Aggregates for the initial state: the objective's and the path pass's."""
+    """Aggregates for the initial state: the path pass's full curves."""
+    _check_origin(g)
+    return precompute_aggregates(g, policy)
+
+
+def _check_origin(g: GFunction) -> None:
     if g.grid.t_start != 0.0:
         raise ValidationError("initial-state aggregates need a grid starting at 0")
-    return precompute_aggregates(g, policy)
+
+
+def origin_upper_bounds(g: GFunction, v0, v_minus, gradient: bool = False):
+    """J~(0, W0, Y0) for each row of a (k, n+1) stack of adjustments at the nodes.
+
+    Returns ``(values, dJ/dv0, dJ/dv_minus)``: the k values, and with
+    ``gradient`` the exact gradients as (k, n+1) arrays over
+    ``g.grid.nodes`` (else None).  Each row's value and gradient are
+    bit-identical to those of the same row evaluated alone.
+
+    Only node 0 of the curves is formed.  There the prefix quotients of
+    ``precompute_aggregates`` have denominators surv[0] = f3node[0] =
+    e1[0] = 1, which do not depend on v, so F2~(0) = c2[n] + surv[n]
+    f3node[n], a full trapezoid sum of e2 = surv (1 + lam g) f3node plus
+    the terminal term, and ann(0) = ∫_0^{T_R} e1 with e1 = surv f1node,
+    partial cell included.  The gradient is reverse mode through these
+    tables: J = u(F3~) F2~^gamma with F3~ = W0 + Y0 ann(0); f3node and
+    f1node are exponentials of prefix tables of rate3(r + v0, kappa_v)
+    and rate1(r + v0, kappa_v).  The scalar tail (the powers of F2~(0)
+    and F3~) is taken row by row on numpy scalars, as for one row.
+    """
+    _check_origin(g)
+    scenario = g.scenario
+    grid = g.grid
+    gam = scenario.gamma
+    surv = g.survival
+    v0 = np.asarray(v0, dtype=float)
+    v_minus = np.asarray(v_minus, dtype=float)
+    kv = price_of_risk(g.mu, g.r, g.sigma, v0, v_minus)
+    r_v = g.r + v0
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore", under="ignore"):
+        f3node = np.exp(-prefix_trapezoid(_discount_rate(scenario, r_v, kv), grid))
+        c2 = prefix_trapezoid(surv * g.bequest_factor * f3node, grid)
+        f2 = c2[:, -1] + surv[-1] * f3node[:, -1]
+        f1node = np.exp(-prefix_trapezoid(-scenario.mu_Y + r_v - scenario.sigma_Y * kv, grid))
+        e1 = surv * f1node
+        if grid.t_start < scenario.T_R:
+            t_r = min(scenario.T_R, grid.t_end)
+            ann = prefix_value_at(prefix_trapezoid(e1, grid), e1, grid, t_r)
+        else:
+            ann = np.zeros(len(f2))
+    rows = list(zip(f2, scenario.W0 + scenario.Y0 * ann))  # (F2~(0), F3~) per row
+    values = np.array([_value(f2, f3, gam) for f2, f3 in rows])
+    if not gradient:
+        return values, None, None
+
+    w_t, w_tr = g.origin_weights
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore", under="ignore"):
+        d_f2 = np.array([gam * crra_utility(f3, gam) * f2 ** (gam - 1.0) for f2, f3 in rows])
+        d_f3 = np.array([f3 ** (-gam) * f2**gam for f2, f3 in rows])
+
+        # F2~ chain: F2~(0) = c2[n] + surv[n] f3node[n]
+        d_f3node = d_f2[:, None] * w_t * surv * g.bequest_factor
+        d_f3node[:, -1] += d_f2 * surv[-1]
+        d_rate3 = prefix_trapezoid_adjoint(-d_f3node * f3node, grid)
+
+        # annuity chain: ann(0) = ∫_0^{T_R} e1
+        d_rate1 = np.zeros_like(d_rate3)
+        if w_tr is not None:
+            d_e1 = (scenario.Y0 * d_f3)[:, None] * w_tr
+            d_rate1 = prefix_trapezoid_adjoint(-d_e1 * surv * f1node, grid)
+
+        # rate3 = _discount_rate(r_v, kappa_v), rate1 = -mu_Y + r_v - sigma_Y kappa_v,
+        # r_v = r + v0 and kappa_v = price_of_risk(mu, r, sigma, v0, v_minus)
+        d_rv = (gam - 1.0) / gam * d_rate3 + d_rate1
+        d_kv = (gam - 1.0) / gam**2 * kv * d_rate3 - scenario.sigma_Y * d_rate1
+        d_kv_sig = d_kv / g.sigma
+    return values, d_rv + d_kv_sig, -d_kv_sig
+
+
+def _node_adjustments(g: GFunction, policy):
+    """One policy's (v0, v_minus) at ``g``'s nodes, as one-row stacks."""
+    s = g.grid.nodes
+    v0, vm = evaluate_policy(policy, s, horizon=g.scenario.T)
+    return (np.broadcast_to(np.asarray(v, dtype=float), s.shape)[None] for v in (v0, vm))
 
 
 def origin_upper_bound(g: GFunction, policy) -> float:
@@ -281,10 +380,10 @@ def origin_upper_bound(g: GFunction, policy) -> float:
 
     This is the optimizer's objective: node 0 of the aggregate curves,
     where the prefix quotients are exactly conditioned, so it is
-    finite for every nonnegative adjustment.
+    finite for every nonnegative adjustment.  The one-row case of
+    ``origin_upper_bounds``.
     """
-    agg = _origin_aggregates(g, policy)
-    return _value(agg, g.scenario.W0, g.scenario.Y0)[0]
+    return float(origin_upper_bounds(g, *_node_adjustments(g, policy))[0][0])
 
 
 def origin_upper_bound_and_gradient(g: GFunction, policy):
@@ -292,43 +391,10 @@ def origin_upper_bound_and_gradient(g: GFunction, policy):
 
     Returns ``(value, dJ/dv0, dJ/dv_minus)``, the last two as arrays
     over ``g.grid.nodes``; the value is bit-identical to
-    ``origin_upper_bound``.  The gradient is reverse mode through the
-    forward tables: J = u(F3~) F2~^gamma with F3~ = W0 + Y0 ann(0);
-    F2~(0) is a full trapezoid sum of e2 = surv (1 + lam g) f3node plus
-    surv[n] f3node[n]; ann(0) is the prefix integral of
-    e1 = surv f1node up to T_R, partial cell included; f3node and
-    f1node are exponentials of prefix tables of rate3(r + v0, kappa_v)
-    and rate1(r + v0, kappa_v).  At t = 0 the denominators surv[0],
-    f3node[0] and e1[0] are exactly 1 and do not depend on v.
+    ``origin_upper_bound``.  The one-row case of ``origin_upper_bounds``.
     """
-    scenario = g.scenario
-    agg = _origin_aggregates(g, policy)
-    value, f2, f3 = _value(agg, scenario.W0, scenario.Y0)
-    gam = scenario.gamma
-    grid = g.grid
-    surv = g.survival
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore", under="ignore"):
-        d_f2 = gam * crra_utility(f3, gam) * f2 ** (gam - 1.0)
-        d_f3 = f3 ** (-gam) * f2**gam
-
-        # F2~ chain: F2~(0) = c2[n] + surv[n] f3node[n]
-        d_f3node = d_f2 * prefix_value_weights(grid, grid.t_end) * surv * g.bequest_factor
-        d_f3node[-1] += d_f2 * surv[-1]
-        d_rate3 = prefix_trapezoid_adjoint(-d_f3node * agg.f3node, grid)
-
-        # annuity chain: ann(0) = ∫_0^{T_R} e1
-        d_rate1 = np.zeros_like(d_rate3)
-        if grid.t_start < scenario.T_R:
-            t_r = min(scenario.T_R, grid.t_end)
-            d_e1 = scenario.Y0 * d_f3 * prefix_value_weights(grid, t_r)
-            d_rate1 = prefix_trapezoid_adjoint(-d_e1 * surv * agg.f1node, grid)
-
-        # rate3 = _discount_rate(r_v, kappa_v), rate1 = -mu_Y + r_v - sigma_Y kappa_v,
-        # r_v = r + v0 and kappa_v = price_of_risk(mu, r, sigma, v0, v_minus)
-        d_rv = (gam - 1.0) / gam * d_rate3 + d_rate1
-        d_kv = (gam - 1.0) / gam**2 * agg.kappa_v * d_rate3 - scenario.sigma_Y * d_rate1
-        d_kv_sig = d_kv / g.sigma
-    return value, d_rv + d_kv_sig, -d_kv_sig
+    values, d_v0, d_vm = origin_upper_bounds(g, *_node_adjustments(g, policy), gradient=True)
+    return float(values[0]), d_v0[0], d_vm[0]
 
 
 # ---------------------------------------------------------------------------

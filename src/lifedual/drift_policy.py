@@ -25,11 +25,16 @@ an oscillating market coefficient.
 
 Both families are exposed to the optimizer as flat parameter vectors;
 outputs are nonnegative by construction so the optimizer never needs
-feasibility penalties.  Each family's ``vjp`` maps sensitivities of a
-scalar to v0 and v_minus at a set of times back onto the flat
-parameters (the positive part passes the sensitivity only where its
-argument is positive), which turns the upper bound's node gradient
-into the optimizer's parameter gradient.
+feasibility penalties.  A ``PolicyFamily`` is a kind with its fixed
+settings (the breakpoint, or the activation); its ``forward`` evaluates
+a (k, p) stack of parameter rows at a set of times in one pass and
+returns, beside v0 and v_minus, the pullback that maps sensitivities
+of a scalar to v0 and v_minus back onto each row's flat parameters
+(the positive part passes the sensitivity only where its argument is
+positive).  The pullback reuses the forward pass's hidden layer, so a
+value-and-gradient evaluation runs it once; it turns the upper bound's
+node gradient into the optimizer's parameter gradient.  A policy's
+``__call__`` and ``vjp`` are the one-row case.
 """
 
 from __future__ import annotations
@@ -43,6 +48,7 @@ from .errors import ValidationError
 __all__ = [
     "AffinePolicy",
     "MlpPolicy",
+    "PolicyFamily",
     "TablePolicy",
     "snake",
     "evaluate",
@@ -72,7 +78,147 @@ def snake(x, a: float):
 
 
 @dataclass(frozen=True)
-class AffinePolicy:
+class PolicyFamily:
+    """A policy kind with its fixed settings: many parameter rows, one pass.
+
+    ``t_retire`` is the affine kind's breakpoint; ``activation`` and
+    ``snake_a`` are the network's.  ``policy(params)`` builds one
+    member; ``forward`` evaluates a stack of them.
+    """
+
+    kind: str
+    t_retire: float | None = None
+    activation: str = "relu"
+    snake_a: float = 10.0
+
+    def __post_init__(self) -> None:
+        if self.kind == "affine":
+            if self.t_retire is None:
+                raise ValidationError("affine policy requires t_retire")
+        elif self.kind == "mlp":
+            if self.activation not in ("relu", "snake"):
+                raise ValidationError("activation must be 'relu' or 'snake'")
+            if self.activation == "snake" and self.snake_a <= 0:
+                raise ValidationError("snake frequency must be positive")
+        else:
+            raise ValidationError(f"unknown policy kind {self.kind!r}")
+
+    @property
+    def n_params(self) -> int:
+        return AFFINE_N_PARAMS if self.kind == "affine" else MLP_N_PARAMS
+
+    def policy(self, params):
+        """The member with the flat parameter vector ``params``."""
+        params = tuple(float(p) for p in np.asarray(params, dtype=float))
+        if self.kind == "affine":
+            return AffinePolicy(params=params, t_retire=float(self.t_retire))
+        return MlpPolicy(params=params, activation=self.activation, snake_a=self.snake_a)
+
+    def forward(self, params, t, horizon: float | None = None):
+        """(v0, v_minus, pullback) of each row of ``params`` at the times t.
+
+        ``params`` is (k, n_params); v0 and v_minus are (k, *t.shape).
+        ``pullback(d_v0, d_vm)`` takes (k, t.size) sensitivities and
+        returns the (k, n_params) gradients of
+        Σ d_v0·v0(t) + d_vm·v_minus(t), row by row; for the affine kind
+        t must be increasing, as the grid nodes are.  t is checked as
+        by ``evaluate``.  Each row's numbers are bit-identical to those
+        of the row evaluated alone.
+        """
+        t = _checked_times(t, horizon)
+        params = np.asarray(params, dtype=float)
+        if params.ndim != 2 or params.shape[1] != self.n_params:
+            raise ValidationError(
+                f"{self.kind} policy rows take {self.n_params} parameters, got {params.shape}"
+            )
+        flat = t.reshape(-1)
+        if self.kind == "affine":
+            v0, vm, pullback = _affine_forward(params, flat, self.t_retire)
+        else:
+            v0, vm, pullback = _mlp_forward(params, flat, self.activation, self.snake_a)
+        shape = params.shape[:1] + t.shape
+        return v0.reshape(shape), vm.reshape(shape), pullback
+
+
+def _affine_forward(params, t, t_retire):
+    """``PolicyFamily.forward`` of the affine kind at a 1-D array of times."""
+    a = [params[:, i, None] for i in range(AFFINE_N_PARAMS)]
+    working = t < t_retire
+    z0 = np.where(working, a[0] + a[1] * t, a[4] + a[5] * t)
+    zm = np.where(working, a[2] + a[3] * t, a[6] + a[7] * t)
+
+    def pullback(d_v0, d_vm):
+        # each phase sums a contiguous slice of every row, which keeps a
+        # row's pairwise sum that of one policy (a boolean mask does not)
+        j = int(np.count_nonzero(working))
+        if not working[:j].all():
+            raise ValidationError("the affine pullback needs increasing times")
+        g0 = np.where(z0 > 0.0, d_v0, 0.0)
+        gm = np.where(zm > 0.0, d_vm, 0.0)
+        g0t, gmt = g0 * t, gm * t
+        out = np.empty((len(params), AFFINE_N_PARAMS))
+        for base, phase in ((0, slice(None, j)), (4, slice(j, None))):
+            for col, terms in enumerate((g0, g0t, gm, gmt)):
+                out[:, base + col] = terms[:, phase].sum(axis=-1)
+        return out
+
+    return np.maximum(z0, 0.0), np.maximum(zm, 0.0), pullback
+
+
+def _mlp_forward(params, t, activation, snake_a):
+    """``PolicyFamily.forward`` of the network kind at a 1-D array of times.
+
+    Every product is a stacked matmul, (k, m, H) @ (k, H, 1) and its
+    transposes, which reproduces the numbers of one row's 2-D products.
+    """
+    w_hidden = params[:, None, :_HIDDEN]
+    w_out0 = params[:, _HIDDEN : 2 * _HIDDEN, None]
+    w_out1 = params[:, 2 * _HIDDEN : 3 * _HIDDEN, None]
+    b_hidden = params[:, None, 30:40]
+    z = t[:, None] * w_hidden + b_hidden
+    h = np.maximum(z, 0.0) if activation == "relu" else snake(z, snake_a)
+    o0 = (h @ w_out0)[..., 0] + params[:, 40, None]
+    o1 = (h @ w_out1)[..., 0] + params[:, 41, None]
+
+    def pullback(d_v0, d_vm):
+        """Backpropagation; ReLU passes where z > 0, Snake has slope 1 + sin(2 a z)."""
+        g0 = np.where(o0 > 0.0, d_v0, 0.0)
+        g1 = np.where(o1 > 0.0, d_vm, 0.0)
+        dh = g0[..., None] * w_out0.transpose(0, 2, 1) + g1[..., None] * w_out1.transpose(0, 2, 1)
+        if activation == "relu":
+            dz = np.where(z > 0.0, dh, 0.0)
+        else:
+            dz = dh * (1.0 + np.sin(2.0 * snake_a * z))
+        return np.concatenate(
+            [
+                (t @ dz),
+                (g0[:, None, :] @ h)[:, 0],
+                (g1[:, None, :] @ h)[:, 0],
+                dz.sum(axis=1),
+                g0.sum(axis=-1, keepdims=True),
+                g1.sum(axis=-1, keepdims=True),
+            ],
+            axis=-1,
+        )
+
+    return np.maximum(o0, 0.0), np.maximum(o1, 0.0), pullback
+
+
+class _OneRow:
+    """``__call__`` and ``vjp`` of a policy as the one-row case of its family."""
+
+    def __call__(self, t):
+        v0, vm, _ = self.family.forward(np.asarray(self.params)[None], t)
+        return v0[0][()], vm[0][()]
+
+    def vjp(self, t, d_v0, d_vm) -> np.ndarray:
+        """Gradient of Σ d_v0·v0(t) + d_vm·v_minus(t) in the flat parameters."""
+        _, _, pullback = self.family.forward(np.asarray(self.params)[None], t)
+        return pullback(np.reshape(d_v0, (1, -1)), np.reshape(d_vm, (1, -1)))[0]
+
+
+@dataclass(frozen=True)
+class AffinePolicy(_OneRow):
     """Piecewise-affine drift adjustment with a breakpoint at t_retire."""
 
     params: tuple[float, ...]
@@ -84,36 +230,13 @@ class AffinePolicy:
                 f"affine policy takes {AFFINE_N_PARAMS} parameters, got {len(self.params)}"
             )
 
-    def _pre_activation(self, t):
-        a = self.params
-        working = t < self.t_retire
-        z0 = np.where(working, a[0] + a[1] * t, a[4] + a[5] * t)
-        zm = np.where(working, a[2] + a[3] * t, a[6] + a[7] * t)
-        return working, z0, zm
-
-    def __call__(self, t):
-        _, z0, zm = self._pre_activation(np.asarray(t, dtype=float))
-        return np.maximum(z0, 0.0), np.maximum(zm, 0.0)
-
-    def vjp(self, t, d_v0, d_vm) -> np.ndarray:
-        """Gradient of Σ d_v0·v0(t) + d_vm·v_minus(t) in the 8 parameters."""
-        t = np.asarray(t, dtype=float)
-        working, z0, zm = self._pre_activation(t)
-        g0 = np.where(z0 > 0.0, d_v0, 0.0)
-        gm = np.where(zm > 0.0, d_vm, 0.0)
-        out = np.empty(AFFINE_N_PARAMS)
-        for base, phase in ((0, working), (4, ~working)):
-            out[base : base + 4] = [
-                g0[phase].sum(),
-                (g0 * t)[phase].sum(),
-                gm[phase].sum(),
-                (gm * t)[phase].sum(),
-            ]
-        return out
+    @property
+    def family(self) -> PolicyFamily:
+        return PolicyFamily("affine", t_retire=self.t_retire)
 
 
 @dataclass(frozen=True)
-class MlpPolicy:
+class MlpPolicy(_OneRow):
     """1-10-2 network in t with positive-part outputs."""
 
     params: tuple[float, ...]
@@ -125,51 +248,11 @@ class MlpPolicy:
             raise ValidationError(
                 f"mlp policy takes {MLP_N_PARAMS} parameters, got {len(self.params)}"
             )
-        if self.activation not in ("relu", "snake"):
-            raise ValidationError("activation must be 'relu' or 'snake'")
-        if self.activation == "snake" and self.snake_a <= 0:
-            raise ValidationError("snake frequency must be positive")
+        _ = self.family  # checks the activation and its frequency
 
-    def _forward(self, t):
-        """Hidden pre-activations z, activations h and the two raw outputs."""
-        p = np.asarray(self.params)
-        w_hidden = p[:_HIDDEN]
-        w_out0 = p[_HIDDEN : 2 * _HIDDEN]
-        w_out1 = p[2 * _HIDDEN : 3 * _HIDDEN]
-        b_hidden = p[30:40]
-        b_out0, b_out1 = p[40], p[41]
-        z = np.multiply.outer(t, w_hidden) + b_hidden
-        if self.activation == "relu":
-            h = np.maximum(z, 0.0)
-        else:
-            h = snake(z, self.snake_a)
-        return z, h, h @ w_out0 + b_out0, h @ w_out1 + b_out1
-
-    def __call__(self, t):
-        _, _, o0, o1 = self._forward(np.asarray(t, dtype=float))
-        return np.maximum(o0, 0.0), np.maximum(o1, 0.0)
-
-    def vjp(self, t, d_v0, d_vm) -> np.ndarray:
-        """Gradient of Σ d_v0·v0(t) + d_vm·v_minus(t) in the 42 parameters.
-
-        Backpropagation through the positive-part outputs and the hidden
-        layer; ReLU passes where z > 0, Snake has slope 1 + sin(2 a z).
-        """
-        t = np.asarray(t, dtype=float)
-        z, h, o0, o1 = self._forward(t)
-        g0 = np.where(o0 > 0.0, d_v0, 0.0)
-        g1 = np.where(o1 > 0.0, d_vm, 0.0)
-        p = np.asarray(self.params)
-        dh = np.multiply.outer(g0, p[_HIDDEN : 2 * _HIDDEN]) + np.multiply.outer(
-            g1, p[2 * _HIDDEN : 3 * _HIDDEN]
-        )
-        if self.activation == "relu":
-            dz = np.where(z > 0.0, dh, 0.0)
-        else:
-            dz = dh * (1.0 + np.sin(2.0 * self.snake_a * z))
-        return np.concatenate(
-            [t @ dz, g0 @ h, g1 @ h, dz.sum(axis=0), [g0.sum(), g1.sum()]]
-        )
+    @property
+    def family(self) -> PolicyFamily:
+        return PolicyFamily("mlp", activation=self.activation, snake_a=self.snake_a)
 
 
 @dataclass(frozen=True)
@@ -203,13 +286,18 @@ class TablePolicy:
         return v0, vm
 
 
-def evaluate(policy, t, horizon: float | None = None):
-    """Evaluate a policy at time(s) t, optionally checking t in [0, horizon]."""
+def _checked_times(t, horizon: float | None) -> np.ndarray:
     t_arr = np.asarray(t, dtype=float)
     if np.any(t_arr < 0):
         raise ValidationError("policy evaluation requires t >= 0")
     if horizon is not None and np.any(t_arr > horizon):
         raise ValidationError(f"policy evaluation requires t <= {horizon}")
+    return t_arr
+
+
+def evaluate(policy, t, horizon: float | None = None):
+    """Evaluate a policy at time(s) t, optionally checking t in [0, horizon]."""
+    _checked_times(t, horizon)
     return policy(t)
 
 
@@ -242,11 +330,5 @@ def make_policy(
     The affine kind needs the retirement breakpoint; the network kind
     needs the activation choice.  Lengths are checked (8 or 42).
     """
-    params = tuple(float(p) for p in np.asarray(params, dtype=float))
-    if kind == "affine":
-        if t_retire is None:
-            raise ValidationError("affine policy requires t_retire")
-        return AffinePolicy(params=params, t_retire=float(t_retire))
-    if kind == "mlp":
-        return MlpPolicy(params=params, activation=activation, snake_a=snake_a)
-    raise ValidationError(f"unknown policy kind {kind!r}")
+    family = PolicyFamily(kind, t_retire=t_retire, activation=activation, snake_a=snake_a)
+    return family.policy(params)

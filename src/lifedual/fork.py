@@ -4,13 +4,14 @@
 ``os.fork`` while ``here`` runs in the caller, and returns both values.
 It is the only code that decides whether to fork: without ``os.fork``
 it runs both in the caller, so its callers run the same two pieces of
-work on every platform.  ``IndexQueue(n)`` hands the indices
-0, 1, ..., n - 1 out in order to whichever of the two processes asks
-first.
+work on every platform.  The two pieces are fixed before the fork (the
+optimizer's even and odd starts, the path pass's two blocks); the
+processes share no state while they run.
 
 numpy's OpenBLAS build keeps an idle worker thread.  OpenBLAS shuts
 its pool down in a ``pthread_atfork`` handler and restarts it at the
-next threaded BLAS call, so the child starts with a fresh pool.  Python 3.12 and later warn (``DeprecationWarning``) when a
+next threaded BLAS call, so the child starts with a fresh pool.
+Python 3.12 and later warn (``DeprecationWarning``) when a
 process with more than one thread forks.  The warning is attributed to
 this module, not to ``__main__``, so Python's default filters hide it.
 """
@@ -25,7 +26,7 @@ from typing import TypeVar
 
 from .errors import NumericalError
 
-__all__ = ["IndexQueue", "in_two_processes"]
+__all__ = ["in_two_processes"]
 
 A = TypeVar("A")
 B = TypeVar("B")
@@ -84,41 +85,3 @@ def in_two_processes(here: Callable[[], A], forked: Callable[[], B]) -> tuple[A,
         raise child_value
     return value, child_value
 
-
-class IndexQueue:
-    """The indices 0, 1, ..., n - 1, each handed out once, in order.
-
-    The next index is the one token in a pipe: ``take`` reads it and
-    writes back its successor, so a forked child and its parent share
-    the queue, and the pipe holds 8 bytes whatever n is.  Iterating
-    takes indices until none is left; ``stop`` hands out no further
-    index.  Use it as a context manager to close the pipe.
-    """
-
-    def __init__(self, n: int) -> None:
-        self._n = n
-        self._read, self._write = os.pipe()
-        self._put(0)
-
-    def _put(self, index: int) -> None:
-        os.write(self._write, index.to_bytes(8, "little"))
-
-    def take(self) -> int | None:
-        """The next index, or None once all n are out or after ``stop``."""
-        index = int.from_bytes(os.read(self._read, 8), "little")
-        self._put(min(index + 1, self._n))
-        return index if index < self._n else None
-
-    def stop(self) -> None:
-        os.read(self._read, 8)
-        self._put(self._n)
-
-    def __iter__(self):
-        return iter(self.take, None)
-
-    def __enter__(self) -> IndexQueue:
-        return self
-
-    def __exit__(self, *exc) -> None:
-        os.close(self._read)
-        os.close(self._write)

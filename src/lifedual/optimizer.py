@@ -22,10 +22,19 @@ Each start draws its own initialization from the configured seed;
 starts are independent, and the reduction picks the lowest final
 objective with ties broken by the lowest start index, so results are
 reproducible regardless of evaluation order.  The starts therefore run
-in two processes: one child is forked, and it and the caller take
-starts from one shared queue.  The child's per-start results come
-back pickled and are merged in start order, so the trace equals that
-of one process bit for bit.
+in two processes: the caller takes the even start indices and one
+forked child the odd ones.  Within a process the starts advance in
+lockstep: ``_bfgs`` and its line search are generators that yield each
+trial point and are sent its value and gradient, and each round stacks
+every live start's point into one batched evaluation
+(``upper_bounds_and_gradients``), whose rows are bit-identical to
+evaluating each point alone.  A start leaves the round robin when it
+finishes or fails.  Once a start fails, the higher starts of that
+process stop, and the error of the lowest failing start over both
+processes is raised, as one process running the starts in order would
+raise it.  The child's per-start results come back pickled and are
+merged in start order, so the trace equals that of one process bit
+for bit.
 """
 
 from __future__ import annotations
@@ -36,15 +45,16 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import drift_policy
-from .closed_form import GFunction, origin_upper_bound, origin_upper_bound_and_gradient
+from .closed_form import GFunction, origin_upper_bounds
 from .errors import NumericalError, ValidationError
-from .fork import IndexQueue, in_two_processes
+from .fork import in_two_processes
 
 __all__ = [
     "OptimizerConfig",
     "OptimizationTrace",
     "StartOutcome",
     "upper_bound_and_gradient",
+    "upper_bounds_and_gradients",
     "minimize_upper_bound",
 ]
 
@@ -114,18 +124,36 @@ class OptimizationTrace:
     best_start: int = -1
 
 
+def upper_bounds_and_gradients(g: GFunction, family, params, gradient: bool = True):
+    """Objective values and exact gradients for each row of a parameter stack.
+
+    ``params`` is (k, p) for the ``drift_policy.PolicyFamily`` given;
+    returns the k values and the (k, p) gradients in the flat
+    parameters (None without ``gradient``).  One forward pass of the
+    family at ``g``'s nodes feeds one node-0 pass of the closed form,
+    whose adjoint the family's pullback carries onto the parameters.
+    """
+    v0, vm, pullback = family.forward(params, g.grid.nodes, horizon=g.scenario.T)
+    values, d_v0, d_vm = origin_upper_bounds(g, v0, vm, gradient=gradient)
+    return values, pullback(d_v0, d_vm) if gradient else None
+
+
+def _check_gradient(value, grad) -> None:
+    if np.isfinite(value) and not np.all(np.isfinite(grad)):
+        raise NumericalError("upper-bound gradient is non-finite at a finite value")
+
+
 def upper_bound_and_gradient(g: GFunction, policy):
     """Objective value and its exact gradient in the policy's flat parameters.
 
-    A non-finite gradient at a finite value raises ``NumericalError``;
-    at a non-finite value both are returned as they are, so the line
-    search can step back.
+    The one-row case of ``upper_bounds_and_gradients``.  A non-finite
+    gradient at a finite value raises ``NumericalError``; at a
+    non-finite value both are returned as they are, so the line search
+    can step back.
     """
-    value, d_v0, d_vm = origin_upper_bound_and_gradient(g, policy)
-    grad = policy.vjp(g.grid.nodes, d_v0, d_vm)
-    if np.isfinite(value) and not np.all(np.isfinite(grad)):
-        raise NumericalError("upper-bound gradient is non-finite at a finite value")
-    return value, grad
+    values, grads = upper_bounds_and_gradients(g, policy.family, np.asarray(policy.params)[None])
+    _check_gradient(values[0], grads[0])
+    return float(values[0]), grads[0]
 
 
 def _cubic_step(lo, hi):
@@ -163,6 +191,9 @@ def _line_search(value_and_grad, x, p, f, g, alpha):
     None; when neither phase meets both conditions within
     ``_LINE_STEPS`` trial steps, the lowest trial point that met
     sufficient decrease is returned, and None only when none did.
+
+    A generator: ``value_and_grad(x)`` is a generator too, and the
+    search takes each trial's value and gradient with ``yield from``.
     """
     slope0 = float(g @ p)
     best = None
@@ -172,7 +203,7 @@ def _line_search(value_and_grad, x, p, f, g, alpha):
 
     def trial(a):
         nonlocal best
-        fa, ga = value_and_grad(x + a * p)
+        fa, ga = yield from value_and_grad(x + a * p)
         point = (a, float(fa), float(ga @ p), ga)
         if decreases(point) and (best is None or point[1] < best[1]):
             best = point
@@ -183,7 +214,7 @@ def _line_search(value_and_grad, x, p, f, g, alpha):
 
     def zoom(lo, hi):
         for _ in range(_LINE_STEPS):
-            point = trial(_cubic_step(lo, hi))
+            point = yield from trial(_cubic_step(lo, hi))
             if not decreases(point) or point[1] >= lo[1]:
                 hi = point
                 continue
@@ -196,37 +227,37 @@ def _line_search(value_and_grad, x, p, f, g, alpha):
 
     prev = (0.0, f, slope0, g)
     for i in range(_LINE_STEPS):
-        point = trial(alpha)
+        point = yield from trial(alpha)
         if not decreases(point) or (i > 0 and point[1] >= prev[1]):
-            return zoom(prev, point)
+            return (yield from zoom(prev, point))
         if curved(point):
             return point
         if point[2] >= 0.0:
-            return zoom(point, prev)
+            return (yield from zoom(point, prev))
         prev = point
         alpha *= 2.0
     return best
 
 
-def _bfgs(value_and_grad, x0, first, maxiter, callback):
+def _bfgs(x0, first, maxiter, callback):
     """Minimize from ``x0`` by BFGS; return (x, f, StartOutcome).
 
-    ``value_and_grad(x)`` returns the value and the gradient, and
-    ``first`` is its result at ``x0``, counted as the first
-    evaluation.  The
-    inverse Hessian starts at the identity, and the first trial step of
-    each line search is min(1, 2.02 (f - f_prev) / slope), with
-    f_prev = f0 + |g0| / 2 at the first iteration, as in scipy.  Every
-    accepted point met sufficient decrease, so f never rises, and
-    ``callback(x, f)`` sees each one.  See ``StartOutcome`` for the
-    stopping rules.
+    A generator: it yields each point to evaluate and is sent the value
+    and the gradient there; its return value is the result.  ``first``
+    is the (value, gradient) at ``x0``, counted as the first
+    evaluation.  The inverse Hessian starts at the identity, and the
+    first trial step of each line search is
+    min(1, 2.02 (f - f_prev) / slope), with f_prev = f0 + |g0| / 2 at
+    the first iteration, as in scipy.  Every accepted point met
+    sufficient decrease, so f never rises, and ``callback(x, f)`` sees
+    each one.  See ``StartOutcome`` for the stopping rules.
     """
     nfev = 1
 
     def evaluate(x):
         nonlocal nfev
         nfev += 1
-        return value_and_grad(x)
+        return (yield x)
 
     x = np.asarray(x0, dtype=float)
     f, g = first
@@ -246,7 +277,7 @@ def _bfgs(value_and_grad, x0, first, maxiter, callback):
         step = None
         if slope < 0.0:  # else H lost positive definiteness to rounding
             alpha = min(1.0, 2.02 * (f - f_prev) / slope)
-            step = _line_search(evaluate, x, p, f, g, alpha if alpha > 0.0 else 1.0)
+            step = yield from _line_search(evaluate, x, p, f, g, alpha if alpha > 0.0 else 1.0)
         if step is None:
             status, message = 2, "line search found no decrease"
             break
@@ -278,6 +309,73 @@ def _bfgs(value_and_grad, x0, first, maxiter, callback):
     return x, f, outcome
 
 
+def _start(policy_kind, seed, start, maxiter):
+    """One start as a generator of points to evaluate; returns its result.
+
+    Draws the initialization, redrawing up to ``_MAX_INIT_RETRIES``
+    times while the objective there is non-finite, then runs ``_bfgs``
+    from it (with iterations to run, the initialization's evaluation
+    yields the gradient too and is BFGS's first).  Returns (trace
+    entries, final point, final value, outcome).
+    """
+    x0 = None
+    for retry in range(_MAX_INIT_RETRIES + 1):
+        candidate = drift_policy.init_params(policy_kind, (seed, start, retry))
+        first = yield candidate
+        f0 = float(first[0])
+        if np.isfinite(f0):
+            x0 = candidate
+            break
+    if x0 is None:
+        raise NumericalError(
+            f"start {start}: objective non-finite after {_MAX_INIT_RETRIES} redraws"
+        )
+    # trace entries (start, iteration, incumbent): BFGS never accepts
+    # a rise in f, so each iterate is the start's incumbent
+    entries = [(start, 0, f0)]
+    if maxiter == 0:
+        return entries, x0, f0, None
+    x, f, outcome = yield from _bfgs(
+        x0, first, maxiter, lambda x, f: entries.append((start, len(entries), f))
+    )
+    return entries, x, f, outcome
+
+
+def _lockstep(evaluate, runs):
+    """Advance the start generators ``runs`` together; return (results, failure).
+
+    Each round stacks the point every live start yielded into one call
+    of ``evaluate``, which returns the values and the gradients (or
+    None), and sends each start its row.  A start fails on an exception
+    of its own or on a non-finite gradient at a finite value;
+    ``failure`` is (start, error) of the lowest failing start, or None,
+    and no start above it advances further.
+    """
+    results, points, failure = {}, {}, None
+
+    def advance(start, sent):
+        nonlocal failure
+        try:
+            if sent is not None and sent[1] is not None:
+                _check_gradient(*sent)
+            points[start] = runs[start].send(sent)
+        except StopIteration as stop:
+            results[start] = stop.value
+        except Exception as exc:
+            failure = (start, exc)
+
+    for start in sorted(runs):
+        if failure is None:
+            advance(start, None)
+    while points:
+        starts = sorted(points)
+        values, grads = evaluate(np.stack([points.pop(start) for start in starts]))
+        for row, start in enumerate(starts):
+            if failure is None or start < failure[0]:
+                advance(start, (values[row], None if grads is None else grads[row]))
+    return results, failure
+
+
 def minimize_upper_bound(
     g: GFunction,
     policy_kind: str,
@@ -292,75 +390,31 @@ def minimize_upper_bound(
     from ``seed``; a start whose initial objective is non-finite is
     redrawn up to ``_MAX_INIT_RETRIES`` times before failing; with
     iterations to run, that evaluation yields the gradient too and is
-    BFGS's first, so no start evaluates its initialization twice.  The
+    BFGS's first, so no start evaluates its initialization twice.  With
+    none, only values are evaluated and no gradient is checked.  The
     returned objective is the minimum over every start's final value.
 
-    The starts run in this process and one forked child, which take
-    them from one queue (without ``os.fork`` this process takes them
-    all).  If starts fail, the error of the lowest failing start is
-    raised, as one process running the starts in order would raise it.
+    The even starts run in this process and the odd ones in one forked
+    child (without ``os.fork`` this process runs both halves), each
+    half in lockstep.  If starts fail, the error of the lowest failing
+    start is raised, as one process running the starts in order would
+    raise it.
     """
+    family = drift_policy.PolicyFamily(
+        policy_kind, t_retire=g.scenario.T_R, activation=activation, snake_a=snake_a
+    )
+    maxiter = config.iterations_per_start
+    gradient = maxiter > 0
 
-    def build(params):
-        return drift_policy.make_policy(
-            policy_kind,
-            params,
-            t_retire=g.scenario.T_R,
-            activation=activation,
-            snake_a=snake_a,
-        )
+    def evaluate(params):
+        return upper_bounds_and_gradients(g, family, params, gradient=gradient)
 
-    def value_and_grad(params):
-        return upper_bound_and_gradient(g, build(params))
+    def run_half(first):
+        starts = range(first, config.num_starts, 2)
+        runs = {start: _start(policy_kind, seed, start, maxiter) for start in starts}
+        return _lockstep(evaluate, runs)
 
-    def initial_evaluation(params):
-        """(value, gradient) at ``params``; the gradient is None without iterations."""
-        if config.iterations_per_start == 0:
-            # policy by keyword: the perfbench tracer counts repeated
-            # evaluations from the policy at args[2] or kwargs["policy"]
-            return origin_upper_bound(g, policy=build(params)), None
-        return value_and_grad(params)
-
-    def run_start(start):
-        x0 = None
-        for retry in range(_MAX_INIT_RETRIES + 1):
-            candidate = drift_policy.init_params(policy_kind, (seed, start, retry))
-            first = initial_evaluation(candidate)
-            f0 = float(first[0])
-            if np.isfinite(f0):
-                x0 = candidate
-                break
-        if x0 is None:
-            raise NumericalError(
-                f"start {start}: objective non-finite after {_MAX_INIT_RETRIES} redraws"
-            )
-        # trace entries (start, iteration, incumbent): BFGS never accepts
-        # a rise in f, so each iterate is the start's incumbent
-        entries = [(start, 0, f0)]
-        if config.iterations_per_start == 0:
-            return entries, x0, f0, None
-        x, f, outcome = _bfgs(
-            value_and_grad,
-            x0,
-            first,
-            config.iterations_per_start,
-            lambda x, f: entries.append((start, len(entries), f)),
-        )
-        return entries, x, f, outcome
-
-    def run_starts(queue):
-        """Results of the starts taken from ``queue``, and the first failure."""
-        done = {}
-        for start in queue:
-            try:
-                done[start] = run_start(start)
-            except Exception as exc:
-                queue.stop()  # every lower start is already taken
-                return done, (start, exc)
-        return done, None
-
-    with IndexQueue(config.num_starts) as queue:
-        parts = in_two_processes(lambda: run_starts(queue), lambda: run_starts(queue))
+    parts = in_two_processes(lambda: run_half(0), lambda: run_half(1))
     failures = [failure for _, failure in parts if failure is not None]
     if failures:
         raise min(failures, key=lambda failure: failure[0])[1]
@@ -377,4 +431,4 @@ def minimize_upper_bound(
             trace.best_params = x_final
             trace.best_start = start
 
-    return build(trace.best_params), trace
+    return family.policy(trace.best_params), trace

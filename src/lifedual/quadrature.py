@@ -15,13 +15,15 @@ module provides the grid type, the plain and cumulative trapezoid
 rules, and their adjoints (the transposes of these linear maps, which
 the reverse-mode gradient of the upper bound runs through); the
 closed-form module builds its aggregates out of these prefix tables in
-O(n) per curve.
+O(n) per curve.  The prefix tables, their adjoint and the off-node
+prefix value act along the last axis, so one call serves a stack of
+curves, row by row with the arithmetic of one curve.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -82,7 +84,7 @@ def trapezoid(values: np.ndarray, grid: UniformGrid) -> float:
 
 
 def prefix_trapezoid(values: np.ndarray, grid: UniformGrid) -> np.ndarray:
-    """Cumulative trapezoid table P with P[k] = ∫_{t0}^{t_k} v dt.
+    """Cumulative trapezoid table P with P[k] = ∫_{t0}^{t_k} v dt, along the last axis.
 
     P[0] = 0 and P[n] equals ``trapezoid(values, grid)`` up to rounding;
     differences P[j] - P[i] reproduce the rule on [t_i, t_j] exactly
@@ -94,16 +96,19 @@ def prefix_trapezoid(values: np.ndarray, grid: UniformGrid) -> np.ndarray:
             f"expected {grid.n_intervals + 1} node values, got {values.shape[-1]}"
         )
     h = grid.step
-    out = np.empty(values.shape[-1])
-    out[0] = 0.0
-    np.cumsum(0.5 * h * (values[1:] + values[:-1]), out=out[1:])
+    out = np.empty(values.shape)
+    out[..., 0] = 0.0
+    np.cumsum(0.5 * h * (values[..., 1:] + values[..., :-1]), axis=-1, out=out[..., 1:])
     return out
 
 
+@lru_cache(maxsize=64)
 def _partial_cell(grid: UniformGrid, t: float) -> tuple[int, float]:
     """Cell index j with nodes[j] <= t and the offset t - nodes[j].
 
     j = n_intervals when t is the grid end (no partial cell is left).
+    Memoized: the optimizer's objective asks for T_R's cell on its grid
+    at every evaluation.
     """
     nodes = grid.nodes
     if not nodes[0] <= t <= nodes[-1]:
@@ -113,21 +118,20 @@ def _partial_cell(grid: UniformGrid, t: float) -> tuple[int, float]:
     return j, t - nodes[j]
 
 
-def prefix_value_at(
-    prefix: np.ndarray, values: np.ndarray, grid: UniformGrid, t: float
-) -> float:
-    """Prefix integral ∫_{t0}^{t} v dt at an off-node point t.
+def prefix_value_at(prefix: np.ndarray, values: np.ndarray, grid: UniformGrid, t: float):
+    """Prefix integral ∫_{t0}^{t} v dt at an off-node point t, along the last axis.
 
     The last partial cell is closed with one trapezoid using the
     linearly interpolated integrand value at t, so the result stays
-    O(h²)-consistent with the node table.
+    O(h²)-consistent with the node table.  A scalar for one table, an
+    array over the leading axes for a stack.
     """
     j, d = _partial_cell(grid, t)
     if j == grid.n_intervals:
-        return float(prefix[-1])
+        return prefix[..., -1]
     frac = d / grid.step
-    v_t = values[j] + frac * (values[j + 1] - values[j])
-    return float(prefix[j] + 0.5 * (values[j] + v_t) * d)
+    v_t = values[..., j] + frac * (values[..., j + 1] - values[..., j])
+    return prefix[..., j] + 0.5 * (values[..., j] + v_t) * d
 
 
 def prefix_trapezoid_adjoint(adjoint: np.ndarray, grid: UniformGrid) -> np.ndarray:
@@ -136,12 +140,13 @@ def prefix_trapezoid_adjoint(adjoint: np.ndarray, grid: UniformGrid) -> np.ndarr
     With R_k = Σ_{i>=k} a_i, value m enters the cell to its right for
     every k > m and the cell to its left for every k >= m, so the
     result is (h/2)(R_{m+1} + R_m) with R_{n+1} = 0 and no left cell at
-    m = 0.  a_0 drops out because P[0] = 0.
+    m = 0.  a_0 drops out because P[0] = 0.  Along the last axis.
     """
-    tail = np.cumsum(np.asarray(adjoint, dtype=float)[::-1])[::-1]
-    out = np.zeros(grid.n_intervals + 1)
-    out[:-1] += tail[1:]
-    out[1:] += tail[1:]
+    adjoint = np.asarray(adjoint, dtype=float)
+    tail = np.cumsum(adjoint[..., ::-1], axis=-1)[..., ::-1]
+    out = np.zeros(adjoint.shape[:-1] + (grid.n_intervals + 1,))
+    out[..., :-1] += tail[..., 1:]
+    out[..., 1:] += tail[..., 1:]
     return 0.5 * grid.step * out
 
 

@@ -54,6 +54,14 @@ def test_affine_policy_breakpoint_and_positive_part():
     assert sm == 0.0
 
 
+def test_affine_vjp_needs_increasing_times():
+    pol = AffinePolicy(params=(0.1, 0.0, 0.1, 0.0, 0.1, 0.0, 0.1, 0.0), t_retire=20.0)
+    ones = np.ones(2)
+    assert pol.vjp(np.array([10.0, 30.0]), ones, ones)[[0, 4]] == pytest.approx([1.0, 1.0])
+    with pytest.raises(ValidationError, match="increasing"):
+        pol.vjp(np.array([30.0, 10.0]), ones, ones)
+
+
 def test_param_length_validation():
     with pytest.raises(ValidationError):
         AffinePolicy(params=(1.0,) * 7, t_retire=20.0)
@@ -137,6 +145,8 @@ def test_evaluate_domain_checks():
     assert v0 == pytest.approx(0.1)
     with pytest.raises(ValidationError):
         evaluate(pol, -1.0)
+    with pytest.raises(ValidationError):
+        pol(-1.0)
     with pytest.raises(ValidationError):
         evaluate(pol, 51.0, horizon=50.0)
 

@@ -1,4 +1,4 @@
-"""The two-process helper and the index queue its two processes share."""
+"""The two-process helper."""
 
 import os
 import time
@@ -6,18 +6,7 @@ import time
 import numpy as np
 import pytest
 
-from lifedual.fork import IndexQueue, in_two_processes
-
-
-def test_queue_hands_out_each_index_once_to_two_processes():
-    # far more indices than a 64 KB pipe could hold pre-filled
-    n = 20000
-    with IndexQueue(n) as queue:
-        here, forked = in_two_processes(lambda: list(queue), lambda: list(queue))
-    assert here == sorted(here) and forked == sorted(forked)
-    assert sorted(here + forked) == list(range(n))
-    with pytest.raises(ChildProcessError):
-        os.waitpid(-1, os.WNOHANG)
+from lifedual.fork import in_two_processes
 
 
 def test_child_value_larger_than_the_pipe_buffer_comes_back_equal():
@@ -48,14 +37,6 @@ def test_failing_here_reaps_a_child_blocked_on_its_payload():
         os.close(started_w)
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
-
-
-def test_stopped_queue_hands_out_nothing():
-    with IndexQueue(5) as queue:
-        assert queue.take() == 0
-        queue.stop()
-        assert queue.take() is None
-        assert list(queue) == []
 
 
 def test_without_fork_both_run_here_in_order(monkeypatch):

@@ -1,4 +1,4 @@
-"""The exact objective gradient and the multi-start reduction."""
+"""The exact objective gradient, the batched objective and the multi-start reduction."""
 
 import dataclasses
 import os
@@ -8,16 +8,19 @@ from unittest import mock
 import numpy as np
 import pytest
 
+from lifedual import drift_policy
 from lifedual.closed_form import (
     compute_g,
     origin_upper_bound,
     origin_upper_bound_and_gradient,
+    origin_upper_bounds,
     upper_bound,
 )
 from lifedual.drift_policy import (
     AFFINE_N_PARAMS,
     MLP_N_PARAMS,
     AffinePolicy,
+    PolicyFamily,
     init_params,
     make_policy,
 )
@@ -30,6 +33,7 @@ from lifedual.optimizer import (
     _bfgs,
     minimize_upper_bound,
     upper_bound_and_gradient,
+    upper_bounds_and_gradients,
 )
 from lifedual.quadrature import UniformGrid
 
@@ -85,6 +89,118 @@ def test_adjoint_gradient_matches_central_differences(n, kind, activation, std):
     np.testing.assert_allclose(grad, fd, rtol=1e-6, atol=1e-6 * np.max(np.abs(fd)))
 
 
+def _stack_families():
+    """(family, parameter stack) pairs: affine, ReLU and Snake, some outputs clamped."""
+    rng = np.random.default_rng(11)
+    families = [
+        (PolicyFamily("affine", t_retire=20.0), 0.01),
+        (PolicyFamily("mlp", activation="relu"), 0.1),
+        (PolicyFamily("mlp", activation="snake"), 0.1),
+    ]
+    return [(family, rng.normal(0.0, std, (7, family.n_params))) for family, std in families]
+
+
+@pytest.mark.parametrize("n", [100, 77])  # T_R = 20 is a node at n=100, not at 77
+def test_a_batch_equals_its_rows_evaluated_alone(n):
+    g = _g(n, preset_scenario("example2"))
+    for family, stack in _stack_families():
+        values, grads = upper_bounds_and_gradients(g, family, stack)
+        v0, vm, _ = family.forward(stack, g.grid.nodes)
+        node_values, d_v0, d_vm = origin_upper_bounds(g, v0, vm, gradient=True)
+        assert values.tobytes() == node_values.tobytes()
+        for i, row in enumerate(stack):
+            policy = family.policy(row)
+            value, grad = upper_bound_and_gradient(g, policy)
+            assert value == values[i] == origin_upper_bound(g, policy), family
+            assert grad.tobytes() == grads[i].tobytes(), family
+            alone = origin_upper_bound_and_gradient(g, policy)
+            assert alone[1].tobytes() == d_v0[i].tobytes(), family
+            assert alone[2].tobytes() == d_vm[i].tobytes(), family
+            assert policy.vjp(g.grid.nodes, d_v0[i], d_vm[i]).tobytes() == grads[i].tobytes()
+            # reordered and shorter stacks give the same rows
+            again, again_grads = upper_bounds_and_gradients(g, family, stack[i::-1])
+            assert again[0] == values[i] and again_grads[0].tobytes() == grads[i].tobytes()
+
+
+def test_a_snake_value_and_gradient_runs_the_hidden_layer_once(monkeypatch):
+    g = _g(100, preset_scenario("example2"))
+    family, stack = _stack_families()[2]
+    calls = []
+    real = drift_policy.snake
+
+    def counting(x, a):
+        calls.append(np.shape(x))
+        return real(x, a)
+
+    monkeypatch.setattr(drift_policy, "snake", counting)
+    upper_bounds_and_gradients(g, family, stack)
+    assert calls == [(len(stack), g.grid.n_intervals + 1, 10)]
+    calls.clear()
+    upper_bound_and_gradient(g, family.policy(stack[0]))
+    assert len(calls) == 1
+
+
+# per start (status, nit, nfev, final objective) at seed 0 on the n=100
+# grid, captured before the starts ran in lockstep
+_SNAKE_PROTOCOL_STARTS = [
+    (0, 1, 2, -8.810623388185784),
+    (0, 2, 5, -8.810623388185784),
+    (0, 2, 5, -8.810623388185784),
+    (0, 2, 4, -8.810623388185784),
+    (1, 50, 113, -9.236695333794131),
+    (0, 0, 1, -8.810623388185784),
+    (2, 11, 36, -9.187028033060855),
+    (0, 1, 3, -8.810623388185784),
+    (0, 2, 4, -8.810623388185784),
+    (0, 3, 4, -8.810623388185784),
+    (0, 2, 5, -8.810623388185784),
+    (1, 50, 92, -9.248092710453198),
+    (0, 1, 2, -8.810623388185784),
+    (1, 50, 82, -9.245916222516914),
+    (0, 1, 2, -8.810623388185784),
+    (0, 1, 9, -8.810623388185784),
+    (1, 50, 78, -9.248936301593128),
+    (1, 50, 80, -9.24713573695779),
+    (1, 50, 105, -9.247436133289753),
+    (0, 1, 3, -8.810623388185784),
+    (0, 2, 3, -8.810623388185784),
+    (0, 2, 4, -8.810623388185784),
+    (1, 50, 96, -9.246652935766647),
+    (1, 50, 64, -9.178155750906363),
+    (0, 1, 3, -8.810623388185784),
+    (0, 1, 2, -8.810623388185784),
+    (0, 2, 5, -8.810623388185784),
+    (0, 1, 3, -8.810623388185784),
+    (1, 50, 84, -9.247126071270243),
+    (0, 1, 4, -8.810623388185784),
+]
+_DESK_AFFINE_STARTS = [
+    (0, 14, 48, -9.451881002652222),
+    (0, 14, 32, -9.31198387835185),
+    (0, 1, 2, -9.31198387835185),
+    (0, 8, 15, -9.318277815391282),
+    (0, 13, 42, -9.451881002652215),
+]
+
+
+@pytest.mark.parametrize(
+    "preset, kind, activation, golden",
+    [
+        ("example2", "mlp", "snake", _SNAKE_PROTOCOL_STARTS),
+        ("example1", "affine", "relu", _DESK_AFFINE_STARTS),
+    ],
+    ids=["snake-30x50", "desk-affine"],
+)
+def test_start_trajectories_match_the_golden_record(preset, kind, activation, golden):
+    g = _g(100, preset_scenario(preset))
+    cfg = OptimizerConfig(num_starts=len(golden), iterations_per_start=50)
+    _, trace = minimize_upper_bound(g, kind, cfg, seed=0, activation=activation)
+    got = [
+        (o.status, o.nit, o.nfev, f) for o, f in zip(trace.outcomes, trace.per_start_final)
+    ]
+    assert got == golden
+
+
 def _rosenbrock(x):
     value = 100.0 * (x[1] - x[0] ** 2) ** 2 + (1.0 - x[0]) ** 2
     grad = np.array([-400.0 * x[0] * (x[1] - x[0] ** 2) - 2.0 * (1.0 - x[0]),
@@ -93,11 +209,20 @@ def _rosenbrock(x):
 
 
 def _bfgs_values(value_and_grad, x0, maxiter):
-    """``_bfgs``'s result and the objective at each accepted point."""
+    """``_bfgs``'s result and the objective at each accepted point.
+
+    Drives the generator: each point it yields is sent
+    ``value_and_grad`` there.
+    """
     seen = []
     x0 = np.asarray(x0, dtype=float)
-    x, f, outcome = _bfgs(value_and_grad, x0, value_and_grad(x0), maxiter,
-                          lambda x, f: seen.append(f))
+    run = _bfgs(x0, value_and_grad(x0), maxiter, lambda x, f: seen.append(f))
+    try:
+        point = next(run)
+        while True:
+            point = run.send(value_and_grad(point))
+    except StopIteration as stop:
+        x, f, outcome = stop.value
     return x, f, outcome, seen
 
 
@@ -182,12 +307,12 @@ def test_objective_needs_a_grid_starting_at_0():
 
 def test_non_finite_gradient_raises():
     g = _g(50)
-    nodes = g.grid.nodes
+
+    def nan_gradient(gg, v0, vm, gradient=False):
+        return np.full(len(v0), -9.0), np.full_like(v0, np.nan), np.zeros_like(vm)
+
     cfg = OptimizerConfig(num_starts=1, iterations_per_start=5)
-    with mock.patch(
-        "lifedual.optimizer.origin_upper_bound_and_gradient",
-        return_value=(-9.0, np.full(nodes.size, np.nan), np.zeros(nodes.size)),
-    ):
+    with mock.patch("lifedual.optimizer.origin_upper_bounds", side_effect=nan_gradient):
         with pytest.raises(NumericalError, match="gradient"):
             minimize_upper_bound(g, "affine", cfg, seed=0)
 
@@ -277,18 +402,35 @@ def test_incumbent_sequences_are_nonincreasing():
     )
 
 
+def _edit_rows(edit):
+    """Patch the optimizer's batched objective to rewrite each row.
+
+    ``edit(params, value, grad)`` returns the row's (value, grad); grad
+    is None where the optimizer asks for values only.
+    """
+    real = upper_bounds_and_gradients
+
+    def patched(g, family, params, gradient=True):
+        values, grads = real(g, family, params, gradient)
+        rows = [
+            edit(row, value, None if grads is None else grads[i])
+            for i, (row, value) in enumerate(zip(params, values))
+        ]
+        values = np.array([value for value, _ in rows])
+        return values, None if grads is None else np.array([grad for _, grad in rows])
+
+    return mock.patch("lifedual.optimizer.upper_bounds_and_gradients", patched)
+
+
 def test_bad_initialization_is_redrawn():
     g = _g(50)
-    bad = tuple(init_params("affine", (7, 0, 0)))
-    real = origin_upper_bound
+    bad = init_params("affine", (7, 0, 0))
 
-    def fake(gg, policy):
-        if np.array_equal(policy.params, bad):
-            return float("nan")
-        return real(gg, policy)
+    def nan_at_bad(params, value, grad):
+        return (float("nan") if np.array_equal(params, bad) else value), grad
 
     cfg = OptimizerConfig(num_starts=1, iterations_per_start=0)
-    with mock.patch("lifedual.optimizer.origin_upper_bound", side_effect=fake):
+    with _edit_rows(nan_at_bad):
         _, trace = minimize_upper_bound(g, "affine", cfg, seed=7)
     assert np.array_equal(trace.best_params, init_params("affine", (7, 0, 1)))
 
@@ -296,9 +438,7 @@ def test_bad_initialization_is_redrawn():
 def test_unrecoverable_initialization_raises():
     g = _g(50)
     cfg = OptimizerConfig(num_starts=1, iterations_per_start=0)
-    with mock.patch(
-        "lifedual.optimizer.origin_upper_bound", return_value=float("nan")
-    ):
+    with _edit_rows(lambda params, value, grad: (float("nan"), grad)):
         with pytest.raises(NumericalError, match="redraws"):
             minimize_upper_bound(g, "affine", cfg, seed=7)
 
@@ -306,7 +446,7 @@ def test_unrecoverable_initialization_raises():
 def test_exact_ties_go_to_the_lowest_start():
     g = _g(50)
     cfg = OptimizerConfig(num_starts=4, iterations_per_start=0)
-    with mock.patch("lifedual.optimizer.origin_upper_bound", return_value=-1.0):
+    with _edit_rows(lambda params, value, grad: (-1.0, grad)):
         _, trace = minimize_upper_bound(g, "affine", cfg, seed=0)
     assert trace.best_start == 0
 
@@ -324,7 +464,7 @@ def test_forked_starts_equal_one_process(
     kind, activation, preset, num_starts, iterations, monkeypatch
 ):
     # the Snake case runs BFGS's and the MLP's matrix products in the
-    # child; one start still forks once, and the child finds the queue empty
+    # child; one start still forks once, and the child's odd half is empty
     g = _g(100, preset_scenario(preset))
     cfg = OptimizerConfig(num_starts=num_starts, iterations_per_start=iterations)
     forks = []
@@ -345,49 +485,33 @@ def test_forked_starts_equal_one_process(
 
 
 def _fail_starts(g, failures, seed=0):
-    """Patch the objective so each start in ``failures`` fails.
+    """Patch the batched objective so each start in ``failures`` fails.
 
     ``failures`` maps a start index to (kind, predicate, delay): the
     start fails by exhausting its init redraws (kind "redraws", a
     non-finite value) or by a non-finite gradient at its first BFGS
-    point ("gradient"), where ``predicate()`` holds, ``delay`` seconds
-    after its first failing evaluation.  Elsewhere the first evaluation
-    of a process sleeps 0.2 s, so the failing process takes a start first.
+    point ("gradient"), where ``predicate()`` holds.  The evaluation
+    whose rows first hold a start's failure sleeps ``delay`` seconds.
     """
     # every redraw of a failing start, as its first point may be a redraw
     first_points = {
         init_params("affine", (seed, s, r)).tobytes(): s for s in failures for r in range(4)
     }
     slept = set()
-    real_value, real_grad = origin_upper_bound, origin_upper_bound_and_gradient
 
-    def failing(policy):
-        """The kind of failure at this evaluation, or None."""
-        start = first_points.get(np.asarray(policy.params, dtype=float).tobytes())
-        fails = start is not None and failures[start][1]()
-        key = start if fails else "first evaluation"
-        if key not in slept:
-            slept.add(key)
-            time.sleep(failures[start][2] if fails else 0.2)
-        return failures[start][0] if fails else None
-
-    def value(gg, policy):
-        return float("nan") if failing(policy) == "redraws" else real_value(gg, policy)
-
-    def value_and_grad(gg, policy):
-        value, d_v0, d_vm = real_grad(gg, policy)
-        kind = failing(policy)
+    def fail(params, value, grad):
+        start = first_points.get(params.tobytes())
+        if start is None or not failures[start][1]():
+            return value, grad
+        kind, _, delay = failures[start]
+        if start not in slept:
+            slept.add(start)
+            time.sleep(delay)
         if kind == "redraws":
-            return float("nan"), d_v0, d_vm
-        if kind == "gradient":
-            return value, np.full_like(d_v0, np.nan), np.full_like(d_vm, np.nan)
-        return value, d_v0, d_vm
+            return float("nan"), grad
+        return value, np.full_like(grad, np.nan)
 
-    return mock.patch.multiple(
-        "lifedual.optimizer",
-        origin_upper_bound=value,
-        origin_upper_bound_and_gradient=value_and_grad,
-    )
+    return _edit_rows(fail)
 
 
 def _in_child(flag):
