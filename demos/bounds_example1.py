@@ -88,7 +88,7 @@ print(
 # taken per phase (working life and retirement).  Only values beyond
 # twice that share of mean wealth carry a sign.
 zero = precompute_aggregates(cert, make_policy("affine", np.zeros(8), t_retire=scenario.T_R))
-mismatch = np.abs(zero.g / zero.tilde_f2 - 1.0)
+mismatch = np.abs(cert.values / zero.tilde_f2 - 1.0)
 node_working = cert.grid.nodes < scenario.T_R
 eps_working, eps_retired = mismatch[node_working].max(), mismatch[~node_working].max()
 face = sim.mean_face_value

@@ -33,22 +33,21 @@ grid with g by ``compute_g(scenario, grid)``, whose ``GFunction`` is
 the problem handle: it carries the scenario and grid, so no entry
 point below takes a scenario beside it.
 
-The optimizer's objective J~(0, W0, Y0) needs only node 0 of F2~ and
-of the annuity: F2~(0) = c2[n] + surv[n] f3node[n] and ann(0) = c1 at
-T_R.  ``origin_upper_bounds(g, v0, v_minus)`` forms exactly these for a
-(k, n+1) stack of adjustments at the nodes, one row per candidate, and
-with ``gradient=True`` runs the reverse (adjoint) pass back through the
-same tables for dJ/dv at the nodes; both are O(n) per row, and the
-grid constants they read (the weights at T and at T_R, T_R's partial
-cell) are formed once per g.  ``origin_upper_bound`` and
-``origin_upper_bound_and_gradient`` are its one-policy case.  The full
-curves come from ``precompute_aggregates(g, policy)``, which the path
-pass and ``upper_bound(g, policy, t, W, Y)`` call: the latter reads
-node 0 of that pass on a g anchored at t, so its value is smooth in t,
-which keeps finite-difference HJB verification clean.  The
-certificate's two bounds share one grid: the path pass steps on the
-nodes of the g it is given and reads its curves there, and the upper
-bound it is paired with is that g's ``origin_upper_bound``.
+One private builder, ``_tables``, forms every prefix table of both
+curves for a (k, n+1) stack of adjustments at the nodes, one row per
+candidate.  At node 0 every quotient's denominator is 1, so the bounds
+read F2~(0) = c2[n] + surv[n] f3node[n] and ann(0) = c1 at T_R there
+(``_node0``).  That read serves ``origin_upper_bounds(g, v0, v_minus)``,
+the optimizer's objective J~(0, W0, Y0), whose ``gradient=True`` runs
+the adjoint back through the same tables for dJ/dv at the nodes, O(n)
+per row, and ``upper_bound(g, policy, t, W, Y)``, which reads it on a g
+anchored at t, so the value is smooth in t and finite-difference HJB
+verification stays clean.  ``origin_upper_bound`` is one policy's
+objective.  ``precompute_aggregates(g, policy)`` forms the full curves
+as quotients of the same tables for the path pass.  The certificate's
+two bounds share one grid: the path pass steps on the nodes of the g it
+is given and reads its curves there, and the upper bound it is paired
+with is that g's ``origin_upper_bound``.
 
 The optimal feedback controls attached to the upper bound are
 
@@ -84,7 +83,6 @@ __all__ = [
     "g_value",
     "precompute_aggregates",
     "origin_upper_bound",
-    "origin_upper_bound_and_gradient",
     "origin_upper_bounds",
     "upper_bound",
     "feedback_coefficients",
@@ -188,73 +186,88 @@ def g_value(g: GFunction, t: float) -> float:
 # Policy aggregates
 
 
+def _tables(g: GFunction, v0, v_minus):
+    """(kappa_v, f3node, c2, f1node, e1, c1) for a (k, n+1) stack of node adjustments.
+
+    f3node and f1node are the exponentials of the F2~ and annuity rate
+    prefix tables; c2 integrates e2 = surv (1 + lam g) f3node and c1
+    integrates e1 = surv f1node.  Every bound and curve reads these.
+    """
+    scenario = g.scenario
+    grid = g.grid
+    surv = g.survival
+    kv = price_of_risk(g.mu, g.r, g.sigma, v0, v_minus)
+    r_v = g.r + v0
+    with np.errstate(all="ignore"):
+        f3node = np.exp(-prefix_trapezoid(_discount_rate(scenario, r_v, kv), grid))
+        c2 = prefix_trapezoid(surv * g.bequest_factor * f3node, grid)
+        f1node = np.exp(-prefix_trapezoid(-scenario.mu_Y + r_v - scenario.sigma_Y * kv, grid))
+        e1 = surv * f1node
+        c1 = prefix_trapezoid(e1, grid)
+    return kv, f3node, c2, f1node, e1, c1
+
+
+def _node0(g: GFunction, tables):
+    """F2~ and ann at node 0 of ``g``'s grid, per row of ``_tables``.
+
+    There every quotient's denominator is 1, so F2~(0) = c2[n] +
+    surv[n] f3node[n] and ann(0) = c1 at T_R (zero from T_R on).
+    """
+    _, f3node, c2, _, e1, c1 = tables
+    t_r, grid = g.scenario.T_R, g.grid
+    with np.errstate(all="ignore"):
+        f2 = c2[:, -1] + g.survival[-1] * f3node[:, -1]
+        if grid.t_start >= t_r:
+            return f2, np.zeros(len(f2))
+        return f2, prefix_value_at(c1, e1, grid, min(t_r, grid.t_end))
+
+
+def _node_adjustments(g: GFunction, policy):
+    """One policy's (v0, v_minus) at ``g``'s nodes, as one-row stacks."""
+    s = g.grid.nodes
+    v0, vm = evaluate_policy(policy, s, horizon=g.scenario.T)
+    return (np.broadcast_to(np.asarray(v, dtype=float), s.shape)[None] for v in (v0, vm))
+
+
 @dataclass(frozen=True)
 class DualAggregates:
-    """Per-policy aggregate curves on a shared grid.
+    """One policy's curves at a ``GFunction``'s nodes, as the path pass reads them.
 
-    Immutable snapshot holding everything the bound, the feedback
-    controls, and the path pass need: the adjusted price of risk, g,
-    F2~, and the income annuity (zero at and beyond T_R).  ``f3node``
-    and ``f1node`` are the exponentials of the F2~ and annuity rate
-    prefix tables, kept for the adjoint pass.
+    The adjustment v0, the adjusted price of risk, F2~, and the income
+    annuity (zero at and beyond T_R).
     """
 
-    grid: UniformGrid
-    scenario: MarketScenario
+    v0: np.ndarray
     kappa_v: np.ndarray
-    g: np.ndarray
     tilde_f2: np.ndarray
     income_annuity: np.ndarray
-    f3node: np.ndarray
-    f1node: np.ndarray
 
 
 def precompute_aggregates(g: GFunction, policy) -> DualAggregates:
     """Build the aggregate curves for one policy on ``g``'s grid.
 
-    Reads the scenario, the grid and the policy-independent node curves
-    from ``g``.  Both curves are prefix quotients:
+    Both curves are prefix quotients of ``_tables``:
     F2~(t) = (c2[n] - c2(t) + surv[n] f3node[n]) / (surv(t) f3node(t))
-    with c2 the prefix integral of e2 = surv (1 + lam g) f3node, and
-    ann(t) = (c1(T_R) - c1(t)) / e1(t) with c1 that of e1 = surv f1node,
-    so every curve costs O(n).
+    and ann(t) = (c1(T_R) - c1(t)) / e1(t), with c1(T_R) = ann(0) from
+    ``_node0``, so every curve costs O(n).  Survival that underflows to
+    0 on the grid makes F2~ 0/0 there and raises ``ValidationError``.
     """
     scenario = g.scenario
-    grid = g.grid
-    s = grid.nodes
-    v0, vm = evaluate_policy(policy, s, horizon=scenario.T)
-    v0 = np.broadcast_to(np.asarray(v0, dtype=float), s.shape)
-    vm = np.broadcast_to(np.asarray(vm, dtype=float), s.shape)
+    s = g.grid.nodes
     surv = g.survival
-    kv = price_of_risk(g.mu, g.r, g.sigma, v0, vm)
-    r_v = g.r + v0
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore", under="ignore"):
-        rate3 = _discount_rate(scenario, r_v, kv)
-        f3node = np.exp(-prefix_trapezoid(rate3, grid))
-        c2 = prefix_trapezoid(surv * g.bequest_factor * f3node, grid)
+    if not surv.all():  # survival is nonincreasing, so argmin finds its first 0
+        raise ValidationError(
+            f"survival underflows to 0 from t = {s[np.argmin(surv)]:g} on, where F2~ is 0/0; "
+            f"shorten scenario.horizon = {scenario.T:g}"
+        )
+    v0, vm = _node_adjustments(g, policy)
+    tables = _tables(g, v0, vm)
+    _, ann0 = _node0(g, tables)
+    kv, f3node, c2, _, e1, c1 = (table[0] for table in tables)
+    with np.errstate(all="ignore"):
         tilde_f2 = (c2[-1] - c2 + surv[-1] * f3node[-1]) / (surv * f3node)
-
-        # income annuity: integrate F_1 up to T_R (empty past retirement)
-        rate1 = -scenario.mu_Y + r_v - scenario.sigma_Y * kv
-        f1node = np.exp(-prefix_trapezoid(rate1, grid))
-        e1 = surv * f1node
-        c1 = prefix_trapezoid(e1, grid)
-        ann = np.zeros_like(s)
-        if grid.t_start < scenario.T_R:
-            c1_tr = prefix_value_at(c1, e1, grid, min(scenario.T_R, grid.t_end))
-            pre = s <= scenario.T_R
-            ann[pre] = (c1_tr - c1[pre]) / e1[pre]
-
-    return DualAggregates(
-        grid=grid,
-        scenario=scenario,
-        kappa_v=kv,
-        g=g.values,
-        tilde_f2=tilde_f2,
-        income_annuity=ann,
-        f3node=f3node,
-        f1node=f1node,
-    )
+        ann = np.where(s <= scenario.T_R, (ann0[0] - c1) / e1, 0.0)
+    return DualAggregates(v0=v0[0], kappa_v=kv, tilde_f2=tilde_f2, income_annuity=ann)
 
 
 # ---------------------------------------------------------------------------
@@ -269,13 +282,13 @@ def _value(f2, f3, gamma: float) -> float:
 def upper_bound(g: GFunction, policy, t: float, W: float, Y: float = 0.0) -> float:
     """Upper bound J~(t, W, Y) = u(W + Y ann(t)) F2~(t)^gamma, t in [0, T].
 
-    Aggregates are rebuilt for g's scenario on a grid of g's size
-    anchored at t, so the value is a smooth function of t (no
-    interpolation kinks) — the property the finite-difference HJB
-    verifier relies on.  From T_R on the income annuity is empty, so Y
-    drops out and the value is the retirement value V_R(t, W); at t = T
-    F2~ = 1 and it reduces to the terminal utility u(W).  Negative for
-    gamma > 1 (power utility is bounded above by 0).
+    The ``_node0`` read on a g of g's size anchored at t, so the value
+    is a smooth function of t (no interpolation kinks) — the property
+    the finite-difference HJB verifier relies on.  From T_R on the
+    income annuity is empty, so Y drops out and the value is the
+    retirement value V_R(t, W); at t = T F2~ = 1 and it reduces to the
+    terminal utility u(W).  Negative for gamma > 1 (power utility is
+    bounded above by 0).
     """
     scenario = g.scenario
     if not 0 <= t <= scenario.T:
@@ -285,14 +298,8 @@ def upper_bound(g: GFunction, policy, t: float, W: float, Y: float = 0.0) -> flo
     if Y < 0:
         raise ValidationError("Y must be nonnegative")
     anchored = compute_g(scenario, UniformGrid(float(t), scenario.T, g.grid.n_intervals))
-    agg = precompute_aggregates(anchored, policy)
-    return _value(agg.tilde_f2[0], W + Y * agg.income_annuity[0], scenario.gamma)
-
-
-def _origin_aggregates(g: GFunction, policy) -> DualAggregates:
-    """Aggregates for the initial state: the path pass's full curves."""
-    _check_origin(g)
-    return precompute_aggregates(g, policy)
+    f2, ann = _node0(anchored, _tables(anchored, *_node_adjustments(anchored, policy)))
+    return _value(f2[0], W + Y * ann[0], scenario.gamma)
 
 
 def _check_origin(g: GFunction) -> None:
@@ -308,44 +315,26 @@ def origin_upper_bounds(g: GFunction, v0, v_minus, gradient: bool = False):
     ``g.grid.nodes`` (else None).  Each row's value and gradient are
     bit-identical to those of the same row evaluated alone.
 
-    Only node 0 of the curves is formed.  There the prefix quotients of
-    ``precompute_aggregates`` have denominators surv[0] = f3node[0] =
-    e1[0] = 1, which do not depend on v, so F2~(0) = c2[n] + surv[n]
-    f3node[n], a full trapezoid sum of e2 = surv (1 + lam g) f3node plus
-    the terminal term, and ann(0) = ∫_0^{T_R} e1 with e1 = surv f1node,
-    partial cell included.  The gradient is reverse mode through these
-    tables: J = u(F3~) F2~^gamma with F3~ = W0 + Y0 ann(0); f3node and
-    f1node are exponentials of prefix tables of rate3(r + v0, kappa_v)
-    and rate1(r + v0, kappa_v).  The scalar tail (the powers of F2~(0)
-    and F3~) is taken row by row on numpy scalars, as for one row.
+    The value is the ``_node0`` read; the gradient is reverse mode
+    through the same tables, with J = u(F3~) F2~^gamma and
+    F3~ = W0 + Y0 ann(0).  The scalar tail (the powers of F2~(0) and
+    F3~) is taken row by row on numpy scalars, as for one row.
     """
     _check_origin(g)
     scenario = g.scenario
     grid = g.grid
     gam = scenario.gamma
     surv = g.survival
-    v0 = np.asarray(v0, dtype=float)
-    v_minus = np.asarray(v_minus, dtype=float)
-    kv = price_of_risk(g.mu, g.r, g.sigma, v0, v_minus)
-    r_v = g.r + v0
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore", under="ignore"):
-        f3node = np.exp(-prefix_trapezoid(_discount_rate(scenario, r_v, kv), grid))
-        c2 = prefix_trapezoid(surv * g.bequest_factor * f3node, grid)
-        f2 = c2[:, -1] + surv[-1] * f3node[:, -1]
-        f1node = np.exp(-prefix_trapezoid(-scenario.mu_Y + r_v - scenario.sigma_Y * kv, grid))
-        e1 = surv * f1node
-        if grid.t_start < scenario.T_R:
-            t_r = min(scenario.T_R, grid.t_end)
-            ann = prefix_value_at(prefix_trapezoid(e1, grid), e1, grid, t_r)
-        else:
-            ann = np.zeros(len(f2))
+    tables = _tables(g, np.asarray(v0, dtype=float), np.asarray(v_minus, dtype=float))
+    f2, ann = _node0(g, tables)
     rows = list(zip(f2, scenario.W0 + scenario.Y0 * ann))  # (F2~(0), F3~) per row
     values = np.array([_value(f2, f3, gam) for f2, f3 in rows])
     if not gradient:
         return values, None, None
 
+    kv, f3node, _, f1node, _, _ = tables
     w_t, w_tr = g.origin_weights
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore", under="ignore"):
+    with np.errstate(all="ignore"):
         d_f2 = np.array([gam * crra_utility(f3, gam) * f2 ** (gam - 1.0) for f2, f3 in rows])
         d_f3 = np.array([f3 ** (-gam) * f2**gam for f2, f3 in rows])
 
@@ -368,33 +357,13 @@ def origin_upper_bounds(g: GFunction, v0, v_minus, gradient: bool = False):
     return values, d_rv + d_kv_sig, -d_kv_sig
 
 
-def _node_adjustments(g: GFunction, policy):
-    """One policy's (v0, v_minus) at ``g``'s nodes, as one-row stacks."""
-    s = g.grid.nodes
-    v0, vm = evaluate_policy(policy, s, horizon=g.scenario.T)
-    return (np.broadcast_to(np.asarray(v, dtype=float), s.shape)[None] for v in (v0, vm))
-
-
 def origin_upper_bound(g: GFunction, policy) -> float:
-    """J~ at the initial state (t=0, W0, Y0) on the shared grid.
+    """J~ at the initial state (t=0, W0, Y0): one policy's ``origin_upper_bounds``.
 
-    This is the optimizer's objective: node 0 of the aggregate curves,
-    where the prefix quotients are exactly conditioned, so it is
-    finite for every nonnegative adjustment.  The one-row case of
-    ``origin_upper_bounds``.
+    Read at node 0, where the prefix quotients are exactly conditioned,
+    so it is finite for every nonnegative adjustment.
     """
     return float(origin_upper_bounds(g, *_node_adjustments(g, policy))[0][0])
-
-
-def origin_upper_bound_and_gradient(g: GFunction, policy):
-    """J~(0, W0, Y0) and its exact gradient in the adjustment at the nodes.
-
-    Returns ``(value, dJ/dv0, dJ/dv_minus)``, the last two as arrays
-    over ``g.grid.nodes``; the value is bit-identical to
-    ``origin_upper_bound``.  The one-row case of ``origin_upper_bounds``.
-    """
-    values, d_v0, d_vm = origin_upper_bounds(g, *_node_adjustments(g, policy), gradient=True)
-    return float(values[0]), d_v0[0], d_vm[0]
 
 
 # ---------------------------------------------------------------------------

@@ -32,9 +32,9 @@ returns, beside v0 and v_minus, the pullback that maps sensitivities
 of a scalar to v0 and v_minus back onto each row's flat parameters
 (the positive part passes the sensitivity only where its argument is
 positive).  The pullback reuses the forward pass's hidden layer, so a
-value-and-gradient evaluation runs it once; it turns the upper bound's
-node gradient into the optimizer's parameter gradient.  A policy's
-``__call__`` and ``vjp`` are the one-row case.
+value-and-gradient evaluation runs it once; it carries the adjoint of
+the node-0 read of the closed form's one table builder onto the
+optimizer's parameters.  A policy's ``__call__`` is the one-row case.
 """
 
 from __future__ import annotations
@@ -205,16 +205,11 @@ def _mlp_forward(params, t, activation, snake_a):
 
 
 class _OneRow:
-    """``__call__`` and ``vjp`` of a policy as the one-row case of its family."""
+    """``__call__`` of a policy as the one-row case of its family."""
 
     def __call__(self, t):
         v0, vm, _ = self.family.forward(np.asarray(self.params)[None], t)
         return v0[0][()], vm[0][()]
-
-    def vjp(self, t, d_v0, d_vm) -> np.ndarray:
-        """Gradient of Σ d_v0·v0(t) + d_vm·v_minus(t) in the flat parameters."""
-        _, _, pullback = self.family.forward(np.asarray(self.params)[None], t)
-        return pullback(np.reshape(d_v0, (1, -1)), np.reshape(d_vm, (1, -1)))[0]
 
 
 @dataclass(frozen=True)

@@ -19,7 +19,9 @@ paths,
 is a genuine lower bound for the problem value (weak duality), so the
 pair (Jbar, J~) certifies the duality gap.
 ``simulate_candidate_value(g, policy, config)`` estimates it for the
-problem that ``g`` carries, the same handle the upper bound reads.
+problem that ``g`` carries, the same handle the upper bound reads: its
+curves are the quotients of the closed form's one table builder, whose
+node-0 read is that upper bound, and the policy is evaluated once.
 
 Paths are driven by scipy's unscrambled ``qmc.Sobol`` stream, one
 point of dimension n_steps per path, mapped to normals by the inverse
@@ -85,9 +87,10 @@ import numpy as np
 
 from .closed_form import (
     GFunction,
-    _origin_aggregates,
+    _check_origin,
     feedback_coefficients,
     feedback_controls,
+    precompute_aggregates,
 )
 from .errors import NumericalError, ValidationError
 from .fork import in_two_processes
@@ -391,11 +394,12 @@ def _path_pass(
     gam = scenario.gamma
     n_paths = config.n_paths
     n_steps = config.n_steps
-    agg = _origin_aggregates(g, policy)
+    _check_origin(g)
     if g.grid.n_intervals != n_steps:
         raise ValidationError(f"sim.n_steps = {n_steps}, but g has {g.grid.n_intervals} steps")
     k_retire = check_path_grid(scenario, n_steps)
-    f2_n, ann_n, kv_n = agg.tilde_f2, agg.income_annuity, agg.kappa_v
+    agg = precompute_aggregates(g, policy)
+    f2_n, ann_n, kv_n, v0_n = agg.tilde_f2, agg.income_annuity, agg.kappa_v, agg.v0
     if not all(np.all(np.isfinite(a)) for a in (g.values, f2_n, ann_n, kv_n)):
         raise NumericalError("aggregate curves are not finite; adjustment too extreme")
     t_nodes, dt = g.grid.nodes, g.grid.step
@@ -424,7 +428,6 @@ def _path_pass(
     beta_n = a_bar * sig_n
     y_drift = (scenario.mu_Y - 0.5 * scenario.sigma_Y**2) * dt  # exact log-normal income step
 
-    v0_n = np.asarray(policy(t_nodes)[0]) + np.zeros_like(t_nodes)
     # deterministic part of the kernel: log beta by the left rule,
     # matching the frozen-coefficient ksi increments below
     log_beta = np.concatenate([[0.0], -np.cumsum((r_n[:-1] + v0_n[:-1]) * dt)])
@@ -550,9 +553,8 @@ def simulate_candidate_value(
     ``g`` carries the scenario and the path grid, on whose nodes every
     curve is read: it starts at 0, has ``config.n_steps`` intervals and
     puts T_R on a node (a step across T_R would pay income past
-    retirement), or a ``ValidationError`` names ``sim.n_steps``.  The
-    aggregate curves are built once on it.  Before T_R, controls are
-    recomputed each step from the current state by
+    retirement), or a ``ValidationError`` names ``sim.n_steps``.  Before
+    T_R, controls are recomputed each step from the current state by
     ``closed_form.feedback_controls``, on coefficients of the node
     curves formed once per node; from T_R on, the same rule is the
     multiplicative Merton step of the module docstring.  The optional

@@ -5,9 +5,10 @@ initial-state upper bound of the problem that ``g`` carries, as a
 function of the flat parameter vector of a drift-adjustment policy.
 It is smooth almost everywhere (the positive-part wrappers kink only
 on a measure-zero set), so the minimizer is BFGS fed with the exact
-gradient: the closed form's adjoint pass gives dJ/dv at the grid nodes
-and the policy family's vector-Jacobian product carries it onto the
-parameters, both from the one evaluation that yields the value.
+gradient: the closed form reads the value at node 0 of its one table
+builder and runs the adjoint back through the same tables for dJ/dv at
+the grid nodes, and the policy family's pullback carries that onto the
+parameters, all in the one evaluation that yields the value.
 
 ``_bfgs`` is that BFGS in numpy, so no scipy module is loaded.  It
 keeps scipy's conventions (identity start, first trial step, Wolfe
@@ -53,7 +54,6 @@ __all__ = [
     "OptimizerConfig",
     "OptimizationTrace",
     "StartOutcome",
-    "upper_bound_and_gradient",
     "upper_bounds_and_gradients",
     "minimize_upper_bound",
 ]
@@ -136,24 +136,6 @@ def upper_bounds_and_gradients(g: GFunction, family, params, gradient: bool = Tr
     v0, vm, pullback = family.forward(params, g.grid.nodes, horizon=g.scenario.T)
     values, d_v0, d_vm = origin_upper_bounds(g, v0, vm, gradient=gradient)
     return values, pullback(d_v0, d_vm) if gradient else None
-
-
-def _check_gradient(value, grad) -> None:
-    if np.isfinite(value) and not np.all(np.isfinite(grad)):
-        raise NumericalError("upper-bound gradient is non-finite at a finite value")
-
-
-def upper_bound_and_gradient(g: GFunction, policy):
-    """Objective value and its exact gradient in the policy's flat parameters.
-
-    The one-row case of ``upper_bounds_and_gradients``.  A non-finite
-    gradient at a finite value raises ``NumericalError``; at a
-    non-finite value both are returned as they are, so the line search
-    can step back.
-    """
-    values, grads = upper_bounds_and_gradients(g, policy.family, np.asarray(policy.params)[None])
-    _check_gradient(values[0], grads[0])
-    return float(values[0]), grads[0]
 
 
 def _cubic_step(lo, hi):
@@ -357,7 +339,9 @@ def _lockstep(evaluate, runs):
         nonlocal failure
         try:
             if sent is not None and sent[1] is not None:
-                _check_gradient(*sent)
+                value, grad = sent
+                if np.isfinite(value) and not np.all(np.isfinite(grad)):
+                    raise NumericalError("upper-bound gradient is non-finite at a finite value")
             points[start] = runs[start].send(sent)
         except StopIteration as stop:
             results[start] = stop.value

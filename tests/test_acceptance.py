@@ -334,7 +334,7 @@ def test_criterion_09_face_value_spoon_shape(ex1_affine, ex1_zero):
     r = ex1_affine
     zero, sim0 = ex1_zero
     agg0 = precompute_aggregates(r.cert, zero)
-    mismatch = np.abs(agg0.g / agg0.tilde_f2 - 1.0)
+    mismatch = np.abs(r.cert.values / agg0.tilde_f2 - 1.0)
     node_working = r.cert.grid.nodes < r.scenario.T_R
     eps_working = float(np.max(mismatch[node_working]))
     eps_retired = float(np.max(mismatch[~node_working]))

@@ -388,6 +388,20 @@ def test_cli_retirement_between_path_nodes_exits_1(tmp_path, monkeypatch, capsys
         build_run_config({"sim.n_steps": "1012"})
 
 
+def test_cli_survival_underflow_exits_1(tmp_path, capsys):
+    # at a 200-year horizon survival is exactly 0 on the grid from t = 105,
+    # where F2~ is 0/0: a scenario error naming survival, not the adjustment
+    text = (
+        "scenario.horizon = 200\nscenario.t_retire = 150\nopt.num_starts = 2\n"
+        "opt.iterations_per_start = 5\nquadrature.n_intervals = 50\n"
+        "sim.n_paths = 256\nsim.n_steps = 200\n"
+    )
+    cfg = _write(tmp_path, "long.cfg", text)
+    assert main(["run", "--config", cfg, "--out", str(tmp_path / "out"), "--seed", "0"]) == 1
+    err = capsys.readouterr().err
+    assert "survival" in err and "t = 105" in err and "scenario.horizon = 200" in err
+
+
 @pytest.mark.parametrize(
     "key, value",
     [("sim.n_paths", "2e4"), ("scenario.mu.table", "0:0.07, 10:abc")],

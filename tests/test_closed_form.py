@@ -177,7 +177,7 @@ def _controls_at(g, policy, t, W, Y=0.0):
             SC, agg.income_annuity[0], agg.tilde_f2[0], agg.kappa_v[0], SC.sigma(t)
         )
     )
-    return theta, c, c * agg.g[0]
+    return theta, c, c * anchored.values[0]
 
 
 def test_feedback_strategy_examples():

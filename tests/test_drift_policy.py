@@ -10,6 +10,7 @@ from lifedual.drift_policy import (
     MLP_N_PARAMS,
     AffinePolicy,
     MlpPolicy,
+    PolicyFamily,
     TablePolicy,
     evaluate,
     init_params,
@@ -55,11 +56,14 @@ def test_affine_policy_breakpoint_and_positive_part():
 
 
 def test_affine_vjp_needs_increasing_times():
-    pol = AffinePolicy(params=(0.1, 0.0, 0.1, 0.0, 0.1, 0.0, 0.1, 0.0), t_retire=20.0)
-    ones = np.ones(2)
-    assert pol.vjp(np.array([10.0, 30.0]), ones, ones)[[0, 4]] == pytest.approx([1.0, 1.0])
+    family = PolicyFamily("affine", t_retire=20.0)
+    params = np.array([[0.1, 0.0, 0.1, 0.0, 0.1, 0.0, 0.1, 0.0]])
+    ones = np.ones((1, 2))
+    _, _, pullback = family.forward(params, np.array([10.0, 30.0]))
+    assert pullback(ones, ones)[0, [0, 4]] == pytest.approx([1.0, 1.0])
+    _, _, pullback = family.forward(params, np.array([30.0, 10.0]))
     with pytest.raises(ValidationError, match="increasing"):
-        pol.vjp(np.array([30.0, 10.0]), ones, ones)
+        pullback(ones, ones)
 
 
 def test_param_length_validation():

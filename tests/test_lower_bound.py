@@ -247,10 +247,25 @@ def test_initial_controls_match_closed_form():
     agg = precompute_aggregates(g, ZERO)
     c0 = (SC.W0 + SC.Y0 * agg.income_annuity[0]) / agg.tilde_f2[0]
     assert res.mean_consumption[0] == pytest.approx(c0, rel=1e-12)
-    assert res.mean_face_value[0] == pytest.approx(c0 * agg.g[0] - SC.W0, rel=1e-10)
+    assert res.mean_face_value[0] == pytest.approx(c0 * g.values[0] - SC.W0, rel=1e-10)
     assert res.mean_face_value[0] > 0
     assert res.mean_wealth[0] == SC.W0
     assert res.times[0] == 0.0 and res.times[-1] == SC.T
+
+
+def test_the_path_pass_evaluates_the_policy_once():
+    # the kernel's v0 comes with the aggregate curves, not from a second call
+    g = _g(50)
+    calls = []
+
+    def counted(t):
+        calls.append(np.shape(t))
+        return ZERO(t)
+
+    for entry in (simulate_candidate_value, dual_checks):
+        calls.clear()
+        entry(g, counted, SimulationConfig(n_paths=64, n_steps=50))
+        assert calls == [g.grid.nodes.shape], entry.__name__
 
 
 def test_path_pass_needs_a_grid_starting_at_0():

@@ -11,9 +11,10 @@ import pytest
 from lifedual import drift_policy
 from lifedual.closed_form import (
     compute_g,
+    crra_utility,
     origin_upper_bound,
-    origin_upper_bound_and_gradient,
     origin_upper_bounds,
+    precompute_aggregates,
     upper_bound,
 )
 from lifedual.drift_policy import (
@@ -32,7 +33,6 @@ from lifedual.optimizer import (
     OptimizerConfig,
     _bfgs,
     minimize_upper_bound,
-    upper_bound_and_gradient,
     upper_bounds_and_gradients,
 )
 from lifedual.quadrature import UniformGrid
@@ -42,6 +42,12 @@ SC = preset_scenario("example1")
 
 def _g(n=100, scenario=SC):
     return compute_g(scenario, UniformGrid(0.0, scenario.T, n))
+
+
+def _value_and_gradient(g, policy):
+    """One policy's objective and parameter gradient, as a one-row stack."""
+    values, grads = upper_bounds_and_gradients(g, policy.family, np.asarray(policy.params)[None])
+    return float(values[0]), grads[0]
 
 
 def _central_differences(g, build, params, step=1e-6):
@@ -81,7 +87,7 @@ def test_adjoint_gradient_matches_central_differences(n, kind, activation, std):
             break
     else:
         pytest.fail("no parameter draw with partly clamped outputs")
-    value, grad = upper_bound_and_gradient(g, build(params))
+    value, grad = _value_and_gradient(g, build(params))
     assert value == origin_upper_bound(g, build(params))
     assert upper_bound(g, build(params), 0.0, sc.W0, sc.Y0) == value
     fd = _central_differences(g, build, params)
@@ -102,7 +108,9 @@ def _stack_families():
 
 @pytest.mark.parametrize("n", [100, 77])  # T_R = 20 is a node at n=100, not at 77
 def test_a_batch_equals_its_rows_evaluated_alone(n):
-    g = _g(n, preset_scenario("example2"))
+    sc = preset_scenario("example2")
+    g = _g(n, sc)
+    gam = sc.gamma
     for family, stack in _stack_families():
         values, grads = upper_bounds_and_gradients(g, family, stack)
         v0, vm, _ = family.forward(stack, g.grid.nodes)
@@ -110,16 +118,27 @@ def test_a_batch_equals_its_rows_evaluated_alone(n):
         assert values.tobytes() == node_values.tobytes()
         for i, row in enumerate(stack):
             policy = family.policy(row)
-            value, grad = upper_bound_and_gradient(g, policy)
+            value, grad = _value_and_gradient(g, policy)
             assert value == values[i] == origin_upper_bound(g, policy), family
             assert grad.tobytes() == grads[i].tobytes(), family
-            alone = origin_upper_bound_and_gradient(g, policy)
+            # one row through each batched stage: the policy's forward
+            # pass, the node gradient and the pullback
+            row_v0, row_vm, pullback = family.forward(row[None], g.grid.nodes)
+            alone = origin_upper_bounds(g, row_v0, row_vm, gradient=True)
             assert alone[1].tobytes() == d_v0[i].tobytes(), family
             assert alone[2].tobytes() == d_vm[i].tobytes(), family
-            assert policy.vjp(g.grid.nodes, d_v0[i], d_vm[i]).tobytes() == grads[i].tobytes()
+            assert pullback(d_v0[i : i + 1], d_vm[i : i + 1])[0].tobytes() == grads[i].tobytes()
             # reordered and shorter stacks give the same rows
             again, again_grads = upper_bounds_and_gradients(g, family, stack[i::-1])
             assert again[0] == values[i] and again_grads[0].tobytes() == grads[i].tobytes()
+            # the value at (t, W, Y) is node 0 of the full curves on a g
+            # anchored at t, bit for bit
+            for t in (0.0, 5.0, 13.3, sc.T_R, 27.0, 40.0, sc.T):
+                agg = precompute_aggregates(compute_g(sc, UniformGrid(t, sc.T, n)), policy)
+                for W, Y in ((sc.W0, sc.Y0), (37.0, 0.0)):
+                    f3 = W + Y * agg.income_annuity[0]
+                    expected = crra_utility(f3, gam) * agg.tilde_f2[0] ** gam
+                    assert upper_bound(g, policy, t, W, Y) == expected, (family, t, W)
 
 
 def test_a_snake_value_and_gradient_runs_the_hidden_layer_once(monkeypatch):
@@ -136,7 +155,7 @@ def test_a_snake_value_and_gradient_runs_the_hidden_layer_once(monkeypatch):
     upper_bounds_and_gradients(g, family, stack)
     assert calls == [(len(stack), g.grid.n_intervals + 1, 10)]
     calls.clear()
-    upper_bound_and_gradient(g, family.policy(stack[0]))
+    _value_and_gradient(g, family.policy(stack[0]))
     assert len(calls) == 1
 
 
@@ -282,7 +301,7 @@ def test_bfgs_matches_scipy_on_the_desk_affine_starts(start):
     g = _g()
 
     def value_and_grad(params):
-        return upper_bound_and_gradient(g, make_policy("affine", params, t_retire=SC.T_R))
+        return _value_and_gradient(g, make_policy("affine", params, t_retire=SC.T_R))
 
     x0 = init_params("affine", (0, start, 0))
     _, f, outcome, _ = _bfgs_values(value_and_grad, x0, 50)
@@ -296,9 +315,10 @@ def test_objective_needs_a_grid_starting_at_0():
     anchored = compute_g(SC, UniformGrid(5.0, SC.T, 50))
     zero = AffinePolicy(params=(0.0,) * 8, t_retire=SC.T_R)
     cfg = OptimizerConfig(num_starts=1, iterations_per_start=0)
+    nodes = np.zeros((1, 51))
     for call in (
         lambda: origin_upper_bound(anchored, zero),
-        lambda: origin_upper_bound_and_gradient(anchored, zero),
+        lambda: origin_upper_bounds(anchored, nodes, nodes, gradient=True),
         lambda: minimize_upper_bound(anchored, "affine", cfg),
     ):
         with pytest.raises(ValidationError, match="starting at 0"):
@@ -327,7 +347,7 @@ def test_start_outcomes_report_the_solver_end():
         assert outcome.nfev >= outcome.njev >= 1
         assert outcome.message
     best = trace.outcomes[trace.best_start]
-    _, grad = upper_bound_and_gradient(g, policy)
+    _, grad = _value_and_gradient(g, policy)
     assert best.grad_norm == pytest.approx(np.linalg.norm(grad), rel=1e-12)
     _, zero_it = minimize_upper_bound(
         g, "affine", OptimizerConfig(num_starts=1, iterations_per_start=0)
