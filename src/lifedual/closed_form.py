@@ -388,6 +388,8 @@ def feedback_controls(W, y, ann, inv_f2, a, b):
     Vectorised over wealth W and the income flow y (zero once retired);
     (ann, inv_f2, a, b) is ``feedback_coefficients`` at that time.
     theta* is clipped to [0, W]; the death benefit is M* = c* g(t).
+    The path pass calls it on working steps only; from T_R on it steps
+    the same rule as one multiply (``lower_bound`` module docstring).
     """
     f3 = W + y * ann
     theta = f3 * a - y * b

@@ -48,8 +48,7 @@ step is one multiplication W (alpha + beta dz) with node constants
 alpha = 1 + (r + lam) dt - (1 + lam g) dt/F2~ + clip(a, 0, 1)(mu - r) dt
 and beta = clip(a, 0, 1) sigma.  A working step then costs 47
 elementwise passes over its paths and a retired step 24, counting the
-Sobol row and its gather as one pass each.  A ``controls_override``
-takes the working step's line at every step.  The pass sums W and c*
+Sobol row and its gather as one pass each.  The pass sums W and c*
 per step (retired, sum c* = (sum W)/F2~); the mean face value is g
 times mean c* less mean W.
 
@@ -379,9 +378,7 @@ def _dual_summary(
     return budget, martingale_z
 
 
-def _path_pass(
-    g: GFunction, policy, config: SimulationConfig, candidate: bool, controls_override=None
-):
+def _path_pass(g: GFunction, policy, config: SimulationConfig, candidate: bool):
     """Step every path on the nodes of ``g``'s grid; return (finals, means).
 
     ``finals`` holds per path the utility, spend, terminal and income
@@ -508,24 +505,19 @@ def _path_pass(
                 log_xi += kv_n[k] * dz
                 log_xi -= xi_drift[k]
 
-                if candidate and (work or controls_override is not None):
-                    if controls_override is None:
-                        theta, c = feedback_controls(W, y_k, *coef_k[k])
-                    else:
-                        theta, c = controls_override(t_nodes[k], W, y_k)
-                        theta = np.clip(theta, 0.0, W)
+                if candidate and work:
+                    theta, c = feedback_controls(W, Y, *coef_k[k])
                     # the liquidity rule caps c (and M = c g) at the floor
-                    if work and np.minimum.reduce(W) <= 1e-12:
+                    if np.minimum.reduce(W) <= 1e-12:
                         c = np.where(W <= 1e-12, np.minimum(c, Y / cap_fac[k]), c)
 
                     sums[1, k] = np.add.reduce(c)
                     util += u_n[k] * power(c)
 
                     W = W * grow_n[k] + theta * (excess_n[k] + sig_n[k] * dz) - c * rho_n[k]
-                    if work:
-                        W += Y * dt
+                    W += Y * dt
                     np.maximum(W, 0.0, out=W)
-                elif candidate:  # retired, default rule: c* = W / F2~
+                elif candidate:  # retired: c* = W / F2~
                     sums[1, k] = w_sum * inv_f2[k]
                     util += u_n[k] * power(W * inv_f2[k])
                     W *= alpha_n[k] + beta_n[k] * dz
@@ -546,7 +538,6 @@ def simulate_candidate_value(
     g: GFunction,
     policy,
     config: SimulationConfig,
-    controls_override=None,
 ) -> SimulationResult:
     """Estimate Jbar for the candidate strategy induced by ``policy``.
 
@@ -557,12 +548,7 @@ def simulate_candidate_value(
     T_R, controls are recomputed each step from the current state by
     ``closed_form.feedback_controls``, on coefficients of the node
     curves formed once per node; from T_R on, the same rule is the
-    multiplicative Merton step of the module docstring.  The optional
-    ``controls_override(t, W, Y) -> (theta, c)`` replaces the feedback
-    rule at every step (used to exercise alternative feasible recipes); theta is
-    clipped to [0, W], the death benefit is M = c g(t) as in the
-    candidate recipe, and the liquidity truncation of c still applies
-    on the zero-wealth boundary.
+    multiplicative Merton step of the module docstring.
 
     The same pass simulates log ksi_v (left-endpoint Euler increments)
     and evaluates the closed-form optimal streams
@@ -580,15 +566,14 @@ def simulate_candidate_value(
 
     Each of the two blocks returns its per-path finals and per-step
     trajectory sums; the finals are joined in path order and the sums
-    added.  What a ``controls_override`` records while stepping the
-    forked child's block stays in the child.
+    added.
 
     Returns the path mean, its sample standard error (the iid formula,
     not a valid error for a low-discrepancy stream; ROADMAP item 4),
     mean trajectories of wealth, face value M* - W, and consumption,
     and the two dual checks.
     """
-    finals, means = _path_pass(g, policy, config, True, controls_override)
+    finals, means = _path_pass(g, policy, config, True)
     value, se = _mean_se(finals[0])
     budget, martingale_z = _dual_summary(finals, g.grid.nodes, g.scenario.W0)
     return SimulationResult(

@@ -169,15 +169,18 @@ def _line_search(value_and_grad, x, p, f, g, alpha):
     Brackets from the trial step ``alpha``, doubling it while the slope
     stays negative (Algorithm 3.5), then zooms (Algorithm 3.6).  A
     non-finite value fails the sufficient-decrease test, so it bounds
-    the bracket from above.  Returns (step, value, slope, gradient), or
-    None; when neither phase meets both conditions within
-    ``_LINE_STEPS`` trial steps, the lowest trial point that met
-    sufficient decrease is returned, and None only when none did.
+    the bracket from above; in the zoom such a trial is not counted, and
+    the bracket halves until it is no wider than the relative step of
+    ``_XRTOL``.  Returns (step, value, slope, gradient), or None; when
+    neither phase meets both conditions within ``_LINE_STEPS`` counted
+    trial steps, the lowest trial point that met sufficient decrease is
+    returned, and None only when none did.
 
     A generator: ``value_and_grad(x)`` is a generator too, and the
     search takes each trial's value and gradient with ``yield from``.
     """
     slope0 = float(g @ p)
+    p_norm, x_norm = np.linalg.norm(p), np.linalg.norm(x)
     best = None
 
     def decreases(point):
@@ -195,8 +198,17 @@ def _line_search(value_and_grad, x, p, f, g, alpha):
         return abs(point[2]) <= -_C2 * slope0
 
     def zoom(lo, hi):
-        for _ in range(_LINE_STEPS):
+        trials = 0
+        while trials < _LINE_STEPS:
             point = yield from trial(_cubic_step(lo, hi))
+            if not math.isfinite(point[1]):
+                # past a wall of +inf or NaN: halve again, free of the trial
+                # count, until the bracket is a relative step of _XRTOL
+                hi = point
+                if abs(hi[0] - lo[0]) * p_norm <= _XRTOL * (_XRTOL + x_norm):
+                    break
+                continue
+            trials += 1
             if not decreases(point) or point[1] >= lo[1]:
                 hi = point
                 continue

@@ -292,70 +292,110 @@ def test_retirement_between_nodes_is_rejected(n_steps):
             entry(_g(n_steps), ZERO, cfg)
 
 
-def test_income_stops_at_retirement():
+def test_income_stops_at_retirement(monkeypatch):
+    # the feedback rule runs on the working steps only, and sees income on
+    # every path there; retired steps are the Merton multiply
     g = _g(10)
+    k_retire = round(10 * SC.T_R / SC.T)
     seen = []
 
-    def override(t, W, y):
-        seen.append((t, np.max(np.asarray(y))))
-        return np.zeros_like(W), np.full_like(W, 1.0)
+    def recorded(W, y, *coef):
+        seen.append(np.min(y))
+        return feedback_controls(W, y, *coef)
 
-    simulate_candidate_value(
-        g, ZERO, SimulationConfig(n_paths=64, n_steps=10, sobol_skip=0),
-        controls_override=override,
-    )
-    for t, ymax in seen:
-        assert (ymax > 0) == (t < SC.T_R)
+    monkeypatch.setattr("lifedual.lower_bound.feedback_controls", recorded)
+    monkeypatch.delattr(os, "fork")  # both blocks step here, where the recorder runs
+    simulate_candidate_value(g, ZERO, SimulationConfig(n_paths=64, n_steps=10, sobol_skip=0))
+    assert len(seen) == 2 * k_retire
+    assert all(ymin > 0 for ymin in seen)
 
 
-def test_zero_stock_half_spend_override_grows_wealth():
-    # theta = 0 and c(1 + lam g) at half the financing inflow leave a
-    # strictly positive riskless drift, so mean wealth must increase
+def test_zero_stock_half_spend_override_grows_wealth(monkeypatch):
+    # theta = 0 and c (1 + lam g) at most half the income leave a strictly
+    # positive riskless drift, so mean wealth must increase while income
+    # flows; the retired steps keep the Merton rule
     g = _g(200)
+    k_retire = round(200 * SC.T_R / SC.T)
+    cap_max = g.bequest_factor[:k_retire].max()
 
-    def override(t, W, y):
-        k = round(t / g.grid.step)  # t is a node of g's grid
-        c = ((g.r[k] + SC.mortality.hazard(t)) * W + y) / (2.0 * g.bequest_factor[k])
-        return np.zeros_like(W), c
+    def half_spend(W, y, *coef):
+        return np.zeros_like(W), y / (2.0 * cap_max)
 
-    res = simulate_candidate_value(
-        g, ZERO, SimulationConfig(n_paths=128, n_steps=200),
-        controls_override=override,
-    )
-    assert np.all(np.diff(res.mean_wealth) > 0)
+    monkeypatch.setattr("lifedual.lower_bound.feedback_controls", half_spend)
+    res = simulate_candidate_value(g, ZERO, SimulationConfig(n_paths=128, n_steps=200))
+    assert np.all(np.diff(res.mean_wealth[: k_retire + 1]) > 0)
     assert res.value < 0  # CRRA gamma > 1 keeps utility negative
 
 
-def _assert_override_reproduces_default_pass(sc, pol):
-    """The feedback rule as a ``controls_override`` (the general step) gives
-    the default pass's results."""
-    g = compute_g(sc, UniformGrid(0.0, sc.T, 75))
+def _reference_pass(g, pol, cfg):
+    """The candidate by the general Euler step at every node.
+
+    Applies ``feedback_controls`` on ``feedback_coefficients`` of the
+    node curves (y = 0 once retired, the liquidity cap while working),
+    on the same normals as the pass; returns the value, its standard
+    error, and the mean wealth, consumption and face value.
+    """
+    sc, t, dt = g.scenario, g.grid.nodes, g.grid.step
     agg = precompute_aggregates(g, pol)
+    coef = np.stack(
+        feedback_coefficients(sc, agg.income_annuity, agg.tilde_f2, agg.kappa_v, g.sigma), axis=1
+    )
+    lam = np.asarray(sc.mortality.hazard(t))
+    disc = g.survival * np.exp(-sc.delta_tilde * t)
+    cap = g.bequest_factor
+    levels, row = sobol_normals(cfg)
 
-    def override(t, W, y):
-        k = round(t / g.grid.step)  # t is a node of g's grid
-        coef = feedback_coefficients(
-            sc, agg.income_annuity[k], agg.tilde_f2[k], agg.kappa_v[k], g.sigma[k]
-        )
-        return feedback_controls(W, y, *coef)
+    def u(x):
+        return np.maximum(x, 1e-300) ** (1.0 - sc.gamma) / (1.0 - sc.gamma)
 
+    W, Y = np.full(cfg.n_paths, sc.W0), np.full(cfg.n_paths, sc.Y0)
+    util = np.zeros(cfg.n_paths)
+    mean_w, mean_c = [], []
+    for k in range(cfg.n_steps):
+        working = t[k] < sc.T_R
+        y = Y if working else 0.0
+        theta, c = feedback_controls(W, y, *coef[k])
+        if working:
+            c = np.where(W <= 1e-12, np.minimum(c, Y / cap[k]), c)
+        mean_w.append(W.mean())
+        mean_c.append(c.mean())
+        util += disc[k] * cap[k] * dt * u(c)
+        dz = np.sqrt(dt) * levels[row(k)]
+        drift = (g.r[k] + lam[k]) * W + theta * (g.mu[k] - g.r[k]) - c * cap[k] + y
+        W = np.maximum(W + drift * dt + theta * g.sigma[k] * dz, 0.0)
+        Y = Y * np.exp((sc.mu_Y - 0.5 * sc.sigma_Y**2) * dt + sc.sigma_Y * dz)
+    mean_w.append(W.mean())
+    util += disc[-1] * u(W)
+    mean_c = np.array(mean_c)
+    return {
+        "value": util.mean(),
+        "std_error": util.std(ddof=1) / np.sqrt(cfg.n_paths),
+        "mean_wealth": np.array(mean_w),
+        "mean_consumption": mean_c,
+        "mean_face_value": g.values[:-1] * mean_c - np.array(mean_w[:-1]),
+    }
+
+
+def _assert_pass_matches_the_general_step(sc, pol):
+    g = compute_g(sc, UniformGrid(0.0, sc.T, 75))
     cfg = SimulationConfig(n_paths=2048, n_steps=75)
-    ref = simulate_candidate_value(g, pol, cfg)
-    sim = simulate_candidate_value(g, pol, cfg, controls_override=override)
-    assert sim.value == pytest.approx(ref.value, rel=1e-12)
-    assert sim.std_error == pytest.approx(ref.std_error, rel=1e-12)
-    assert sim.budget.z_score == pytest.approx(ref.budget.z_score, rel=1e-12)
-    for name in ("mean_wealth", "mean_face_value", "mean_consumption"):
-        assert getattr(sim, name) == pytest.approx(getattr(ref, name), rel=1e-12), name
+    sim = simulate_candidate_value(g, pol, cfg)
+    ref = _reference_pass(g, pol, cfg)
+    # the face value g c - W cancels where it crosses zero, so its
+    # tolerance is relative to the largest wealth it subtracts
+    tol = {"mean_face_value": 1e-12 * ref["mean_wealth"].max()}
+    for name, expected in ref.items():
+        close = pytest.approx(expected, rel=1e-12, abs=tol.get(name, 0.0))
+        assert getattr(sim, name) == close, name
 
 
-def test_feedback_override_reproduces_default_pass():
-    # the feedback rule applied from the node curves at t is the default
-    # pass, so an override that does just that changes nothing
+def test_general_step_reproduces_default_pass():
+    # working steps apply the folded feedback rule and retired steps the
+    # Merton multiply; stepping the rule itself at every node is the same
     pol = AffinePolicy(
         params=(0.01, 0.0002, 0.005, 0.0, 0.01, 0.0, 0.005, 0.0), t_retire=SC.T_R
     )
-    _assert_override_reproduces_default_pass(SC, pol)
+    _assert_pass_matches_the_general_step(SC, pol)
 
 
 @pytest.mark.parametrize("mu", [0.12, 0.01], ids=["fraction-above-1", "fraction-below-0"])
@@ -367,7 +407,7 @@ def test_retired_merton_step_matches_the_general_step(mu):
     sc = dataclasses.replace(SC, mu=CoefficientCurve.constant(mu))
     a = (sc.mu(sc.T) - sc.r(sc.T)) / (sc.gamma * sc.sigma(sc.T) ** 2)
     assert a > 1.0 if mu > 0.1 else a < 0.0
-    _assert_override_reproduces_default_pass(sc, ZERO)
+    _assert_pass_matches_the_general_step(sc, ZERO)
 
 
 def test_starved_paths_stay_finite():
@@ -514,22 +554,20 @@ def test_forked_blocks_equal_one_block(n_paths, monkeypatch):
 def _nan_theta_in(block_is_child):
     parent = os.getpid()
 
-    def override(t, W, y):
-        theta = np.zeros_like(W)
+    def rule(W, y, *coef):
+        theta, c = feedback_controls(W, y, *coef)
         if (os.getpid() != parent) == block_is_child:
-            theta[:] = np.nan
-        return theta, np.full_like(W, 1.0)
+            theta = np.full_like(W, np.nan)
+        return theta, c
 
-    return override
+    return rule
 
 
 @pytest.mark.parametrize("block_is_child", [True, False], ids=["child", "parent"])
-def test_failing_block_raises_in_caller_and_reaps_child(block_is_child):
+def test_failing_block_raises_in_caller_and_reaps_child(block_is_child, monkeypatch):
+    monkeypatch.setattr("lifedual.lower_bound.feedback_controls", _nan_theta_in(block_is_child))
     with pytest.raises(NumericalError, match="non-finite wealth at step 0") as err:
-        simulate_candidate_value(
-            _g(10), ZERO, SimulationConfig(n_paths=256, n_steps=10),
-            controls_override=_nan_theta_in(block_is_child),
-        )
+        simulate_candidate_value(_g(10), ZERO, SimulationConfig(n_paths=256, n_steps=10))
     assert err.type is NumericalError
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)

@@ -281,6 +281,20 @@ def test_bfgs_steps_back_from_an_infinite_objective():
     np.testing.assert_allclose(x, [-t, 0.0], rtol=0.0, atol=1e-8)
 
 
+def test_bfgs_reaches_a_minimum_at_an_infinite_wall():
+    # f = -x^2 - x is +inf from x = 1 on, so its infimum -2 lies at the
+    # wall; a trial step that overshoots the wall by far more than 2^10
+    # times the room left is halved back without using up the search
+    def wall(x):
+        if x[0] >= 1.0:
+            return float("inf"), np.full(1, np.nan)
+        return -x[0] ** 2 - x[0], np.array([-2.0 * x[0] - 1.0])
+
+    x, f, outcome, seen = _bfgs_values(wall, [0.0], 50)
+    assert x[0] < 1.0 and np.isfinite(seen).all()
+    assert f <= -2.0 + 1e-9
+
+
 def test_bfgs_stops_when_f_changes_at_rounding_level():
     # the constant 1e6 puts f's ulp far above the decrease that is left
     # while the gradient is still above the tolerance
