@@ -28,6 +28,7 @@ from . import __version__, market
 from .closed_form import compute_g, origin_upper_bound
 from .config import DESK_SCALE, RunConfig, build_run_config, parse_kv_file
 from .errors import NumericalError, ValidationError
+from .fork import in_two_processes
 from .lower_bound import dual_checks, simulate_candidate_value
 from .optimizer import minimize_upper_bound
 from .quadrature import UniformGrid
@@ -91,6 +92,11 @@ def _validate_or_die(cfg: RunConfig) -> None:
 def _fit(cfg: RunConfig):
     """Build g on the search and path grids and minimize the upper bound.
 
+    Both grids' g are built here; the minimization runs in a forked child
+    (``fork.in_two_processes``, with nothing to do in this process) that
+    sends back the fitted policy and the trace, so the fit's imports and
+    BFGS states leave with the child.  Without ``os.fork`` it runs here.
+
     Returns g on the search grid of ``quadrature.n_intervals``, which the
     optimizer and ``vstar.csv`` read; ``cert``, g on the path grid of
     ``sim.n_steps``, which the certificate's bounds and checks read; the
@@ -104,13 +110,17 @@ def _fit(cfg: RunConfig):
     clock["g_function"] = time.perf_counter() - t0
 
     t0 = time.perf_counter()
-    policy, trace = minimize_upper_bound(
-        g,
-        cfg.policy_kind,
-        cfg.optimizer,
-        seed=cfg.seed,
-        activation=cfg.activation,
-        snake_a=cfg.snake_a,
+    # the fit's numpy.random and the OpenSSL it imports (5.9 MB) stay in the child
+    _, (policy, trace) = in_two_processes(
+        lambda: None,
+        lambda: minimize_upper_bound(
+            g,
+            cfg.policy_kind,
+            cfg.optimizer,
+            seed=cfg.seed,
+            activation=cfg.activation,
+            snake_a=cfg.snake_a,
+        ),
     )
     clock["optimize"] = time.perf_counter() - t0
     return g, cert, policy, trace, clock

@@ -5,8 +5,10 @@
 It is the only code that decides whether to fork: without ``os.fork``
 it runs both in the caller, so its callers run the same two pieces of
 work on every platform.  The two pieces are fixed before the fork (the
-optimizer's even and odd starts, the path pass's two blocks); the
-processes share no state while they run.
+optimizer's even and odd starts, the path pass's two blocks, and the
+CLI's whole fit against an idle caller, which keeps the fit's imports
+and BFGS states out of the certificate's process); the processes share
+no state while they run.
 
 numpy's OpenBLAS build keeps an idle worker thread.  OpenBLAS shuts
 its pool down in a ``pthread_atfork`` handler and restarts it at the
@@ -40,7 +42,8 @@ def in_two_processes(here: Callable[[], A], forked: Callable[[], B]) -> tuple[A,
     once the child is reaped.  The child leaves only by ``os._exit``, so
     it never unwinds into the caller's stack (which may write artifacts
     or spans) and never flushes the caller's buffered output.  If
-    ``here`` fails, the child is killed and still reaped.
+    ``here`` fails, or an exception (a signal handler's, say) interrupts
+    the wait for the child, the child is killed and still reaped.
 
     Without ``os.fork``, ``here`` and then ``forked`` run in this
     process; if ``here`` raises, ``forked`` is not run.
@@ -69,15 +72,16 @@ def in_two_processes(here: Callable[[], A], forked: Callable[[], B]) -> tuple[A,
         finally:
             os._exit(status)
     os.close(write_fd)
+    status = None
     try:
-        value = here()
-    except BaseException:
-        os.kill(pid, signal.SIGKILL)
-        raise
-    finally:
         with os.fdopen(read_fd, "rb") as pipe:
+            value = here()
             payload = pipe.read()
         status = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+    finally:
+        if status is None:  # here failed, or the wait for the child was interrupted
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
     if status != 0 or not payload:
         raise NumericalError(f"forked process ended with status {status}")
     ok, child_value = pickle.loads(payload)

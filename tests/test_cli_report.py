@@ -17,6 +17,7 @@ from hypothesis import strategies as st
 
 import lifedual
 import lifedual.cli
+import lifedual.drift_policy
 import lifedual.lower_bound
 from lifedual.cli import main
 from lifedual.closed_form import compute_g, origin_upper_bound, welfare_loss
@@ -484,7 +485,9 @@ def test_run_and_verify_import_no_scipy(tmp_path, command):
     # the optimizer's BFGS is numpy and the level table comes from the
     # stdlib; the Sobol direction numbers are read from scipy's file
     # without importing any scipy module, and the provenance's package
-    # versions without importlib.metadata
+    # versions without importlib.metadata.  The fit runs in a forked
+    # child, so numpy.random (drawn from by the optimizer's starts) and
+    # the OpenSSL it imports through secrets never enter this process
     cfg = _write(
         tmp_path,
         "small.cfg",
@@ -496,11 +499,12 @@ def test_run_and_verify_import_no_scipy(tmp_path, command):
         "import sys\nfrom lifedual import cli\n"
         f"status = cli.main({argv!r})\n"
         "print('importlib.metadata' in sys.modules)\n"
+        "print(*[m in sys.modules for m in ('numpy.random', 'secrets', '_hashlib')])\n"
         f"{_LIST_SCIPY}\nsys.exit(status)"
     )
     proc = _python("-c", runner)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.splitlines()[-2:] == ["False", ""]
+    assert proc.stdout.splitlines()[-3:] == ["False", "False False False", ""]
 
 
 def test_cli_verify_passes_for_optimized_policy(tmp_path, capsys):
@@ -560,6 +564,20 @@ def test_cli_non_finite_dual_check_exits_2(tmp_path, monkeypatch, capsys, comman
         monkeypatch.setattr(lifedual.cli, name, fake)
         assert main([command, "--config", cfg, "--out", str(tmp_path / "out"), "--seed", "0"]) == 2
         assert "numerical failure" in capsys.readouterr().err
+
+
+def test_cli_fit_failure_in_the_child_exits_2(tmp_path, monkeypatch, capsys):
+    # every draw of every start makes the upper bound non-finite, so the
+    # fit fails in its forked child; the error comes back through the pipe
+    monkeypatch.setattr(
+        lifedual.drift_policy, "init_params", lambda kind, seed: np.full(8, np.nan)
+    )
+    cfg = _write(tmp_path, "run.cfg", SMALL_RUN_CFG)
+    assert main(["run", "--config", cfg, "--out", str(tmp_path / "out"), "--seed", "0"]) == 2
+    err = capsys.readouterr().err
+    assert "numerical failure" in err and "objective non-finite after 3 redraws" in err
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
 
 
 def _readme():

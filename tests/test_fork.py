@@ -1,6 +1,7 @@
 """The two-process helper."""
 
 import os
+import signal
 import time
 
 import numpy as np
@@ -35,6 +36,25 @@ def test_failing_here_reaps_a_child_blocked_on_its_payload():
     finally:
         os.close(started_r)
         os.close(started_w)
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def test_interrupted_wait_kills_and_reaps_the_child():
+    class Interrupted(Exception):
+        pass
+
+    def interrupt(signum, frame):
+        raise Interrupted
+
+    previous = signal.signal(signal.SIGALRM, interrupt)
+    signal.setitimer(signal.ITIMER_REAL, 0.2)
+    try:
+        with pytest.raises(Interrupted):
+            in_two_processes(lambda: None, lambda: time.sleep(3))
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
 
