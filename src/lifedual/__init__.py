@@ -26,8 +26,8 @@ from .closed_form import (
 )
 from .config import RunConfig, build_run_config, parse_kv_file
 from .drift_policy import (
-    AffinePolicy,
-    MlpPolicy,
+    Policy,
+    PolicyFamily,
     TablePolicy,
     init_params,
     make_policy,
@@ -58,18 +58,18 @@ __version__ = "0.1.0"
 
 __all__ = [
     "__version__",
-    "AffinePolicy",
     "BoundsReport",
     "BudgetCheck",
     "CoefficientCurve",
     "DualAggregates",
     "GFunction",
     "MarketScenario",
-    "MlpPolicy",
     "MortalityModel",
     "NumericalError",
     "OptimizationTrace",
     "OptimizerConfig",
+    "Policy",
+    "PolicyFamily",
     "RunConfig",
     "SimulationConfig",
     "SimulationResult",

@@ -21,7 +21,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 
-from .drift_policy import MlpPolicy
+from .drift_policy import PolicyFamily
 from .errors import ValidationError
 from .lower_bound import SimulationConfig, check_path_grid
 from .market import CoefficientCurve, MarketScenario, preset_scenario
@@ -46,8 +46,8 @@ class RunConfig:
 
     scenario: MarketScenario
     policy_kind: str = "affine"
-    activation: str = MlpPolicy.activation
-    snake_a: float = MlpPolicy.snake_a
+    activation: str = PolicyFamily.activation
+    snake_a: float = PolicyFamily.snake_a
     optimizer: OptimizerConfig = OptimizerConfig()
     simulation: SimulationConfig = SimulationConfig()
     n_intervals: int = 100
@@ -56,10 +56,13 @@ class RunConfig:
     preset: str = "example1"  # the base scenario's name
 
     def __post_init__(self) -> None:
-        if self.policy_kind not in ("affine", "mlp"):
-            raise ValidationError("policy.kind must be 'affine' or 'mlp'")
-        if self.activation not in ("relu", "snake"):
-            raise ValidationError("policy.activation must be 'relu' or 'snake'")
+        # the family the fit builds checks the policy kind and its settings
+        PolicyFamily(
+            self.policy_kind,
+            t_retire=self.scenario.T_R,
+            activation=self.activation,
+            snake_a=self.snake_a,
+        )
         if self.n_intervals < 1:
             raise ValidationError("quadrature.n_intervals must be positive")
 

@@ -1,17 +1,19 @@
 """Parameterized drift-adjustment policies v(t) = (v0(t), v_minus(t)).
 
 The dual decision variable is a deterministic map from time to a
-nonnegative drift adjustment of the bond and stock.  Two families are
-implemented:
+nonnegative drift adjustment of the bond and stock.  A policy is a
+``PolicyFamily`` (a kind with its fixed settings) and a flat parameter
+vector of that family; ``PolicyFamily.policy(params)`` builds the
+``Policy``.  Two kinds are implemented:
 
-* ``AffinePolicy`` — one affine function of t per component and phase,
+* ``affine`` — one affine function of t per component and phase,
   wrapped in a positive part, with separate coefficient pairs before
-  and after the retirement date:
+  and after the retirement date (the family's ``t_retire``):
 
       v(t) = ((a1 + a2 t)^+, (a3 + a4 t)^+)    for t <  T_R,
       v(t) = ((a5 + a6 t)^+, (a7 + a8 t)^+)    for t >= T_R.
 
-* ``MlpPolicy`` — a 1-10-2 feedforward network in t with ReLU or Snake
+* ``mlp`` — a 1-10-2 feedforward network in t with ReLU or Snake
   activation and positive-part outputs, a single network over the
   whole horizon.  Parameters are laid out as [w1..w30, b1..b12]:
   hidden weights w1..w10 and biases b1..b10 form the hidden nodes
@@ -23,18 +25,17 @@ The Snake activation x + sin^2(a x)/a perturbs the identity by a
 bounded periodic ripple, which suits drift adjustments that must track
 an oscillating market coefficient.
 
-Both families are exposed to the optimizer as flat parameter vectors;
-outputs are nonnegative by construction so the optimizer never needs
-feasibility penalties.  A ``PolicyFamily`` is a kind with its fixed
-settings (the breakpoint, or the activation); its ``forward`` evaluates
-a (k, p) stack of parameter rows at a set of times in one pass and
-returns, beside v0 and v_minus, the pullback that maps sensitivities
-of a scalar to v0 and v_minus back onto each row's flat parameters
-(the positive part passes the sensitivity only where its argument is
-positive).  The pullback reuses the forward pass's hidden layer, so a
-value-and-gradient evaluation runs it once; it carries the adjoint of
-the node-0 read of the closed form's one table builder onto the
-optimizer's parameters.  A policy's ``__call__`` is the one-row case.
+Outputs are nonnegative by construction, so the optimizer searches the
+flat parameters with no feasibility penalties.  A family's ``forward``
+evaluates a (k, p) stack of parameter rows at a set of times in one
+pass and returns, beside v0 and v_minus, the pullback that maps
+sensitivities of a scalar to v0 and v_minus back onto each row's flat
+parameters (the positive part passes the sensitivity only where its
+argument is positive).  The pullback reuses the forward pass's hidden
+layer, so a value-and-gradient evaluation runs it once; it carries the
+adjoint of the node-0 read of the closed form's one table builder onto
+the optimizer's parameters.  A policy's ``__call__`` is the one-row
+case.
 """
 
 from __future__ import annotations
@@ -46,8 +47,7 @@ import numpy as np
 from .errors import ValidationError
 
 __all__ = [
-    "AffinePolicy",
-    "MlpPolicy",
+    "Policy",
     "PolicyFamily",
     "TablePolicy",
     "snake",
@@ -60,6 +60,7 @@ __all__ = [
 
 AFFINE_N_PARAMS = 8
 MLP_N_PARAMS = 42
+_N_PARAMS = {"affine": AFFINE_N_PARAMS, "mlp": MLP_N_PARAMS}
 _HIDDEN = 10
 _INIT_STD = 1e-2  # scale of the initial parameter draws
 
@@ -82,8 +83,9 @@ class PolicyFamily:
     """A policy kind with its fixed settings: many parameter rows, one pass.
 
     ``t_retire`` is the affine kind's breakpoint; ``activation`` and
-    ``snake_a`` are the network's.  ``policy(params)`` builds one
-    member; ``forward`` evaluates a stack of them.
+    ``snake_a`` are the network's, checked for every kind.
+    ``policy(params)`` builds one member; ``forward`` evaluates a stack
+    of them.
     """
 
     kind: str
@@ -92,27 +94,22 @@ class PolicyFamily:
     snake_a: float = 10.0
 
     def __post_init__(self) -> None:
-        if self.kind == "affine":
-            if self.t_retire is None:
-                raise ValidationError("affine policy requires t_retire")
-        elif self.kind == "mlp":
-            if self.activation not in ("relu", "snake"):
-                raise ValidationError("activation must be 'relu' or 'snake'")
-            if self.activation == "snake" and self.snake_a <= 0:
-                raise ValidationError("snake frequency must be positive")
-        else:
+        if self.kind not in _N_PARAMS:
             raise ValidationError(f"unknown policy kind {self.kind!r}")
+        if self.kind == "affine" and self.t_retire is None:
+            raise ValidationError("affine policy requires t_retire")
+        if self.activation not in ("relu", "snake"):
+            raise ValidationError("activation must be 'relu' or 'snake'")
+        if self.activation == "snake" and self.snake_a <= 0:
+            raise ValidationError("snake frequency must be positive")
 
     @property
     def n_params(self) -> int:
-        return AFFINE_N_PARAMS if self.kind == "affine" else MLP_N_PARAMS
+        return _N_PARAMS[self.kind]
 
-    def policy(self, params):
+    def policy(self, params) -> Policy:
         """The member with the flat parameter vector ``params``."""
-        params = tuple(float(p) for p in np.asarray(params, dtype=float))
-        if self.kind == "affine":
-            return AffinePolicy(params=params, t_retire=float(self.t_retire))
-        return MlpPolicy(params=params, activation=self.activation, snake_a=self.snake_a)
+        return Policy(self, tuple(float(p) for p in np.asarray(params, dtype=float)))
 
     def forward(self, params, t, horizon: float | None = None):
         """(v0, v_minus, pullback) of each row of ``params`` at the times t.
@@ -204,50 +201,23 @@ def _mlp_forward(params, t, activation, snake_a):
     return np.maximum(o0, 0.0), np.maximum(o1, 0.0), pullback
 
 
-class _OneRow:
-    """``__call__`` of a policy as the one-row case of its family."""
+@dataclass(frozen=True)
+class Policy:
+    """One member of a family: the family and its flat parameters."""
+
+    family: PolicyFamily
+    params: tuple[float, ...]
+
+    def __post_init__(self) -> None:
+        if len(self.params) != self.family.n_params:
+            raise ValidationError(
+                f"{self.family.kind} policy takes {self.family.n_params} parameters, "
+                f"got {len(self.params)}"
+            )
 
     def __call__(self, t):
         v0, vm, _ = self.family.forward(np.asarray(self.params)[None], t)
         return v0[0][()], vm[0][()]
-
-
-@dataclass(frozen=True)
-class AffinePolicy(_OneRow):
-    """Piecewise-affine drift adjustment with a breakpoint at t_retire."""
-
-    params: tuple[float, ...]
-    t_retire: float
-
-    def __post_init__(self) -> None:
-        if len(self.params) != AFFINE_N_PARAMS:
-            raise ValidationError(
-                f"affine policy takes {AFFINE_N_PARAMS} parameters, got {len(self.params)}"
-            )
-
-    @property
-    def family(self) -> PolicyFamily:
-        return PolicyFamily("affine", t_retire=self.t_retire)
-
-
-@dataclass(frozen=True)
-class MlpPolicy(_OneRow):
-    """1-10-2 network in t with positive-part outputs."""
-
-    params: tuple[float, ...]
-    activation: str = "relu"
-    snake_a: float = 10.0
-
-    def __post_init__(self) -> None:
-        if len(self.params) != MLP_N_PARAMS:
-            raise ValidationError(
-                f"mlp policy takes {MLP_N_PARAMS} parameters, got {len(self.params)}"
-            )
-        _ = self.family  # checks the activation and its frequency
-
-    @property
-    def family(self) -> PolicyFamily:
-        return PolicyFamily("mlp", activation=self.activation, snake_a=self.snake_a)
 
 
 @dataclass(frozen=True)
@@ -304,12 +274,9 @@ def init_params(kind: str, seed) -> np.ndarray:
     drift spreads being adjusted, and the same scale keeps the
     network's initial outputs small without flattening its gradients.
     """
-    rng = np.random.default_rng(seed)
-    if kind == "affine":
-        return rng.normal(0.0, _INIT_STD, AFFINE_N_PARAMS)
-    if kind == "mlp":
-        return rng.normal(0.0, _INIT_STD, MLP_N_PARAMS)
-    raise ValidationError(f"unknown policy kind {kind!r}")
+    if kind not in _N_PARAMS:
+        raise ValidationError(f"unknown policy kind {kind!r}")
+    return np.random.default_rng(seed).normal(0.0, _INIT_STD, _N_PARAMS[kind])
 
 
 def make_policy(
@@ -317,9 +284,9 @@ def make_policy(
     params,
     *,
     t_retire: float | None = None,
-    activation: str = MlpPolicy.activation,
-    snake_a: float = MlpPolicy.snake_a,
-):
+    activation: str = PolicyFamily.activation,
+    snake_a: float = PolicyFamily.snake_a,
+) -> Policy:
     """Build a policy from a flat parameter vector.
 
     The affine kind needs the retirement breakpoint; the network kind

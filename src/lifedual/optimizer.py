@@ -70,8 +70,9 @@ _LINE_STEPS = 10  # trial steps of each line-search phase (bracket, then zoom)
 class OptimizerConfig:
     """Multi-start protocol.
 
-    ``iterations_per_start`` caps the solver iterations of each start
-    (0 returns the best initialization unmodified).
+    ``iterations_per_start`` caps the solver iterations of each start;
+    at 0 each start ends at its initialization, with status 1 (or 0
+    where the gradient there is already below tolerance).
     """
 
     num_starts: int = 30
@@ -113,29 +114,29 @@ class OptimizationTrace:
     ``entries`` rows are (start index, iteration, incumbent objective);
     the incumbent is the running best within the start, so each start's
     sequence is nonincreasing.  ``outcomes`` holds one ``StartOutcome``
-    per start, or None where no solver ran (zero iterations).
+    per start.
     """
 
     entries: list[tuple[int, int, float]] = field(default_factory=list)
     per_start_final: list[float] = field(default_factory=list)
-    outcomes: list[StartOutcome | None] = field(default_factory=list)
+    outcomes: list[StartOutcome] = field(default_factory=list)
     best_params: np.ndarray | None = None
     best_objective: float = float("inf")
     best_start: int = -1
 
 
-def upper_bounds_and_gradients(g: GFunction, family, params, gradient: bool = True):
+def upper_bounds_and_gradients(g: GFunction, family, params):
     """Objective values and exact gradients for each row of a parameter stack.
 
     ``params`` is (k, p) for the ``drift_policy.PolicyFamily`` given;
     returns the k values and the (k, p) gradients in the flat
-    parameters (None without ``gradient``).  One forward pass of the
-    family at ``g``'s nodes feeds one node-0 pass of the closed form,
-    whose adjoint the family's pullback carries onto the parameters.
+    parameters.  One forward pass of the family at ``g``'s nodes feeds
+    one node-0 pass of the closed form, whose adjoint the family's
+    pullback carries onto the parameters.
     """
     v0, vm, pullback = family.forward(params, g.grid.nodes, horizon=g.scenario.T)
-    values, d_v0, d_vm = origin_upper_bounds(g, v0, vm, gradient=gradient)
-    return values, pullback(d_v0, d_vm) if gradient else None
+    values, d_v0, d_vm = origin_upper_bounds(g, v0, vm, gradient=True)
+    return values, pullback(d_v0, d_vm)
 
 
 def _cubic_step(lo, hi):
@@ -308,9 +309,9 @@ def _start(policy_kind, seed, start, maxiter):
 
     Draws the initialization, redrawing up to ``_MAX_INIT_RETRIES``
     times while the objective there is non-finite, then runs ``_bfgs``
-    from it (with iterations to run, the initialization's evaluation
-    yields the gradient too and is BFGS's first).  Returns (trace
-    entries, final point, final value, outcome).
+    from it (the initialization's evaluation yields the gradient too and
+    is BFGS's first).  Returns (trace entries, final point, final value,
+    outcome).
     """
     x0 = None
     for retry in range(_MAX_INIT_RETRIES + 1):
@@ -327,8 +328,6 @@ def _start(policy_kind, seed, start, maxiter):
     # trace entries (start, iteration, incumbent): BFGS never accepts
     # a rise in f, so each iterate is the start's incumbent
     entries = [(start, 0, f0)]
-    if maxiter == 0:
-        return entries, x0, f0, None
     x, f, outcome = yield from _bfgs(
         x0, first, maxiter, lambda x, f: entries.append((start, len(entries), f))
     )
@@ -339,18 +338,18 @@ def _lockstep(evaluate, runs):
     """Advance the start generators ``runs`` together; return (results, failure).
 
     Each round stacks the point every live start yielded into one call
-    of ``evaluate``, which returns the values and the gradients (or
-    None), and sends each start its row.  A start fails on an exception
-    of its own or on a non-finite gradient at a finite value;
-    ``failure`` is (start, error) of the lowest failing start, or None,
-    and no start above it advances further.
+    of ``evaluate``, which returns the values and the gradients, and
+    sends each start its row.  A start fails on an exception of its own
+    or on a non-finite gradient at a finite value; ``failure`` is
+    (start, error) of the lowest failing start, or None, and no start
+    above it advances further.
     """
     results, points, failure = {}, {}, None
 
     def advance(start, sent):
         nonlocal failure
         try:
-            if sent is not None and sent[1] is not None:
+            if sent is not None:
                 value, grad = sent
                 if np.isfinite(value) and not np.all(np.isfinite(grad)):
                     raise NumericalError("upper-bound gradient is non-finite at a finite value")
@@ -368,7 +367,7 @@ def _lockstep(evaluate, runs):
         values, grads = evaluate(np.stack([points.pop(start) for start in starts]))
         for row, start in enumerate(starts):
             if failure is None or start < failure[0]:
-                advance(start, (values[row], None if grads is None else grads[row]))
+                advance(start, (values[row], grads[row]))
     return results, failure
 
 
@@ -377,18 +376,19 @@ def minimize_upper_bound(
     policy_kind: str,
     config: OptimizerConfig,
     seed: int = 0,
-    activation: str = drift_policy.MlpPolicy.activation,
-    snake_a: float = drift_policy.MlpPolicy.snake_a,
+    activation: str = drift_policy.PolicyFamily.activation,
+    snake_a: float = drift_policy.PolicyFamily.snake_a,
 ):
     """Minimize J~(0, W0, Y0) of ``g``'s problem over flat policy parameters.
 
     Returns (best policy, trace).  Initializations are drawn per start
     from ``seed``; a start whose initial objective is non-finite is
-    redrawn up to ``_MAX_INIT_RETRIES`` times before failing; with
-    iterations to run, that evaluation yields the gradient too and is
-    BFGS's first, so no start evaluates its initialization twice.  With
-    none, only values are evaluated and no gradient is checked.  The
-    returned objective is the minimum over every start's final value.
+    redrawn up to ``_MAX_INIT_RETRIES`` times before failing; that
+    evaluation yields the gradient too and is BFGS's first, so no start
+    evaluates its initialization twice.  With ``iterations_per_start``
+    at 0, each start ends there with its ``StartOutcome`` (status 1, or
+    0 where the gradient is below tolerance).  The returned objective
+    is the minimum over every start's final value.
 
     The even starts run in this process and the odd ones in one forked
     child (without ``os.fork`` this process runs both halves), each
@@ -399,16 +399,16 @@ def minimize_upper_bound(
     family = drift_policy.PolicyFamily(
         policy_kind, t_retire=g.scenario.T_R, activation=activation, snake_a=snake_a
     )
-    maxiter = config.iterations_per_start
-    gradient = maxiter > 0
-
-    def evaluate(params):
-        return upper_bounds_and_gradients(g, family, params, gradient=gradient)
 
     def run_half(first):
         starts = range(first, config.num_starts, 2)
+        maxiter = config.iterations_per_start
         runs = {start: _start(policy_kind, seed, start, maxiter) for start in starts}
-        return _lockstep(evaluate, runs)
+        return _lockstep(lambda params: upper_bounds_and_gradients(g, family, params), runs)
+
+    # the starts draw their initializations from numpy.random: imported
+    # before the fork, once for both halves, and only where a fit runs
+    import numpy.random  # noqa: F401
 
     parts = in_two_processes(lambda: run_half(0), lambda: run_half(1))
     failures = [failure for _, failure in parts if failure is not None]

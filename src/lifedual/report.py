@@ -94,6 +94,7 @@ def build_report(upper: float, lower: float, std_error: float, gamma: float) -> 
 def _provenance(cfg, sim) -> dict[str, object]:
     from . import __version__
 
+    activation = cfg.activation if cfg.policy_kind == "mlp" else ""
     # scipy's version.py read as a file, so neither scipy nor
     # importlib.metadata is imported
     scipy_version: dict[str, object] = {}
@@ -113,7 +114,8 @@ def _provenance(cfg, sim) -> dict[str, object]:
         "num_starts": cfg.optimizer.num_starts,
         "iterations_per_start": cfg.optimizer.iterations_per_start,
         "policy_kind": cfg.policy_kind,
-        "activation": cfg.activation if cfg.policy_kind == "mlp" else "",
+        "activation": activation,
+        "snake_a": cfg.snake_a if activation == "snake" else "",
         "budget_z": f"{sim.budget.z_score:.4f}",
     }
 
@@ -253,13 +255,9 @@ def _render_text(report: BoundsReport, prov, policy, trace, clock) -> str:
     lines.append("")
     lines.append("optimizer starts (solver outcome; |grad| at the final point):")
     for start, (final, outcome) in enumerate(zip(trace.per_start_final, trace.outcomes)):
-        head = f"  start {start:>2}: final {_fmt(final)}"
-        if outcome is None:
-            lines.append(head + ", no solver iterations")
-            continue
         lines.append(
-            f"{head}, status {outcome.status}, nit {outcome.nit}, "
-            f"nfev {outcome.nfev}, njev {outcome.njev}, "
+            f"  start {start:>2}: final {_fmt(final)}, status {outcome.status}, "
+            f"nit {outcome.nit}, nfev {outcome.nfev}, njev {outcome.njev}, "
             f"|grad| {outcome.grad_norm:.3e}: {outcome.message}"
         )
     lines.append("")

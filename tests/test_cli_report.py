@@ -9,6 +9,7 @@ import sys
 import tomllib
 from importlib import metadata
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -19,6 +20,7 @@ import lifedual
 import lifedual.cli
 import lifedual.drift_policy
 import lifedual.lower_bound
+import lifedual.report
 from lifedual.cli import main
 from lifedual.closed_form import compute_g, origin_upper_bound, welfare_loss
 from lifedual.config import (
@@ -169,6 +171,9 @@ def test_build_run_config_unknown_keys():
         build_run_config({"scenario.w00": "1"})
     with pytest.raises(ValidationError):
         build_run_config({"policy.kind": "spline"})
+    # the activation is checked for the affine kind too
+    with pytest.raises(ValidationError, match="activation"):
+        build_run_config({"policy.activation": "tanh"})
 
 
 # ---------------------------------------------------------------------------
@@ -290,6 +295,16 @@ def test_cli_run_writes_wellformed_artifacts(tmp_path):
     assert "start  0: final" in text and "start  1: final" in text
     for pkg in ("numpy", "scipy"):
         assert f"  {pkg}_version = {metadata.version(pkg)}\n" in text
+    assert "  activation = \n" in text and "  snake_a = \n" in text
+    # the provenance names the Snake frequency, and only under Snake
+    snake = build_run_config(
+        {"policy.kind": "mlp", "policy.activation": "snake", "policy.snake_a": "7.5"}
+    )
+    sim = SimpleNamespace(budget=SimpleNamespace(z_score=0.0))
+    prov = lifedual.report._provenance(snake, sim)
+    assert (prov["activation"], prov["snake_a"]) == ("snake", 7.5)
+    relu = lifedual.report._provenance(dataclasses.replace(snake, activation="relu"), sim)
+    assert (relu["activation"], relu["snake_a"]) == ("relu", "")
 
 
 def test_cli_run_is_deterministic(tmp_path):
@@ -364,6 +379,14 @@ def test_cli_error_exit_codes(tmp_path, monkeypatch, capsys):
     for argv in (["gfun"], ["run", "--config", small]):
         assert main([*argv, "--out", blocker]) == 1
         assert "error: cannot write" in capsys.readouterr().err
+    # a Snake frequency of 0 is refused while the config is read, before g
+    zero = _write(
+        tmp_path, "zero.cfg", "policy.kind = mlp\npolicy.activation = snake\npolicy.snake_a = 0\n"
+    )
+    monkeypatch.setattr(lifedual.cli, "compute_g", None)  # a call would raise TypeError
+    for command in ("validate", "run"):
+        assert main([command, "--config", zero, "--out", str(tmp_path / "zero")]) == 1
+        assert "error: snake frequency must be positive" in capsys.readouterr().err
 
 
 def test_cli_sobol_point_limit_exits_1(tmp_path, monkeypatch, capsys):

@@ -22,17 +22,18 @@ from lifedual.closed_form import (
     upper_bound,
     welfare_loss,
 )
-from lifedual.drift_policy import AffinePolicy
+from lifedual.drift_policy import make_policy
 from lifedual.errors import ValidationError
 from lifedual.market import preset_scenario
 from lifedual.quadrature import UniformGrid
 
 SC = preset_scenario("example1")
-ZERO = AffinePolicy(params=(0.0,) * 8, t_retire=SC.T_R)
+ZERO = make_policy("affine", (0.0,) * 8, t_retire=SC.T_R)
 # a time-varying adjustment, positive and continuous at T_R = 20:
 # a5 = a1 + 20 (a2 - a6) and a7 = a3 + 20 (a4 - a8)
-ADJUSTED = AffinePolicy(
-    params=(0.02, 5e-4, 0.01, 2e-4, 0.02 + 20 * 6e-4, -1e-4, 0.01 + 20 * 1e-4, 1e-4),
+ADJUSTED = make_policy(
+    "affine",
+    (0.02, 5e-4, 0.01, 2e-4, 0.02 + 20 * 6e-4, -1e-4, 0.01 + 20 * 1e-4, 1e-4),
     t_retire=SC.T_R,
 )
 
@@ -186,10 +187,10 @@ def test_feedback_strategy_examples():
     theta, _, _ = _controls_at(g, ZERO, 30.0, 200.0)
     assert theta == pytest.approx(200.0 * 0.25 / 0.3, rel=1e-12)
     # kappa_v = 0 makes the stock position vanish
-    flat = AffinePolicy(params=(0.05, 0, 0, 0, 0.05, 0, 0, 0), t_retire=SC.T_R)
+    flat = make_policy("affine", (0.05, 0, 0, 0, 0.05, 0, 0, 0), t_retire=SC.T_R)
     assert _controls_at(g, flat, 30.0, 200.0)[0] == 0.0
     # a large stock-drift adjustment pushes the demand past W -> clamped
-    steep = AffinePolicy(params=(0, 0, 0.1, 0, 0, 0, 0.1, 0), t_retire=SC.T_R)
+    steep = make_policy("affine", (0, 0, 0.1, 0, 0, 0, 0.1, 0), t_retire=SC.T_R)
     assert _controls_at(g, steep, 30.0, 200.0)[0] == 200.0
     # at zero wealth the clamp leaves no stock position
     assert _controls_at(g, ZERO, 30.0, 0.0)[0] == 0.0

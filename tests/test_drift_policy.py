@@ -8,8 +8,6 @@ from hypothesis import strategies as st
 from lifedual.drift_policy import (
     AFFINE_N_PARAMS,
     MLP_N_PARAMS,
-    AffinePolicy,
-    MlpPolicy,
     PolicyFamily,
     TablePolicy,
     evaluate,
@@ -46,7 +44,7 @@ def test_snake_rejects_nonpositive_frequency():
 
 
 def test_affine_policy_breakpoint_and_positive_part():
-    pol = AffinePolicy(params=(0.1, -0.02, -1.0, 0.01, 0.3, 0.0, 0.0, 0.005), t_retire=20.0)
+    pol = make_policy("affine", (0.1, -0.02, -1.0, 0.01, 0.3, 0.0, 0.0, 0.005), t_retire=20.0)
     v0, vm = pol(np.array([0.0, 10.0, 20.0, 40.0]))
     assert v0 == pytest.approx([0.1, 0.0, 0.3, 0.3])  # (0.1 - 0.02t)^+ then 0.3
     assert vm == pytest.approx([0.0, 0.0, 0.1, 0.2])  # (-1 + 0.01t)^+ then 0.005t
@@ -68,19 +66,19 @@ def test_affine_vjp_needs_increasing_times():
 
 def test_param_length_validation():
     with pytest.raises(ValidationError):
-        AffinePolicy(params=(1.0,) * 7, t_retire=20.0)
+        make_policy("affine", (1.0,) * 7, t_retire=20.0)
     with pytest.raises(ValidationError):
-        MlpPolicy(params=(0.0,) * 41)
+        make_policy("mlp", (0.0,) * 41)
     with pytest.raises(ValidationError):
-        MlpPolicy(params=(0.0,) * 42, activation="tanh")
+        make_policy("mlp", (0.0,) * 42, activation="tanh")
     with pytest.raises(ValidationError):
-        MlpPolicy(params=(0.0,) * 42, activation="snake", snake_a=0.0)
+        make_policy("mlp", (0.0,) * 42, activation="snake", snake_a=0.0)
 
 
 def test_mlp_layout_manual_forward_pass():
     rng = np.random.default_rng(7)
     p = rng.normal(0.0, 0.5, MLP_N_PARAMS)
-    pol = MlpPolicy(params=tuple(p), activation="relu")
+    pol = make_policy("mlp", p, activation="relu")
     t = 3.25
     h = np.maximum(p[:10] * t + p[30:40], 0.0)
     v0_ref = max(h @ p[10:20] + p[40], 0.0)
@@ -94,14 +92,14 @@ def test_mlp_snake_dispatch_differs_from_relu():
     # positive hidden weights and output bias keep both outputs off the
     # clipping boundary so the activations are actually compared
     p = tuple(np.r_[np.full(10, 0.1), np.ones(20), np.zeros(10), 5.0, 5.0])
-    relu = MlpPolicy(params=p, activation="relu")
-    snk = MlpPolicy(params=p, activation="snake", snake_a=10.0)
+    relu = make_policy("mlp", p, activation="relu")
+    snk = make_policy("mlp", p, activation="snake", snake_a=10.0)
     t = np.linspace(0.3, 50.0, 11)
     assert not np.allclose(relu(t)[0], snk(t)[0])
     # with zero hidden weights and biases both activations see h = f(0)
     zero = tuple(np.r_[np.zeros(10), np.ones(20), np.zeros(12)])
-    assert MlpPolicy(params=zero, activation="relu")(t)[0] == pytest.approx(
-        MlpPolicy(params=zero, activation="snake")(t)[0]
+    assert make_policy("mlp", zero, activation="relu")(t)[0] == pytest.approx(
+        make_policy("mlp", zero, activation="snake")(t)[0]
     )
 
 
@@ -109,8 +107,8 @@ def test_mlp_snake_dispatch_differs_from_relu():
 @settings(max_examples=100, deadline=None)
 def test_policy_outputs_nonnegative(seed, t):
     rng = np.random.default_rng(seed)
-    aff = AffinePolicy(params=tuple(rng.normal(0, 1, 8)), t_retire=20.0)
-    mlp = MlpPolicy(params=tuple(rng.normal(0, 1, 42)), activation="snake")
+    aff = make_policy("affine", rng.normal(0, 1, 8), t_retire=20.0)
+    mlp = make_policy("mlp", rng.normal(0, 1, 42), activation="snake")
     for pol in (aff, mlp):
         v0, vm = pol(t)
         assert v0 >= 0.0 and vm >= 0.0
@@ -133,7 +131,7 @@ def test_params_make_policy_round_trip():
     p = init_params("mlp", 5)
     pol = make_policy("mlp", p, activation="snake", snake_a=7.0)
     assert np.array_equal(pol.params, p)
-    assert pol.snake_a == 7.0
+    assert pol.family.snake_a == 7.0
     q = init_params("affine", 5)
     aff = make_policy("affine", q, t_retire=20.0)
     assert np.array_equal(aff.params, q)
@@ -144,7 +142,7 @@ def test_params_make_policy_round_trip():
 
 
 def test_evaluate_domain_checks():
-    pol = AffinePolicy(params=(0.1, 0, 0.1, 0, 0.1, 0, 0.1, 0), t_retire=20.0)
+    pol = make_policy("affine", (0.1, 0, 0.1, 0, 0.1, 0, 0.1, 0), t_retire=20.0)
     v0, _ = evaluate(pol, 10.0, horizon=50.0)
     assert v0 == pytest.approx(0.1)
     with pytest.raises(ValidationError):

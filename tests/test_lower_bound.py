@@ -21,7 +21,7 @@ from lifedual.closed_form import (
     precompute_aggregates,
 )
 from lifedual.config import build_run_config
-from lifedual.drift_policy import AffinePolicy, init_params, make_policy
+from lifedual.drift_policy import init_params, make_policy
 from lifedual.errors import NumericalError, ValidationError
 from lifedual.lower_bound import (
     _LEVEL_ERROR,
@@ -37,7 +37,7 @@ from lifedual.market import CoefficientCurve, preset_scenario
 from lifedual.quadrature import UniformGrid
 
 SC = preset_scenario("example1")
-ZERO = AffinePolicy(params=(0.0,) * 8, t_retire=SC.T_R)
+ZERO = make_policy("affine", (0.0,) * 8, t_retire=SC.T_R)
 # overflows the state-price streams of a 100-node g
 EXTREME = make_policy(
     "affine", np.abs(np.random.default_rng((100, 1)).normal(0.0, 0.03, 8)), t_retire=SC.T_R
@@ -392,8 +392,8 @@ def _assert_pass_matches_the_general_step(sc, pol):
 def test_general_step_reproduces_default_pass():
     # working steps apply the folded feedback rule and retired steps the
     # Merton multiply; stepping the rule itself at every node is the same
-    pol = AffinePolicy(
-        params=(0.01, 0.0002, 0.005, 0.0, 0.01, 0.0, 0.005, 0.0), t_retire=SC.T_R
+    pol = make_policy(
+        "affine", (0.01, 0.0002, 0.005, 0.0, 0.01, 0.0, 0.005, 0.0), t_retire=SC.T_R
     )
     _assert_pass_matches_the_general_step(SC, pol)
 
@@ -488,8 +488,8 @@ def test_budget_identity_zero_adjustment_semianalytic():
 
 
 def test_budget_and_martingale_for_nonzero_adjustment():
-    pol = AffinePolicy(
-        params=(0.01, 0.0002, 0.005, 0.0, 0.01, 0.0, 0.005, 0.0), t_retire=SC.T_R
+    pol = make_policy(
+        "affine", (0.01, 0.0002, 0.005, 0.0, 0.01, 0.0, 0.005, 0.0), t_retire=SC.T_R
     )
     cfg = SimulationConfig(n_paths=2**13, n_steps=500)
     sim = simulate_candidate_value(_g(500), pol, cfg)
@@ -515,8 +515,8 @@ FUSED_GOLDENS = {
 
 
 def test_fused_pass_reproduces_reference_values():
-    pol = AffinePolicy(
-        params=(0.01, 0.0002, 0.005, 0.0, 0.01, 0.0, 0.005, 0.0), t_retire=SC.T_R
+    pol = make_policy(
+        "affine", (0.01, 0.0002, 0.005, 0.0, 0.01, 0.0, 0.005, 0.0), t_retire=SC.T_R
     )
     for n_steps, (value, se, budget_z, times, zs) in FUSED_GOLDENS.items():
         sim = simulate_candidate_value(
@@ -536,8 +536,8 @@ def _fields(sim):
 # 20000 paths send the child's block back as ~640 KB, as at desk scale
 @pytest.mark.parametrize("n_paths", [2**11, 1001, 64, 20000])
 def test_forked_blocks_equal_one_block(n_paths, monkeypatch):
-    pol = AffinePolicy(
-        params=(0.01, 0.0002, 0.005, 0.0, 0.01, 0.0, 0.005, 0.0), t_retire=SC.T_R
+    pol = make_policy(
+        "affine", (0.01, 0.0002, 0.005, 0.0, 0.01, 0.0, 0.005, 0.0), t_retire=SC.T_R
     )
     cfg = SimulationConfig(n_paths=n_paths, n_steps=75)
     g = _g(75)
