@@ -52,7 +52,7 @@ print(
 )
 for label, kind, act in FAMILIES:
     t0 = time.perf_counter()
-    policy, trace = minimize_upper_bound(g, kind, OPT, seed=0, activation=act or "relu")
+    policy, _ = minimize_upper_bound(g, kind, OPT, seed=0, activation=act or "relu")
     sim = simulate_candidate_value(cert, policy, SIM)
     upper = origin_upper_bound(cert, policy)
     rep = build_report(upper, sim.value, sim.std_error, scenario.gamma)

@@ -50,7 +50,7 @@ from .market import (
     validate,
 )
 from .mortality import MortalityModel
-from .optimizer import OptimizerConfig, OptimizationTrace, minimize_upper_bound
+from .optimizer import OptimizerConfig, minimize_upper_bound
 from .quadrature import UniformGrid, prefix_trapezoid, trapezoid
 from .report import BoundsReport, build_report, emit_csv, read_vstar_csv
 
@@ -66,7 +66,6 @@ __all__ = [
     "MarketScenario",
     "MortalityModel",
     "NumericalError",
-    "OptimizationTrace",
     "OptimizerConfig",
     "Policy",
     "PolicyFamily",

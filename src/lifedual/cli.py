@@ -94,13 +94,15 @@ def _fit(cfg: RunConfig):
 
     Both grids' g are built here; the minimization runs in a forked child
     (``fork.in_two_processes``, with nothing to do in this process) that
-    sends back the fitted policy and the trace, so the fit's imports and
-    BFGS states leave with the child.  Without ``os.fork`` it runs here.
+    sends back the fitted policy and the start outcomes, so the fit's
+    imports and BFGS states leave with the child.  Without ``os.fork`` it
+    runs here.
 
     Returns g on the search grid of ``quadrature.n_intervals``, which the
     optimizer and ``vstar.csv`` read; ``cert``, g on the path grid of
     ``sim.n_steps``, which the certificate's bounds and checks read; the
-    fitted policy, the optimizer trace and each phase's wall-clock seconds.
+    fitted policy, the optimizer's ``StartOutcome`` list and each phase's
+    wall-clock seconds.
     """
     clock: dict[str, float] = {}
 
@@ -111,7 +113,7 @@ def _fit(cfg: RunConfig):
 
     t0 = time.perf_counter()
     # the fit's numpy.random and the OpenSSL it imports (5.9 MB) stay in the child
-    _, (policy, trace) = in_two_processes(
+    _, (policy, outcomes) = in_two_processes(
         lambda: None,
         lambda: minimize_upper_bound(
             g,
@@ -123,7 +125,7 @@ def _fit(cfg: RunConfig):
         ),
     )
     clock["optimize"] = time.perf_counter() - t0
-    return g, cert, policy, trace, clock
+    return g, cert, policy, outcomes, clock
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
@@ -133,7 +135,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
         os.makedirs(cfg.out_dir, exist_ok=True)
     except OSError as exc:
         raise ValidationError(f"cannot write {cfg.out_dir}: {exc}") from None
-    g, cert, policy, trace, clock = _fit(cfg)
+    g, cert, policy, outcomes, clock = _fit(cfg)
     t0 = time.perf_counter()
     upper = origin_upper_bound(cert, policy)
     # config by keyword: the perfbench tracer counts path steps from the
@@ -151,7 +153,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
         )
 
     report = build_report(upper, sim.value, sim.std_error, cfg.scenario.gamma)
-    paths = emit_csv(report, cfg, g.grid, policy, trace, sim, clock)
+    paths = emit_csv(report, cfg, g.grid, policy, outcomes, sim, clock)
 
     print(f"upper bound   {report.upper_bound:.7f}")
     print(f"lower bound   {report.lower_bound:.7f}  (s.e. {report.lower_std_error:.2e})")

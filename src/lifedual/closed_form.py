@@ -38,9 +38,8 @@ curves for a (k, n+1) stack of adjustments at the nodes, one row per
 candidate.  At node 0 every quotient's denominator is 1, so the bounds
 read F2~(0) = c2[n] + surv[n] f3node[n] and ann(0) = c1 at T_R there
 (``_node0``).  That read serves ``origin_upper_bounds(g, v0, v_minus)``,
-the optimizer's objective J~(0, W0, Y0), whose ``gradient=True`` runs
-the adjoint back through the same tables for dJ/dv at the nodes, O(n)
-per row, and ``upper_bound(g, policy, t, W, Y)``, which reads it on a g
+the optimizer's objective J~(0, W0, Y0), which runs the adjoint back
+through the same tables for dJ/dv at the nodes, O(n) per row, and ``upper_bound(g, policy, t, W, Y)``, which reads it on a g
 anchored at t, so the value is smooth in t and finite-difference HJB
 verification stays clean.  ``origin_upper_bound`` is one policy's
 objective.  ``precompute_aggregates(g, policy)`` forms the full curves
@@ -307,13 +306,13 @@ def _check_origin(g: GFunction) -> None:
         raise ValidationError("initial-state aggregates need a grid starting at 0")
 
 
-def origin_upper_bounds(g: GFunction, v0, v_minus, gradient: bool = False):
+def origin_upper_bounds(g: GFunction, v0, v_minus):
     """J~(0, W0, Y0) for each row of a (k, n+1) stack of adjustments at the nodes.
 
-    Returns ``(values, dJ/dv0, dJ/dv_minus)``: the k values, and with
-    ``gradient`` the exact gradients as (k, n+1) arrays over
-    ``g.grid.nodes`` (else None).  Each row's value and gradient are
-    bit-identical to those of the same row evaluated alone.
+    Returns ``(values, dJ/dv0, dJ/dv_minus)``: the k values and the
+    exact gradients as (k, n+1) arrays over ``g.grid.nodes``.  Each
+    row's value and gradient are bit-identical to those of the same row
+    evaluated alone.
 
     The value is the ``_node0`` read; the gradient is reverse mode
     through the same tables, with J = u(F3~) F2~^gamma and
@@ -329,8 +328,6 @@ def origin_upper_bounds(g: GFunction, v0, v_minus, gradient: bool = False):
     f2, ann = _node0(g, tables)
     rows = list(zip(f2, scenario.W0 + scenario.Y0 * ann))  # (F2~(0), F3~) per row
     values = np.array([_value(f2, f3, gam) for f2, f3 in rows])
-    if not gradient:
-        return values, None, None
 
     kv, f3node, _, f1node, _, _ = tables
     w_t, w_tr = g.origin_weights

@@ -221,19 +221,19 @@ def build_run_config(
     file_seed = kv.pop("seed", None)
     if seed is None and file_seed is not None:
         seed = _number("seed", file_seed, int)
-    seeds = {} if seed is None else {"seed": seed}
     optimizer = OptimizerConfig(**_pop_fields(kv, _OPTIMIZER_KEYS))
-    simulation = SimulationConfig(**_pop_fields(kv, _SIMULATION_KEYS), **seeds)
+    simulation = SimulationConfig(**_pop_fields(kv, _SIMULATION_KEYS))
     run = _pop_fields(kv, _RUN_KEYS)
     if out_dir is not None:
         run["out_dir"] = out_dir
+    if seed is not None:
+        run["seed"] = seed
     config = RunConfig(
         scenario=scenario,
         optimizer=optimizer,
         simulation=simulation,
         preset=preset_name,
         **run,
-        **seeds,
     )
     if kv:
         raise ValidationError(f"unknown config keys: {sorted(kv)}")

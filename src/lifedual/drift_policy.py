@@ -239,6 +239,8 @@ class TablePolicy:
             raise ValidationError("table policy needs at least two nodes")
         if len(self.v0_values) != n or len(self.v_minus_values) != n:
             raise ValidationError("table policy columns must share a length")
+        if not np.all(np.isfinite([self.times, self.v0_values, self.v_minus_values])):
+            raise ValidationError("table policy entries must be finite")
         if np.any(np.diff(self.times) <= 0):
             raise ValidationError("table policy times must be increasing")
         if min(self.v0_values) < 0 or min(self.v_minus_values) < 0:

@@ -128,15 +128,14 @@ class SimulationConfig:
     """Path-generation protocol.
 
     ``sobol_skip`` initial sequence points are discarded (the leading
-    all-zeros point is always dropped on top of that).  ``seed`` is
-    recorded for provenance; the sequence itself is unscrambled, so the
-    stream is fully determined by (n_paths, n_steps, sobol_skip).
+    all-zeros point is always dropped on top of that).  The sequence is
+    unscrambled, so the stream is fully determined by (n_paths, n_steps,
+    sobol_skip).
     """
 
     n_paths: int = 20000
     n_steps: int = 1000
     sobol_skip: int = 4000
-    seed: int = 0
 
     def __post_init__(self) -> None:
         if self.n_paths < 2:
@@ -569,7 +568,7 @@ def simulate_candidate_value(
     added.
 
     Returns the path mean, its sample standard error (the iid formula,
-    not a valid error for a low-discrepancy stream; ROADMAP item 4),
+    not a valid error for a low-discrepancy stream; ROADMAP item 3),
     mean trajectories of wealth, face value M* - W, and consumption,
     and the two dual checks.
     """

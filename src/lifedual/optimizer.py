@@ -33,15 +33,16 @@ evaluating each point alone.  A start leaves the round robin when it
 finishes or fails.  Once a start fails, the higher starts of that
 process stop, and the error of the lowest failing start over both
 processes is raised, as one process running the starts in order would
-raise it.  The child's per-start results come back pickled and are
-merged in start order, so the trace equals that of one process bit
-for bit.
+raise it.  A start's one record is a frozen ``StartOutcome``: its
+incumbents, final point and solver end.  The child's come back pickled
+and are merged in start order, so the list equals that of one process
+bit for bit.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -52,7 +53,6 @@ from .fork import in_two_processes
 
 __all__ = [
     "OptimizerConfig",
-    "OptimizationTrace",
     "StartOutcome",
     "upper_bounds_and_gradients",
     "minimize_upper_bound",
@@ -87,42 +87,35 @@ class OptimizerConfig:
 
 @dataclass(frozen=True)
 class StartOutcome:
-    """How one start's BFGS run ended.
+    """The record of one start: its incumbents and how its BFGS run ended.
 
-    ``status`` is 0 when a stopping rule held (the largest gradient
-    entry at most ``_GTOL``, a relative step at most ``_XRTOL``, or a
-    decrease of f at most ``_STALL_ULPS`` ulp), 1 when ``nit`` reached
-    the iteration cap and 2 when a line search found no step of
-    sufficient decrease; ``message`` says which.  Every evaluation
-    yields value and gradient, so ``nfev`` equals ``njev``.
+    ``values`` holds the objective at the initialization and then at
+    each accepted iterate; BFGS never accepts a rise in f, so each is
+    the start's incumbent and the sequence is nonincreasing.
+    ``params`` is the final point.  ``status`` is 0 when a stopping
+    rule held (the largest gradient entry at most ``_GTOL``, a relative
+    step at most ``_XRTOL``, or a decrease of f at most ``_STALL_ULPS``
+    ulp), 1 when ``nit`` reached the iteration cap and 2 when a line
+    search found no step of sufficient decrease; ``message`` says which.
+    ``nfev`` counts the evaluations, each of value and gradient, and
     ``grad_norm`` is the Euclidean norm of the exact gradient at the
-    solver's final point.
+    final point.
     """
 
     status: int
     message: str
-    nit: int
     nfev: int
-    njev: int
     grad_norm: float
+    values: tuple[float, ...]
+    params: tuple[float, ...]
 
+    @property
+    def nit(self) -> int:
+        return len(self.values) - 1
 
-@dataclass
-class OptimizationTrace:
-    """Per-iteration incumbents and the winning start.
-
-    ``entries`` rows are (start index, iteration, incumbent objective);
-    the incumbent is the running best within the start, so each start's
-    sequence is nonincreasing.  ``outcomes`` holds one ``StartOutcome``
-    per start.
-    """
-
-    entries: list[tuple[int, int, float]] = field(default_factory=list)
-    per_start_final: list[float] = field(default_factory=list)
-    outcomes: list[StartOutcome] = field(default_factory=list)
-    best_params: np.ndarray | None = None
-    best_objective: float = float("inf")
-    best_start: int = -1
+    @property
+    def final(self) -> float:
+        return self.values[-1]
 
 
 def upper_bounds_and_gradients(g: GFunction, family, params):
@@ -135,7 +128,7 @@ def upper_bounds_and_gradients(g: GFunction, family, params):
     pullback carries onto the parameters.
     """
     v0, vm, pullback = family.forward(params, g.grid.nodes, horizon=g.scenario.T)
-    values, d_v0, d_vm = origin_upper_bounds(g, v0, vm, gradient=True)
+    values, d_v0, d_vm = origin_upper_bounds(g, v0, vm)
     return values, pullback(d_v0, d_vm)
 
 
@@ -234,8 +227,8 @@ def _line_search(value_and_grad, x, p, f, g, alpha):
     return best
 
 
-def _bfgs(x0, first, maxiter, callback):
-    """Minimize from ``x0`` by BFGS; return (x, f, StartOutcome).
+def _bfgs(x0, first, maxiter):
+    """Minimize from ``x0`` by BFGS; return the start's ``StartOutcome``.
 
     A generator: it yields each point to evaluate and is sent the value
     and the gradient there; its return value is the result.  ``first``
@@ -244,8 +237,8 @@ def _bfgs(x0, first, maxiter, callback):
     first trial step of each line search is
     min(1, 2.02 (f - f_prev) / slope), with f_prev = f0 + |g0| / 2 at
     the first iteration, as in scipy.  Every accepted point met
-    sufficient decrease, so f never rises, and ``callback(x, f)`` sees
-    each one.  See ``StartOutcome`` for the stopping rules.
+    sufficient decrease, so f never rises.  See ``StartOutcome`` for
+    the stopping rules.
     """
     nfev = 1
 
@@ -259,12 +252,12 @@ def _bfgs(x0, first, maxiter, callback):
     f = float(f)
     f_prev = f + float(np.linalg.norm(g)) / 2.0
     H = np.eye(x.size)
-    nit = 0
+    values = [f]
     status, message = 0, None
     if np.max(np.abs(g)) <= _GTOL:
         message = "gradient below tolerance"
     while message is None:
-        if nit >= maxiter:
+        if len(values) > maxiter:
             status, message = 1, "iteration limit reached"
             break
         p = -(H @ g)
@@ -280,8 +273,7 @@ def _bfgs(x0, first, maxiter, callback):
         s, y = a * p, g_new - g
         x = x + s
         f_prev, f, g = f, f_new, g_new
-        nit += 1
-        callback(x, f)
+        values.append(f)
         sy = float(s @ y)
         if sy > 0.0:  # else skip the update, keeping H positive definite
             Hy = H @ y
@@ -293,49 +285,36 @@ def _bfgs(x0, first, maxiter, callback):
             message = "relative step below tolerance"
         elif f_prev - f <= _STALL_ULPS * math.ulp(f):
             message = "objective change at rounding level"
-    outcome = StartOutcome(
+    return StartOutcome(
         status=status,
         message=message,
-        nit=nit,
         nfev=nfev,
-        njev=nfev,
         grad_norm=float(np.linalg.norm(g)),
+        values=tuple(values),
+        params=tuple(x.tolist()),
     )
-    return x, f, outcome
 
 
 def _start(policy_kind, seed, start, maxiter):
-    """One start as a generator of points to evaluate; returns its result.
+    """One start as a generator of points to evaluate; returns its ``StartOutcome``.
 
     Draws the initialization, redrawing up to ``_MAX_INIT_RETRIES``
     times while the objective there is non-finite, then runs ``_bfgs``
     from it (the initialization's evaluation yields the gradient too and
-    is BFGS's first).  Returns (trace entries, final point, final value,
-    outcome).
+    is BFGS's first).
     """
-    x0 = None
     for retry in range(_MAX_INIT_RETRIES + 1):
-        candidate = drift_policy.init_params(policy_kind, (seed, start, retry))
-        first = yield candidate
-        f0 = float(first[0])
-        if np.isfinite(f0):
-            x0 = candidate
-            break
-    if x0 is None:
-        raise NumericalError(
-            f"start {start}: objective non-finite after {_MAX_INIT_RETRIES} redraws"
-        )
-    # trace entries (start, iteration, incumbent): BFGS never accepts
-    # a rise in f, so each iterate is the start's incumbent
-    entries = [(start, 0, f0)]
-    x, f, outcome = yield from _bfgs(
-        x0, first, maxiter, lambda x, f: entries.append((start, len(entries), f))
+        x0 = drift_policy.init_params(policy_kind, (seed, start, retry))
+        first = yield x0
+        if np.isfinite(first[0]):
+            return (yield from _bfgs(x0, first, maxiter))
+    raise NumericalError(
+        f"start {start}: objective non-finite after {_MAX_INIT_RETRIES} redraws"
     )
-    return entries, x, f, outcome
 
 
 def _lockstep(evaluate, runs):
-    """Advance the start generators ``runs`` together; return (results, failure).
+    """Advance the start generators ``runs`` together; return (outcomes, failure).
 
     Each round stacks the point every live start yielded into one call
     of ``evaluate``, which returns the values and the gradients, and
@@ -344,7 +323,7 @@ def _lockstep(evaluate, runs):
     (start, error) of the lowest failing start, or None, and no start
     above it advances further.
     """
-    results, points, failure = {}, {}, None
+    outcomes, points, failure = {}, {}, None
 
     def advance(start, sent):
         nonlocal failure
@@ -355,7 +334,7 @@ def _lockstep(evaluate, runs):
                     raise NumericalError("upper-bound gradient is non-finite at a finite value")
             points[start] = runs[start].send(sent)
         except StopIteration as stop:
-            results[start] = stop.value
+            outcomes[start] = stop.value
         except Exception as exc:
             failure = (start, exc)
 
@@ -368,7 +347,7 @@ def _lockstep(evaluate, runs):
         for row, start in enumerate(starts):
             if failure is None or start < failure[0]:
                 advance(start, (values[row], grads[row]))
-    return results, failure
+    return outcomes, failure
 
 
 def minimize_upper_bound(
@@ -381,14 +360,15 @@ def minimize_upper_bound(
 ):
     """Minimize J~(0, W0, Y0) of ``g``'s problem over flat policy parameters.
 
-    Returns (best policy, trace).  Initializations are drawn per start
+    Returns (best policy, outcomes): one ``StartOutcome`` per start, in
+    start order, and the policy at the final point of the first start
+    with the lowest final value.  Initializations are drawn per start
     from ``seed``; a start whose initial objective is non-finite is
     redrawn up to ``_MAX_INIT_RETRIES`` times before failing; that
     evaluation yields the gradient too and is BFGS's first, so no start
     evaluates its initialization twice.  With ``iterations_per_start``
-    at 0, each start ends there with its ``StartOutcome`` (status 1, or
-    0 where the gradient is below tolerance).  The returned objective
-    is the minimum over every start's final value.
+    at 0, each start ends there (status 1, or 0 where the gradient is
+    below tolerance).
 
     The even starts run in this process and the odd ones in one forked
     child (without ``os.fork`` this process runs both halves), each
@@ -415,16 +395,8 @@ def minimize_upper_bound(
     if failures:
         raise min(failures, key=lambda failure: failure[0])[1]
 
-    results = {start: result for done, _ in parts for start, result in done.items()}
-    trace = OptimizationTrace()
-    for start in range(config.num_starts):
-        entries, x_final, f_final, outcome = results[start]
-        trace.entries.extend(entries)
-        trace.per_start_final.append(f_final)
-        trace.outcomes.append(outcome)
-        if f_final < trace.best_objective:
-            trace.best_objective = f_final
-            trace.best_params = x_final
-            trace.best_start = start
-
-    return family.policy(trace.best_params), trace
+    done = {start: outcome for part, _ in parts for start, outcome in part.items()}
+    outcomes = [done[start] for start in range(config.num_starts)]
+    # min keeps the first of equal finals: the lowest start wins a tie
+    best = min(outcomes, key=lambda outcome: outcome.final)
+    return family.policy(best.params), outcomes

@@ -5,14 +5,16 @@
 signed gap upper - lower, the signed relative gap gap/|lower|, the
 status ``ordered`` or ``crossed`` that follows from the gap's sign, and
 the welfare loss of an ordered pair.  ``emit_csv`` writes it with the
-run that produced it (config, grid, policy, trace, simulation, clock):
+run that produced it (config, grid, policy, the optimizer's per-start
+outcomes, simulation, clock):
 
 * ``bounds.csv``     one row: method, the certificate's numbers (an
                      empty welfare-loss cell when crossed), the protocol
                      sizes and the ``certificate`` status
 * ``vstar.csv``      optimized drift adjustment (t, v0, v_minus) at the
                      nodes of the optimizer's search grid
-* ``trace.csv``      optimizer incumbents (iteration, objective, start)
+* ``trace.csv``      each start's incumbents (iteration, objective,
+                     start), start by start
 * ``facevalue.csv``  mean simulated insurance face value per time step
 * ``wealth.csv``     mean simulated wealth and consumption per step
 * ``report.txt``     human-readable summary with full provenance and
@@ -131,13 +133,14 @@ def _write_rows(path: str, header, rows) -> None:
         raise ValidationError(f"cannot write {path}: {exc}") from None
 
 
-def emit_csv(report: BoundsReport, cfg, grid, policy, trace, sim, clock) -> list[str]:
+def emit_csv(report: BoundsReport, cfg, grid, policy, outcomes, sim, clock) -> list[str]:
     """Write the artifact set into ``cfg.out_dir``; returns the written paths.
 
     ``grid`` is the optimizer's search grid the fitted ``policy`` is
-    tabulated on, ``trace`` the optimizer trace, ``sim`` the simulation result
-    (step times, mean wealth / face value / consumption curves, budget
-    check) and ``clock`` the wall-clock seconds per phase.
+    tabulated on, ``outcomes`` the optimizer's ``StartOutcome`` list in
+    start order, ``sim`` the simulation result (step times, mean wealth
+    / face value / consumption curves, budget check) and ``clock`` the
+    wall-clock seconds per phase.
     """
     out_dir = cfg.out_dir
     prov = _provenance(cfg, sim)
@@ -186,7 +189,11 @@ def emit_csv(report: BoundsReport, cfg, grid, policy, trace, sim, clock) -> list
     _write_rows(
         trace_path,
         ("iteration", "incumbent_objective", "start_id"),
-        ((it, _fmt(obj), start) for start, it, obj in trace.entries),
+        (
+            (it, _fmt(value), start)
+            for start, outcome in enumerate(outcomes)
+            for it, value in enumerate(outcome.values)
+        ),
     )
     paths.append(trace_path)
 
@@ -217,14 +224,14 @@ def emit_csv(report: BoundsReport, cfg, grid, policy, trace, sim, clock) -> list
     report_path = os.path.join(out_dir, "report.txt")
     try:
         with open(report_path, "w", encoding="utf-8") as fh:
-            fh.write(_render_text(report, prov, policy, trace, clock))
+            fh.write(_render_text(report, prov, policy, outcomes, clock))
     except OSError as exc:
         raise ValidationError(f"cannot write {report_path}: {exc}") from None
     paths.append(report_path)
     return paths
 
 
-def _render_text(report: BoundsReport, prov, policy, trace, clock) -> str:
+def _render_text(report: BoundsReport, prov, policy, outcomes, clock) -> str:
     activation = prov["activation"]
     lines = [
         "life-cycle duality bounds",
@@ -254,10 +261,10 @@ def _render_text(report: BoundsReport, prov, policy, trace, clock) -> str:
     lines.append("  " + ", ".join(_fmt(p) for p in policy.params))
     lines.append("")
     lines.append("optimizer starts (solver outcome; |grad| at the final point):")
-    for start, (final, outcome) in enumerate(zip(trace.per_start_final, trace.outcomes)):
+    for start, outcome in enumerate(outcomes):
         lines.append(
-            f"  start {start:>2}: final {_fmt(final)}, status {outcome.status}, "
-            f"nit {outcome.nit}, nfev {outcome.nfev}, njev {outcome.njev}, "
+            f"  start {start:>2}: final {_fmt(outcome.final)}, status {outcome.status}, "
+            f"nit {outcome.nit}, nfev {outcome.nfev}, "
             f"|grad| {outcome.grad_norm:.3e}: {outcome.message}"
         )
     lines.append("")
@@ -273,9 +280,15 @@ def read_vstar_csv(path: str) -> TablePolicy:
         if header != ["t", "v0", "v_minus"]:
             raise ValidationError(f"{path}: unexpected header {header}")
         for row in reader:
-            times.append(float(row[0]))
-            v0.append(float(row[1]))
-            vm.append(float(row[2]))
+            try:
+                t, a, b = map(float, row)
+            except ValueError:
+                raise ValidationError(
+                    f"{path}: line {reader.line_num}: expected t, v0, v_minus, got {row}"
+                ) from None
+            times.append(t)
+            v0.append(a)
+            vm.append(b)
     return TablePolicy(
         times=tuple(times), v0_values=tuple(v0), v_minus_values=tuple(vm)
     )

@@ -110,9 +110,9 @@ def test_build_run_config_precedence():
     # desk scale trumps the file value
     cfg = build_run_config({"sim.n_paths": "7777"}, desk_scale=True)
     assert cfg.simulation.n_paths == int(DESK_SCALE["sim.n_paths"])
-    # explicit seed trumps the file seed and threads into the simulation
+    # explicit seed trumps the file seed
     cfg = build_run_config({"seed": "9"}, seed=3)
-    assert cfg.seed == 3 and cfg.simulation.seed == 3
+    assert cfg.seed == 3
     assert build_run_config({"seed": "9"}).seed == 9
     # explicit preset trumps the file preset
     cfg = build_run_config({"scenario.preset": "example2"})
@@ -224,24 +224,36 @@ def test_vstar_round_trip_reproduces_the_bound(tmp_path):
     sc = preset_scenario("example1")
     g = compute_g(sc, UniformGrid(0.0, sc.T, 50))
     cfg = OptimizerConfig(num_starts=1, iterations_per_start=15)
-    policy, trace = minimize_upper_bound(g, "affine", cfg, seed=2)
+    policy, outcomes = minimize_upper_bound(g, "affine", cfg, seed=2)
+    best = min(outcome.final for outcome in outcomes)
     sim = simulate_candidate_value(
         g, policy, SimulationConfig(n_paths=256, n_steps=50)
     )
-    rep = build_report(trace.best_objective, sim.value, sim.std_error, sc.gamma)
+    rep = build_report(best, sim.value, sim.std_error, sc.gamma)
     run = RunConfig(scenario=sc, n_intervals=50, out_dir=str(tmp_path), seed=2)
-    paths = emit_csv(rep, run, g.grid, policy, trace, sim, {})
+    paths = emit_csv(rep, run, g.grid, policy, outcomes, sim, {})
     vstar_path = [p for p in paths if p.endswith("vstar.csv")][0]
     table = read_vstar_csv(vstar_path)
     # the bound only reads the adjustment at the grid nodes, and 17
     # significant digits reproduce them exactly
     revalued = origin_upper_bound(g, table)
-    assert revalued == pytest.approx(trace.best_objective, abs=1e-10)
+    assert revalued == pytest.approx(best, abs=1e-10)
 
 
 def test_read_vstar_csv_rejects_other_headers(tmp_path):
     path = _write(tmp_path, "x.csv", "a,b,c\n1,2,3\n")
     with pytest.raises(ValidationError, match="header"):
+        read_vstar_csv(path)
+
+
+@pytest.mark.parametrize(
+    "body, line",
+    [("0,0,0\n1\n", 3), ("0,0,0\n\n", 3), ("1,abc,0\n", 2), ("0,0,0,0\n", 2)],
+    ids=["short", "blank", "not-a-number", "long"],
+)
+def test_read_vstar_csv_rejects_malformed_rows(tmp_path, body, line):
+    path = _write(tmp_path, "v.csv", "t,v0,v_minus\n" + body)
+    with pytest.raises(ValidationError, match=f"{re.escape(path)}: line {line}:"):
         read_vstar_csv(path)
 
 
@@ -305,6 +317,51 @@ def test_cli_run_writes_wellformed_artifacts(tmp_path):
     assert (prov["activation"], prov["snake_a"]) == ("snake", 7.5)
     relu = lifedual.report._provenance(dataclasses.replace(snake, activation="relu"), sim)
     assert (relu["activation"], relu["snake_a"]) == ("relu", "")
+
+
+def test_cli_run_writes_each_start_record(tmp_path, monkeypatch):
+    # with solver iterations, trace.csv holds each start's incumbents,
+    # start by start, and report.txt one line per start with its solver
+    # end; the outcomes the fit's child sends back are the library's
+    written = {}
+    emit = lifedual.cli.emit_csv
+
+    def capture(report, cfg, grid, policy, outcomes, sim, clock):
+        written.update(cfg=cfg, policy=policy, outcomes=outcomes)
+        return emit(report, cfg, grid, policy, outcomes, sim, clock)
+
+    monkeypatch.setattr(lifedual.cli, "emit_csv", capture)
+    text = SMALL_RUN_CFG.replace("opt.iterations_per_start = 0", "opt.iterations_per_start = 5")
+    cfg = _write(tmp_path, "run.cfg", text)
+    out = tmp_path / "out"
+    assert main(["run", "--config", cfg, "--out", str(out), "--seed", "0"]) == 0
+
+    run, outcomes = written["cfg"], written["outcomes"]
+    g = compute_g(run.scenario, UniformGrid(0.0, run.scenario.T, run.n_intervals))
+    fit = minimize_upper_bound(g, run.policy_kind, run.optimizer, seed=run.seed)
+    assert (written["policy"], outcomes) == fit
+    assert len(outcomes) == 2 and sum(outcome.nit for outcome in outcomes) > 0
+
+    header, trows = _read_csv(out / "trace.csv")
+    assert header == ["iteration", "incumbent_objective", "start_id"]
+    assert [(int(it), float(value), int(start)) for it, value, start in trows] == [
+        (it, value, start)
+        for start, outcome in enumerate(outcomes)
+        for it, value in enumerate(outcome.values)
+    ]
+    lines = [
+        line for line in (out / "report.txt").read_text(encoding="utf-8").splitlines()
+        if line.startswith("  start ")
+    ]
+    assert len(lines) == 2
+    for start, (line, outcome) in enumerate(zip(lines, outcomes)):
+        fields = re.match(
+            r"  start +(\d+): final (\S+), status (\d), nit (\d+), nfev (\d+), \|grad\| ", line
+        )
+        assert fields is not None, line
+        assert (int(fields[1]), float(fields[2])) == (start, outcome.final)
+        assert tuple(map(int, fields.groups()[2:])) == (outcome.status, outcome.nit, outcome.nfev)
+        assert line.endswith(f": {outcome.message}")
 
 
 def test_cli_run_is_deterministic(tmp_path):

@@ -166,3 +166,19 @@ def test_table_policy_interpolation_and_validation():
         TablePolicy(times=(0.0, 1.0), v0_values=(0.0, -0.1), v_minus_values=(0.0, 0.0))
     with pytest.raises(ValidationError):
         TablePolicy(times=(0.0, 1.0), v0_values=(0.0,), v_minus_values=(0.0, 0.0))
+
+
+@pytest.mark.parametrize(
+    "times, v0, vm",
+    [
+        ((0.0, float("nan"), 2.0), (0.0, float("nan"), 1.0), (0.0, 0.0, float("inf"))),
+        ((0.0, float("nan"), 2.0), (0.0, 0.0, 0.0), (0.0, 0.0, 0.0)),
+        ((0.0, 1.0, 2.0), (0.0, float("nan"), 1.0), (0.0, 0.0, 0.0)),
+        ((0.0, 1.0, 2.0), (0.0, 0.0, 0.0), (0.0, 0.0, float("inf"))),
+        ((0.0, 1.0, float("inf")), (0.0, 0.0, 0.0), (0.0, 0.0, 0.0)),
+    ],
+    ids=["all", "nan-time", "nan-v0", "inf-v-minus", "inf-time"],
+)
+def test_table_policy_rejects_non_finite_entries(times, v0, vm):
+    with pytest.raises(ValidationError, match="finite"):
+        TablePolicy(times=times, v0_values=v0, v_minus_values=vm)

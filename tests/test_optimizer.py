@@ -113,7 +113,7 @@ def test_a_batch_equals_its_rows_evaluated_alone(n):
     for family, stack in _stack_families():
         values, grads = upper_bounds_and_gradients(g, family, stack)
         v0, vm, _ = family.forward(stack, g.grid.nodes)
-        node_values, d_v0, d_vm = origin_upper_bounds(g, v0, vm, gradient=True)
+        node_values, d_v0, d_vm = origin_upper_bounds(g, v0, vm)
         assert values.tobytes() == node_values.tobytes()
         for i, row in enumerate(stack):
             policy = family.policy(row)
@@ -123,7 +123,7 @@ def test_a_batch_equals_its_rows_evaluated_alone(n):
             # one row through each batched stage: the policy's forward
             # pass, the node gradient and the pullback
             row_v0, row_vm, pullback = family.forward(row[None], g.grid.nodes)
-            alone = origin_upper_bounds(g, row_v0, row_vm, gradient=True)
+            alone = origin_upper_bounds(g, row_v0, row_vm)
             assert alone[1].tobytes() == d_v0[i].tobytes(), family
             assert alone[2].tobytes() == d_vm[i].tobytes(), family
             assert pullback(d_v0[i : i + 1], d_vm[i : i + 1])[0].tobytes() == grads[i].tobytes()
@@ -212,10 +212,8 @@ _DESK_AFFINE_STARTS = [
 def test_start_trajectories_match_the_golden_record(preset, kind, activation, golden):
     g = _g(100, preset_scenario(preset))
     cfg = OptimizerConfig(num_starts=len(golden), iterations_per_start=50)
-    _, trace = minimize_upper_bound(g, kind, cfg, seed=0, activation=activation)
-    got = [
-        (o.status, o.nit, o.nfev, f) for o, f in zip(trace.outcomes, trace.per_start_final)
-    ]
+    _, outcomes = minimize_upper_bound(g, kind, cfg, seed=0, activation=activation)
+    got = [(o.status, o.nit, o.nfev, o.final) for o in outcomes]
     assert got == golden
 
 
@@ -227,28 +225,27 @@ def _rosenbrock(x):
 
 
 def _bfgs_values(value_and_grad, x0, maxiter):
-    """``_bfgs``'s result and the objective at each accepted point.
+    """``_bfgs``'s final point, final value, outcome and accepted values.
 
     Drives the generator: each point it yields is sent
-    ``value_and_grad`` there.
+    ``value_and_grad`` there.  The accepted values are the outcome's
+    incumbents after the initialization's.
     """
-    seen = []
     x0 = np.asarray(x0, dtype=float)
-    run = _bfgs(x0, value_and_grad(x0), maxiter, lambda x, f: seen.append(f))
+    run = _bfgs(x0, value_and_grad(x0), maxiter)
     try:
         point = next(run)
         while True:
             point = run.send(value_and_grad(point))
     except StopIteration as stop:
-        x, f, outcome = stop.value
-    return x, f, outcome, seen
+        outcome = stop.value
+    return np.array(outcome.params), outcome.final, outcome, list(outcome.values[1:])
 
 
 def test_bfgs_solves_rosenbrock():
     x, f, outcome, seen = _bfgs_values(_rosenbrock, [-1.2, 1.0], 200)
     np.testing.assert_allclose(x, [1.0, 1.0], rtol=0.0, atol=1e-8)
     assert outcome.status == 0 and outcome.nit == len(seen)
-    assert outcome.nfev == outcome.njev
     assert all(b <= a for a, b in zip(seen, seen[1:]))
 
 
@@ -331,7 +328,7 @@ def test_objective_needs_a_grid_starting_at_0():
     nodes = np.zeros((1, 51))
     for call in (
         lambda: origin_upper_bound(anchored, zero),
-        lambda: origin_upper_bounds(anchored, nodes, nodes, gradient=True),
+        lambda: origin_upper_bounds(anchored, nodes, nodes),
         lambda: minimize_upper_bound(anchored, "affine", cfg),
     ):
         with pytest.raises(ValidationError, match="starting at 0"):
@@ -341,7 +338,7 @@ def test_objective_needs_a_grid_starting_at_0():
 def test_non_finite_gradient_raises():
     g = _g(50)
 
-    def nan_gradient(gg, v0, vm, gradient=False):
+    def nan_gradient(gg, v0, vm):
         return np.full(len(v0), -9.0), np.full_like(v0, np.nan), np.zeros_like(vm)
 
     cfg = OptimizerConfig(num_starts=1, iterations_per_start=5)
@@ -353,20 +350,26 @@ def test_non_finite_gradient_raises():
 def test_start_outcomes_report_the_solver_end():
     g = _g(50)
     cfg = OptimizerConfig(num_starts=2, iterations_per_start=8)
-    policy, trace = minimize_upper_bound(g, "affine", cfg, seed=3)
-    assert len(trace.outcomes) == 2
-    for start, outcome in enumerate(trace.outcomes):
-        assert outcome.nit == max(it for s, it, _ in trace.entries if s == start)
-        assert outcome.nfev >= outcome.njev >= 1
+    policy, outcomes = minimize_upper_bound(g, "affine", cfg, seed=3)
+    assert len(outcomes) == 2
+    for start, outcome in enumerate(outcomes):
+        assert outcome.nit == len(outcome.values) - 1 <= cfg.iterations_per_start
+        assert outcome.final == outcome.values[-1]
+        assert outcome.nfev >= outcome.nit + 1
         assert outcome.message
-    best = trace.outcomes[trace.best_start]
-    _, grad = _value_and_gradient(g, policy)
+        assert outcome.values[0] == origin_upper_bound(
+            g, make_policy("affine", init_params("affine", (3, start, 0)), t_retire=SC.T_R)
+        )
+    [best] = [outcome for outcome in outcomes if outcome.params == policy.params]
+    value, grad = _value_and_gradient(g, policy)
+    assert value == best.final
     assert best.grad_norm == pytest.approx(np.linalg.norm(grad), rel=1e-12)
     _, zero_it = minimize_upper_bound(
         g, "affine", OptimizerConfig(num_starts=1, iterations_per_start=0)
     )
-    [outcome] = zero_it.outcomes
-    assert outcome.nit == 0 and outcome.nfev == outcome.njev == 1
+    [outcome] = zero_it
+    assert outcome.nit == 0 and outcome.nfev == 1
+    assert outcome.params == tuple(init_params("affine", (0, 0, 0)))
     assert outcome.status in (0, 1)
 
 
@@ -380,16 +383,15 @@ def test_config_validation():
 def test_zero_iterations_returns_best_initialization():
     g = _g()
     cfg = OptimizerConfig(num_starts=3, iterations_per_start=0)
-    policy, trace = minimize_upper_bound(g, "affine", cfg, seed=9)
+    policy, outcomes = minimize_upper_bound(g, "affine", cfg, seed=9)
     inits = [init_params("affine", (9, s, 0)) for s in range(3)]
     values = [
         origin_upper_bound(g, make_policy("affine", p, t_retire=SC.T_R))
         for p in inits
     ]
     k = int(np.argmin(values))
-    assert trace.best_start == k
-    assert trace.best_objective == values[k]
-    assert np.array_equal(trace.best_params, inits[k])
+    assert [outcome.values for outcome in outcomes] == [(value,) for value in values]
+    assert [outcome.params for outcome in outcomes] == [tuple(p) for p in inits]
     assert np.array_equal(np.asarray(policy.params), inits[k])
 
 
@@ -401,40 +403,34 @@ def test_slack_constraint_recovers_zero_adjustment():
     g = _g(scenario=sc)
     j0 = origin_upper_bound(g, make_policy("affine", (0.0,) * 8, t_retire=sc.T_R))
     cfg = OptimizerConfig(num_starts=3, iterations_per_start=30)
-    _, trace = minimize_upper_bound(g, "affine", cfg, seed=5)
-    assert trace.best_objective >= j0 - 1e-12
-    assert trace.best_objective <= j0 + 1e-6 * abs(j0)
+    _, outcomes = minimize_upper_bound(g, "affine", cfg, seed=5)
+    best = min(outcome.final for outcome in outcomes)
+    assert best >= j0 - 1e-12
+    assert best <= j0 + 1e-6 * abs(j0)
 
 
 def test_multi_start_is_reproducible():
     g = _g(50)
     cfg = OptimizerConfig(num_starts=2, iterations_per_start=10)
-    _, t1 = minimize_upper_bound(g, "affine", cfg, seed=3)
-    _, t2 = minimize_upper_bound(g, "affine", cfg, seed=3)
-    assert np.array_equal(t1.best_params, t2.best_params)
-    assert t1.entries == t2.entries
-    _, t3 = minimize_upper_bound(g, "affine", cfg, seed=4)
-    assert not np.array_equal(t1.best_params, t3.best_params)
+    p1, o1 = minimize_upper_bound(g, "affine", cfg, seed=3)
+    p2, o2 = minimize_upper_bound(g, "affine", cfg, seed=3)
+    assert p1.params == p2.params
+    assert o1 == o2
+    p3, _ = minimize_upper_bound(g, "affine", cfg, seed=4)
+    assert p1.params != p3.params
 
 
 def test_incumbent_sequences_are_nonincreasing():
     g = _g(50)
     cfg = OptimizerConfig(num_starts=2, iterations_per_start=25)
-    _, trace = minimize_upper_bound(g, "mlp", cfg, seed=1)
-    for s in range(2):
-        inc = [f for (start, _, f) in trace.entries if start == s]
+    policy, outcomes = minimize_upper_bound(g, "mlp", cfg, seed=1)
+    for outcome in outcomes:
+        inc = outcome.values
         assert len(inc) >= 1
         assert all(b <= a + 1e-15 for a, b in zip(inc, inc[1:]))
-    assert trace.best_objective == min(trace.per_start_final)
+    assert _value_and_gradient(g, policy)[0] == min(outcome.final for outcome in outcomes)
     # a bounded local step should not lose to its own initialization
-    first = {s: None for s in range(2)}
-    for start, it, f in trace.entries:
-        if it == 0:
-            first[start] = f
-    assert all(
-        final <= first[s] + 1e-15
-        for s, final in enumerate(trace.per_start_final)
-    )
+    assert all(outcome.final <= outcome.values[0] + 1e-15 for outcome in outcomes)
 
 
 def _edit_rows(edit):
@@ -461,8 +457,8 @@ def test_bad_initialization_is_redrawn():
 
     cfg = OptimizerConfig(num_starts=1, iterations_per_start=0)
     with _edit_rows(nan_at_bad):
-        _, trace = minimize_upper_bound(g, "affine", cfg, seed=7)
-    assert np.array_equal(trace.best_params, init_params("affine", (7, 0, 1)))
+        policy, _ = minimize_upper_bound(g, "affine", cfg, seed=7)
+    assert np.array_equal(policy.params, init_params("affine", (7, 0, 1)))
 
 
 def test_unrecoverable_initialization_raises():
@@ -477,8 +473,9 @@ def test_exact_ties_go_to_the_lowest_start():
     g = _g(50)
     cfg = OptimizerConfig(num_starts=4, iterations_per_start=0)
     with _edit_rows(lambda params, value, grad: (-1.0, grad)):
-        _, trace = minimize_upper_bound(g, "affine", cfg, seed=0)
-    assert trace.best_start == 0
+        policy, outcomes = minimize_upper_bound(g, "affine", cfg, seed=0)
+    assert [outcome.final for outcome in outcomes] == [-1.0] * 4
+    assert policy.params == outcomes[0].params == tuple(init_params("affine", (0, 0, 0)))
 
 
 @pytest.mark.parametrize(
@@ -505,13 +502,15 @@ def test_forked_starts_equal_one_process(
         return fork()
 
     monkeypatch.setattr(os, "fork", counting_fork)
-    _, forked = minimize_upper_bound(g, kind, cfg, seed=0, activation=activation)
+    forked = minimize_upper_bound(g, kind, cfg, seed=0, activation=activation)
     assert forks == [os.getpid()]
     monkeypatch.delattr(os, "fork")
-    _, serial = minimize_upper_bound(g, kind, cfg, seed=0, activation=activation)
-    for name in ("entries", "per_start_final", "outcomes", "best_start"):
-        assert getattr(forked, name) == getattr(serial, name), name
-    assert forked.best_params.tobytes() == serial.best_params.tobytes()
+    serial = minimize_upper_bound(g, kind, cfg, seed=0, activation=activation)
+    # the whole start records (incumbents, final points, solver ends) and
+    # the returned policy; the policy's parameters also bit for bit
+    assert len(forked[1]) == num_starts
+    assert forked == serial
+    assert np.array(forked[0].params).tobytes() == np.array(serial[0].params).tobytes()
 
 
 def _fail_starts(g, failures, seed=0):

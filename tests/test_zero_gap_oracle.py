@@ -7,11 +7,12 @@ continuous time, and the true value is J* = J~(v = 0) at grid
 convergence (Merton 1971; Richard 1975).  A reported bound can then be
 held against the truth instead of against the other bound.
 
-The checks land one per estimator change (ROADMAP item 3).  The first
-is the upper bound's grid: the optimizer's 100-interval search value
-lies 3.8e-4 below J*, so it is no bound; on the path grid of 1,000
-steps it lies 3.8e-6 below.  The certificate itself is not checked:
-it reads ``crossed`` while the stream is unscrambled (ROADMAP item 4).
+The checks land one per estimator change (ROADMAP items 3, 5, 7 and
+8).  The first is the upper bound's grid: the optimizer's 100-interval
+search value lies 3.8e-4 below J*, so it is no bound; on the path grid
+of 1,000 steps it lies 3.8e-6 below.  The certificate itself is not
+checked: it reads ``crossed`` while the stream is unscrambled (ROADMAP
+item 3).
 """
 
 import csv
