@@ -7,8 +7,9 @@ it runs both in the caller, so its callers run the same two pieces of
 work on every platform.  The two pieces are fixed before the fork (the
 optimizer's even and odd starts, the path pass's two blocks, and the
 CLI's whole fit against an idle caller, which keeps the fit's imports
-and BFGS states out of the certificate's process); the processes share
-no state while they run.
+and BFGS states out of the certificate's process).  While they run, the
+processes share nothing but the path pass's results buffer, an anonymous
+shared mapping in which each side writes only its own columns.
 
 numpy's OpenBLAS build keeps an idle worker thread.  OpenBLAS shuts
 its pool down in a ``pthread_atfork`` handler and restarts it at the

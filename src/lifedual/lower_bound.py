@@ -70,8 +70,10 @@ no candidate controls or wealth, and returns the same two checks.
 
 The paths are independent, so the pass always runs them as the two
 blocks [0, n/2) and [n/2, n) through ``lifedual.fork.in_two_processes``,
-the second in a forked child where ``os.fork`` exists.  A forked and a
-serial run step the same two blocks, so they agree bit for bit.
+the second in a forked child where ``os.fork`` exists.  Each writes its
+per-path finals into its own columns of one shared buffer, so only the
+child's per-step sums cross the pipe.  A forked and a serial run step
+the same two blocks, so they agree bit for bit.
 """
 
 from __future__ import annotations
@@ -109,6 +111,7 @@ _MAX_SOBOL_DIM = 21201  # dimensions in the Joe-Kuo direction-number file
 _SOBOL_BITS = 30  # width of the direction integers, as in scipy's engine
 _MAX_SOBOL_POINTS = 2**_SOBOL_BITS  # 30-bit Gray codes index this many points
 _UTILITY_FLOOR = 1e-300  # utility of a starved path is astronomically negative, not -inf
+_SKIP_PIECE = 2**14  # bytes a skip inflates at once: a column tail is ~160 KB
 
 # The largest |levels[k] - Phi^-1(k / 2^m)| over k = 1 .. 2^m - 1 against mpmath's
 # erfinv at 40 digits: 1.35e-15 at m = 15 (k = 10), 2.63e-15 at m = 17 (k = 2).
@@ -177,7 +180,7 @@ def _column_heads(member, rows: int, cols: int) -> np.ndarray:
 
     The stored array is 1-D (one column) or 2-D in Fortran order, so
     each column is one contiguous run: its head is read and the rest
-    skipped, and no more than the (rows, cols) result is held.
+    skipped a piece at a time, holding no more than the result and one piece.
     """
     version = np.lib.format.read_magic(member)
     read_header = {
@@ -189,9 +192,11 @@ def _column_heads(member, rows: int, cols: int) -> np.ndarray:
         raise ValueError("expected a 1-D or Fortran-ordered array")
     cols = min(cols, shape[1] if len(shape) == 2 else 1)
     heads = np.empty((cols, rows), dtype)
+    tail = (shape[0] - rows) * dtype.itemsize
     for j in range(cols):
-        if j:  # skip the tail of the column before
-            member.seek((shape[0] - rows) * dtype.itemsize, os.SEEK_CUR)
+        if j:  # skip the tail of the column before, one piece at a time
+            for done in range(0, tail, _SKIP_PIECE):
+                member.seek(min(_SKIP_PIECE, tail - done), os.SEEK_CUR)
         heads[j] = np.frombuffer(member.read(rows * dtype.itemsize), dtype)
     return heads.T
 
@@ -284,7 +289,7 @@ def sobol_normals(
     inv_cdf = NormalDist().inv_cdf
     levels = np.empty(n)
     levels[0] = inv_cdf(1e-12)
-    levels[1:half] = [inv_cdf(k / n) for k in range(1, half)]
+    levels[1:half] = np.fromiter(map(inv_cdf, (k / n for k in range(1, half))), float, half - 1)
     levels[half] = 0.0
     levels[half + 1 :] = -levels[half - 1 : 0 : -1]
 
@@ -381,11 +386,14 @@ def _path_pass(g: GFunction, policy, config: SimulationConfig, candidate: bool):
     """Step every path on the nodes of ``g``'s grid; return (finals, means).
 
     ``finals`` holds per path the utility, spend, terminal and income
-    sums and each martingale increment; ``means`` the per-step path
+    sums and each martingale increment: one shared buffer, each block
+    writing its own columns in place.  ``means`` holds the per-step path
     means of W and c.  The dual streams always step; the candidate's
     controls, wealth and utility only when ``candidate`` is true, and
     otherwise the utility row and ``means`` stay zero.
     """
+    import mmap
+
     scenario = g.scenario
     gam = scenario.gamma
     n_paths = config.n_paths
@@ -411,8 +419,7 @@ def _path_pass(g: GFunction, policy, config: SimulationConfig, candidate: bool):
     # rule's, the Euler step's, and the weight of c^(1-gamma) for
     # consumption plus bequest, w u(c) + lam w g^gamma u(c g) = w (1 + lam g) u(c)
     # with w = disc dt
-    coef = feedback_coefficients(scenario, ann_n, f2_n, kv_n, sig_n)
-    _, inv_f2, a_n, _ = coef
+    _, inv_f2, a_n, b_n = feedback_coefficients(scenario, ann_n, f2_n, kv_n, sig_n)
     grow_n = 1.0 + (r_n + lam_n) * dt
     excess_n = (g.mu - r_n) * dt
     rho_n = cap_fac * dt
@@ -442,13 +449,15 @@ def _path_pass(g: GFunction, policy, config: SimulationConfig, candidate: bool):
     income_w = (half * pays + half * working) * bs_n
     xi_drift = 0.5 * kv_n * kv_n * dt
     checks = _checkpoints(n_steps)
-    # the step loop reads its node constants as Python floats, not numpy scalars
-    coef_k = np.stack(coef, axis=1).tolist()
-    (working, cap_fac, grow_n, excess_n, rho_n, u_n, alpha_n, beta_n, inv_f2, sig_n,
-     kv_n, xi_drift, bs_n, c_star0, rate_n, spend_w, income_w, f2_n, ann_n) = (
-        x.tolist() for x in (
-            working, cap_fac, grow_n, excess_n, rho_n, u_n, alpha_n, beta_n, inv_f2, sig_n,
-            kv_n, xi_drift, bs_n, c_star0, rate_n, spend_w, income_w, f2_n, ann_n,
+    # every path's finals, zero-filled in an anonymous mapping a forked block shares
+    finals = np.frombuffer(mmap.mmap(-1, (4 + len(checks)) * n_paths * 8)).reshape(-1, n_paths)
+    # the step loop reads its node constants as Python floats, not numpy scalars:
+    # a memoryview's items are floats, and it holds no float objects between reads
+    (working, cap_fac, grow_n, excess_n, rho_n, u_n, alpha_n, beta_n, inv_f2, sig_n, a_n,
+     b_n, kv_n, xi_drift, bs_n, c_star0, rate_n, spend_w, income_w, f2_n, ann_n) = (
+        memoryview(x) for x in (
+            working, cap_fac, grow_n, excess_n, rho_n, u_n, alpha_n, beta_n, inv_f2, sig_n, a_n,
+            b_n, kv_n, xi_drift, bs_n, c_star0, rate_n, spend_w, income_w, f2_n, ann_n,
         )
     )
     e_pow = -1.0 / gam
@@ -457,13 +466,12 @@ def _path_pass(g: GFunction, policy, config: SimulationConfig, candidate: bool):
         """x^(1-gamma) of the floored x, one formula for every gamma."""
         return np.exp((1.0 - gam) * np.log(np.maximum(x, _UTILITY_FLOOR)))
 
-    def block(lo: int, hi: int) -> tuple[np.ndarray, np.ndarray]:
-        """Step paths [lo, hi); return their finals and per-step sums."""
-        finals = np.zeros((4 + len(checks), hi - lo))
+    def block(lo: int, hi: int) -> np.ndarray:
+        """Step paths [lo, hi) into columns [lo, hi) of ``finals``; return per-step sums."""
         sums = np.zeros((2, n_steps + 1))
         W = np.full(hi - lo, scenario.W0)
         Y = np.full(hi - lo, scenario.Y0)
-        util, spend, terminal, income = finals[:4]
+        util, spend, terminal, income = finals[:4, lo:hi]
         # spend = int pi e^{-Lam}(c* + lam M*) dt, income = int pi e^{-Lam} Y dt
         finance = np.zeros(hi - lo)  # int beta e^{-Lam}(c* - Y + lam M*) dt
         log_xi = np.zeros(hi - lo)
@@ -493,9 +501,9 @@ def _path_pass(g: GFunction, policy, config: SimulationConfig, candidate: bool):
                     fin = finance
                     if k < n_steps:  # the running sum holds node k's opening half-cell
                         fin = finance - half * (rate_n[k] * e - bs_n[k] * y_k)
-                    w_star = c_star0[k] * e * f2_n[k] - y_k * ann_n[k]
-                    h = xi * (bs_n[k] * w_star + fin)
-                    finals[4 + checks[k]] = h - h_prev
+                    # H = ksi (beta e^{-Lam} W* + fin); W* = c* F2~ - Y ann is kept as no row
+                    h = xi * (bs_n[k] * (c_star0[k] * e * f2_n[k] - y_k * ann_n[k]) + fin)
+                    finals[4 + checks[k], lo:hi] = h - h_prev
                     h_prev = h
                 if k == n_steps:
                     terminal[:] = bs_n[k] * c_star0[k] * f2_n[k] * (xi * e)  # pi e^{-Lam} W*_T
@@ -505,7 +513,7 @@ def _path_pass(g: GFunction, policy, config: SimulationConfig, candidate: bool):
                 log_xi -= xi_drift[k]
 
                 if candidate and work:
-                    theta, c = feedback_controls(W, Y, *coef_k[k])
+                    theta, c = feedback_controls(W, Y, ann_n[k], inv_f2[k], a_n[k], b_n[k])
                     # the liquidity rule caps c (and M = c g) at the floor
                     if np.minimum.reduce(W) <= 1e-12:
                         c = np.where(W <= 1e-12, np.minimum(c, Y / cap_fac[k]), c)
@@ -516,6 +524,7 @@ def _path_pass(g: GFunction, policy, config: SimulationConfig, candidate: bool):
                     W = W * grow_n[k] + theta * (excess_n[k] + sig_n[k] * dz) - c * rho_n[k]
                     W += Y * dt
                     np.maximum(W, 0.0, out=W)
+                    del theta, c  # no control row outlives its step
                 elif candidate:  # retired: c* = W / F2~
                     sums[1, k] = w_sum * inv_f2[k]
                     util += u_n[k] * power(W * inv_f2[k])
@@ -526,11 +535,11 @@ def _path_pass(g: GFunction, policy, config: SimulationConfig, candidate: bool):
 
         if candidate:
             util += disc_n[-1] * power(W) / (1.0 - gam)
-        return finals, sums
+        return sums
 
     cut = n_paths // 2
-    (f0, s0), (f1, s1) = in_two_processes(lambda: block(0, cut), lambda: block(cut, n_paths))
-    return np.concatenate([f0, f1], axis=1), (s0 + s1) / n_paths
+    s0, s1 = in_two_processes(lambda: block(0, cut), lambda: block(cut, n_paths))
+    return finals, (s0 + s1) / n_paths
 
 
 def simulate_candidate_value(
@@ -563,9 +572,9 @@ def simulate_candidate_value(
     checkpoints (the first against the exact H_0 = W0).  Overflow in
     these dual streams is left to show as a non-finite z-score.
 
-    Each of the two blocks returns its per-path finals and per-step
-    trajectory sums; the finals are joined in path order and the sums
-    added.
+    Each of the two blocks writes its per-path finals into its own
+    columns of one shared buffer and returns its per-step trajectory
+    sums, which are added.
 
     Returns the path mean, its sample standard error (the iid formula,
     not a valid error for a low-discrepancy stream; ROADMAP item 3),

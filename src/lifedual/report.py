@@ -274,7 +274,11 @@ def _render_text(report: BoundsReport, prov, policy, outcomes, clock) -> str:
 def read_vstar_csv(path: str) -> TablePolicy:
     """Load an exported v*(t) table back into an interpolating policy."""
     times, v0, vm = [], [], []
-    with open(path, newline="", encoding="utf-8") as fh:
+    try:
+        fh = open(path, newline="", encoding="utf-8")
+    except OSError as exc:
+        raise ValidationError(f"cannot read v* table: {exc}") from None
+    with fh:
         reader = csv.reader(fh)
         header = next(reader, None)
         if header != ["t", "v0", "v_minus"]:

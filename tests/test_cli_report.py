@@ -240,6 +240,13 @@ def test_vstar_round_trip_reproduces_the_bound(tmp_path):
     assert revalued == pytest.approx(best, abs=1e-10)
 
 
+@pytest.mark.parametrize("name", ["missing.csv", "."], ids=["missing", "directory"])
+def test_read_vstar_csv_reports_an_unreadable_path(tmp_path, name):
+    # a typed error, as parse_kv_file gives, not a bare OSError
+    with pytest.raises(ValidationError, match="^cannot read v\\* table: "):
+        read_vstar_csv(str(tmp_path / name))
+
+
 def test_read_vstar_csv_rejects_other_headers(tmp_path):
     path = _write(tmp_path, "x.csv", "a,b,c\n1,2,3\n")
     with pytest.raises(ValidationError, match="header"):

@@ -1,6 +1,7 @@
 """Sobol driver, candidate simulation, and dual-identity verifiers."""
 
 import dataclasses
+import mmap
 import os
 import tracemalloc
 from statistics import NormalDist
@@ -27,7 +28,11 @@ from lifedual.lower_bound import (
     _LEVEL_ERROR,
     NORMALS_NOTE,
     SimulationConfig,
+    _checkpoints,
     _direction_file,
+    _dual_summary,
+    _mean_se,
+    _path_pass,
     _scipy_path,
     dual_checks,
     simulate_candidate_value,
@@ -171,7 +176,9 @@ def test_sobol_row_on_unaligned_ranges(cfg):
 
 def test_sobol_normals_desk_scale_memory():
     # reading every desk row holds one row (160 KB), its two XOR tables
-    # and the 2^15-entry level table, never the (1000, 20000) stream
+    # and the 2^15-entry level table, never the (1000, 20000) stream; the
+    # peak, 0.77 MB, comes while the direction integers are built beside
+    # the level table
     tracemalloc.start()
     try:
         levels, row = sobol_normals(SimulationConfig(n_paths=20000, n_steps=1000))
@@ -180,7 +187,7 @@ def test_sobol_normals_desk_scale_memory():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 8e6
+    assert peak < 1.5e6
 
 
 @pytest.mark.parametrize("dim, m", [(1, 2), (1000, 15), (21201, 30)])
@@ -503,6 +510,9 @@ def test_budget_and_martingale_for_nonzero_adjustment():
 # values of the small protocol below, captured when the candidate
 # simulation and the two dual verifiers still ran as separate passes
 # (100 steps, where the path grid is g's grid)
+FUSED_POLICY = make_policy(
+    "affine", (0.01, 0.0002, 0.005, 0.0, 0.01, 0.0, 0.005, 0.0), t_retire=SC.T_R
+)
 FUSED_GOLDENS = {
     100: (
         -9.561666470781898,
@@ -515,12 +525,9 @@ FUSED_GOLDENS = {
 
 
 def test_fused_pass_reproduces_reference_values():
-    pol = make_policy(
-        "affine", (0.01, 0.0002, 0.005, 0.0, 0.01, 0.0, 0.005, 0.0), t_retire=SC.T_R
-    )
     for n_steps, (value, se, budget_z, times, zs) in FUSED_GOLDENS.items():
         sim = simulate_candidate_value(
-            _g(n_steps), pol, SimulationConfig(n_paths=2**11, n_steps=n_steps)
+            _g(n_steps), FUSED_POLICY, SimulationConfig(n_paths=2**11, n_steps=n_steps)
         )
         assert sim.value == pytest.approx(value, rel=1e-12)
         assert sim.std_error == pytest.approx(se, rel=1e-12)
@@ -533,22 +540,63 @@ def _fields(sim):
     return {f.name: getattr(sim, f.name) for f in dataclasses.fields(sim)}
 
 
-# 20000 paths send the child's block back as ~640 KB, as at desk scale
+# 20000 paths are the desk-scale blocks, each writing 640 KB of finals
 @pytest.mark.parametrize("n_paths", [2**11, 1001, 64, 20000])
 def test_forked_blocks_equal_one_block(n_paths, monkeypatch):
-    pol = make_policy(
-        "affine", (0.01, 0.0002, 0.005, 0.0, 0.01, 0.0, 0.005, 0.0), t_retire=SC.T_R
-    )
     cfg = SimulationConfig(n_paths=n_paths, n_steps=75)
     g = _g(75)
-    forked = _fields(simulate_candidate_value(g, pol, cfg))
+    forked = _fields(simulate_candidate_value(g, FUSED_POLICY, cfg))
     monkeypatch.delattr(os, "fork")
-    serial = _fields(simulate_candidate_value(g, pol, cfg))
+    serial = _fields(simulate_candidate_value(g, FUSED_POLICY, cfg))
     for name, value in serial.items():
         if isinstance(value, np.ndarray):
             assert np.array_equal(forked[name], value), name
         else:
             assert forked[name] == value, name
+
+
+def _maps_shared_memory(a):
+    """Whether ``a`` views an ``mmap``, through numpy bases and memoryviews."""
+    while isinstance(a, (np.ndarray, memoryview)):
+        a = a.base if isinstance(a, np.ndarray) else a.obj
+    return isinstance(a, mmap.mmap)
+
+
+def test_path_pass_returns_the_one_buffer_both_blocks_wrote(monkeypatch):
+    # the finals are the shared mapping the two blocks wrote in place, forked
+    # or not: every column is set (each path's utility is negative) and no
+    # joined copy is returned
+    value, se, budget_z, times, zs = FUSED_GOLDENS[100]
+    g, cfg = _g(100), SimulationConfig(n_paths=2**11, n_steps=100)
+    forked, _ = _path_pass(g, FUSED_POLICY, cfg, True)
+    monkeypatch.delattr(os, "fork")
+    serial, _ = _path_pass(g, FUSED_POLICY, cfg, True)
+    assert np.array_equal(forked, serial)
+    for finals in (forked, serial):
+        assert _maps_shared_memory(finals) and finals.shape == (8, cfg.n_paths)
+        assert np.all(finals[0] < 0.0)
+        assert _mean_se(finals[0]) == pytest.approx((value, se), rel=1e-12)
+        budget, martingale_z = _dual_summary(finals, g.grid.nodes, SC.W0)
+        assert budget.z_score == pytest.approx(budget_z, rel=1e-12)
+        assert [t for t, _ in martingale_z] == times
+        assert [z for _, z in martingale_z] == pytest.approx(zs, rel=1e-12)
+
+
+def test_candidate_pass_traces_no_copy_of_the_finals():
+    # the finals live in the shared mapping, which tracemalloc does not see;
+    # one block's rows and the level table come to about one finals' worth
+    # (1.3 times here), and a traced copy of the finals (a pickled block, its
+    # unpickled copy, a concatenation) would add at least its own size
+    cfg = SimulationConfig(n_paths=2**14, n_steps=20, sobol_skip=0)
+    g = _g(20)
+    finals_bytes = (4 + len(_checkpoints(cfg.n_steps))) * cfg.n_paths * 8
+    tracemalloc.start()
+    try:
+        simulate_candidate_value(g, FUSED_POLICY, cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.75 * finals_bytes
 
 
 def _nan_theta_in(block_is_child):
