@@ -12,92 +12,32 @@ strategy implied by the minimizer to get a lower bound, and reports
 the certified duality gap and welfare loss.
 """
 
-from .closed_form import (
-    DualAggregates,
-    GFunction,
-    compute_g,
-    crra_utility,
-    g_value,
-    hjb_residual,
-    origin_upper_bound,
-    precompute_aggregates,
-    upper_bound,
-    welfare_loss,
-)
-from .config import RunConfig, build_run_config, parse_kv_file
-from .drift_policy import (
-    Policy,
-    PolicyFamily,
-    TablePolicy,
-    init_params,
-    make_policy,
-    snake,
-)
+from .closed_form import compute_g, origin_upper_bound, precompute_aggregates
+from .drift_policy import make_policy
 from .errors import NumericalError, ValidationError
-from .lower_bound import (
-    BudgetCheck,
-    SimulationConfig,
-    SimulationResult,
-    dual_checks,
-    simulate_candidate_value,
-    sobol_normals,
-)
-from .market import (
-    CoefficientCurve,
-    MarketScenario,
-    kappa,
-    preset_scenario,
-    validate,
-)
-from .mortality import MortalityModel
+from .lower_bound import SimulationConfig, simulate_candidate_value
+from .market import preset_scenario
 from .optimizer import OptimizerConfig, minimize_upper_bound
-from .quadrature import UniformGrid, prefix_trapezoid, trapezoid
-from .report import BoundsReport, build_report, emit_csv, read_vstar_csv
+from .quadrature import UniformGrid
+from .report import build_report
 
 __version__ = "0.1.0"
 
+# the names the README's library snippet and the demos import; every
+# other name stays importable from its submodule
 __all__ = [
     "__version__",
-    "BoundsReport",
-    "BudgetCheck",
-    "CoefficientCurve",
-    "DualAggregates",
-    "GFunction",
-    "MarketScenario",
-    "MortalityModel",
     "NumericalError",
     "OptimizerConfig",
-    "Policy",
-    "PolicyFamily",
-    "RunConfig",
     "SimulationConfig",
-    "SimulationResult",
-    "TablePolicy",
     "UniformGrid",
     "ValidationError",
     "build_report",
-    "build_run_config",
     "compute_g",
-    "crra_utility",
-    "dual_checks",
-    "emit_csv",
-    "g_value",
-    "hjb_residual",
-    "init_params",
-    "kappa",
     "make_policy",
     "minimize_upper_bound",
     "origin_upper_bound",
-    "parse_kv_file",
     "precompute_aggregates",
-    "prefix_trapezoid",
     "preset_scenario",
-    "read_vstar_csv",
     "simulate_candidate_value",
-    "snake",
-    "sobol_normals",
-    "trapezoid",
-    "upper_bound",
-    "validate",
-    "welfare_loss",
 ]

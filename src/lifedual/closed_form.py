@@ -1,4 +1,4 @@
-"""Closed-form value functions, feedback strategies, and HJB verifiers.
+"""Closed-form value functions and feedback strategies.
 
 For a deterministic drift adjustment v(t) = (v0(t), v_minus(t)) the
 value of the adjusted (unconstrained) market is available in closed
@@ -39,11 +39,10 @@ candidate.  At node 0 every quotient's denominator is 1, so the bounds
 read F2~(0) = c2[n] + surv[n] f3node[n] and ann(0) = c1 at T_R there
 (``_node0``).  That read serves ``origin_upper_bounds(g, v0, v_minus)``,
 the optimizer's objective J~(0, W0, Y0), which runs the adjoint back
-through the same tables for dJ/dv at the nodes, O(n) per row, and ``upper_bound(g, policy, t, W, Y)``, which reads it on a g
-anchored at t, so the value is smooth in t and finite-difference HJB
-verification stays clean.  ``origin_upper_bound`` is one policy's
-objective.  ``precompute_aggregates(g, policy)`` forms the full curves
-as quotients of the same tables for the path pass.  The certificate's
+through the same tables for dJ/dv at the nodes, O(n) per row.
+``origin_upper_bound`` is one policy's objective.
+``precompute_aggregates(g, policy)`` forms the full curves as
+quotients of the same tables for the path pass.  The certificate's
 two bounds share one grid: the path pass steps on the nodes of the g it
 is given and reads its curves there, and the upper bound it is paired
 with is that g's ``origin_upper_bound``.
@@ -79,15 +78,12 @@ __all__ = [
     "DualAggregates",
     "crra_utility",
     "compute_g",
-    "g_value",
     "precompute_aggregates",
     "origin_upper_bound",
     "origin_upper_bounds",
-    "upper_bound",
     "feedback_coefficients",
     "feedback_controls",
     "welfare_loss",
-    "hjb_residual",
 ]
 
 
@@ -171,14 +167,6 @@ def compute_g(scenario: MarketScenario, grid: UniformGrid) -> GFunction:
         sigma=np.asarray(scenario.sigma(s)),
         bequest_factor=1.0 + np.asarray(mort.hazard(s)) * values,
     )
-
-
-def g_value(g: GFunction, t: float) -> float:
-    """g at one instant, from a grid of ``g``'s size anchored at t (no interpolation)."""
-    scenario = g.scenario
-    if not 0 <= t <= scenario.T:
-        raise ValidationError("t outside [0, T]")
-    return float(compute_g(scenario, UniformGrid(t, scenario.T, g.grid.n_intervals)).values[0])
 
 
 # ---------------------------------------------------------------------------
@@ -273,34 +261,6 @@ def precompute_aggregates(g: GFunction, policy) -> DualAggregates:
 # Upper-bound values
 
 
-def _value(f2, f3, gamma: float) -> float:
-    """J~ = u(F3~) F2~^gamma from the two aggregates at one point."""
-    return float(crra_utility(f3, gamma) * f2**gamma)
-
-
-def upper_bound(g: GFunction, policy, t: float, W: float, Y: float = 0.0) -> float:
-    """Upper bound J~(t, W, Y) = u(W + Y ann(t)) F2~(t)^gamma, t in [0, T].
-
-    The ``_node0`` read on a g of g's size anchored at t, so the value
-    is a smooth function of t (no interpolation kinks) — the property
-    the finite-difference HJB verifier relies on.  From T_R on the
-    income annuity is empty, so Y drops out and the value is the
-    retirement value V_R(t, W); at t = T F2~ = 1 and it reduces to the
-    terminal utility u(W).  Negative for gamma > 1 (power utility is
-    bounded above by 0).
-    """
-    scenario = g.scenario
-    if not 0 <= t <= scenario.T:
-        raise ValidationError("upper-bound value requires t in [0, T]")
-    if W <= 0:
-        raise ValidationError("W must be positive")
-    if Y < 0:
-        raise ValidationError("Y must be nonnegative")
-    anchored = compute_g(scenario, UniformGrid(float(t), scenario.T, g.grid.n_intervals))
-    f2, ann = _node0(anchored, _tables(anchored, *_node_adjustments(anchored, policy)))
-    return _value(f2[0], W + Y * ann[0], scenario.gamma)
-
-
 def _check_origin(g: GFunction) -> None:
     if g.grid.t_start != 0.0:
         raise ValidationError("initial-state aggregates need a grid starting at 0")
@@ -327,7 +287,7 @@ def origin_upper_bounds(g: GFunction, v0, v_minus):
     tables = _tables(g, np.asarray(v0, dtype=float), np.asarray(v_minus, dtype=float))
     f2, ann = _node0(g, tables)
     rows = list(zip(f2, scenario.W0 + scenario.Y0 * ann))  # (F2~(0), F3~) per row
-    values = np.array([_value(f2, f3, gam) for f2, f3 in rows])
+    values = np.array([float(crra_utility(f3, gam) * f2**gam) for f2, f3 in rows])
 
     kv, f3node, _, f1node, _, _ = tables
     w_t, w_tr = g.origin_weights
@@ -413,104 +373,3 @@ def welfare_loss(upper: float, lower: float, gamma: float) -> float:
     if lower > upper:
         raise ValidationError("expected lower <= upper")
     return float(1.0 - (lower / upper) ** (1.0 / (1.0 - gamma)))
-
-
-# ---------------------------------------------------------------------------
-# HJB residual verification
-
-
-def hjb_residual(kind: str, value_fn, point, g: GFunction, policy=None) -> float:
-    """Normalized HJB residual of a value-function closure at a point.
-
-    One equation in (t, W, Y) covers the three phases of ``kind``:
-
-        0 = -(lam+dt~) V + V_t + V_W ((r+lam+v0) W + Y) + V_Y mu_Y Y
-            + V_YY sigma_Y^2 Y^2/2 - (V_W kappa_v - V_WY sigma_Y Y)^2/(2 V_WW)
-            + g/(1-g) (1+lam g(t)) V_W^((g-1)/g)
-
-    "working" takes value_fn(t, W, Y) on [0, T_R] with Y > 0;
-    "retirement" takes value_fn(t, W) on [T_R, T] (Y = 0); "bequest"
-    takes value_fn(t, W) on [0, T] with lam = v = Y = 0.  The scenario
-    and the grid size of g(t) are ``g``'s.  Derivatives are central
-    finite differences of the closure (relative steps 1e-5), so the
-    check exercises the shipped evaluation path end to end; the
-    residual is the terms' sum over the largest term magnitude.
-
-    The support-function term is zero for the exercised (cone)
-    constraints.  Interior points only: t must stay clear of the domain
-    ends by the differencing step.  v must be continuous over [0, T_R]:
-    an anchored-grid closure integrates across T_R, where a jump of v
-    leaves a trapezoid error O(h * jump) that moves with t and so
-    breaks every working-phase point, not only those near T_R.
-    """
-    sc = g.scenario
-    phases = {  # kind: (domain, mortality and adjustment apply, income applies)
-        "bequest": (0.0, sc.T, False, False),
-        "retirement": (sc.T_R, sc.T, True, False),
-        "working": (0.0, sc.T_R, True, True),
-    }
-    if kind not in phases:
-        raise ValidationError(f"unknown HJB kind {kind!r}")
-    lo, hi, insured, working = phases[kind]
-    if working:
-        t, W, Y = point
-        f = value_fn
-    else:
-        (t, W), Y = point, 0.0
-        f = lambda tt, ww, yy: value_fn(tt, ww)
-
-    h_t = 1e-5 * sc.T
-    h_w = 1e-5 * max(1.0, abs(W))
-    if not (lo + h_t < t < hi - h_t) or W <= h_w:
-        raise ValidationError("HJB residual requires an interior point")
-    if working and Y <= 0:
-        raise ValidationError("working-phase residual requires Y > 0")
-
-    V = f(t, W, Y)
-    if working:
-        # With capitalized income the value varies on the scale of total
-        # implied wealth, not W alone, so a W-step taken from |W| makes
-        # the second difference cancel to roundoff when income dominates.
-        # First differences stay well-conditioned at the naive step, so
-        # probe the slope once and re-step from the value's own scale.
-        slope = (f(t, W + h_w, Y) - f(t, W - h_w, Y)) / (2.0 * h_w)
-        if np.isfinite(slope) and slope != 0.0:
-            h_w = min(1e-5 * max(1.0, abs(W), abs(V / slope)), 0.5 * W)
-    V_t = (f(t + h_t, W, Y) - f(t - h_t, W, Y)) / (2.0 * h_t)
-    w_up, w_dn = f(t, W + h_w, Y), f(t, W - h_w, Y)
-    V_w = (w_up - w_dn) / (2.0 * h_w)
-    V_ww = (w_up - 2.0 * V + w_dn) / (h_w * h_w)
-    V_y = V_yy = V_wy = 0.0
-    if working:
-        h_y = 1e-5 * max(1.0, abs(Y))
-        y_up, y_dn = f(t, W, Y + h_y), f(t, W, Y - h_y)
-        V_y = (y_up - y_dn) / (2.0 * h_y)
-        V_yy = (y_up - 2.0 * V + y_dn) / (h_y * h_y)
-        V_wy = (
-            f(t, W + h_w, Y + h_y)
-            - f(t, W + h_w, Y - h_y)
-            - f(t, W - h_w, Y + h_y)
-            + f(t, W - h_w, Y - h_y)
-        ) / (4.0 * h_w * h_y)
-
-    lam = g_t = v0 = vm = 0.0
-    if insured:
-        lam = float(sc.mortality.hazard(t))
-        g_t = g_value(g, t)
-        if policy is not None:
-            v0, vm = (float(x) for x in evaluate_policy(policy, t, horizon=sc.T))
-    r = float(sc.r(t))
-    kv = float(kappa(sc, t, v0, vm))
-    gam = sc.gamma
-    terms = np.array(
-        [
-            -(lam + sc.delta_tilde) * V,
-            V_t,
-            V_w * ((r + lam + v0) * W + Y),
-            V_y * sc.mu_Y * Y,
-            0.5 * V_yy * sc.sigma_Y**2 * Y**2,
-            -0.5 * (V_w * kv - V_wy * sc.sigma_Y * Y) ** 2 / V_ww,
-            gam / (1.0 - gam) * (1.0 + lam * g_t) * V_w ** ((gam - 1.0) / gam),
-        ]
-    )
-    return float(terms.sum() / np.max(np.abs(terms)))

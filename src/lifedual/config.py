@@ -65,6 +65,8 @@ class RunConfig:
         )
         if self.n_intervals < 1:
             raise ValidationError("quadrature.n_intervals must be positive")
+        if self.seed < 0:  # numpy's generator would refuse it only inside the fit's child
+            raise ValidationError("seed must be a nonnegative integer")
 
 
 def parse_kv_file(path) -> dict[str, str]:
@@ -75,22 +77,26 @@ def parse_kv_file(path) -> dict[str, str]:
     """
     out: dict[str, str] = {}
     try:
-        fh = open(path, encoding="utf-8")
+        with open(path, encoding="utf-8") as fh:
+            lines = fh.readlines()
     except OSError as exc:
         raise ValidationError(f"cannot read config file: {exc}") from None
-    with fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if "=" not in line:
-                raise ValidationError(f"{path}:{lineno}: expected key=value, got {raw.strip()!r}")
-            key, value = (part.strip() for part in line.split("=", 1))
-            if not key:
-                raise ValidationError(f"{path}:{lineno}: empty key")
-            if key in out:
-                raise ValidationError(f"{path}:{lineno}: duplicate key {key!r}")
-            out[key] = value
+    except UnicodeDecodeError as exc:
+        raise ValidationError(
+            f"cannot read config file: {path} is not UTF-8 text ({exc.reason})"
+        ) from None
+    for lineno, raw in enumerate(lines, start=1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        if "=" not in line:
+            raise ValidationError(f"{path}:{lineno}: expected key=value, got {raw.strip()!r}")
+        key, value = (part.strip() for part in line.split("=", 1))
+        if not key:
+            raise ValidationError(f"{path}:{lineno}: empty key")
+        if key in out:
+            raise ValidationError(f"{path}:{lineno}: duplicate key {key!r}")
+        out[key] = value
     return out
 
 

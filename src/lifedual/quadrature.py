@@ -11,13 +11,13 @@ difference of prefix integrals along the *same* node family,
     ∫_0^{s-t} q(s-u) du = Q(s) - Q(t),   Q(s) = ∫_{t0}^s q(w) dw,
 
 so a single cumulative-trapezoid table serves every (t, s) pair.  This
-module provides the grid type, the plain and cumulative trapezoid
-rules, and their adjoints (the transposes of these linear maps, which
-the reverse-mode gradient of the upper bound runs through); the
-closed-form module builds its aggregates out of these prefix tables in
-O(n) per curve.  The prefix tables, their adjoint and the off-node
-prefix value act along the last axis, so one call serves a stack of
-curves, row by row with the arithmetic of one curve.
+module provides the grid type, the prefix trapezoid table, its value
+between nodes, and their adjoints (the transposes of these linear
+maps, which the reverse-mode gradient of the upper bound runs
+through); the closed-form module builds its aggregates out of these
+prefix tables in O(n) per curve.  The prefix tables, their adjoint and
+the off-node prefix value act along the last axis, so one call serves
+a stack of curves, row by row with the arithmetic of one curve.
 """
 
 from __future__ import annotations
@@ -31,7 +31,6 @@ from .errors import ValidationError
 
 __all__ = [
     "UniformGrid",
-    "trapezoid",
     "prefix_trapezoid",
     "prefix_value_at",
     "prefix_trapezoid_adjoint",
@@ -69,26 +68,12 @@ class UniformGrid:
         return nodes
 
 
-def trapezoid(values: np.ndarray, grid: UniformGrid) -> float:
-    """Composite trapezoid rule h*(v0/2 + v1 + ... + v_{n-1} + vn/2).
-
-    Exact for integrands that are affine on each cell.
-    """
-    values = np.asarray(values, dtype=float)
-    if values.shape[-1] != grid.n_intervals + 1:
-        raise ValidationError(
-            f"expected {grid.n_intervals + 1} node values, got {values.shape[-1]}"
-        )
-    h = grid.step
-    return float(h * (values.sum() - 0.5 * (values[0] + values[-1])))
-
-
 def prefix_trapezoid(values: np.ndarray, grid: UniformGrid) -> np.ndarray:
     """Cumulative trapezoid table P with P[k] = ∫_{t0}^{t_k} v dt, along the last axis.
 
-    P[0] = 0 and P[n] equals ``trapezoid(values, grid)`` up to rounding;
-    differences P[j] - P[i] reproduce the rule on [t_i, t_j] exactly
-    (the trapezoid rule is additive over sub-intervals).
+    P[0] = 0 and P[n] is the composite rule h (v0/2 + v1 + ... + vn/2),
+    exact for integrands affine on each cell; differences P[j] - P[i]
+    reproduce the rule on [t_i, t_j] (it is additive over sub-intervals).
     """
     values = np.asarray(values, dtype=float)
     if values.shape[-1] != grid.n_intervals + 1:

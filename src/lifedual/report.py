@@ -29,6 +29,7 @@ of report.txt (bounds.csv itself is bit-identical across repeat runs).
 from __future__ import annotations
 
 import csv
+import io
 import math
 import os
 from dataclasses import dataclass
@@ -275,24 +276,28 @@ def read_vstar_csv(path: str) -> TablePolicy:
     """Load an exported v*(t) table back into an interpolating policy."""
     times, v0, vm = [], [], []
     try:
-        fh = open(path, newline="", encoding="utf-8")
+        with open(path, newline="", encoding="utf-8") as fh:
+            text = fh.read()
     except OSError as exc:
         raise ValidationError(f"cannot read v* table: {exc}") from None
-    with fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header != ["t", "v0", "v_minus"]:
-            raise ValidationError(f"{path}: unexpected header {header}")
-        for row in reader:
-            try:
-                t, a, b = map(float, row)
-            except ValueError:
-                raise ValidationError(
-                    f"{path}: line {reader.line_num}: expected t, v0, v_minus, got {row}"
-                ) from None
-            times.append(t)
-            v0.append(a)
-            vm.append(b)
+    except UnicodeDecodeError as exc:
+        raise ValidationError(
+            f"cannot read v* table: {path} is not UTF-8 text ({exc.reason})"
+        ) from None
+    reader = csv.reader(io.StringIO(text, newline=""))
+    header = next(reader, None)
+    if header != ["t", "v0", "v_minus"]:
+        raise ValidationError(f"{path}: unexpected header {header}")
+    for row in reader:
+        try:
+            t, a, b = map(float, row)
+        except ValueError:
+            raise ValidationError(
+                f"{path}: line {reader.line_num}: expected t, v0, v_minus, got {row}"
+            ) from None
+        times.append(t)
+        v0.append(a)
+        vm.append(b)
     return TablePolicy(
         times=tuple(times), v0_values=tuple(v0), v_minus_values=tuple(vm)
     )

@@ -27,11 +27,8 @@ from lifedual.cli import main
 from lifedual.closed_form import (
     compute_g,
     crra_utility,
-    g_value,
-    hjb_residual,
     origin_upper_bound,
     precompute_aggregates,
-    upper_bound,
 )
 from lifedual.config import build_run_config
 from lifedual.drift_policy import init_params, make_policy
@@ -41,6 +38,8 @@ from lifedual.mortality import MortalityModel
 from lifedual.optimizer import minimize_upper_bound
 from lifedual.quadrature import UniformGrid
 from lifedual.report import build_report
+
+from dual_reference import g_value, hjb_residual, upper_bound
 
 DESK = build_run_config(desk_scale=True)
 N_INTERVALS, OPT, SIM = DESK.n_intervals, DESK.optimizer, DESK.simulation

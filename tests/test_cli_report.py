@@ -106,6 +106,16 @@ def test_parse_kv_file_errors(tmp_path):
         parse_kv_file(empty_key)
 
 
+def test_parse_kv_file_rejects_text_that_is_not_utf8(tmp_path, capsys):
+    # a typed error naming the file, not a bare UnicodeDecodeError
+    path = tmp_path / "binary.cfg"
+    path.write_bytes(b"seed = 0\n\xff\xfe\x00\x01\n")
+    with pytest.raises(ValidationError, match=f"^cannot read config file: {re.escape(str(path))} "):
+        parse_kv_file(str(path))
+    assert main(["validate", "--config", str(path)]) == 1
+    assert "error: cannot read config file" in capsys.readouterr().err
+
+
 def test_build_run_config_precedence():
     # desk scale trumps the file value
     cfg = build_run_config({"sim.n_paths": "7777"}, desk_scale=True)
@@ -245,6 +255,13 @@ def test_read_vstar_csv_reports_an_unreadable_path(tmp_path, name):
     # a typed error, as parse_kv_file gives, not a bare OSError
     with pytest.raises(ValidationError, match="^cannot read v\\* table: "):
         read_vstar_csv(str(tmp_path / name))
+
+
+def test_read_vstar_csv_rejects_text_that_is_not_utf8(tmp_path):
+    path = tmp_path / "v.csv"
+    path.write_bytes(b"t,v0,v_minus\n0,\xff,0\n")
+    with pytest.raises(ValidationError, match=f"^cannot read v\\* table: {re.escape(str(path))} "):
+        read_vstar_csv(str(path))
 
 
 def test_read_vstar_csv_rejects_other_headers(tmp_path):
@@ -451,6 +468,21 @@ def test_cli_error_exit_codes(tmp_path, monkeypatch, capsys):
     for command in ("validate", "run"):
         assert main([command, "--config", zero, "--out", str(tmp_path / "zero")]) == 1
         assert "error: snake frequency must be positive" in capsys.readouterr().err
+
+
+def test_cli_negative_seed_exits_1_before_the_fit(tmp_path, monkeypatch, capsys):
+    # numpy's generator would refuse a negative seed only inside the fit's
+    # child, so the config refuses it, from the flag or the file, before g
+    _optimizer_must_not_run(monkeypatch)
+    monkeypatch.setattr(lifedual.cli, "compute_g", None)  # a call would raise TypeError
+    from_file = _write(tmp_path, "seed.cfg", "seed = -3\n")
+    from_flag = ["--preset", "example1", "--desk-scale", "--seed", "-1"]
+    for source in (from_flag, ["--config", from_file]):
+        for command in ("run", "verify"):
+            assert main([command, *source, "--out", str(tmp_path / "out")]) == 1
+            assert "error: seed must be a nonnegative integer" in capsys.readouterr().err
+    with pytest.raises(ValidationError, match="seed must be a nonnegative integer"):
+        build_run_config(seed=-1)
 
 
 def test_cli_sobol_point_limit_exits_1(tmp_path, monkeypatch, capsys):

@@ -15,17 +15,16 @@ from lifedual.closed_form import (
     crra_utility,
     feedback_coefficients,
     feedback_controls,
-    g_value,
-    hjb_residual,
     origin_upper_bound,
     precompute_aggregates,
-    upper_bound,
     welfare_loss,
 )
 from lifedual.drift_policy import make_policy
 from lifedual.errors import ValidationError
 from lifedual.market import preset_scenario
 from lifedual.quadrature import UniformGrid
+
+from dual_reference import g_value, hjb_residual, upper_bound
 
 SC = preset_scenario("example1")
 ZERO = make_policy("affine", (0.0,) * 8, t_retire=SC.T_R)

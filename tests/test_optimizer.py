@@ -9,14 +9,7 @@ import numpy as np
 import pytest
 
 from lifedual import drift_policy
-from lifedual.closed_form import (
-    compute_g,
-    crra_utility,
-    origin_upper_bound,
-    origin_upper_bounds,
-    precompute_aggregates,
-    upper_bound,
-)
+from lifedual.closed_form import compute_g, origin_upper_bound, origin_upper_bounds
 from lifedual.drift_policy import (
     AFFINE_N_PARAMS,
     MLP_N_PARAMS,
@@ -35,6 +28,8 @@ from lifedual.optimizer import (
     upper_bounds_and_gradients,
 )
 from lifedual.quadrature import UniformGrid
+
+from dual_reference import upper_bound
 
 SC = preset_scenario("example1")
 
@@ -109,7 +104,6 @@ def _stack_families():
 def test_a_batch_equals_its_rows_evaluated_alone(n):
     sc = preset_scenario("example2")
     g = _g(n, sc)
-    gam = sc.gamma
     for family, stack in _stack_families():
         values, grads = upper_bounds_and_gradients(g, family, stack)
         v0, vm, _ = family.forward(stack, g.grid.nodes)
@@ -130,14 +124,9 @@ def test_a_batch_equals_its_rows_evaluated_alone(n):
             # reordered and shorter stacks give the same rows
             again, again_grads = upper_bounds_and_gradients(g, family, stack[i::-1])
             assert again[0] == values[i] and again_grads[0].tobytes() == grads[i].tobytes()
-            # the value at (t, W, Y) is node 0 of the full curves on a g
-            # anchored at t, bit for bit
-            for t in (0.0, 5.0, 13.3, sc.T_R, 27.0, 40.0, sc.T):
-                agg = precompute_aggregates(compute_g(sc, UniformGrid(t, sc.T, n)), policy)
-                for W, Y in ((sc.W0, sc.Y0), (37.0, 0.0)):
-                    f3 = W + Y * agg.income_annuity[0]
-                    expected = crra_utility(f3, gam) * agg.tilde_f2[0] ** gam
-                    assert upper_bound(g, policy, t, W, Y) == expected, (family, t, W)
+            # the full curves' node 0 (precompute_aggregates) gives the
+            # objective at the initial state, bit for bit
+            assert upper_bound(g, policy, 0.0, sc.W0, sc.Y0) == values[i], family
 
 
 def test_a_snake_value_and_gradient_runs_the_hidden_layer_once(monkeypatch):
