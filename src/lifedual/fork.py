@@ -4,12 +4,17 @@
 ``os.fork`` while ``here`` runs in the caller, and returns both values.
 It is the only code that decides whether to fork: without ``os.fork``
 it runs both in the caller, so its callers run the same two pieces of
-work on every platform.  The two pieces are fixed before the fork (the
-optimizer's even and odd starts, the path pass's two blocks, and the
-CLI's whole fit against an idle caller, which keeps the fit's imports
-and BFGS states out of the certificate's process).  While they run, the
-processes share nothing but the path pass's results buffer, an anonymous
-shared mapping in which each side writes only its own columns.
+work on every platform.  The two pieces are fixed before the fork: the
+optimizer's even and odd starts and the path pass's two blocks, or,
+against an idle caller (``here`` is ``lambda: None``), the CLI's whole
+fit and the whole path pass.  An idle caller keeps the child's working
+set out of its own process: the fit's imports and BFGS states, the
+pass's Sobol stream and per-path finals.  Only the fitted policy with
+the start outcomes, or the pass's summaries (the value and its s.e.,
+the per-step means and the two dual checks), cross the pipe.  While
+they run, the processes share nothing but the path pass's results
+buffer, an anonymous shared mapping in which each block writes only
+its own columns.
 
 numpy's OpenBLAS build keeps an idle worker thread.  OpenBLAS shuts
 its pool down in a ``pthread_atfork`` handler and restarts it at the
@@ -34,6 +39,10 @@ __all__ = ["in_two_processes"]
 A = TypeVar("A")
 B = TypeVar("B")
 
+# set only in a helper child, which passes it on to every process it forks:
+# such a process is inside the outermost child's process group
+_in_group = False
+
 
 def in_two_processes(here: Callable[[], A], forked: Callable[[], B]) -> tuple[A, B]:
     """Run ``forked`` in a forked child while ``here`` runs in this process.
@@ -44,11 +53,15 @@ def in_two_processes(here: Callable[[], A], forked: Callable[[], B]) -> tuple[A,
     it never unwinds into the caller's stack (which may write artifacts
     or spans) and never flushes the caller's buffered output.  If
     ``here`` fails, or an exception (a signal handler's, say) interrupts
-    the wait for the child, the child is killed and still reaped.
+    the wait for the child, the child is killed and still reaped.  The
+    outermost call's child leads a process group that the children of
+    nested calls stay in, and the outermost call kills that whole group,
+    so no process the child forked in turn keeps running.
 
     Without ``os.fork``, ``here`` and then ``forked`` run in this
     process; if ``here`` raises, ``forked`` is not run.
     """
+    global _in_group
     if not hasattr(os, "fork"):
         return here(), forked()
     read_fd, write_fd = os.pipe()
@@ -56,6 +69,9 @@ def in_two_processes(here: Callable[[], A], forked: Callable[[], B]) -> tuple[A,
     if pid == 0:
         status = 1
         try:
+            if not _in_group:  # lead a group before forking into it
+                os.setpgid(0, 0)
+                _in_group = True
             os.close(read_fd)
             try:
                 payload = pickle.dumps((True, forked()))
@@ -72,6 +88,8 @@ def in_two_processes(here: Callable[[], A], forked: Callable[[], B]) -> tuple[A,
             status = 0
         finally:
             os._exit(status)
+    if not _in_group:  # the group exists before any kill below
+        os.setpgid(pid, pid)
     os.close(write_fd)
     status = None
     try:
@@ -81,7 +99,7 @@ def in_two_processes(here: Callable[[], A], forked: Callable[[], B]) -> tuple[A,
         status = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
     finally:
         if status is None:  # here failed, or the wait for the child was interrupted
-            os.kill(pid, signal.SIGKILL)
+            (os.kill if _in_group else os.killpg)(pid, signal.SIGKILL)
             os.waitpid(pid, 0)
     if status != 0 or not payload:
         raise NumericalError(f"forked process ended with status {status}")

@@ -17,13 +17,14 @@ outcomes, simulation, clock):
                      start), start by start
 * ``facevalue.csv``  mean simulated insurance face value per time step
 * ``wealth.csv``     mean simulated wealth and consumption per step
-* ``report.txt``     human-readable summary with full provenance and
-                     each optimizer start's solver outcome
+* ``report.txt``     human-readable summary with full provenance, the
+                     dual checks and each optimizer start's solver outcome
 
 All floating-point output uses 17 significant digits, so re-reading an
 artifact reproduces the binary values exactly; nothing in the files
-depends on wall-clock time except the explicitly labelled timing block
-of report.txt (bounds.csv itself is bit-identical across repeat runs).
+depends on wall-clock time or memory use except the explicitly
+labelled wall-clock and peak-RSS blocks of report.txt (bounds.csv
+itself is bit-identical across repeat runs).
 """
 
 from __future__ import annotations
@@ -32,6 +33,7 @@ import csv
 import io
 import math
 import os
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -225,14 +227,28 @@ def emit_csv(report: BoundsReport, cfg, grid, policy, outcomes, sim, clock) -> l
     report_path = os.path.join(out_dir, "report.txt")
     try:
         with open(report_path, "w", encoding="utf-8") as fh:
-            fh.write(_render_text(report, prov, policy, outcomes, clock))
+            fh.write(_render_text(report, prov, policy, outcomes, sim, clock))
     except OSError as exc:
         raise ValidationError(f"cannot write {report_path}: {exc}") from None
     paths.append(report_path)
     return paths
 
 
-def _render_text(report: BoundsReport, prov, policy, outcomes, clock) -> str:
+def _peak_rss_lines() -> list[str]:
+    """getrusage's peak RSS of this process and of its reaped children, where it exists."""
+    try:
+        import resource
+    except ImportError:  # no getrusage on this platform
+        return []
+    unit = 2**20 if sys.platform == "darwin" else 2**10  # ru_maxrss is in bytes there, else kB
+    lines = ["peak RSS [MB] (getrusage; the kernel samples the high-water mark):"]
+    for who in ("SELF", "CHILDREN"):
+        peak = resource.getrusage(getattr(resource, f"RUSAGE_{who}")).ru_maxrss
+        lines.append(f"  {who.lower():<12} {peak / unit:.2f}")
+    return lines + [""]
+
+
+def _render_text(report: BoundsReport, prov, policy, outcomes, sim, clock) -> str:
     activation = prov["activation"]
     lines = [
         "life-cycle duality bounds",
@@ -252,6 +268,16 @@ def _render_text(report: BoundsReport, prov, policy, outcomes, clock) -> str:
     lines.append("wall clock [s]:")
     for phase, seconds in clock.items():
         lines.append(f"  {phase:<12} {seconds:.3f}")
+    lines.append("")
+    lines += _peak_rss_lines()
+    budget = sim.budget
+    lines.append("dual checks:")
+    lines.append(
+        f"  budget identity: lhs {_fmt(budget.lhs)}, rhs {_fmt(budget.rhs)}, "
+        f"z {_fmt(budget.z_score)}"
+    )
+    for t, z in sim.martingale_z:
+        lines.append(f"  kernel martingale at t={_fmt(t)}: z {_fmt(z)}")
     lines.append("")
     lines.append("provenance:")
     for key in sorted(prov):

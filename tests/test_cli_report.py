@@ -388,6 +388,32 @@ def test_cli_run_writes_each_start_record(tmp_path, monkeypatch):
         assert line.endswith(f": {outcome.message}")
 
 
+def test_report_prints_the_dual_checks_of_the_run(tmp_path, monkeypatch):
+    # report.txt holds the budget check and the martingale z-scores of the
+    # run's own pass to 17 digits, so each reads back as the same float
+    sims = []
+    simulate = lifedual.cli.simulate_candidate_value
+
+    def recorded(g, policy, config):
+        sims.append(simulate(g, policy, config))
+        return sims[-1]
+
+    monkeypatch.setattr(lifedual.cli, "simulate_candidate_value", recorded)
+    cfg = _write(tmp_path, "run.cfg", SMALL_RUN_CFG)
+    out = tmp_path / "out"
+    assert main(["run", "--config", cfg, "--out", str(out), "--seed", "0"]) == 0
+    (sim,) = sims
+    text = (out / "report.txt").read_text(encoding="utf-8")
+    martingale = re.findall(r"^  kernel martingale at t=(\S+): z (\S+)$", text, re.M)
+    assert [(float(t), float(z)) for t, z in martingale] == sim.martingale_z
+    budget = re.search(r"^  budget identity: lhs (\S+), rhs (\S+), z (\S+)$", text, re.M)
+    assert tuple(map(float, budget.groups())) == (
+        sim.budget.lhs, sim.budget.rhs, sim.budget.z_score
+    )
+    peak = re.search(r"^peak RSS \[MB\].*\n  self +(\S+)\n  children +(\S+)$", text, re.M)
+    assert float(peak[1]) > 0.0 and float(peak[2]) > 0.0
+
+
 def test_cli_run_is_deterministic(tmp_path):
     cfg = _write(tmp_path, "run.cfg", SMALL_RUN_CFG)
     assert main(["run", "--config", cfg, "--out", str(tmp_path / "a"), "--seed", "1"]) == 0
@@ -636,17 +662,20 @@ def test_cli_verify_passes_for_optimized_policy(tmp_path, capsys):
 
 @pytest.mark.parametrize("command", ["run", "verify"])
 def test_cli_draws_one_normal_stream(tmp_path, monkeypatch, command):
-    calls = []
+    # the stream is built in the path pass's forked child, so each draw
+    # appends a line to a file rather than to a list of this process
+    calls = tmp_path / "draws.txt"
     draw = lifedual.lower_bound.sobol_normals
 
     def counting(config):
-        calls.append(config)
+        with open(calls, "a", encoding="utf-8") as fh:
+            fh.write(f"{os.getpid()}\n")
         return draw(config)
 
     monkeypatch.setattr(lifedual.lower_bound, "sobol_normals", counting)
     cfg = _write(tmp_path, "run.cfg", SMALL_RUN_CFG)
     assert main([command, "--config", cfg, "--out", str(tmp_path / "out"), "--seed", "0"]) == 0
-    assert len(calls) == 1
+    assert len(calls.read_text(encoding="utf-8").splitlines()) == 1
 
 
 # the path pass each command calls, and how to set the budget z in its result

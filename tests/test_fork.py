@@ -59,6 +59,42 @@ def test_interrupted_wait_kills_and_reaps_the_child():
         os.waitpid(-1, os.WNOHANG)
 
 
+def _running(pid):
+    """Whether process ``pid`` exists and is not a zombie."""
+    try:
+        with open(f"/proc/{pid}/stat", encoding="ascii") as fh:
+            return fh.read().rsplit(")", 1)[1].split()[0] != "Z"
+    except FileNotFoundError:
+        return False
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc"), reason="reads process states from /proc")
+def test_failing_here_kills_the_processes_a_nested_call_forked():
+    pids_r, pids_w = os.pipe()
+
+    def sleeper():
+        os.write(pids_w, os.getpid().to_bytes(8, "little"))
+        time.sleep(3)
+
+    def here():
+        time.sleep(0.5)  # time for the child and its own child to start
+        raise KeyError("here failed")
+
+    try:
+        with pytest.raises(KeyError, match="here failed"):
+            in_two_processes(here, lambda: in_two_processes(sleeper, sleeper))
+        pids = [int.from_bytes(os.read(pids_r, 8), "little") for _ in range(2)]
+    finally:
+        os.close(pids_r)
+        os.close(pids_w)
+    deadline = time.monotonic() + 1.0
+    while any(map(_running, pids)) and time.monotonic() < deadline:
+        time.sleep(0.02)
+    assert not any(map(_running, pids))
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
 def test_without_fork_both_run_here_in_order(monkeypatch):
     monkeypatch.delattr(os, "fork")
     calls = []

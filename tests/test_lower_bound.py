@@ -31,7 +31,6 @@ from lifedual.lower_bound import (
     _checkpoints,
     _direction_file,
     _dual_summary,
-    _mean_se,
     _path_pass,
     _scipy_path,
     dual_checks,
@@ -545,14 +544,45 @@ def _fields(sim):
 def test_forked_blocks_equal_one_block(n_paths, monkeypatch):
     cfg = SimulationConfig(n_paths=n_paths, n_steps=75)
     g = _g(75)
-    forked = _fields(simulate_candidate_value(g, FUSED_POLICY, cfg))
+    forked = simulate_candidate_value(g, FUSED_POLICY, cfg)
+    forked_checks = dual_checks(g, FUSED_POLICY, cfg)
     monkeypatch.delattr(os, "fork")
-    serial = _fields(simulate_candidate_value(g, FUSED_POLICY, cfg))
-    for name, value in serial.items():
+    _assert_same_result(forked, simulate_candidate_value(g, FUSED_POLICY, cfg))
+    assert forked_checks == dual_checks(g, FUSED_POLICY, cfg)
+
+
+def _assert_same_result(a, b):
+    """Bit equality of two entry results: ``SimulationResult``s or check tuples."""
+    if not dataclasses.is_dataclass(a):
+        assert a == b
+        return
+    a, b = _fields(a), _fields(b)
+    for name, value in b.items():
         if isinstance(value, np.ndarray):
-            assert np.array_equal(forked[name], value), name
+            assert np.array_equal(a[name], value), name
         else:
-            assert forked[name] == value, name
+            assert a[name] == value, name
+
+
+@pytest.mark.parametrize(
+    "entry", [simulate_candidate_value, dual_checks], ids=["candidate", "dual_checks"]
+)
+def test_forked_pass_holds_no_path_state_in_the_caller(entry, monkeypatch):
+    # the node constants, the stream, the finals and both blocks live in
+    # forked children: this process checks the grid, evaluates the policy
+    # and reads back only the summaries
+    cfg = SimulationConfig(n_paths=2**14, n_steps=20, sobol_skip=0)
+    g = _g(20)
+    finals_bytes = (4 + len(_checkpoints(cfg.n_steps))) * cfg.n_paths * 8
+    tracemalloc.start()
+    try:
+        forked = entry(g, FUSED_POLICY, cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < finals_bytes / 8
+    monkeypatch.delattr(os, "fork")
+    _assert_same_result(forked, entry(g, FUSED_POLICY, cfg))
 
 
 def _maps_shared_memory(a):
@@ -562,31 +592,38 @@ def _maps_shared_memory(a):
     return isinstance(a, mmap.mmap)
 
 
-def test_path_pass_returns_the_one_buffer_both_blocks_wrote(monkeypatch):
-    # the finals are the shared mapping the two blocks wrote in place, forked
-    # or not: every column is set (each path's utility is negative) and no
-    # joined copy is returned
+def test_path_pass_summarizes_the_one_buffer_both_blocks_wrote(monkeypatch):
+    # the summaries read the shared mapping the two blocks wrote in place,
+    # forked or not: every column is set (each path's utility is negative),
+    # and no joined copy is made
     value, se, budget_z, times, zs = FUSED_GOLDENS[100]
     g, cfg = _g(100), SimulationConfig(n_paths=2**11, n_steps=100)
-    forked, _ = _path_pass(g, FUSED_POLICY, cfg, True)
+
+    def inspected(finals, t_nodes, w0):
+        seen = _maps_shared_memory(finals), finals.shape, bool(np.all(finals[0] < 0.0))
+        return seen, _dual_summary(finals, t_nodes, w0)
+
+    monkeypatch.setattr("lifedual.lower_bound._dual_summary", inspected)
+    forked = _path_pass(g, FUSED_POLICY, cfg, True)
     monkeypatch.delattr(os, "fork")
-    serial, _ = _path_pass(g, FUSED_POLICY, cfg, True)
-    assert np.array_equal(forked, serial)
-    for finals in (forked, serial):
-        assert _maps_shared_memory(finals) and finals.shape == (8, cfg.n_paths)
-        assert np.all(finals[0] < 0.0)
-        assert _mean_se(finals[0]) == pytest.approx((value, se), rel=1e-12)
-        budget, martingale_z = _dual_summary(finals, g.grid.nodes, SC.W0)
+    serial = _path_pass(g, FUSED_POLICY, cfg, True)
+    assert np.array_equal(forked[2], serial[2])
+    assert forked[:2] + forked[3:] == serial[:2] + serial[3:]
+    for mean, std_error, _, seen, (budget, martingale_z) in (forked, serial):
+        assert seen == (True, (8, cfg.n_paths), True)
+        assert (mean, std_error) == pytest.approx((value, se), rel=1e-12)
         assert budget.z_score == pytest.approx(budget_z, rel=1e-12)
         assert [t for t, _ in martingale_z] == times
         assert [z for _, z in martingale_z] == pytest.approx(zs, rel=1e-12)
 
 
-def test_candidate_pass_traces_no_copy_of_the_finals():
+def test_candidate_pass_traces_no_copy_of_the_finals(monkeypatch):
     # the finals live in the shared mapping, which tracemalloc does not see;
     # one block's rows and the level table come to about one finals' worth
     # (1.3 times here), and a traced copy of the finals (a pickled block, its
-    # unpickled copy, a concatenation) would add at least its own size
+    # unpickled copy, a concatenation) would add at least its own size.  The
+    # whole pass runs here, where tracemalloc sees it
+    monkeypatch.delattr(os, "fork")
     cfg = SimulationConfig(n_paths=2**14, n_steps=20, sobol_skip=0)
     g = _g(20)
     finals_bytes = (4 + len(_checkpoints(cfg.n_steps))) * cfg.n_paths * 8
@@ -600,17 +637,21 @@ def test_candidate_pass_traces_no_copy_of_the_finals():
 
 
 def _nan_theta_in(block_is_child):
-    parent = os.getpid()
+    caller = os.getpid()
 
     def rule(W, y, *coef):
         theta, c = feedback_controls(W, y, *coef)
-        if (os.getpid() != parent) == block_is_child:
+        # block 0 steps in the pass's forked child, the parent of block 1's process
+        assert os.getpid() != caller
+        if (os.getppid() != caller) == block_is_child:
             theta = np.full_like(W, np.nan)
         return theta, c
 
     return rule
 
 
+# both blocks step in forked processes: "parent" fails block 0, in the
+# process that forks block 1, and "child" fails block 1
 @pytest.mark.parametrize("block_is_child", [True, False], ids=["child", "parent"])
 def test_failing_block_raises_in_caller_and_reaps_child(block_is_child, monkeypatch):
     monkeypatch.setattr("lifedual.lower_bound.feedback_controls", _nan_theta_in(block_is_child))
