@@ -28,7 +28,6 @@ from . import __version__, market
 from .closed_form import compute_g, origin_upper_bound
 from .config import DESK_SCALE, RunConfig, build_run_config, parse_kv_file
 from .errors import NumericalError, ValidationError
-from .fork import in_two_processes
 from .lower_bound import dual_checks, simulate_candidate_value
 from .optimizer import minimize_upper_bound
 from .quadrature import UniformGrid
@@ -92,16 +91,10 @@ def _validate_or_die(cfg: RunConfig) -> None:
 def _fit(cfg: RunConfig):
     """Build g on the search and path grids and minimize the upper bound.
 
-    Both grids' g are built here; the minimization runs in a forked child
-    (``fork.in_two_processes``, with nothing to do in this process) that
-    sends back the fitted policy and the start outcomes, so the fit's
-    imports and BFGS states leave with the child.  Without ``os.fork`` it
-    runs here.
-
-    Returns g on the search grid of ``quadrature.n_intervals``, which the
-    optimizer and ``vstar.csv`` read; ``cert``, g on the path grid of
-    ``sim.n_steps``, which the certificate's bounds and checks read; the
-    fitted policy, the optimizer's ``StartOutcome`` list and each phase's
+    The optimizer searches on g over the grid of ``quadrature.n_intervals``.
+    Returns ``cert``, g on the path grid of ``sim.n_steps``, which the
+    certificate's bounds, checks and ``vstar.csv`` read; the fitted
+    policy, the optimizer's ``StartOutcome`` list and each phase's
     wall-clock seconds.
     """
     clock: dict[str, float] = {}
@@ -112,20 +105,16 @@ def _fit(cfg: RunConfig):
     clock["g_function"] = time.perf_counter() - t0
 
     t0 = time.perf_counter()
-    # the fit's numpy.random and the OpenSSL it imports (5.9 MB) stay in the child
-    _, (policy, outcomes) = in_two_processes(
-        lambda: None,
-        lambda: minimize_upper_bound(
-            g,
-            cfg.policy_kind,
-            cfg.optimizer,
-            seed=cfg.seed,
-            activation=cfg.activation,
-            snake_a=cfg.snake_a,
-        ),
+    policy, outcomes = minimize_upper_bound(
+        g,
+        cfg.policy_kind,
+        cfg.optimizer,
+        seed=cfg.seed,
+        activation=cfg.activation,
+        snake_a=cfg.snake_a,
     )
     clock["optimize"] = time.perf_counter() - t0
-    return g, cert, policy, outcomes, clock
+    return cert, policy, outcomes, clock
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
@@ -135,7 +124,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
         os.makedirs(cfg.out_dir, exist_ok=True)
     except OSError as exc:
         raise ValidationError(f"cannot write {cfg.out_dir}: {exc}") from None
-    g, cert, policy, outcomes, clock = _fit(cfg)
+    cert, policy, outcomes, clock = _fit(cfg)
     t0 = time.perf_counter()
     upper = origin_upper_bound(cert, policy)
     # config by keyword: the perfbench tracer counts path steps from the
@@ -153,7 +142,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
         )
 
     report = build_report(upper, sim.value, sim.std_error, cfg.scenario.gamma)
-    paths = emit_csv(report, cfg, g.grid, policy, outcomes, sim, clock)
+    paths = emit_csv(report, cfg, policy, outcomes, sim, clock)
 
     print(f"upper bound   {report.upper_bound:.7f}")
     print(f"lower bound   {report.lower_bound:.7f}  (s.e. {report.lower_std_error:.2e})")
@@ -177,7 +166,7 @@ def _cmd_validate(args: argparse.Namespace) -> int:
 def _cmd_verify(args: argparse.Namespace) -> int:
     cfg = _resolve_config(args)
     _validate_or_die(cfg)
-    _, cert, policy, _, _ = _fit(cfg)
+    cert, policy, _, _ = _fit(cfg)
     budget, martingale_z = dual_checks(cert, policy, cfg.simulation)
     print(
         f"budget identity: lhs {budget.lhs:.6f}  rhs {budget.rhs:.6f}  "

@@ -6,8 +6,8 @@ It is the only code that decides whether to fork: without ``os.fork``
 it runs both in the caller, so its callers run the same two pieces of
 work on every platform.  The two pieces are fixed before the fork: the
 optimizer's even and odd starts and the path pass's two blocks, or,
-against an idle caller (``here`` is ``lambda: None``), the CLI's whole
-fit and the whole path pass.  An idle caller keeps the child's working
+against an idle caller (``here`` is ``lambda: None``), the whole fit
+and the whole path pass.  An idle caller keeps the child's working
 set out of its own process: the fit's imports and BFGS states, the
 pass's Sobol stream and per-path finals.  Only the fitted policy with
 the start outcomes, or the pass's summaries (the value and its s.e.,
@@ -16,12 +16,20 @@ they run, the processes share nothing but the path pass's results
 buffer, an anonymous shared mapping in which each block writes only
 its own columns.
 
+A child ends as soon as the process that forked it ends, at every
+nesting depth: a daemon thread in the child leaves by ``os._exit`` at
+EOF on a pipe whose only write end the caller holds.  So however the
+caller ends, by a group signal or a SIGKILL of it alone, its helpers
+end too, and no process group is made.
+
 numpy's OpenBLAS build keeps an idle worker thread.  OpenBLAS shuts
 its pool down in a ``pthread_atfork`` handler and restarts it at the
 next threaded BLAS call, so the child starts with a fresh pool.
-Python 3.12 and later warn (``DeprecationWarning``) when a
-process with more than one thread forks.  The warning is attributed to
-this module, not to ``__main__``, so Python's default filters hide it.
+Python 3.12 and later warn (``DeprecationWarning``) when a process
+with more than one thread forks, as a helper with its waiting thread
+(which holds no lock) does when it forks in turn.  The warning is
+attributed to this module, not to ``__main__``, so Python's default
+filters hide it.
 """
 
 from __future__ import annotations
@@ -29,6 +37,7 @@ from __future__ import annotations
 import os
 import pickle
 import signal
+import threading
 from collections.abc import Callable
 from typing import TypeVar
 
@@ -39,9 +48,11 @@ __all__ = ["in_two_processes"]
 A = TypeVar("A")
 B = TypeVar("B")
 
-# set only in a helper child, which passes it on to every process it forks:
-# such a process is inside the outermost child's process group
-_in_group = False
+
+def _exit_at_eof(fd: int) -> None:
+    """End this process once no process holds a write end of ``fd``'s pipe."""
+    os.read(fd, 1)
+    os._exit(1)
 
 
 def in_two_processes(here: Callable[[], A], forked: Callable[[], B]) -> tuple[A, B]:
@@ -54,25 +65,22 @@ def in_two_processes(here: Callable[[], A], forked: Callable[[], B]) -> tuple[A,
     or spans) and never flushes the caller's buffered output.  If
     ``here`` fails, or an exception (a signal handler's, say) interrupts
     the wait for the child, the child is killed and still reaped.  The
-    outermost call's child leads a process group that the children of
-    nested calls stay in, and the outermost call kills that whole group,
-    so no process the child forked in turn keeps running.
+    child also ends as soon as this process ends.
 
     Without ``os.fork``, ``here`` and then ``forked`` run in this
     process; if ``here`` raises, ``forked`` is not run.
     """
-    global _in_group
     if not hasattr(os, "fork"):
         return here(), forked()
     read_fd, write_fd = os.pipe()
+    alive_r, alive_w = os.pipe()  # this process holds the one write end
     pid = os.fork()
     if pid == 0:
         status = 1
         try:
-            if not _in_group:  # lead a group before forking into it
-                os.setpgid(0, 0)
-                _in_group = True
             os.close(read_fd)
+            os.close(alive_w)
+            threading.Thread(target=_exit_at_eof, args=(alive_r,), daemon=True).start()
             try:
                 payload = pickle.dumps((True, forked()))
             except BaseException as exc:
@@ -88,9 +96,8 @@ def in_two_processes(here: Callable[[], A], forked: Callable[[], B]) -> tuple[A,
             status = 0
         finally:
             os._exit(status)
-    if not _in_group:  # the group exists before any kill below
-        os.setpgid(pid, pid)
     os.close(write_fd)
+    os.close(alive_r)
     status = None
     try:
         with os.fdopen(read_fd, "rb") as pipe:
@@ -99,12 +106,12 @@ def in_two_processes(here: Callable[[], A], forked: Callable[[], B]) -> tuple[A,
         status = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
     finally:
         if status is None:  # here failed, or the wait for the child was interrupted
-            (os.kill if _in_group else os.killpg)(pid, signal.SIGKILL)
+            os.kill(pid, signal.SIGKILL)
             os.waitpid(pid, 0)
+        os.close(alive_w)
     if status != 0 or not payload:
         raise NumericalError(f"forked process ended with status {status}")
     ok, child_value = pickle.loads(payload)
     if not ok:
         raise child_value
     return value, child_value
-

@@ -115,6 +115,7 @@ __all__ = [
 _MAX_SOBOL_DIM = 21201  # dimensions in the Joe-Kuo direction-number file
 _SOBOL_BITS = 30  # width of the direction integers, as in scipy's engine
 _MAX_SOBOL_POINTS = 2**_SOBOL_BITS  # 30-bit Gray codes index this many points
+_MAX_SOBOL_SKIP = 2**16  # a larger skip, not the paths, would size the level table
 _UTILITY_FLOOR = 1e-300  # utility of a starved path is astronomically negative, not -inf
 _SKIP_PIECE = 2**14  # bytes a skip inflates at once: a column tail is ~160 KB
 
@@ -138,7 +139,8 @@ class SimulationConfig:
     ``sobol_skip`` initial sequence points are discarded (the leading
     all-zeros point is always dropped on top of that).  The sequence is
     unscrambled, so the stream is fully determined by (n_paths, n_steps,
-    sobol_skip).
+    sobol_skip).  A skip below 2^16 keeps the paths, not the skip,
+    sizing the level table of ``sobol_normals``.
     """
 
     n_paths: int = 20000
@@ -152,8 +154,10 @@ class SimulationConfig:
             raise ValidationError(
                 f"n_steps (the Sobol dimension) must lie in [1, {_MAX_SOBOL_DIM}]"
             )
-        if self.sobol_skip < 0:
-            raise ValidationError("sobol_skip must be nonnegative")
+        if not 0 <= self.sobol_skip < _MAX_SOBOL_SKIP:
+            raise ValidationError(
+                f"sim.sobol_skip = {self.sobol_skip} must lie in [0, {_MAX_SOBOL_SKIP})"
+            )
         if 1 + self.sobol_skip + self.n_paths > _MAX_SOBOL_POINTS:
             raise ValidationError(
                 f"1 + sobol_skip + n_paths must not exceed {_MAX_SOBOL_POINTS} Sobol points"

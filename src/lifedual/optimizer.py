@@ -23,20 +23,20 @@ Each start draws its own initialization from the configured seed;
 starts are independent, and the reduction picks the lowest final
 objective with ties broken by the lowest start index, so results are
 reproducible regardless of evaluation order.  The starts therefore run
-in two processes: the caller takes the even start indices and one
-forked child the odd ones.  Within a process the starts advance in
-lockstep: ``_bfgs`` and its line search are generators that yield each
-trial point and are sent its value and gradient, and each round stacks
-every live start's point into one batched evaluation
-(``upper_bounds_and_gradients``), whose rows are bit-identical to
-evaluating each point alone.  A start leaves the round robin when it
-finishes or fails.  Once a start fails, the higher starts of that
-process stop, and the error of the lowest failing start over both
-processes is raised, as one process running the starts in order would
-raise it.  A start's one record is a frozen ``StartOutcome``: its
-incumbents, final point and solver end.  The child's come back pickled
-and are merged in start order, so the list equals that of one process
-bit for bit.
+in two processes: a helper forked against an idle caller takes the
+even start indices and its own child the odd ones.  Within a process
+the starts advance in lockstep: ``_bfgs`` and its line search are
+generators that yield each trial point and are sent its value and
+gradient, and each round stacks every live start's point into one
+batched evaluation (``upper_bounds_and_gradients``), whose rows are
+bit-identical to evaluating each point alone.  A start leaves the
+round robin when it finishes or fails.  Once a start fails, the higher
+starts of that process stop, and the error of the lowest failing start
+over both processes is raised, as one process running the starts in
+order would raise it.  A start's one record is a frozen
+``StartOutcome``: its incumbents, final point and solver end.  The odd
+records come back pickled and are merged in start order, so the list
+equals that of one process bit for bit.
 """
 
 from __future__ import annotations
@@ -370,11 +370,11 @@ def minimize_upper_bound(
     at 0, each start ends there (status 1, or 0 where the gradient is
     below tolerance).
 
-    The even starts run in this process and the odd ones in one forked
-    child (without ``os.fork`` this process runs both halves), each
-    half in lockstep.  If starts fail, the error of the lowest failing
-    start is raised, as one process running the starts in order would
-    raise it.
+    A forked helper runs the even starts and its own child the odd
+    ones, each half in lockstep, and only the policy and the outcomes
+    come back (without ``os.fork`` this process runs both halves).  If
+    starts fail, the error of the lowest failing start is raised, as
+    one process running the starts in order would raise it.
     """
     family = drift_policy.PolicyFamily(
         policy_kind, t_retire=g.scenario.T_R, activation=activation, snake_a=snake_a
@@ -386,17 +386,22 @@ def minimize_upper_bound(
         runs = {start: _start(policy_kind, seed, start, maxiter) for start in starts}
         return _lockstep(lambda params: upper_bounds_and_gradients(g, family, params), runs)
 
-    # the starts draw their initializations from numpy.random: imported
-    # before the fork, once for both halves, and only where a fit runs
-    import numpy.random  # noqa: F401
+    def fit():
+        # the starts draw their initializations from numpy.random: imported
+        # before the fork, once for both halves, and only in the fit's helper
+        import numpy.random  # noqa: F401
 
-    parts = in_two_processes(lambda: run_half(0), lambda: run_half(1))
-    failures = [failure for _, failure in parts if failure is not None]
-    if failures:
-        raise min(failures, key=lambda failure: failure[0])[1]
+        parts = in_two_processes(lambda: run_half(0), lambda: run_half(1))
+        failures = [failure for _, failure in parts if failure is not None]
+        if failures:
+            raise min(failures, key=lambda failure: failure[0])[1]
 
-    done = {start: outcome for part, _ in parts for start, outcome in part.items()}
-    outcomes = [done[start] for start in range(config.num_starts)]
-    # min keeps the first of equal finals: the lowest start wins a tie
-    best = min(outcomes, key=lambda outcome: outcome.final)
-    return family.policy(best.params), outcomes
+        done = {start: outcome for part, _ in parts for start, outcome in part.items()}
+        outcomes = [done[start] for start in range(config.num_starts)]
+        # min keeps the first of equal finals: the lowest start wins a tie
+        best = min(outcomes, key=lambda outcome: outcome.final)
+        return family.policy(best.params), outcomes
+
+    # an idle caller: numpy.random, the OpenSSL it imports and the BFGS
+    # states stay in the helper
+    return in_two_processes(lambda: None, fit)[1]

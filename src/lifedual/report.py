@@ -5,14 +5,14 @@
 signed gap upper - lower, the signed relative gap gap/|lower|, the
 status ``ordered`` or ``crossed`` that follows from the gap's sign, and
 the welfare loss of an ordered pair.  ``emit_csv`` writes it with the
-run that produced it (config, grid, policy, the optimizer's per-start
+run that produced it (config, policy, the optimizer's per-start
 outcomes, simulation, clock):
 
 * ``bounds.csv``     one row: method, the certificate's numbers (an
                      empty welfare-loss cell when crossed), the protocol
                      sizes and the ``certificate`` status
 * ``vstar.csv``      optimized drift adjustment (t, v0, v_minus) at the
-                     nodes of the optimizer's search grid
+                     nodes of the path grid
 * ``trace.csv``      each start's incumbents (iteration, objective,
                      start), start by start
 * ``facevalue.csv``  mean simulated insurance face value per time step
@@ -136,14 +136,15 @@ def _write_rows(path: str, header, rows) -> None:
         raise ValidationError(f"cannot write {path}: {exc}") from None
 
 
-def emit_csv(report: BoundsReport, cfg, grid, policy, outcomes, sim, clock) -> list[str]:
+def emit_csv(report: BoundsReport, cfg, policy, outcomes, sim, clock) -> list[str]:
     """Write the artifact set into ``cfg.out_dir``; returns the written paths.
 
-    ``grid`` is the optimizer's search grid the fitted ``policy`` is
-    tabulated on, ``outcomes`` the optimizer's ``StartOutcome`` list in
-    start order, ``sim`` the simulation result (step times, mean wealth
-    / face value / consumption curves, budget check) and ``clock`` the
-    wall-clock seconds per phase.
+    The fitted ``policy`` is tabulated at the path grid's nodes
+    ``sim.times``, where the upper bound reads it; ``outcomes`` is the
+    optimizer's ``StartOutcome`` list in start order, ``sim`` the
+    simulation result (step times, mean wealth / face value /
+    consumption curves, budget check) and ``clock`` the wall-clock
+    seconds per phase.
     """
     out_dir = cfg.out_dir
     prov = _provenance(cfg, sim)
@@ -179,12 +180,12 @@ def emit_csv(report: BoundsReport, cfg, grid, policy, outcomes, sim, clock) -> l
     _write_rows(bounds_path, bounds.keys(), [bounds.values()])
     paths.append(bounds_path)
 
-    v0, vm = evaluate(policy, grid.nodes, horizon=cfg.scenario.T)
+    v0, vm = evaluate(policy, sim.times, horizon=cfg.scenario.T)
     vstar_path = os.path.join(out_dir, "vstar.csv")
     _write_rows(
         vstar_path,
         ("t", "v0", "v_minus"),
-        ((_fmt(t), _fmt(a), _fmt(b)) for t, a, b in zip(grid.nodes, v0, vm)),
+        ((_fmt(t), _fmt(a), _fmt(b)) for t, a, b in zip(sim.times, v0, vm)),
     )
     paths.append(vstar_path)
 

@@ -231,23 +231,25 @@ def test_build_report_certificate_property(upper, lower, std_error, gamma):
 
 
 def test_vstar_round_trip_reproduces_the_bound(tmp_path):
+    # the fit searches on 50 intervals and the certificate reads the path
+    # grid of 100 steps; vstar.csv tabulates the policy where the bound
+    # reads it, and 17 significant digits reproduce the values exactly
     sc = preset_scenario("example1")
     g = compute_g(sc, UniformGrid(0.0, sc.T, 50))
+    cert = compute_g(sc, UniformGrid(0.0, sc.T, 100))
     cfg = OptimizerConfig(num_starts=1, iterations_per_start=15)
     policy, outcomes = minimize_upper_bound(g, "affine", cfg, seed=2)
-    best = min(outcome.final for outcome in outcomes)
+    upper = origin_upper_bound(cert, policy)
     sim = simulate_candidate_value(
-        g, policy, SimulationConfig(n_paths=256, n_steps=50)
+        cert, policy, SimulationConfig(n_paths=256, n_steps=100)
     )
-    rep = build_report(best, sim.value, sim.std_error, sc.gamma)
+    rep = build_report(upper, sim.value, sim.std_error, sc.gamma)
     run = RunConfig(scenario=sc, n_intervals=50, out_dir=str(tmp_path), seed=2)
-    paths = emit_csv(rep, run, g.grid, policy, outcomes, sim, {})
+    paths = emit_csv(rep, run, policy, outcomes, sim, {})
     vstar_path = [p for p in paths if p.endswith("vstar.csv")][0]
     table = read_vstar_csv(vstar_path)
-    # the bound only reads the adjustment at the grid nodes, and 17
-    # significant digits reproduce them exactly
-    revalued = origin_upper_bound(g, table)
-    assert revalued == pytest.approx(best, abs=1e-10)
+    assert table.times == tuple(cert.grid.nodes)
+    assert origin_upper_bound(cert, table) == upper
 
 
 @pytest.mark.parametrize("name", ["missing.csv", "."], ids=["missing", "directory"])
@@ -313,7 +315,7 @@ def test_cli_run_writes_wellformed_artifacts(tmp_path):
     assert row["seed"] == "0" and row["n_paths"] == "4096"
 
     _, vrows = _read_csv(out / "vstar.csv")
-    assert len(vrows) == 51  # quadrature nodes
+    assert len(vrows) == 201  # path-grid nodes
     assert all(float(r[1]) >= 0 and float(r[2]) >= 0 for r in vrows)
 
     _, frows = _read_csv(out / "facevalue.csv")
@@ -350,9 +352,9 @@ def test_cli_run_writes_each_start_record(tmp_path, monkeypatch):
     written = {}
     emit = lifedual.cli.emit_csv
 
-    def capture(report, cfg, grid, policy, outcomes, sim, clock):
+    def capture(report, cfg, policy, outcomes, sim, clock):
         written.update(cfg=cfg, policy=policy, outcomes=outcomes)
-        return emit(report, cfg, grid, policy, outcomes, sim, clock)
+        return emit(report, cfg, policy, outcomes, sim, clock)
 
     monkeypatch.setattr(lifedual.cli, "emit_csv", capture)
     text = SMALL_RUN_CFG.replace("opt.iterations_per_start = 0", "opt.iterations_per_start = 5")
@@ -520,6 +522,18 @@ def test_cli_sobol_point_limit_exits_1(tmp_path, monkeypatch, capsys):
     deep = _write(tmp_path, "deep.cfg", "sim.n_steps = 30000\n")
     assert main(["run", "--config", deep, "--out", str(tmp_path)]) == 1
     assert "Sobol dimension" in capsys.readouterr().err
+
+
+def test_sobol_skip_that_would_size_the_level_table_is_refused(tmp_path, capsys):
+    # a skip of 10^9 would make sobol_normals build a 2^30-entry table
+    # (8.6 GB) for any number of paths; refused when the config is read
+    build_run_config({"sim.sobol_skip": str(2**16 - 1)}, desk_scale=True)
+    for skip in (2**16, 10**9):
+        with pytest.raises(ValidationError, match="^sim.sobol_skip = "):
+            build_run_config({"sim.sobol_skip": str(skip)}, desk_scale=True)
+    cfg = _write(tmp_path, "skip.cfg", "sim.sobol_skip = 1000000000\n")
+    assert main(["validate", "--config", cfg]) == 1
+    assert "error: sim.sobol_skip = 1000000000 must lie in" in capsys.readouterr().err
 
 
 def test_cli_retirement_between_path_nodes_exits_1(tmp_path, monkeypatch, capsys):

@@ -2,11 +2,15 @@
 
 import os
 import signal
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import lifedual
 from lifedual.fork import in_two_processes
 
 
@@ -93,6 +97,54 @@ def test_failing_here_kills_the_processes_a_nested_call_forked():
     assert not any(map(_running, pids))
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
+
+
+# the top process sleeps while its child runs a nested call: the child
+# and the grandchild each write their pid to stdout and sleep
+_NESTED_SLEEPERS = """
+import os, time
+from lifedual.fork import in_two_processes
+
+def sleeper():
+    os.write(1, b"%d\\n" % os.getpid())
+    time.sleep(30)
+
+in_two_processes(lambda: time.sleep(30), lambda: in_two_processes(sleeper, sleeper))
+"""
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc"), reason="reads process states from /proc")
+@pytest.mark.parametrize("new_session", [False, True], ids=["sigkill-top", "sigterm-group"])
+def test_helpers_end_when_the_top_process_is_killed(new_session):
+    # SIGKILL of the top process alone, as a deadline or the OOM killer
+    # sends it, or SIGTERM to its process group, as timeout(1) sends it:
+    # either way no helper below it keeps running
+    src = str(Path(lifedual.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    proc = subprocess.Popen(
+        [sys.executable, "-c", _NESTED_SLEEPERS],
+        stdout=subprocess.PIPE,
+        env=dict(os.environ, PYTHONPATH=path),
+        start_new_session=new_session,
+    )
+    pids = []
+    try:
+        pids = [int(proc.stdout.readline()) for _ in range(2)]
+        if new_session:
+            os.killpg(proc.pid, signal.SIGTERM)
+        else:
+            proc.kill()
+        proc.wait(timeout=10)
+        deadline = time.monotonic() + 1.0
+        while any(map(_running, pids)) and time.monotonic() < deadline:
+            time.sleep(0.02)
+        assert not any(map(_running, pids))
+    finally:
+        proc.kill()
+        proc.wait()
+        proc.stdout.close()
+        for pid in filter(_running, pids):
+            os.kill(pid, signal.SIGKILL)
 
 
 def test_without_fork_both_run_here_in_order(monkeypatch):

@@ -2,12 +2,16 @@
 
 import dataclasses
 import os
+import subprocess
+import sys
 import time
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
 import pytest
 
+import lifedual
 from lifedual import drift_policy
 from lifedual.closed_form import compute_g, origin_upper_bound, origin_upper_bounds
 from lifedual.drift_policy import (
@@ -422,6 +426,33 @@ def test_incumbent_sequences_are_nonincreasing():
     assert all(outcome.final <= outcome.values[0] + 1e-15 for outcome in outcomes)
 
 
+def test_fit_leaves_numpy_random_in_its_helper():
+    # the starts draw from numpy.random in the fit's forked helper, so a
+    # fresh interpreter that fits still has not imported it afterwards
+    runner = (
+        "import sys\n"
+        "from lifedual import (\n"
+        "    OptimizerConfig, UniformGrid, compute_g, minimize_upper_bound, preset_scenario,\n"
+        ")\n"
+        "sc = preset_scenario('example1')\n"
+        "g = compute_g(sc, UniformGrid(0.0, sc.T, 50))\n"
+        "cfg = OptimizerConfig(num_starts=3, iterations_per_start=5)\n"
+        "policy, outcomes = minimize_upper_bound(g, 'affine', cfg, seed=0)\n"
+        "print(len(outcomes), 'numpy.random' in sys.modules)\n"
+    )
+    src = str(Path(lifedual.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", runner],
+        capture_output=True,
+        text=True,
+        env=dict(os.environ, PYTHONPATH=path),
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["3", "False"]
+
+
 def _edit_rows(edit):
     """Patch the optimizer's batched objective to rewrite each row.
 
@@ -533,8 +564,10 @@ def _fail_starts(g, failures, seed=0):
 
 
 def _in_child(flag):
-    parent = os.getpid()
-    return lambda: (os.getpid() != parent) == flag
+    # both halves run below the caller: the even half in the fit's helper,
+    # a child of the caller, and the odd half in the helper's own child
+    caller = os.getpid()
+    return lambda: (os.getppid() != caller) == flag
 
 
 @pytest.mark.parametrize("kind", ["redraws", "gradient"])
