@@ -40,6 +40,7 @@ case.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -54,6 +55,7 @@ __all__ = [
     "evaluate",
     "init_params",
     "make_policy",
+    "seeded_uniforms",
     "AFFINE_N_PARAMS",
     "MLP_N_PARAMS",
 ]
@@ -63,6 +65,10 @@ MLP_N_PARAMS = 42
 _N_PARAMS = {"affine": AFFINE_N_PARAMS, "mlp": MLP_N_PARAMS}
 _HIDDEN = 10
 _INIT_STD = 1e-2  # scale of the initial parameter draws
+_INIT_TAG = 1  # purpose tag of the initialization draws in the seeded stream
+_MASK64 = (1 << 64) - 1
+_GAMMA = 0x9E3779B97F4A7C15  # splitmix64's increment, 2^64 over the golden ratio
+_BELOW_ONE = 1.0 - 2.0**-53  # the largest double below 1
 
 
 def snake(x, a: float):
@@ -268,17 +274,54 @@ def evaluate(policy, t, horizon: float | None = None):
     return policy(t)
 
 
-def init_params(kind: str, seed) -> np.ndarray:
-    """Draw a flat initial parameter vector, deterministic given seed.
+def _mix(z: int) -> int:
+    """splitmix64's output function: a bijection of 64-bit words."""
+    z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
+    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
+    return z ^ (z >> 31)
 
+
+def seeded_uniforms(key, count: int) -> list[float]:
+    """``count`` doubles in (0, 1), a pure function of the integer tuple ``key``.
+
+    A counter-based splitmix64 stream (Steele, Lea & Flood 2014): the
+    key's words are folded into a 64-bit state, word by word, and output
+    i mixes the state plus (i + 1) increments.  Each output keeps its top
+    53 bits plus one half, over 2^53, so it is never 0.  Above 1/2 the
+    half rounds to even, and the one word that would round to 1 gives
+    the largest double below 1.  The first word of a key is a purpose
+    tag, so no two uses share a stream.
+    """
+    state = 0
+    for word in key:
+        state = _mix((state + _GAMMA + operator.index(word)) & _MASK64)
+    out = []
+    for i in range(1, count + 1):
+        top = _mix((state + i * _GAMMA) & _MASK64) >> 11
+        out.append(min((top + 0.5) / 2.0**53, _BELOW_ONE))
+    return out
+
+
+def init_params(kind: str, key) -> np.ndarray:
+    """Draw a flat initial parameter vector, a pure function of ``key``.
+
+    ``key`` is an integer or a tuple of them (the optimizer's is (seed,
+    start, retry)); the draws are ``seeded_uniforms`` under the
+    initialization tag, mapped through the normal inverse CDF.
     Parameters are N(0, _INIT_STD): affine coefficients of that size
     make the initial v(t) over a multi-decade horizon comparable to the
     drift spreads being adjusted, and the same scale keeps the
     network's initial outputs small without flattening its gradients.
+    ``statistics`` is imported here, so only a process that draws loads it.
     """
+    from statistics import NormalDist
+
     if kind not in _N_PARAMS:
         raise ValidationError(f"unknown policy kind {kind!r}")
-    return np.random.default_rng(seed).normal(0.0, _INIT_STD, _N_PARAMS[kind])
+    key = (key,) if np.ndim(key) == 0 else tuple(key)
+    n = _N_PARAMS[kind]
+    inv_cdf = NormalDist(0.0, _INIT_STD).inv_cdf
+    return np.fromiter(map(inv_cdf, seeded_uniforms((_INIT_TAG, *key), n)), float, n)
 
 
 def make_policy(

@@ -87,7 +87,6 @@ import importlib.util
 import os
 from collections.abc import Callable
 from dataclasses import dataclass
-from statistics import NormalDist
 
 import numpy as np
 
@@ -290,7 +289,11 @@ def sobol_normals(
     path gathers from a table.  Each call builds its row afresh, so a
     reader may ask for a row more than once and nothing of size
     n_steps x n_paths is held.  Deterministic given the config.
+    ``statistics`` is imported here, in the path pass's child, so the
+    calling process never loads it.
     """
+    from statistics import NormalDist
+
     m = (config.sobol_skip + config.n_paths).bit_length()
     # Phi^-1(1 - k/2^m) = -Phi^-1(k/2^m) holds exactly in inv_cdf, as
     # 1 - k/2^m is exact, so half the table is computed and mirrored

@@ -19,9 +19,16 @@ the zoom runs out of trial steps it takes the lowest point that met
 sufficient decrease, and an update with y.s <= 0 is skipped, so the
 inverse Hessian stays positive definite.
 
-Each start draws its own initialization from the configured seed;
-starts are independent, and the reduction picks the lowest final
-objective with ties broken by the lowest start index, so results are
+Each start draws its initialization from the configured seed, through
+``drift_policy.init_params`` on the key (seed, start, retry), where
+``retry`` numbers every draw of the start; the draws are a counter-based
+stream in integer arithmetic, so no ``numpy.random`` is loaded.  A start
+redraws when its initial objective is non-finite, and when BFGS ends on
+an exactly zero gradient: both families output max(z, 0), and a point
+whose outputs are all clamped at the grid nodes lies on a flat region
+(the zero-adjustment bound) that BFGS's line search accepts.  Starts
+are independent, and the reduction picks the lowest final objective
+with ties broken by the lowest start index, so results are
 reproducible regardless of evaluation order.  The starts therefore run
 in two processes: a helper forked against an idle caller takes the
 even start indices and its own child the odd ones.  Within a process
@@ -41,8 +48,9 @@ equals that of one process bit for bit.
 
 from __future__ import annotations
 
+import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -59,6 +67,7 @@ __all__ = [
 ]
 
 _MAX_INIT_RETRIES = 3  # redraws of a start whose initial objective is non-finite
+_MAX_FLAT_REDRAWS = 3  # redraws of a start whose BFGS run ends on a zero gradient
 _GTOL = 1e-10  # BFGS stopping rule on the largest gradient entry
 _XRTOL = 1e-12  # BFGS stopping rule on the relative step
 _STALL_ULPS = 4  # BFGS stops once an iteration lowers f by at most this many ulp(f)
@@ -99,7 +108,9 @@ class StartOutcome:
     search found no step of sufficient decrease; ``message`` says which.
     ``nfev`` counts the evaluations, each of value and gradient, and
     ``grad_norm`` is the Euclidean norm of the exact gradient at the
-    final point.
+    final point.  A start that redraws keeps the record of its last
+    attempt only; ``redraws`` counts the draws before it, so that
+    attempt started from the draw with retry = ``redraws``.
     """
 
     status: int
@@ -108,6 +119,7 @@ class StartOutcome:
     grad_norm: float
     values: tuple[float, ...]
     params: tuple[float, ...]
+    redraws: int = 0
 
     @property
     def nit(self) -> int:
@@ -298,19 +310,32 @@ def _bfgs(x0, first, maxiter):
 def _start(policy_kind, seed, start, maxiter):
     """One start as a generator of points to evaluate; returns its ``StartOutcome``.
 
-    Draws the initialization, redrawing up to ``_MAX_INIT_RETRIES``
-    times while the objective there is non-finite, then runs ``_bfgs``
-    from it (the initialization's evaluation yields the gradient too and
-    is BFGS's first).
+    Draw ``retry`` of the start is ``init_params`` on (seed, start,
+    retry).  A draw whose objective is non-finite is redrawn, up to
+    ``_MAX_INIT_RETRIES`` times over the start; otherwise ``_bfgs`` runs
+    from it (the draw's evaluation yields the gradient too and is
+    BFGS's first).  A run that ends on a gradient of exactly 0 sat on
+    the positive part's flat region; it is redrawn up to
+    ``_MAX_FLAT_REDRAWS`` times while iterations remain, and each new
+    attempt gets the iterations that are left of ``maxiter``.  The
+    record is the last attempt's, with the start's redraw count.
     """
-    for retry in range(_MAX_INIT_RETRIES + 1):
+    non_finite = flat = 0
+    for retry in itertools.count():
         x0 = drift_policy.init_params(policy_kind, (seed, start, retry))
         first = yield x0
-        if np.isfinite(first[0]):
-            return (yield from _bfgs(x0, first, maxiter))
-    raise NumericalError(
-        f"start {start}: objective non-finite after {_MAX_INIT_RETRIES} redraws"
-    )
+        if not np.isfinite(first[0]):
+            non_finite += 1
+            if non_finite > _MAX_INIT_RETRIES:
+                raise NumericalError(
+                    f"start {start}: objective non-finite after {_MAX_INIT_RETRIES} redraws"
+                )
+            continue
+        outcome = yield from _bfgs(x0, first, maxiter)
+        maxiter -= outcome.nit
+        if outcome.grad_norm != 0.0 or flat == _MAX_FLAT_REDRAWS or maxiter == 0:
+            return replace(outcome, redraws=retry)
+        flat += 1
 
 
 def _lockstep(evaluate, runs):
@@ -366,9 +391,11 @@ def minimize_upper_bound(
     from ``seed``; a start whose initial objective is non-finite is
     redrawn up to ``_MAX_INIT_RETRIES`` times before failing; that
     evaluation yields the gradient too and is BFGS's first, so no start
-    evaluates its initialization twice.  With ``iterations_per_start``
-    at 0, each start ends there (status 1, or 0 where the gradient is
-    below tolerance).
+    evaluates its initialization twice.  A start whose BFGS run ends on
+    an exactly zero gradient is redrawn up to ``_MAX_FLAT_REDRAWS``
+    times within its ``iterations_per_start``.  With
+    ``iterations_per_start`` at 0, each start ends at its first finite
+    draw (status 1, or 0 where the gradient is below tolerance).
 
     A forked helper runs the even starts and its own child the odd
     ones, each half in lockstep, and only the policy and the outcomes
@@ -387,9 +414,9 @@ def minimize_upper_bound(
         return _lockstep(lambda params: upper_bounds_and_gradients(g, family, params), runs)
 
     def fit():
-        # the starts draw their initializations from numpy.random: imported
+        # init_params maps its draws through statistics.NormalDist: imported
         # before the fork, once for both halves, and only in the fit's helper
-        import numpy.random  # noqa: F401
+        import statistics  # noqa: F401
 
         parts = in_two_processes(lambda: run_half(0), lambda: run_half(1))
         failures = [failure for _, failure in parts if failure is not None]
@@ -402,6 +429,6 @@ def minimize_upper_bound(
         best = min(outcomes, key=lambda outcome: outcome.final)
         return family.policy(best.params), outcomes
 
-    # an idle caller: numpy.random, the OpenSSL it imports and the BFGS
-    # states stay in the helper
+    # an idle caller: statistics (with decimal and fractions) and the
+    # BFGS states stay in the helper
     return in_two_processes(lambda: None, fit)[1]

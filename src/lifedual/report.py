@@ -14,11 +14,12 @@ outcomes, simulation, clock):
 * ``vstar.csv``      optimized drift adjustment (t, v0, v_minus) at the
                      nodes of the path grid
 * ``trace.csv``      each start's incumbents (iteration, objective,
-                     start), start by start
+                     start), start by start, of its last attempt
 * ``facevalue.csv``  mean simulated insurance face value per time step
 * ``wealth.csv``     mean simulated wealth and consumption per step
 * ``report.txt``     human-readable summary with full provenance, the
                      dual checks and each optimizer start's solver outcome
+                     and redraw count
 
 All floating-point output uses 17 significant digits, so re-reading an
 artifact reproduces the binary values exactly; nothing in the files
@@ -288,11 +289,13 @@ def _render_text(report: BoundsReport, prov, policy, outcomes, sim, clock) -> st
     lines.append("policy parameters:")
     lines.append("  " + ", ".join(_fmt(p) for p in policy.params))
     lines.append("")
-    lines.append("optimizer starts (solver outcome; |grad| at the final point):")
+    lines.append(
+        "optimizer starts (the last attempt's solver outcome; |grad| at the final point):"
+    )
     for start, outcome in enumerate(outcomes):
         lines.append(
             f"  start {start:>2}: final {_fmt(outcome.final)}, status {outcome.status}, "
-            f"nit {outcome.nit}, nfev {outcome.nfev}, "
+            f"nit {outcome.nit}, nfev {outcome.nfev}, redraws {outcome.redraws}, "
             f"|grad| {outcome.grad_norm:.3e}: {outcome.message}"
         )
     lines.append("")

@@ -382,11 +382,15 @@ def test_cli_run_writes_each_start_record(tmp_path, monkeypatch):
     assert len(lines) == 2
     for start, (line, outcome) in enumerate(zip(lines, outcomes)):
         fields = re.match(
-            r"  start +(\d+): final (\S+), status (\d), nit (\d+), nfev (\d+), \|grad\| ", line
+            r"  start +(\d+): final (\S+), status (\d), nit (\d+), nfev (\d+), redraws (\d+), "
+            r"\|grad\| ",
+            line,
         )
         assert fields is not None, line
         assert (int(fields[1]), float(fields[2])) == (start, outcome.final)
-        assert tuple(map(int, fields.groups()[2:])) == (outcome.status, outcome.nit, outcome.nfev)
+        assert tuple(map(int, fields.groups()[2:])) == (
+            outcome.status, outcome.nit, outcome.nfev, outcome.redraws
+        )
         assert line.endswith(f": {outcome.message}")
 
 
@@ -639,31 +643,59 @@ def test_cold_start_imports_no_scipy_stats():
     assert lines[1:] == [""]  # validate imports no scipy module at all
 
 
+_SMALL_IMPORT_CFG = (
+    "opt.num_starts = 2\nopt.iterations_per_start = 5\n"
+    "sim.n_paths = 256\nsim.n_steps = 100\n"
+)
+
+
 @pytest.mark.parametrize("command", ["run", "verify"])
 def test_run_and_verify_import_no_scipy(tmp_path, command):
     # the optimizer's BFGS is numpy and the level table comes from the
     # stdlib; the Sobol direction numbers are read from scipy's file
     # without importing any scipy module, and the provenance's package
-    # versions without importlib.metadata.  The fit runs in a forked
-    # child, so numpy.random (drawn from by the optimizer's starts) and
-    # the OpenSSL it imports through secrets never enter this process
-    cfg = _write(
-        tmp_path,
-        "small.cfg",
-        "opt.num_starts = 2\nopt.iterations_per_start = 5\n"
-        "sim.n_paths = 256\nsim.n_steps = 100\n",
-    )
+    # versions without importlib.metadata.  The fit and the path pass run
+    # in forked children, so statistics, which maps their draws to
+    # normals, and the decimal and fractions it imports never enter this
+    # process, nor does numpy.random with the OpenSSL of its secrets
+    cfg = _write(tmp_path, "small.cfg", _SMALL_IMPORT_CFG)
     argv = [command, "--config", cfg, "--out", str(tmp_path / "out"), "--seed", "0"]
+    held = ("numpy.random", "secrets", "_hashlib", "statistics", "decimal", "fractions")
     runner = (
         "import sys\nfrom lifedual import cli\n"
         f"status = cli.main({argv!r})\n"
         "print('importlib.metadata' in sys.modules)\n"
-        "print(*[m in sys.modules for m in ('numpy.random', 'secrets', '_hashlib')])\n"
+        f"print(*[m in sys.modules for m in {held!r}])\n"
         f"{_LIST_SCIPY}\nsys.exit(status)"
     )
     proc = _python("-c", runner)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.splitlines()[-3:] == ["False", "False False False", ""]
+    assert proc.stdout.splitlines()[-3:] == ["False", " ".join(["False"] * len(held)), ""]
+
+
+def test_no_process_of_run_or_verify_imports_numpy_random(tmp_path):
+    # the starts draw from seeded_uniforms, so neither the CLI process nor
+    # any forked child (-X importtime writes each one's imports to the
+    # shared stderr) loads numpy.random or the OpenSSL of its secrets
+    cfg = _write(tmp_path, "small.cfg", _SMALL_IMPORT_CFG)
+    for command in ("run", "verify"):
+        proc = _python(
+            "-X", "importtime", "-m", "lifedual.cli", command, "--config", cfg,
+            "--out", str(tmp_path / command), "--seed", "0",
+        )
+        assert proc.returncode == 0, proc.stderr
+        imported = {
+            line.rsplit("|", 1)[1].strip()
+            for line in proc.stderr.splitlines()
+            if line.startswith("import time:")
+        }
+        assert {"numpy", "lifedual.optimizer"} <= imported  # the log is read
+        assert {"statistics", "decimal"} <= imported  # the children's imports too
+        banned = [
+            name for name in imported
+            if name.split(".")[0] in ("secrets", "_hashlib") or name.startswith("numpy.random")
+        ]
+        assert banned == [], command
 
 
 def test_cli_verify_passes_for_optimized_policy(tmp_path, capsys):

@@ -1,4 +1,6 @@
-"""Policy families: snake activation, parameter handling, nonnegativity."""
+"""Policy families: snake activation, parameter handling, nonnegativity, seeded draws."""
+
+from statistics import NormalDist
 
 import numpy as np
 import pytest
@@ -13,8 +15,10 @@ from lifedual.drift_policy import (
     evaluate,
     init_params,
     make_policy,
+    seeded_uniforms,
     snake,
 )
+from lifedual import drift_policy
 from lifedual.errors import ValidationError
 
 
@@ -125,6 +129,52 @@ def test_init_params_deterministic_and_scaled():
     assert m.shape == (MLP_N_PARAMS,)
     with pytest.raises(ValidationError):
         init_params("table", 0)
+
+
+def test_mix_is_splitmix64():
+    # the first outputs of Vigna's splitmix64.c seeded with 0: output k
+    # mixes k increments of the golden-ratio constant
+    gamma = 0x9E3779B97F4A7C15
+    assert [drift_policy._mix(k * gamma % 2**64) for k in (1, 2, 3)] == [
+        0xE220A8397B1DCDAF,
+        0x6E789E6AA1B965F4,
+        0x06C45D188009454F,
+    ]
+
+
+def test_seeded_uniforms_follow_the_uniform_and_normal_laws():
+    from scipy import stats
+
+    n = 10**5
+    u = seeded_uniforms((drift_policy._INIT_TAG, 0), n)
+    assert len(u) == n and 0.0 < min(u) and max(u) < 1.0
+    assert stats.kstest(u, "uniform").pvalue > 0.01  # 0.066 for this key
+    inv_cdf = NormalDist(0.0, drift_policy._INIT_STD).inv_cdf
+    normals = [inv_cdf(x) for x in u]
+    assert stats.kstest(normals, "norm", args=(0.0, drift_policy._INIT_STD)).pvalue > 0.01
+    # init_params is the head of that stream for the key 0
+    assert init_params("mlp", 0).tolist() == normals[:MLP_N_PARAMS]
+
+
+def test_seeded_uniforms_are_keyed():
+    assert seeded_uniforms((1, 2, 3), 5) == seeded_uniforms((1, 2, 3), 5)
+    assert seeded_uniforms((1, 2, 3), 3) == seeded_uniforms((1, 2, 3), 5)[:3]
+    streams = [seeded_uniforms(key, 5) for key in ((1, 0), (2, 0), (0, 1), (1, 0, 0), (1,))]
+    assert len({tuple(stream) for stream in streams}) == len(streams)
+    # an int key is the one-word tuple
+    assert np.array_equal(init_params("affine", 11), init_params("affine", (11,)))
+    assert np.array_equal(init_params("affine", np.int64(11)), init_params("affine", (11,)))
+
+
+@pytest.mark.parametrize("word", [0, 2**64 - 1])
+def test_seeded_uniforms_stay_inside_the_unit_interval(monkeypatch, word):
+    # the extreme 64-bit outputs map to 2^-54 and 1 - 2^-53, never 0 or 1
+    # (the top one plus one half would round to 1), so the normal inverse
+    # CDF is finite at every draw
+    monkeypatch.setattr(drift_policy, "_mix", lambda z: word)
+    [u] = seeded_uniforms((0,), 1)
+    assert u == (2.0**-54 if word == 0 else 1.0 - 2.0**-53)
+    assert np.isfinite(init_params("affine", 0)).all()
 
 
 def test_params_make_policy_round_trip():

@@ -2,18 +2,15 @@
 
 import dataclasses
 import os
-import subprocess
-import sys
 import time
-from pathlib import Path
 from unittest import mock
 
 import numpy as np
 import pytest
 
-import lifedual
 from lifedual import drift_policy
 from lifedual.closed_form import compute_g, origin_upper_bound, origin_upper_bounds
+from lifedual.config import build_run_config
 from lifedual.drift_policy import (
     AFFINE_N_PARAMS,
     MLP_N_PARAMS,
@@ -151,46 +148,47 @@ def test_a_snake_value_and_gradient_runs_the_hidden_layer_once(monkeypatch):
     assert len(calls) == 1
 
 
-# per start (status, nit, nfev, final objective) at seed 0 on the n=100
-# grid, captured before the starts ran in lockstep
+# per start (status, nit, nfev, redraws, final objective) of its last
+# attempt, at seed 0 on the n=100 grid, captured when the draws came from
+# seeded_uniforms and a start ending on a zero gradient was redrawn
 _SNAKE_PROTOCOL_STARTS = [
-    (0, 1, 2, -8.810623388185784),
-    (0, 2, 5, -8.810623388185784),
-    (0, 2, 5, -8.810623388185784),
-    (0, 2, 4, -8.810623388185784),
-    (1, 50, 113, -9.236695333794131),
-    (0, 0, 1, -8.810623388185784),
-    (2, 11, 36, -9.187028033060855),
-    (0, 1, 3, -8.810623388185784),
-    (0, 2, 4, -8.810623388185784),
-    (0, 3, 4, -8.810623388185784),
-    (0, 2, 5, -8.810623388185784),
-    (1, 50, 92, -9.248092710453198),
-    (0, 1, 2, -8.810623388185784),
-    (1, 50, 82, -9.245916222516914),
-    (0, 1, 2, -8.810623388185784),
-    (0, 1, 9, -8.810623388185784),
-    (1, 50, 78, -9.248936301593128),
-    (1, 50, 80, -9.24713573695779),
-    (1, 50, 105, -9.247436133289753),
-    (0, 1, 3, -8.810623388185784),
-    (0, 2, 3, -8.810623388185784),
-    (0, 2, 4, -8.810623388185784),
-    (1, 50, 96, -9.246652935766647),
-    (1, 50, 64, -9.178155750906363),
-    (0, 1, 3, -8.810623388185784),
-    (0, 1, 2, -8.810623388185784),
-    (0, 2, 5, -8.810623388185784),
-    (0, 1, 3, -8.810623388185784),
-    (1, 50, 84, -9.247126071270243),
-    (0, 1, 4, -8.810623388185784),
+    (1, 49, 77, 2, -9.238941710293453),
+    (2, 27, 61, 1, -9.194620341162986),
+    (2, 20, 49, 0, -9.228771873122815),
+    (0, 2, 3, 3, -8.810623388185784),
+    (1, 48, 88, 1, -9.24713253094521),
+    (0, 2, 4, 3, -8.810623388185784),
+    (1, 49, 77, 1, -9.248852139352852),
+    (2, 24, 55, 0, -9.215952831553313),
+    (1, 48, 67, 3, -9.249054026375541),
+    (1, 50, 88, 0, -9.238933802729555),
+    (2, 26, 64, 2, -9.179197297998066),
+    (2, 30, 107, 0, -9.195561186081717),
+    (1, 47, 63, 3, -9.238938835564314),
+    (1, 50, 141, 0, -9.247696319557678),
+    (1, 50, 76, 0, -9.248611150372163),
+    (1, 50, 89, 1, -9.24851991672983),
+    (0, 2, 4, 3, -8.810623388185784),
+    (1, 50, 75, 0, -9.238917393323254),
+    (1, 50, 96, 0, -9.24819772040817),
+    (2, 28, 69, 0, -9.226810378087011),
+    (1, 50, 113, 0, -9.178142050176934),
+    (1, 50, 107, 0, -9.247390061468607),
+    (1, 48, 89, 3, -9.24486182771631),
+    (0, 27, 140, 0, -9.17748098335663),
+    (1, 50, 88, 0, -9.247965371011245),
+    (1, 49, 105, 1, -9.24894380171835),
+    (1, 50, 96, 1, -9.244637550513167),
+    (0, 30, 85, 0, -9.177757315023118),
+    (2, 33, 89, 3, -9.209363519208758),
+    (2, 27, 75, 0, -9.202272106542758),
 ]
 _DESK_AFFINE_STARTS = [
-    (0, 14, 48, -9.451881002652222),
-    (0, 14, 32, -9.31198387835185),
-    (0, 1, 2, -9.31198387835185),
-    (0, 8, 15, -9.318277815391282),
-    (0, 13, 42, -9.451881002652215),
+    (0, 9, 32, 1, -9.451881002652218),
+    (0, 14, 35, 1, -9.451881002652215),
+    (0, 3, 7, 2, -9.318277815391284),
+    (2, 10, 39, 0, -9.45188100265222),
+    (0, 17, 42, 0, -9.451881002652216),
 ]
 
 
@@ -206,7 +204,7 @@ def test_start_trajectories_match_the_golden_record(preset, kind, activation, go
     g = _g(100, preset_scenario(preset))
     cfg = OptimizerConfig(num_starts=len(golden), iterations_per_start=50)
     _, outcomes = minimize_upper_bound(g, kind, cfg, seed=0, activation=activation)
-    got = [(o.status, o.nit, o.nfev, o.final) for o in outcomes]
+    got = [(o.status, o.nit, o.nfev, o.redraws, o.final) for o in outcomes]
     assert got == golden
 
 
@@ -297,8 +295,10 @@ def test_bfgs_stops_when_f_changes_at_rounding_level():
     assert 0.0 <= seen[-2] - seen[-1] <= _STALL_ULPS * np.spacing(f)
 
 
-@pytest.mark.parametrize("start", [0, 4])  # the seed-0 desk starts that descend
-def test_bfgs_matches_scipy_on_the_desk_affine_starts(start):
+# the seed-0 desk starts whose last attempt descends, each from that
+# attempt's draw (start, redraws) in _DESK_AFFINE_STARTS
+@pytest.mark.parametrize("start, retry", [(0, 1), (1, 1), (4, 0)], ids=["0", "1", "4"])
+def test_bfgs_matches_scipy_on_the_desk_affine_starts(start, retry):
     from scipy.optimize import minimize
 
     g = _g()
@@ -306,7 +306,7 @@ def test_bfgs_matches_scipy_on_the_desk_affine_starts(start):
     def value_and_grad(params):
         return _value_and_gradient(g, make_policy("affine", params, t_retire=SC.T_R))
 
-    x0 = init_params("affine", (0, start, 0))
+    x0 = init_params("affine", (0, start, retry))
     _, f, outcome, _ = _bfgs_values(value_and_grad, x0, 50)
     ref = minimize(value_and_grad, x0, method="BFGS", jac=True,
                    options={"maxiter": 50, "gtol": 1e-10, "xrtol": 1e-12})
@@ -350,8 +350,9 @@ def test_start_outcomes_report_the_solver_end():
         assert outcome.final == outcome.values[-1]
         assert outcome.nfev >= outcome.nit + 1
         assert outcome.message
+        x0 = init_params("affine", (3, start, outcome.redraws))
         assert outcome.values[0] == origin_upper_bound(
-            g, make_policy("affine", init_params("affine", (3, start, 0)), t_retire=SC.T_R)
+            g, make_policy("affine", x0, t_retire=SC.T_R)
         )
     [best] = [outcome for outcome in outcomes if outcome.params == policy.params]
     value, grad = _value_and_gradient(g, policy)
@@ -426,33 +427,6 @@ def test_incumbent_sequences_are_nonincreasing():
     assert all(outcome.final <= outcome.values[0] + 1e-15 for outcome in outcomes)
 
 
-def test_fit_leaves_numpy_random_in_its_helper():
-    # the starts draw from numpy.random in the fit's forked helper, so a
-    # fresh interpreter that fits still has not imported it afterwards
-    runner = (
-        "import sys\n"
-        "from lifedual import (\n"
-        "    OptimizerConfig, UniformGrid, compute_g, minimize_upper_bound, preset_scenario,\n"
-        ")\n"
-        "sc = preset_scenario('example1')\n"
-        "g = compute_g(sc, UniformGrid(0.0, sc.T, 50))\n"
-        "cfg = OptimizerConfig(num_starts=3, iterations_per_start=5)\n"
-        "policy, outcomes = minimize_upper_bound(g, 'affine', cfg, seed=0)\n"
-        "print(len(outcomes), 'numpy.random' in sys.modules)\n"
-    )
-    src = str(Path(lifedual.__file__).resolve().parents[1])
-    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    proc = subprocess.run(
-        [sys.executable, "-c", runner],
-        capture_output=True,
-        text=True,
-        env=dict(os.environ, PYTHONPATH=path),
-        timeout=120,
-    )
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.split() == ["3", "False"]
-
-
 def _edit_rows(edit):
     """Patch the optimizer's batched objective to rewrite each row.
 
@@ -479,6 +453,87 @@ def test_bad_initialization_is_redrawn():
     with _edit_rows(nan_at_bad):
         policy, _ = minimize_upper_bound(g, "affine", cfg, seed=7)
     assert np.array_equal(policy.params, init_params("affine", (7, 0, 1)))
+
+
+@pytest.mark.parametrize(
+    "iterations, redraws, nit",
+    [(5, 3, 0), (2, 3, 0), (1, 0, 1)],
+    ids=["redrawn", "redrawn-with-what-is-left", "no-iterations-left"],
+)
+def test_a_start_ending_on_a_zero_gradient_is_redrawn(iterations, redraws, nit):
+    # the gradient is exact only at the first draw, so BFGS's first
+    # iterate from it, and every later draw, sits on a flat region; the
+    # first attempt takes one iteration, and each redraw gets what is left
+    g = _g(50)
+    first = init_params("affine", (7, 0, 0))
+
+    def flat_after_first(params, value, grad):
+        return value, (grad if np.array_equal(params, first) else np.zeros_like(grad))
+
+    cfg = OptimizerConfig(num_starts=1, iterations_per_start=iterations)
+    with _edit_rows(flat_after_first):
+        policy, [outcome] = minimize_upper_bound(g, "affine", cfg, seed=7)
+    assert (outcome.redraws, outcome.nit, outcome.grad_norm) == (redraws, nit, 0.0)
+    assert outcome.message == "gradient below tolerance"
+    if redraws:
+        # the record is the last attempt's, from its own draw
+        last = init_params("affine", (7, 0, redraws))
+        assert policy.params == outcome.params == tuple(last)
+        assert outcome.values == (origin_upper_bound(g, policy),)
+
+
+def test_a_redraw_searches_again():
+    # a zero gradient at the first draw only: with no iterations the start
+    # keeps that draw; with some, it redraws and BFGS descends from the
+    # draw of its last attempt
+    g = _g(50)
+    first = init_params("affine", (7, 0, 0))
+
+    def flat_first(params, value, grad):
+        return value, (np.zeros_like(grad) if np.array_equal(params, first) else grad)
+
+    with _edit_rows(flat_first):
+        _, [kept] = minimize_upper_bound(g, "affine", OptimizerConfig(1, 0), seed=7)
+        _, [searched] = minimize_upper_bound(g, "affine", OptimizerConfig(1, 20), seed=7)
+    assert (kept.redraws, kept.nit, kept.grad_norm) == (0, 0, 0.0)
+    assert kept.params == tuple(first)
+    assert searched.redraws >= 1 and searched.nit > 0 and searched.grad_norm > 0.0
+    x0 = init_params("affine", (7, 0, searched.redraws))
+    assert searched.values[0] == origin_upper_bound(g, make_policy("affine", x0, t_retire=SC.T_R))
+    assert searched.final < searched.values[0]
+
+
+DESK = build_run_config(preset="example1", desk_scale=True)
+
+
+def test_desk_fit_finds_the_best_at_every_seed(monkeypatch):
+    # without the flat-end redraw, seeds 16, 39, 43, 45, 47 and 48 end more
+    # than 1e-6 above the best: every start that searches stalls on the
+    # positive part's flat region
+    monkeypatch.delattr(os, "fork")  # fifty fits in this process
+    g = _g(DESK.n_intervals)
+    finals = {
+        seed: min(outcome.final for outcome in minimize_upper_bound(
+            g, "affine", DESK.optimizer, seed=seed
+        )[1])
+        for seed in range(50)
+    }
+    best = min(finals.values())
+    assert {seed: final for seed, final in finals.items() if final > best + 1e-6} == {}
+
+
+@pytest.mark.parametrize("seed", [100, 109])
+def test_desk_upper_bound_does_not_depend_on_the_seed(seed):
+    # without the flat-end redraw every start stalls at these seeds, and
+    # the desk run certifies -9.3118333 instead of -9.4518598
+    g = _g(DESK.n_intervals)
+    cert = _g(DESK.simulation.n_steps)
+    uppers = [
+        origin_upper_bound(cert, minimize_upper_bound(g, "affine", DESK.optimizer, seed=s)[0])
+        for s in (0, seed)
+    ]
+    assert uppers[1] == pytest.approx(uppers[0], rel=0.0, abs=1e-6)
+    assert uppers[0] == pytest.approx(-9.4518598, rel=0.0, abs=1e-7)
 
 
 def test_unrecoverable_initialization_raises():
