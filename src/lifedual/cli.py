@@ -22,8 +22,6 @@ import os
 import sys
 import time
 
-import numpy as np
-
 from . import __version__, market
 from .closed_form import compute_g, origin_upper_bound
 from .config import DESK_SCALE, RunConfig, build_run_config, parse_kv_file
@@ -37,6 +35,11 @@ __all__ = ["main", "exit_main"]
 
 # largest |z| that run's budget check and verify's dual checks accept
 _Z_LIMIT = 3.0
+
+
+def _within_z_limit(*zs) -> bool:
+    """True when every z-score is at most ``_Z_LIMIT`` in size; NaN is not."""
+    return all(abs(z) <= _Z_LIMIT for z in zs)
 
 
 def _add_common_flags(parser: argparse.ArgumentParser) -> None:
@@ -133,9 +136,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
     clock["simulate"] = time.perf_counter() - t0
     clock["total"] = sum(clock.values())
     budget = sim.budget
-    if not np.isfinite(budget.z_score):
-        raise NumericalError("budget check produced a non-finite z-score")
-    if abs(budget.z_score) > _Z_LIMIT:
+    if not _within_z_limit(budget.z_score):
         raise NumericalError(
             f"budget identity violated: z = {budget.z_score:.2f} "
             f"(lhs {budget.lhs:.6f}, rhs {budget.rhs:.6f})"
@@ -172,11 +173,9 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         f"budget identity: lhs {budget.lhs:.6f}  rhs {budget.rhs:.6f}  "
         f"z {budget.z_score:+.3f}"
     )
-    ok = np.isfinite(budget.z_score) and abs(budget.z_score) <= _Z_LIMIT
     for t, z in martingale_z:
         print(f"kernel martingale at t={t:7.3f}: z {z:+.3f}")
-        ok = ok and np.isfinite(z) and abs(z) <= _Z_LIMIT
-    if not ok:
+    if not _within_z_limit(budget.z_score, *(z for _, z in martingale_z)):
         raise NumericalError(f"verification z-scores outside +/-{_Z_LIMIT:g}")
     print("verification passed")
     return 0

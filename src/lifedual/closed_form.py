@@ -83,7 +83,6 @@ __all__ = [
     "origin_upper_bounds",
     "feedback_coefficients",
     "feedback_controls",
-    "welfare_loss",
 ]
 
 
@@ -353,23 +352,3 @@ def feedback_controls(W, y, ann, inv_f2, a, b):
     # np.clip(theta, 0.0, W) bit for bit, at half its cost on the pass's arrays
     return np.minimum(np.maximum(theta, 0.0), W), f3 * inv_f2
 
-
-# ---------------------------------------------------------------------------
-# Report arithmetic
-
-
-def welfare_loss(upper: float, lower: float, gamma: float) -> float:
-    """Certified welfare-loss bound L = 1 - (lower/upper)^(1/(1-gamma)).
-
-    The fraction of initial wealth-and-income an agent would give up,
-    at most, by following the candidate strategy instead of the
-    (unknown) optimum; both bounds must be strictly negative for
-    gamma > 1 and ordered lower <= upper.
-    """
-    if gamma <= 1:
-        raise ValidationError("welfare loss implemented for gamma > 1")
-    if upper >= 0 or lower >= 0:
-        raise ValidationError("bounds must be strictly negative for gamma > 1")
-    if lower > upper:
-        raise ValidationError("expected lower <= upper")
-    return float(1.0 - (lower / upper) ** (1.0 / (1.0 - gamma)))

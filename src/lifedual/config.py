@@ -65,8 +65,8 @@ class RunConfig:
         )
         if self.n_intervals < 1:
             raise ValidationError("quadrature.n_intervals must be positive")
-        if self.seed < 0:  # numpy's generator would refuse it only inside the fit's child
-            raise ValidationError("seed must be a nonnegative integer")
+        if not 0 <= self.seed < 2**64:  # the draws fold it mod 2^64 onto another seed
+            raise ValidationError("seed must be a nonnegative integer below 2**64")
 
 
 def parse_kv_file(path) -> dict[str, str]:

@@ -168,7 +168,7 @@ def validate(scenario: MarketScenario, n_check: int = 1000) -> ValidationReport:
 
     Conditions: sigma > 0; income feasibility sigma_Y <= sigma(t) and
     mu_Y/sigma_Y <= mu(t)/sigma(t) (these make the income stream
-    priceable in every adjusted market); horizon ordering; positive
+    priceable in every adjusted market); 0 <= T_R < T; positive
     initial wealth; nonnegative initial income; gamma > 1 (the
     implemented utility branch — gamma = 1 is singular in the closed
     forms and gamma < 1 is untested).  A non-finite scalar field or
@@ -207,7 +207,7 @@ def validate(scenario: MarketScenario, n_check: int = 1000) -> ValidationReport:
             bad = scenario.mu_Y / scenario.sigma_Y > mu / sig
             if bad.any():
                 failures.append(("income_sharpe_dominated", first_bad(bad)))
-    if not scenario.T_R < scenario.T:
+    if not 0.0 <= scenario.T_R < scenario.T:
         failures.append(("horizon_order", scenario.T_R))
     if not scenario.W0 > 0:
         failures.append(("initial_wealth_positive", 0.0))

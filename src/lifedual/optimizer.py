@@ -106,11 +106,11 @@ class StartOutcome:
     step at most ``_XRTOL``, or a decrease of f at most ``_STALL_ULPS``
     ulp), 1 when ``nit`` reached the iteration cap and 2 when a line
     search found no step of sufficient decrease; ``message`` says which.
-    ``nfev`` counts the evaluations, each of value and gradient, and
-    ``grad_norm`` is the Euclidean norm of the exact gradient at the
-    final point.  A start that redraws keeps the record of its last
-    attempt only; ``redraws`` counts the draws before it, so that
-    attempt started from the draw with retry = ``redraws``.
+    ``nfev`` counts the evaluations of value and gradient over all the
+    start's draws; ``grad_norm`` is the Euclidean norm of the exact
+    gradient at the final point.  The rest is the record of the last
+    attempt; ``redraws`` counts the draws before it, so that attempt
+    started from the draw with retry = ``redraws``.
     """
 
     status: int
@@ -318,9 +318,9 @@ def _start(policy_kind, seed, start, maxiter):
     the positive part's flat region; it is redrawn up to
     ``_MAX_FLAT_REDRAWS`` times while iterations remain, and each new
     attempt gets the iterations that are left of ``maxiter``.  The
-    record is the last attempt's, with the start's redraw count.
+    record is the last attempt's; its redraws and nfev count all draws.
     """
-    non_finite = flat = 0
+    non_finite = flat = spent = 0
     for retry in itertools.count():
         x0 = drift_policy.init_params(policy_kind, (seed, start, retry))
         first = yield x0
@@ -333,8 +333,9 @@ def _start(policy_kind, seed, start, maxiter):
             continue
         outcome = yield from _bfgs(x0, first, maxiter)
         maxiter -= outcome.nit
+        spent += outcome.nfev
         if outcome.grad_norm != 0.0 or flat == _MAX_FLAT_REDRAWS or maxiter == 0:
-            return replace(outcome, redraws=retry)
+            return replace(outcome, nfev=non_finite + spent, redraws=retry)
         flat += 1
 
 

@@ -18,8 +18,8 @@ outcomes, simulation, clock):
 * ``facevalue.csv``  mean simulated insurance face value per time step
 * ``wealth.csv``     mean simulated wealth and consumption per step
 * ``report.txt``     human-readable summary with full provenance, the
-                     dual checks and each optimizer start's solver outcome
-                     and redraw count
+                     dual checks and each optimizer start's solver outcome,
+                     evaluation count over all its draws and redraw count
 
 All floating-point output uses 17 significant digits, so re-reading an
 artifact reproduces the binary values exactly; nothing in the files
@@ -36,10 +36,10 @@ import math
 import os
 import sys
 from dataclasses import dataclass
+from itertools import zip_longest
 
 import numpy as np
 
-from .closed_form import welfare_loss
 from .drift_policy import TablePolicy, evaluate
 from .errors import NumericalError, ValidationError
 from .lower_bound import NORMALS_NOTE, _scipy_path
@@ -80,7 +80,10 @@ def build_report(upper: float, lower: float, std_error: float, gamma: float) -> 
     sign, so a pair whose lower bound lies above the upper one within
     3 standard errors reads ``crossed``, with negative gaps and no
     welfare loss.  Beyond 3 standard errors the pair certifies nothing
-    and a ``NumericalError`` is raised.
+    and a ``NumericalError`` is raised.  An ordered pair's welfare loss
+    1 - (lower/upper)^(1/(1-gamma)) (Bick, Kraft & Munk 2013) bounds the
+    share of initial wealth and income that the candidate gives up
+    against the optimum; it needs gamma > 1 and both bounds negative.
     """
     upper, lower, std_error = float(upper), float(lower), float(std_error)
     if not all(map(math.isfinite, (upper, lower, std_error))):
@@ -93,7 +96,13 @@ def build_report(upper: float, lower: float, std_error: float, gamma: float) -> 
     if lower == 0.0:
         raise ValidationError("relative gap undefined for a zero lower bound")
     gap = upper - lower
-    loss = welfare_loss(upper, lower, gamma) if gap >= 0.0 else None
+    loss = None
+    if gap >= 0.0:
+        if gamma <= 1:
+            raise ValidationError("welfare loss implemented for gamma > 1")
+        if upper >= 0 or lower >= 0:
+            raise ValidationError("bounds must be strictly negative for gamma > 1")
+        loss = 1.0 - (lower / upper) ** (1.0 / (1.0 - gamma))
     return BoundsReport(upper, lower, std_error, gap, gap / abs(lower), loss)
 
 
@@ -126,15 +135,21 @@ def _provenance(cfg, sim) -> dict[str, object]:
     }
 
 
-def _write_rows(path: str, header, rows) -> None:
+def _write(path: str, write, *args) -> str:
+    """Every artifact's writer: make the directory, ``write(file, *args)``, return ``path``."""
     try:
         os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
         with open(path, "w", newline="", encoding="utf-8") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(header)
-            writer.writerows(rows)
+            write(fh, *args)
     except OSError as exc:
         raise ValidationError(f"cannot write {path}: {exc}") from None
+    return path
+
+
+def _write_csv(fh, header, rows) -> None:
+    writer = csv.writer(fh)
+    writer.writerow(header)
+    writer.writerows(rows)
 
 
 def emit_csv(report: BoundsReport, cfg, policy, outcomes, sim, clock) -> list[str]:
@@ -145,15 +160,11 @@ def emit_csv(report: BoundsReport, cfg, policy, outcomes, sim, clock) -> list[st
     optimizer's ``StartOutcome`` list in start order, ``sim`` the
     simulation result (step times, mean wealth / face value /
     consumption curves, budget check) and ``clock`` the wall-clock
-    seconds per phase.
+    seconds per phase.  Each CSV is a header and a generator of rows.
     """
-    out_dir = cfg.out_dir
     prov = _provenance(cfg, sim)
-    paths = []
-
     # the certificate status comes last, so readers of the earlier
     # columns by position keep working
-    loss = report.welfare_loss
     bounds = {
         "method": prov["policy_kind"],
         "activation": prov["activation"],
@@ -162,7 +173,7 @@ def emit_csv(report: BoundsReport, cfg, policy, outcomes, sim, clock) -> list[st
         "lower_std_error": _fmt(report.lower_std_error),
         "duality_gap": _fmt(report.duality_gap),
         "relative_gap": _fmt(report.relative_gap),
-        "welfare_loss": "" if loss is None else _fmt(loss),
+        "welfare_loss": "" if report.welfare_loss is None else _fmt(report.welfare_loss),
         **{
             key: str(prov[key])
             for key in (
@@ -177,63 +188,41 @@ def emit_csv(report: BoundsReport, cfg, policy, outcomes, sim, clock) -> list[st
         },
         "certificate": report.certificate,
     }
-    bounds_path = os.path.join(out_dir, "bounds.csv")
-    _write_rows(bounds_path, bounds.keys(), [bounds.values()])
-    paths.append(bounds_path)
-
     v0, vm = evaluate(policy, sim.times, horizon=cfg.scenario.T)
-    vstar_path = os.path.join(out_dir, "vstar.csv")
-    _write_rows(
-        vstar_path,
-        ("t", "v0", "v_minus"),
-        ((_fmt(t), _fmt(a), _fmt(b)) for t, a, b in zip(sim.times, v0, vm)),
-    )
-    paths.append(vstar_path)
-
-    trace_path = os.path.join(out_dir, "trace.csv")
-    _write_rows(
-        trace_path,
-        ("iteration", "incumbent_objective", "start_id"),
-        (
-            (it, _fmt(value), start)
-            for start, outcome in enumerate(outcomes)
-            for it, value in enumerate(outcome.values)
+    tables = {
+        "bounds.csv": (bounds.keys(), [bounds.values()]),
+        "vstar.csv": (
+            ("t", "v0", "v_minus"),
+            ((_fmt(t), _fmt(a), _fmt(b)) for t, a, b in zip(sim.times, v0, vm)),
         ),
-    )
-    paths.append(trace_path)
-
-    face_path = os.path.join(out_dir, "facevalue.csv")
-    _write_rows(
-        face_path,
-        ("t", "mean_face_value"),
-        ((_fmt(t), _fmt(fv)) for t, fv in zip(sim.times, sim.mean_face_value)),
-    )
-    paths.append(face_path)
-
-    # wealth is recorded at all step boundaries, consumption only at the
-    # left endpoints; the terminal row gets an empty consumption cell.
-    wealth_path = os.path.join(out_dir, "wealth.csv")
-    cons = list(sim.mean_consumption) + [None] * (
-        len(sim.times) - len(sim.mean_consumption)
-    )
-    _write_rows(
-        wealth_path,
-        ("t", "mean_wealth", "mean_consumption"),
-        (
-            (_fmt(t), _fmt(w), "" if c is None else _fmt(c))
-            for t, w, c in zip(sim.times, sim.mean_wealth, cons)
+        "trace.csv": (
+            ("iteration", "incumbent_objective", "start_id"),
+            (
+                (it, _fmt(value), start)
+                for start, outcome in enumerate(outcomes)
+                for it, value in enumerate(outcome.values)
+            ),
         ),
-    )
-    paths.append(wealth_path)
-
-    report_path = os.path.join(out_dir, "report.txt")
-    try:
-        with open(report_path, "w", encoding="utf-8") as fh:
-            fh.write(_render_text(report, prov, policy, outcomes, sim, clock))
-    except OSError as exc:
-        raise ValidationError(f"cannot write {report_path}: {exc}") from None
-    paths.append(report_path)
-    return paths
+        "facevalue.csv": (
+            ("t", "mean_face_value"),
+            ((_fmt(t), _fmt(fv)) for t, fv in zip(sim.times, sim.mean_face_value)),
+        ),
+        # wealth is recorded at all step boundaries, consumption only at
+        # the left endpoints; the terminal row gets an empty consumption cell
+        "wealth.csv": (
+            ("t", "mean_wealth", "mean_consumption"),
+            (
+                (_fmt(t), _fmt(w), "" if c is None else _fmt(c))
+                for t, w, c in zip_longest(sim.times, sim.mean_wealth, sim.mean_consumption)
+            ),
+        ),
+    }
+    paths = [
+        _write(os.path.join(cfg.out_dir, name), _write_csv, *table)
+        for name, table in tables.items()
+    ]
+    report_path = os.path.join(cfg.out_dir, "report.txt")
+    return paths + [_write(report_path, _write_text, report, prov, policy, outcomes, sim, clock)]
 
 
 def _peak_rss_lines() -> list[str]:
@@ -250,7 +239,7 @@ def _peak_rss_lines() -> list[str]:
     return lines + [""]
 
 
-def _render_text(report: BoundsReport, prov, policy, outcomes, sim, clock) -> str:
+def _write_text(fh, report: BoundsReport, prov, policy, outcomes, sim, clock) -> None:
     activation = prov["activation"]
     lines = [
         "life-cycle duality bounds",
@@ -266,40 +255,35 @@ def _render_text(report: BoundsReport, prov, policy, outcomes, sim, clock) -> st
     ]
     if report.welfare_loss is not None:
         lines.append(f"welfare loss:      {_fmt(100.0 * report.welfare_loss)} %")
-    lines.append("")
-    lines.append("wall clock [s]:")
-    for phase, seconds in clock.items():
-        lines.append(f"  {phase:<12} {seconds:.3f}")
-    lines.append("")
-    lines += _peak_rss_lines()
     budget = sim.budget
-    lines.append("dual checks:")
-    lines.append(
+    lines += [
+        "",
+        "wall clock [s]:",
+        *(f"  {phase:<12} {seconds:.3f}" for phase, seconds in clock.items()),
+        "",
+        *_peak_rss_lines(),
+        "dual checks:",
         f"  budget identity: lhs {_fmt(budget.lhs)}, rhs {_fmt(budget.rhs)}, "
-        f"z {_fmt(budget.z_score)}"
-    )
-    for t, z in sim.martingale_z:
-        lines.append(f"  kernel martingale at t={_fmt(t)}: z {_fmt(z)}")
-    lines.append("")
-    lines.append("provenance:")
-    for key in sorted(prov):
-        lines.append(f"  {key} = {prov[key]}")
-    lines.append(f"  {NORMALS_NOTE}")
-    lines.append("")
-    lines.append("policy parameters:")
-    lines.append("  " + ", ".join(_fmt(p) for p in policy.params))
-    lines.append("")
-    lines.append(
-        "optimizer starts (the last attempt's solver outcome; |grad| at the final point):"
-    )
-    for start, outcome in enumerate(outcomes):
-        lines.append(
+        f"z {_fmt(budget.z_score)}",
+        *(f"  kernel martingale at t={_fmt(t)}: z {_fmt(z)}" for t, z in sim.martingale_z),
+        "",
+        "provenance:",
+        *(f"  {key} = {prov[key]}" for key in sorted(prov)),
+        f"  {NORMALS_NOTE}",
+        "",
+        "policy parameters:",
+        "  " + ", ".join(map(_fmt, policy.params)),
+        "",
+        "optimizer starts (the last attempt's solver outcome; |grad| at the final point):",
+        *(
             f"  start {start:>2}: final {_fmt(outcome.final)}, status {outcome.status}, "
             f"nit {outcome.nit}, nfev {outcome.nfev}, redraws {outcome.redraws}, "
             f"|grad| {outcome.grad_norm:.3e}: {outcome.message}"
-        )
-    lines.append("")
-    return "\n".join(lines)
+            for start, outcome in enumerate(outcomes)
+        ),
+        "",
+    ]
+    fh.write("\n".join(lines))
 
 
 def read_vstar_csv(path: str) -> TablePolicy:
@@ -335,8 +319,5 @@ def read_vstar_csv(path: str) -> TablePolicy:
 
 def write_gfun_csv(g, path: str) -> None:
     """Write the consumption-annuity curve g(t) at its grid nodes."""
-    _write_rows(
-        path,
-        ("t", "g"),
-        ((_fmt(t), _fmt(v)) for t, v in zip(g.grid.nodes, g.values)),
-    )
+    rows = ((_fmt(t), _fmt(v)) for t, v in zip(g.grid.nodes, g.values))
+    _write(path, _write_csv, ("t", "g"), rows)

@@ -22,7 +22,7 @@ import lifedual.drift_policy
 import lifedual.lower_bound
 import lifedual.report
 from lifedual.cli import main
-from lifedual.closed_form import compute_g, origin_upper_bound, welfare_loss
+from lifedual.closed_form import compute_g, origin_upper_bound
 from lifedual.config import (
     _MORTALITY_KEYS,
     _OPTIMIZER_KEYS,
@@ -38,7 +38,7 @@ from lifedual.drift_policy import make_policy
 from lifedual.errors import NumericalError, ValidationError
 from lifedual.lower_bound import SimulationConfig, simulate_candidate_value
 from lifedual.market import preset_scenario
-from lifedual.optimizer import OptimizerConfig, minimize_upper_bound
+from lifedual.optimizer import OptimizerConfig, StartOutcome, minimize_upper_bound
 from lifedual.quadrature import UniformGrid
 from lifedual.report import build_report, emit_csv, read_vstar_csv
 
@@ -195,11 +195,28 @@ def test_build_report_identities():
     assert rep.duality_gap == rep.upper_bound - rep.lower_bound > 0
     assert rep.relative_gap == rep.duality_gap / abs(rep.lower_bound)
     assert rep.certificate == "ordered"
-    assert rep.welfare_loss == welfare_loss(-8.0, -8.2, 1.5)
+    assert rep.welfare_loss == 1.0 - (-8.2 / -8.0) ** (1.0 / (1.0 - 1.5))
     # crossed within 3 s.e.: the gaps keep their sign, no welfare loss
     crossed = build_report(-8.2, -8.19, 0.01, 1.5)
     assert crossed.duality_gap == -8.2 - -8.19 < 0
     assert crossed.relative_gap == crossed.duality_gap / 8.19
+    assert crossed.certificate == "crossed" and crossed.welfare_loss is None
+
+
+def test_build_report_welfare_loss_published_identities():
+    assert build_report(-8.4850600, -8.5064352, 0.0, 1.5).welfare_loss == pytest.approx(
+        0.005019, abs=1e-6
+    )
+    assert build_report(-8.3259363, -8.3489955, 0.0, 1.5).welfare_loss == pytest.approx(
+        0.005516, abs=1e-6
+    )
+    # an ordered pair's loss needs gamma > 1 and both bounds negative
+    with pytest.raises(ValidationError, match="gamma > 1"):
+        build_report(-8.0, -8.5, 0.0, 1.0)
+    with pytest.raises(ValidationError, match="strictly negative"):
+        build_report(8.0, -8.5, 0.0, 1.5)
+    # a crossed pair has no loss, so neither check applies to it
+    crossed = build_report(-8.5, -8.0, 1.0, 1.0)
     assert crossed.certificate == "crossed" and crossed.welfare_loss is None
 
 
@@ -250,6 +267,112 @@ def test_vstar_round_trip_reproduces_the_bound(tmp_path):
     table = read_vstar_csv(vstar_path)
     assert table.times == tuple(cert.grid.nodes)
     assert origin_upper_bound(cert, table) == upper
+
+
+_PINNED_CSVS = {
+    "bounds.csv": [
+        "method,activation,upper_bound,lower_bound,lower_std_error,duality_gap,relative_gap,"
+        "welfare_loss,seed,n_intervals,n_paths,n_steps,sobol_skip,num_starts,"
+        "iterations_per_start,certificate",
+        "affine,,-9.25,-9.5,0.125,0.25,0.026315789473684209,0.051939058171745045,"
+        "7,100,20000,1000,4000,2,50,ordered",
+    ],
+    "vstar.csv": ["t,v0,v_minus", "0,0.10000000000000001,0.25", "20,0.125,0", "50,0.125,0"],
+    "trace.csv": ["iteration,incumbent_objective,start_id", "0,-9,0", "1,-9.25,0", "0,-8.5,1"],
+    "facevalue.csv": ["t,mean_face_value", "0,150.5", "20,0.10000000000000001"],
+    "wealth.csv": [
+        "t,mean_wealth,mean_consumption", "0,200,12.5", "20,310.25,0.33333333333333331", "50,0,",
+    ],
+}
+
+_PINNED_REPORT = """\
+life-cycle duality bounds
+=========================
+method:            affine
+upper bound:       -9.25
+lower bound:       -9.5
+lower std error:   0.125
+certificate:       ordered
+duality gap:       0.25
+relative gap:      2.6315789473684208 %
+welfare loss:      5.1939058171745049 %
+
+wall clock [s]:
+  g_function   0.001
+  optimize     0.500
+  total        0.501
+
+dual checks:
+  budget identity: lhs 900.5, rhs 900, z -0.25
+  kernel martingale at t=12.5: z 1.5
+  kernel martingale at t=50: z -0.5
+
+provenance:
+  activation = {empty}
+  budget_z = -0.2500
+  code_version = {code}
+  iterations_per_start = 50
+  n_intervals = 100
+  n_paths = 20000
+  n_steps = 1000
+  num_starts = 2
+  numpy_version = {numpy}
+  policy_kind = affine
+  preset = example1
+  scipy_version = {scipy}
+  seed = 7
+  snake_a = {empty}
+  sobol_skip = 4000
+  {normals}
+
+policy parameters:
+  0.10000000000000001, 0, 0.25, 0, 0.125, 0, 0, 0
+
+optimizer starts (the last attempt's solver outcome; |grad| at the final point):
+  start  0: final -9.25, status 0, nit 1, nfev 7, redraws 1, |grad| 1.000e-11: gradient below tolerance
+  start  1: final -8.5, status 1, nit 0, nfev 3, redraws 0, |grad| 5.000e-01: iteration limit reached
+"""
+
+
+def test_emit_csv_writes_the_pinned_artifact_text(tmp_path):
+    # a hand-built run: every artifact's full text, with its header,
+    # %.17g floats, the empty terminal consumption cell and CRLF rows;
+    # report.txt is pinned outside its peak-RSS numbers
+    out = tmp_path / "nested" / "out"
+    cfg = build_run_config({"opt.num_starts": "2"}, out_dir=str(out), seed=7)
+    policy = make_policy(
+        "affine", (0.1, 0.0, 0.25, 0.0, 0.125, 0.0, 0.0, 0.0), t_retire=cfg.scenario.T_R
+    )
+    sim = SimpleNamespace(
+        times=np.array([0.0, 20.0, 50.0]),
+        mean_face_value=np.array([150.5, 0.1]),
+        mean_wealth=np.array([200.0, 310.25, 0.0]),
+        mean_consumption=np.array([12.5, 1.0 / 3.0]),
+        budget=SimpleNamespace(lhs=900.5, rhs=900.0, z_score=-0.25),
+        martingale_z=[(12.5, 1.5), (50.0, -0.5)],
+    )
+    outcomes = [
+        StartOutcome(0, "gradient below tolerance", 7, 1e-11, (-9.0, -9.25), (0.1,) * 8, 1),
+        StartOutcome(1, "iteration limit reached", 3, 0.5, (-8.5,), (0.0,) * 8),
+    ]
+    clock = {"g_function": 0.001, "optimize": 0.5, "total": 0.501}
+    rep = build_report(-9.25, -9.5, 0.125, 1.5)
+    paths = emit_csv(rep, cfg, policy, outcomes, sim, clock)
+    assert paths == [str(out / name) for name in (*_PINNED_CSVS, "report.txt")]
+    for name, lines in _PINNED_CSVS.items():
+        assert (out / name).read_bytes().decode("utf-8") == "".join(
+            line + "\r\n" for line in lines
+        ), name
+    text = (out / "report.txt").read_bytes().decode("utf-8")
+    rss = r"peak RSS \[MB\] \(getrusage; [^\n]*\n  self +\d+\.\d\d\n  children +\d+\.\d\d\n\n"
+    assert len(re.findall(rss, text)) == 1
+    assert re.sub(rss, "", text) == _PINNED_REPORT.format(
+        empty="",
+        code=lifedual.__version__,
+        numpy=np.__version__,
+        scipy=metadata.version("scipy"),
+        normals=lifedual.lower_bound.NORMALS_NOTE,
+    )
 
 
 @pytest.mark.parametrize("name", ["missing.csv", "."], ids=["missing", "directory"])
@@ -503,8 +626,8 @@ def test_cli_error_exit_codes(tmp_path, monkeypatch, capsys):
 
 
 def test_cli_negative_seed_exits_1_before_the_fit(tmp_path, monkeypatch, capsys):
-    # numpy's generator would refuse a negative seed only inside the fit's
-    # child, so the config refuses it, from the flag or the file, before g
+    # the starts' draws would fold a negative seed mod 2^64 onto another
+    # seed's, so the config refuses it, from the flag or the file, before g
     _optimizer_must_not_run(monkeypatch)
     monkeypatch.setattr(lifedual.cli, "compute_g", None)  # a call would raise TypeError
     from_file = _write(tmp_path, "seed.cfg", "seed = -3\n")
@@ -515,6 +638,39 @@ def test_cli_negative_seed_exits_1_before_the_fit(tmp_path, monkeypatch, capsys)
             assert "error: seed must be a nonnegative integer" in capsys.readouterr().err
     with pytest.raises(ValidationError, match="seed must be a nonnegative integer"):
         build_run_config(seed=-1)
+
+
+def test_cli_seed_of_2_64_exits_1_before_the_fit(tmp_path, monkeypatch, capsys):
+    # seeded_uniforms folds each key word mod 2^64, so seed 2^64 would draw
+    # seed 0's starts; the config refuses it, from the flag or the file
+    assert build_run_config(seed=2**64 - 1).seed == 2**64 - 1
+    _optimizer_must_not_run(monkeypatch)
+    monkeypatch.setattr(lifedual.cli, "compute_g", None)  # a call would raise TypeError
+    from_file = _write(tmp_path, "seed.cfg", f"seed = {2**64}\n")
+    from_flag = ["--preset", "example1", "--desk-scale", "--seed", str(2**64)]
+    for source in (from_flag, ["--config", from_file]):
+        for command in ("run", "verify"):
+            assert main([command, *source, "--out", str(tmp_path / "out")]) == 1
+            err = capsys.readouterr().err
+            assert "error: seed must be a nonnegative integer below 2**64" in err
+    for kv, seed in (({}, 2**64), ({"seed": str(2**70)}, None)):
+        with pytest.raises(ValidationError, match="^seed must be "):
+            build_run_config(kv, seed=seed)
+
+
+def test_cli_negative_retirement_date_exits_1_before_the_fit(tmp_path, monkeypatch, capsys):
+    # a T_R below 0 fails the scenario's horizon order, so run stops
+    # before optimizing, like every other invalid scenario
+    _optimizer_must_not_run(monkeypatch)
+    for t_retire in ("-0.013", "-5"):
+        cfg = _write(tmp_path, "early.cfg", SMALL_RUN_CFG + f"scenario.t_retire = {t_retire}\n")
+        assert main(["run", "--config", cfg, "--out", str(tmp_path / "out")]) == 1
+        err = capsys.readouterr().err
+        assert f"horizon_order: first violation at t={float(t_retire):g}" in err
+        assert main(["validate", "--config", cfg]) == 1
+        assert "horizon_order" in capsys.readouterr().out
+    ok = _write(tmp_path, "retired.cfg", "scenario.t_retire = 0\n")
+    assert main(["validate", "--config", ok]) == 0
 
 
 def test_cli_sobol_point_limit_exits_1(tmp_path, monkeypatch, capsys):

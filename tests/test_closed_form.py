@@ -17,7 +17,6 @@ from lifedual.closed_form import (
     feedback_controls,
     origin_upper_bound,
     precompute_aggregates,
-    welfare_loss,
 )
 from lifedual.drift_policy import make_policy
 from lifedual.errors import ValidationError
@@ -200,21 +199,6 @@ def test_insurance_scales_consumption_by_g():
     for t, W, Y in ((5.0, 180.0, 50.0), (35.0, 90.0, 0.0)):
         _, c_star, m_star = _controls_at(g, ZERO, t, W, Y)
         assert m_star / c_star == pytest.approx(g_value(g, t), rel=1e-12)
-
-
-def test_welfare_loss_published_identities():
-    assert welfare_loss(-8.4850600, -8.5064352, 1.5) == pytest.approx(
-        0.005019, abs=1e-6
-    )
-    assert welfare_loss(-8.3259363, -8.3489955, 1.5) == pytest.approx(
-        0.005516, abs=1e-6
-    )
-    with pytest.raises(ValidationError):
-        welfare_loss(-8.0, -8.5, 1.0)
-    with pytest.raises(ValidationError):
-        welfare_loss(8.0, -8.5, 1.5)
-    with pytest.raises(ValidationError):
-        welfare_loss(-8.5, -8.0, 1.5)
 
 
 def test_hjb_residual_spot_checks():

@@ -139,6 +139,8 @@ def test_validate_sharpe_boundary_is_non_strict():
 def test_validate_flags_horizons_and_wealth():
     sc = preset_scenario("example1")
     assert not validate(_with(sc, T_R=50.0)).passed
+    assert ("horizon_order", -5.0) in validate(_with(sc, T_R=-5.0)).failures
+    assert validate(_with(sc, T_R=0.0)).passed
     assert not validate(_with(sc, W0=0.0)).passed
     assert not validate(_with(sc, gamma=0.8)).passed
 

@@ -150,43 +150,44 @@ def test_a_snake_value_and_gradient_runs_the_hidden_layer_once(monkeypatch):
 
 # per start (status, nit, nfev, redraws, final objective) of its last
 # attempt, at seed 0 on the n=100 grid, captured when the draws came from
-# seeded_uniforms and a start ending on a zero gradient was redrawn
+# seeded_uniforms and a start ending on a zero gradient was redrawn; a
+# redrawn start's nfev (recaptured since) counts all its draws' evaluations
 _SNAKE_PROTOCOL_STARTS = [
-    (1, 49, 77, 2, -9.238941710293453),
-    (2, 27, 61, 1, -9.194620341162986),
+    (1, 49, 81, 2, -9.238941710293453),
+    (2, 27, 65, 1, -9.194620341162986),
     (2, 20, 49, 0, -9.228771873122815),
-    (0, 2, 3, 3, -8.810623388185784),
-    (1, 48, 88, 1, -9.24713253094521),
-    (0, 2, 4, 3, -8.810623388185784),
-    (1, 49, 77, 1, -9.248852139352852),
+    (0, 2, 17, 3, -8.810623388185784),
+    (1, 48, 93, 1, -9.24713253094521),
+    (0, 2, 10, 3, -8.810623388185784),
+    (1, 49, 80, 1, -9.248852139352852),
     (2, 24, 55, 0, -9.215952831553313),
-    (1, 48, 67, 3, -9.249054026375541),
+    (1, 48, 72, 3, -9.249054026375541),
     (1, 50, 88, 0, -9.238933802729555),
-    (2, 26, 64, 2, -9.179197297998066),
+    (2, 26, 72, 2, -9.179197297998066),
     (2, 30, 107, 0, -9.195561186081717),
-    (1, 47, 63, 3, -9.238938835564314),
+    (1, 47, 74, 3, -9.238938835564314),
     (1, 50, 141, 0, -9.247696319557678),
     (1, 50, 76, 0, -9.248611150372163),
-    (1, 50, 89, 1, -9.24851991672983),
-    (0, 2, 4, 3, -8.810623388185784),
+    (1, 50, 90, 1, -9.24851991672983),
+    (0, 2, 10, 3, -8.810623388185784),
     (1, 50, 75, 0, -9.238917393323254),
     (1, 50, 96, 0, -9.24819772040817),
     (2, 28, 69, 0, -9.226810378087011),
     (1, 50, 113, 0, -9.178142050176934),
     (1, 50, 107, 0, -9.247390061468607),
-    (1, 48, 89, 3, -9.24486182771631),
+    (1, 48, 96, 3, -9.24486182771631),
     (0, 27, 140, 0, -9.17748098335663),
     (1, 50, 88, 0, -9.247965371011245),
-    (1, 49, 105, 1, -9.24894380171835),
-    (1, 50, 96, 1, -9.244637550513167),
+    (1, 49, 107, 1, -9.24894380171835),
+    (1, 50, 97, 1, -9.244637550513167),
     (0, 30, 85, 0, -9.177757315023118),
-    (2, 33, 89, 3, -9.209363519208758),
+    (2, 33, 96, 3, -9.209363519208758),
     (2, 27, 75, 0, -9.202272106542758),
 ]
 _DESK_AFFINE_STARTS = [
-    (0, 9, 32, 1, -9.451881002652218),
-    (0, 14, 35, 1, -9.451881002652215),
-    (0, 3, 7, 2, -9.318277815391284),
+    (0, 9, 36, 1, -9.451881002652218),
+    (0, 14, 37, 1, -9.451881002652215),
+    (0, 3, 13, 2, -9.318277815391284),
     (2, 10, 39, 0, -9.45188100265222),
     (0, 17, 42, 0, -9.451881002652216),
 ]
@@ -451,8 +452,9 @@ def test_bad_initialization_is_redrawn():
 
     cfg = OptimizerConfig(num_starts=1, iterations_per_start=0)
     with _edit_rows(nan_at_bad):
-        policy, _ = minimize_upper_bound(g, "affine", cfg, seed=7)
+        policy, [outcome] = minimize_upper_bound(g, "affine", cfg, seed=7)
     assert np.array_equal(policy.params, init_params("affine", (7, 0, 1)))
+    assert outcome.nfev == 2  # the non-finite draw's evaluation counts
 
 
 @pytest.mark.parametrize(
@@ -534,6 +536,24 @@ def test_desk_upper_bound_does_not_depend_on_the_seed(seed):
     ]
     assert uppers[1] == pytest.approx(uppers[0], rel=0.0, abs=1e-6)
     assert uppers[0] == pytest.approx(-9.4518598, rel=0.0, abs=1e-7)
+
+
+def test_nfev_counts_the_evaluations_of_every_draw(monkeypatch):
+    # without os.fork both halves of the starts evaluate in this process,
+    # so a wrapper sees every row; at seed 0 the desk starts redraw 1, 1,
+    # 2, 0 and 0 times, and their records count the abandoned attempts too
+    monkeypatch.delattr(os, "fork")
+    rows = []
+    real = upper_bounds_and_gradients
+
+    def counting(g, family, params):
+        rows.append(len(params))
+        return real(g, family, params)
+
+    with mock.patch("lifedual.optimizer.upper_bounds_and_gradients", counting):
+        _, outcomes = minimize_upper_bound(_g(DESK.n_intervals), "affine", DESK.optimizer)
+    assert [outcome.redraws for outcome in outcomes] == [1, 1, 2, 0, 0]
+    assert sum(outcome.nfev for outcome in outcomes) == sum(rows) == 167
 
 
 def test_unrecoverable_initialization_raises():
