@@ -13,6 +13,10 @@ Common flags: ``--config PATH`` (flat key=value file), ``--preset
 NAME`` (a ``market.PRESETS`` name), ``--out DIR``, ``--seed N``,
 ``--desk-scale`` (the protocol ``config.DESK_SCALE``).  Exit codes:
 0 success, 1 validation failure, 2 numerical failure.
+
+Once the config is read, ``run`` and ``verify`` do the rest in one forked
+certificate worker (``lifedual.fork``), so the CLI process runs no numerics;
+a failed scenario check carries its violations back as the error's note.
 """
 
 from __future__ import annotations
@@ -22,7 +26,7 @@ import os
 import sys
 import time
 
-from . import __version__, market
+from . import __version__, fork, market
 from .closed_form import compute_g, origin_upper_bound
 from .config import DESK_SCALE, RunConfig, build_run_config, parse_kv_file
 from .errors import NumericalError, ValidationError
@@ -87,8 +91,9 @@ def _resolve_config(args: argparse.Namespace) -> RunConfig:
 def _validate_or_die(cfg: RunConfig) -> None:
     result = market.validate(cfg.scenario)
     if not result.passed:
-        print(str(result), file=sys.stderr)
-        raise ValidationError("scenario validation failed")
+        exc = ValidationError("scenario validation failed")
+        exc.add_note(str(result))
+        raise exc
 
 
 def _fit(cfg: RunConfig):
@@ -109,12 +114,8 @@ def _fit(cfg: RunConfig):
 
     t0 = time.perf_counter()
     policy, outcomes = minimize_upper_bound(
-        g,
-        cfg.policy_kind,
-        cfg.optimizer,
-        seed=cfg.seed,
-        activation=cfg.activation,
-        snake_a=cfg.snake_a,
+        g, cfg.policy_kind, cfg.optimizer,
+        seed=cfg.seed, activation=cfg.activation, snake_a=cfg.snake_a,
     )
     clock["optimize"] = time.perf_counter() - t0
     return cert, policy, outcomes, clock
@@ -122,29 +123,29 @@ def _fit(cfg: RunConfig):
 
 def _cmd_run(args: argparse.Namespace) -> int:
     cfg = _resolve_config(args)
-    _validate_or_die(cfg)
-    try:  # an unusable --out fails here, not after the optimizer and the paths
-        os.makedirs(cfg.out_dir, exist_ok=True)
-    except OSError as exc:
-        raise ValidationError(f"cannot write {cfg.out_dir}: {exc}") from None
-    cert, policy, outcomes, clock = _fit(cfg)
-    t0 = time.perf_counter()
-    upper = origin_upper_bound(cert, policy)
-    # config by keyword: the perfbench tracer counts path steps from the
-    # config at args[3] or kwargs["config"]
-    sim = simulate_candidate_value(cert, policy, config=cfg.simulation)
-    clock["simulate"] = time.perf_counter() - t0
-    clock["total"] = sum(clock.values())
-    budget = sim.budget
-    if not _within_z_limit(budget.z_score):
-        raise NumericalError(
-            f"budget identity violated: z = {budget.z_score:.2f} "
-            f"(lhs {budget.lhs:.6f}, rhs {budget.rhs:.6f})"
-        )
 
-    report = build_report(upper, sim.value, sim.std_error, cfg.scenario.gamma)
-    paths = emit_csv(report, cfg, policy, outcomes, sim, clock)
+    def certify():
+        _validate_or_die(cfg)
+        try:  # an unusable --out fails here, not after the optimizer and the paths
+            os.makedirs(cfg.out_dir, exist_ok=True)
+        except OSError as exc:
+            raise ValidationError(f"cannot write {cfg.out_dir}: {exc}") from None
+        cert, policy, outcomes, clock = _fit(cfg)
+        t0 = time.perf_counter()
+        upper = origin_upper_bound(cert, policy)
+        sim = simulate_candidate_value(cert, policy, config=cfg.simulation)
+        clock["simulate"] = time.perf_counter() - t0
+        clock["total"] = sum(clock.values())
+        budget = sim.budget
+        if not _within_z_limit(budget.z_score):
+            raise NumericalError(
+                f"budget identity violated: z = {budget.z_score:.2f} "
+                f"(lhs {budget.lhs:.6f}, rhs {budget.rhs:.6f})"
+            )
+        report = build_report(upper, sim.value, sim.std_error, cfg.scenario.gamma)
+        return report, budget, emit_csv(report, cfg, policy, outcomes, sim, clock)
 
+    report, budget, paths = fork.in_two_processes(lambda: None, certify)[1]
     print(f"upper bound   {report.upper_bound:.7f}")
     print(f"lower bound   {report.lower_bound:.7f}  (s.e. {report.lower_std_error:.2e})")
     print(f"certificate   {report.certificate}")
@@ -166,9 +167,13 @@ def _cmd_validate(args: argparse.Namespace) -> int:
 
 def _cmd_verify(args: argparse.Namespace) -> int:
     cfg = _resolve_config(args)
-    _validate_or_die(cfg)
-    cert, policy, _, _ = _fit(cfg)
-    budget, martingale_z = dual_checks(cert, policy, cfg.simulation)
+
+    def certify():
+        _validate_or_die(cfg)
+        cert, policy, _, _ = _fit(cfg)
+        return dual_checks(cert, policy, cfg.simulation)
+
+    budget, martingale_z = fork.in_two_processes(lambda: None, certify)[1]
     print(
         f"budget identity: lhs {budget.lhs:.6f}  rhs {budget.rhs:.6f}  "
         f"z {budget.z_score:+.3f}"
@@ -205,7 +210,7 @@ def main(argv=None) -> int:
     try:
         return _COMMANDS[args.command](args)
     except ValidationError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        print(*getattr(exc, "__notes__", ()), f"error: {exc}", sep="\n", file=sys.stderr)
         return 1
     except NumericalError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)

@@ -25,7 +25,7 @@ from .drift_policy import PolicyFamily
 from .errors import ValidationError
 from .lower_bound import SimulationConfig, check_path_grid
 from .market import CoefficientCurve, MarketScenario, preset_scenario
-from .optimizer import OptimizerConfig
+from .optimizer import OptimizerConfig, _check_seed
 
 __all__ = ["RunConfig", "parse_kv_file", "build_run_config", "DESK_SCALE"]
 
@@ -65,8 +65,7 @@ class RunConfig:
         )
         if self.n_intervals < 1:
             raise ValidationError("quadrature.n_intervals must be positive")
-        if not 0 <= self.seed < 2**64:  # the draws fold it mod 2^64 onto another seed
-            raise ValidationError("seed must be a nonnegative integer below 2**64")
+        _check_seed(self.seed)
 
 
 def parse_kv_file(path) -> dict[str, str]:

@@ -5,17 +5,16 @@
 It is the only code that decides whether to fork: without ``os.fork``
 it runs both in the caller, so its callers run the same two pieces of
 work on every platform.  The two pieces are fixed before the fork: the
-optimizer's even and odd starts and the path pass's two blocks, or,
-against an idle caller (``here`` is ``lambda: None``), the whole fit
-and the whole path pass.  An idle caller keeps the child's working
-set out of its own process: the fit's imports (``statistics``, which
-maps the starts' draws to normals, with ``decimal`` and ``fractions``)
-and BFGS states, the pass's Sobol stream and per-path finals.  Only
-the fitted policy with the start outcomes, or the pass's summaries
-(the value and its s.e., the per-step means and the two dual checks),
-cross the pipe.  While they run, the processes share nothing but the
-path pass's results buffer, an anonymous shared mapping in which each
-block writes only its own columns.
+optimizer's even and odd starts, the path pass's two blocks, or,
+against an idle caller (``here`` is ``lambda: None``), the CLI's whole
+certificate.  That worker keeps the certificate's working set out of
+the CLI process, which sets a run's peak RSS: g, the fit's imports
+(``statistics``, with ``decimal`` and ``fractions``) and BFGS states,
+the pass's stream and per-path finals, the artifacts' text.  Only the
+odd starts' outcomes, the second block's per-step sums or the worker's
+report cross a pipe.  While they run, the processes share nothing but
+the path pass's results buffer, an anonymous shared mapping in which
+each block writes only its own columns.
 
 A child ends as soon as the process that forked it ends, at every
 nesting depth: a daemon thread in the child leaves by ``os._exit`` at

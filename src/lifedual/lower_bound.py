@@ -68,22 +68,22 @@ checked under the physical measure through the density ksi_t.
 ``dual_checks(g, policy, config)`` steps only these dual streams, with
 no candidate controls or wealth, and returns the same two checks.
 
-The calling process only checks the grid and evaluates the policy
-once (``precompute_aggregates``).  The node constants, the Sobol
-stream, the per-path finals and their summaries live in one child,
-forked by ``lifedual.fork.in_two_processes`` against an idle caller,
-and only the summaries come back.  The paths are independent, so that
-child runs them as the two blocks [0, n/2) and [n/2, n), the second in
-a child of its own.  Each block writes its per-path finals into its
-own columns of one shared buffer, so only the second block's per-step
-sums cross its pipe.  Without ``os.fork`` all of it runs in the
-caller; a forked and a serial run step the same two blocks, so they
-agree bit for bit.
+The calling process checks the grid, evaluates the policy once
+(``precompute_aggregates``) and forms the node constants and the Sobol
+stream.  The paths are independent, so it runs them as the two blocks
+[0, n/2) and [n/2, n): the first in the caller, the second in a child
+forked by ``lifedual.fork.in_two_processes``.  Each block writes its
+per-path finals into its own columns of one shared buffer, so only the
+second block's per-step sums cross its pipe.  Without ``os.fork`` both
+blocks run in the caller; a forked and a serial run step the same two
+blocks, so they agree bit for bit.  The CLI calls the pass from its
+certificate worker, so its own process holds no path state.
 """
 
 from __future__ import annotations
 
 import importlib.util
+import mmap
 import os
 from collections.abc import Callable
 from dataclasses import dataclass
@@ -289,8 +289,8 @@ def sobol_normals(
     path gathers from a table.  Each call builds its row afresh, so a
     reader may ask for a row more than once and nothing of size
     n_steps x n_paths is held.  Deterministic given the config.
-    ``statistics`` is imported here, in the path pass's child, so the
-    calling process never loads it.
+    ``statistics`` is imported here, so only a process that builds a
+    stream loads it.
     """
     from statistics import NormalDist
 
@@ -407,9 +407,9 @@ def _path_pass(g: GFunction, policy, config: SimulationConfig, candidate: bool):
     only when ``candidate`` is true, and otherwise the utility row and
     ``means`` stay zero.
 
-    This process checks the grids and evaluates the policy once;
-    ``paths``, which builds everything else and summarizes it, runs in
-    a forked child, so no path state is held here.
+    This process checks the grids, evaluates the policy once, forms the
+    node constants and the stream and steps block 0; block 1 steps in a
+    forked child, which sends back only its per-step sums.
     """
     scenario = g.scenario
     gam = scenario.gamma
@@ -423,151 +423,147 @@ def _path_pass(g: GFunction, policy, config: SimulationConfig, candidate: bool):
     curves = g.values, agg.tilde_f2, agg.income_annuity, agg.kappa_v
     if not all(np.all(np.isfinite(a)) for a in curves):
         raise NumericalError("aggregate curves are not finite; adjustment too extreme")
+    f2_n, ann_n, kv_n, v0_n = agg.tilde_f2, agg.income_annuity, agg.kappa_v, agg.v0
+    t_nodes, dt = g.grid.nodes, g.grid.step
 
-    def paths():
-        """Form the node constants, the stream and the finals; step both blocks; summarize."""
-        import mmap
+    r_n, sig_n, surv_n, cap_fac = g.r, g.sigma, g.survival, g.bequest_factor
+    lam_n = np.asarray(scenario.mortality.hazard(t_nodes))
+    disc_n = surv_n * np.exp(-scenario.delta_tilde * t_nodes)
+    node = np.arange(n_steps + 1)
+    working = node < k_retire
+    # node coefficients of the candidate step, with M = c g: the feedback
+    # rule's, the Euler step's, and the weight of c^(1-gamma) for
+    # consumption plus bequest, w u(c) + lam w g^gamma u(c g) = w (1 + lam g) u(c)
+    # with w = disc dt
+    _, inv_f2, a_n, b_n = feedback_coefficients(scenario, ann_n, f2_n, kv_n, sig_n)
+    grow_n = 1.0 + (r_n + lam_n) * dt
+    excess_n = (g.mu - r_n) * dt
+    rho_n = cap_fac * dt
+    u_n = disc_n * rho_n / (1.0 - gam)
+    # retired, the rule is Merton's: theta* = W clip(a, 0, 1) for W >= 0 and
+    # c* = W / F2~, so the Euler step is W (alpha + beta dz)
+    a_bar = np.clip(a_n, 0.0, 1.0)
+    alpha_n = grow_n - rho_n * inv_f2 + a_bar * excess_n
+    beta_n = a_bar * sig_n
+    y_drift = (scenario.mu_Y - 0.5 * scenario.sigma_Y**2) * dt  # exact log-normal income step
 
-        f2_n, ann_n, kv_n, v0_n = agg.tilde_f2, agg.income_annuity, agg.kappa_v, agg.v0
-        t_nodes, dt = g.grid.nodes, g.grid.step
-
-        r_n, sig_n, surv_n, cap_fac = g.r, g.sigma, g.survival, g.bequest_factor
-        lam_n = np.asarray(scenario.mortality.hazard(t_nodes))
-        disc_n = surv_n * np.exp(-scenario.delta_tilde * t_nodes)
-        node = np.arange(n_steps + 1)
-        working = node < k_retire
-        # node coefficients of the candidate step, with M = c g: the feedback
-        # rule's, the Euler step's, and the weight of c^(1-gamma) for
-        # consumption plus bequest, w u(c) + lam w g^gamma u(c g) = w (1 + lam g) u(c)
-        # with w = disc dt
-        _, inv_f2, a_n, b_n = feedback_coefficients(scenario, ann_n, f2_n, kv_n, sig_n)
-        grow_n = 1.0 + (r_n + lam_n) * dt
-        excess_n = (g.mu - r_n) * dt
-        rho_n = cap_fac * dt
-        u_n = disc_n * rho_n / (1.0 - gam)
-        # retired, the rule is Merton's: theta* = W clip(a, 0, 1) for W >= 0 and
-        # c* = W / F2~, so the Euler step is W (alpha + beta dz)
-        a_bar = np.clip(a_n, 0.0, 1.0)
-        alpha_n = grow_n - rho_n * inv_f2 + a_bar * excess_n
-        beta_n = a_bar * sig_n
-        y_drift = (scenario.mu_Y - 0.5 * scenario.sigma_Y**2) * dt  # exact log-normal income step
-
-        # deterministic part of the kernel: log beta by the left rule,
-        # matching the frozen-coefficient ksi increments below
-        log_beta = np.concatenate([[0.0], -np.cumsum((r_n[:-1] + v0_n[:-1]) * dt)])
-        c0 = (scenario.W0 + scenario.Y0 * ann_n[0]) / f2_n[0]
-        # node factors of the dual integrands at log ksi = 0: beta e^{-Lam},
-        # c*, and beta e^{-Lam} c* (1 + lam g), the spend and financing rate
-        half = 0.5 * dt
-        bs_n = np.exp(log_beta) * surv_n
-        c_star0 = c0 * np.exp(-(scenario.delta_tilde * t_nodes + log_beta) / gam)
-        rate_n = bs_n * c_star0 * cap_fac
-        trap = np.full(n_steps + 1, dt)
-        trap[[0, -1]] = half
-        spend_w = trap * rate_n
-        pays = node <= k_retire
-        pays[0] = False
-        income_w = (half * pays + half * working) * bs_n
-        xi_drift = 0.5 * kv_n * kv_n * dt
-        checks = _checkpoints(n_steps)
-        # the step loop reads its node constants as Python floats, not numpy scalars:
-        # a memoryview's items are floats, and it holds no float objects between reads
-        (working, cap_fac, grow_n, excess_n, rho_n, u_n, alpha_n, beta_n, inv_f2, sig_n, a_n,
-         b_n, kv_n, xi_drift, bs_n, c_star0, rate_n, spend_w, income_w, f2_n, ann_n) = (
-            memoryview(x) for x in (
-                working, cap_fac, grow_n, excess_n, rho_n, u_n, alpha_n, beta_n, inv_f2, sig_n,
-                a_n, b_n, kv_n, xi_drift, bs_n, c_star0, rate_n, spend_w, income_w, f2_n, ann_n,
-            )
+    # deterministic part of the kernel: log beta by the left rule,
+    # matching the frozen-coefficient ksi increments below
+    log_beta = np.concatenate([[0.0], -np.cumsum((r_n[:-1] + v0_n[:-1]) * dt)])
+    c0 = (scenario.W0 + scenario.Y0 * ann_n[0]) / f2_n[0]
+    # node factors of the dual integrands at log ksi = 0: beta e^{-Lam},
+    # c*, and beta e^{-Lam} c* (1 + lam g), the spend and financing rate
+    half = 0.5 * dt
+    bs_n = np.exp(log_beta) * surv_n
+    c_star0 = c0 * np.exp(-(scenario.delta_tilde * t_nodes + log_beta) / gam)
+    rate_n = bs_n * c_star0 * cap_fac
+    trap = np.full(n_steps + 1, dt)
+    trap[[0, -1]] = half
+    spend_w = trap * rate_n
+    pays = node <= k_retire
+    pays[0] = False
+    income_w = (half * pays + half * working) * bs_n
+    xi_drift = 0.5 * kv_n * kv_n * dt
+    checks = _checkpoints(n_steps)
+    # the step loop reads its node constants as Python floats, not numpy scalars:
+    # a memoryview's items are floats, and it holds no float objects between reads
+    (working, cap_fac, grow_n, excess_n, rho_n, u_n, alpha_n, beta_n, inv_f2, sig_n, a_n,
+     b_n, kv_n, xi_drift, bs_n, c_star0, rate_n, spend_w, income_w, f2_n, ann_n) = (
+        memoryview(x) for x in (
+            working, cap_fac, grow_n, excess_n, rho_n, u_n, alpha_n, beta_n, inv_f2, sig_n,
+            a_n, b_n, kv_n, xi_drift, bs_n, c_star0, rate_n, spend_w, income_w, f2_n, ann_n,
         )
-        e_pow = -1.0 / gam
+    )
+    e_pow = -1.0 / gam
 
-        def power(x):
-            """x^(1-gamma) of the floored x, one formula for every gamma."""
-            return np.exp((1.0 - gam) * np.log(np.maximum(x, _UTILITY_FLOOR)))
+    def power(x):
+        """x^(1-gamma) of the floored x, one formula for every gamma."""
+        return np.exp((1.0 - gam) * np.log(np.maximum(x, _UTILITY_FLOOR)))
 
-        levels, row = sobol_normals(config)
-        levels *= np.sqrt(dt)
-        # every path's finals, zero-filled in an anonymous mapping a forked block shares
-        finals = np.frombuffer(mmap.mmap(-1, (4 + len(checks)) * n_paths * 8)).reshape(-1, n_paths)
+    levels, row = sobol_normals(config)
+    levels *= np.sqrt(dt)
+    # every path's finals, zero-filled in an anonymous mapping a forked block shares
+    finals = np.frombuffer(mmap.mmap(-1, (4 + len(checks)) * n_paths * 8)).reshape(-1, n_paths)
 
-        def block(lo: int, hi: int) -> np.ndarray:
-            """Step paths [lo, hi) into columns [lo, hi) of ``finals``; return per-step sums."""
-            sums = np.zeros((2, n_steps + 1))
-            W = np.full(hi - lo, scenario.W0)
-            Y = np.full(hi - lo, scenario.Y0)
-            util, spend, terminal, income = finals[:4, lo:hi]
-            # spend = int pi e^{-Lam}(c* + lam M*) dt, income = int pi e^{-Lam} Y dt
-            finance = np.zeros(hi - lo)  # int beta e^{-Lam}(c* - Y + lam M*) dt
-            log_xi = np.zeros(hi - lo)
-            h_prev = float(scenario.W0)
-            with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-                for k in range(n_steps + 1):
-                    work = working[k]
-                    if candidate:
-                        # after the floor every W is >= 0 or not finite, so the
-                        # sum is finite exactly when every path's wealth is
-                        w_sum = sums[0, k] = np.add.reduce(W)
-                        if not np.isfinite(w_sum):
-                            raise NumericalError(
-                                f"non-finite wealth at step {k - 1} (t={t_nodes[k - 1]:.4f})"
-                            )
-                    y_k = Y if work else 0.0
-                    xi = np.exp(log_xi)
-                    e = np.exp(log_xi * e_pow)
-                    e_w = spend_w[k] * e
-                    finance += e_w
-                    spend += xi * e_w
-                    if income_w[k]:  # zero after T_R
-                        y_w = income_w[k] * Y
-                        finance -= y_w
-                        income += xi * y_w
-                    if k in checks:
-                        fin = finance
-                        if k < n_steps:  # the running sum holds node k's opening half-cell
-                            fin = finance - half * (rate_n[k] * e - bs_n[k] * y_k)
-                        # H = ksi (beta e^{-Lam} W* + fin); W* = c* F2~ - Y ann is kept as no row
-                        h = xi * (bs_n[k] * (c_star0[k] * e * f2_n[k] - y_k * ann_n[k]) + fin)
-                        finals[4 + checks[k], lo:hi] = h - h_prev
-                        h_prev = h
-                    if k == n_steps:
-                        terminal[:] = bs_n[k] * c_star0[k] * f2_n[k] * (xi * e)  # pi e^{-Lam} W*_T
-                        break
-                    dz = levels[row(k, lo, hi)]
-                    log_xi += kv_n[k] * dz
-                    log_xi -= xi_drift[k]
+    def block(lo: int, hi: int) -> np.ndarray:
+        """Step paths [lo, hi) into columns [lo, hi) of ``finals``; return per-step sums."""
+        sums = np.zeros((2, n_steps + 1))
+        W = np.full(hi - lo, scenario.W0)
+        Y = np.full(hi - lo, scenario.Y0)
+        util, spend, terminal, income = finals[:4, lo:hi]
+        # spend = int pi e^{-Lam}(c* + lam M*) dt, income = int pi e^{-Lam} Y dt
+        finance = np.zeros(hi - lo)  # int beta e^{-Lam}(c* - Y + lam M*) dt
+        log_xi = np.zeros(hi - lo)
+        h_prev = float(scenario.W0)
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            for k in range(n_steps + 1):
+                work = working[k]
+                if candidate:
+                    # after the floor every W is >= 0 or not finite, so the
+                    # sum is finite exactly when every path's wealth is
+                    w_sum = sums[0, k] = np.add.reduce(W)
+                    if not np.isfinite(w_sum):
+                        raise NumericalError(
+                            f"non-finite wealth at step {k - 1} (t={t_nodes[k - 1]:.4f})"
+                        )
+                y_k = Y if work else 0.0
+                xi = np.exp(log_xi)
+                e = np.exp(log_xi * e_pow)
+                e_w = spend_w[k] * e
+                finance += e_w
+                spend += xi * e_w
+                if income_w[k]:  # zero after T_R
+                    y_w = income_w[k] * Y
+                    finance -= y_w
+                    income += xi * y_w
+                    del y_w
+                    if not work:  # T_R's closing half-cell: no later step reads Y
+                        del Y
+                if k in checks:
+                    # before the last node the running sum holds node k's opening half-cell
+                    fin = (finance - half * (rate_n[k] * e - bs_n[k] * y_k)
+                           if k < n_steps else finance)
+                    # H = ksi (beta e^{-Lam} W* + fin); W* = c* F2~ - Y ann is kept as no row
+                    h = xi * (bs_n[k] * (c_star0[k] * e * f2_n[k] - y_k * ann_n[k]) + fin)
+                    del fin
+                    finals[4 + checks[k], lo:hi] = h - h_prev
+                    h_prev = h
+                if k == n_steps:
+                    terminal[:] = bs_n[k] * c_star0[k] * f2_n[k] * (xi * e)  # pi e^{-Lam} W*_T
+                    break
+                dz = levels[row(k, lo, hi)]
+                log_xi += kv_n[k] * dz
+                log_xi -= xi_drift[k]
 
-                    if candidate and work:
-                        theta, c = feedback_controls(W, Y, ann_n[k], inv_f2[k], a_n[k], b_n[k])
-                        # the liquidity rule caps c (and M = c g) at the floor
-                        if np.minimum.reduce(W) <= 1e-12:
-                            c = np.where(W <= 1e-12, np.minimum(c, Y / cap_fac[k]), c)
+                if candidate and work:
+                    theta, c = feedback_controls(W, Y, ann_n[k], inv_f2[k], a_n[k], b_n[k])
+                    # the liquidity rule caps c (and M = c g) at the floor
+                    if np.minimum.reduce(W) <= 1e-12:
+                        c = np.where(W <= 1e-12, np.minimum(c, Y / cap_fac[k]), c)
 
-                        sums[1, k] = np.add.reduce(c)
-                        util += u_n[k] * power(c)
+                    sums[1, k] = np.add.reduce(c)
+                    util += u_n[k] * power(c)
 
-                        W = W * grow_n[k] + theta * (excess_n[k] + sig_n[k] * dz) - c * rho_n[k]
-                        W += Y * dt
-                        np.maximum(W, 0.0, out=W)
-                        del theta, c  # no control row outlives its step
-                    elif candidate:  # retired: c* = W / F2~
-                        sums[1, k] = w_sum * inv_f2[k]
-                        util += u_n[k] * power(W * inv_f2[k])
-                        W *= alpha_n[k] + beta_n[k] * dz
-                        np.maximum(W, 0.0, out=W)
-                    if work:
-                        Y = Y * np.exp(y_drift + scenario.sigma_Y * dz)
+                    W = W * grow_n[k] + theta * (excess_n[k] + sig_n[k] * dz) - c * rho_n[k]
+                    W += Y * dt
+                    np.maximum(W, 0.0, out=W)
+                    del theta, c  # no control row outlives its step
+                elif candidate:  # retired: c* = W / F2~
+                    sums[1, k] = w_sum * inv_f2[k]
+                    util += u_n[k] * power(W * inv_f2[k])
+                    W *= alpha_n[k] + beta_n[k] * dz
+                    np.maximum(W, 0.0, out=W)
+                if work:
+                    Y = Y * np.exp(y_drift + scenario.sigma_Y * dz)
 
-            if candidate:
-                util += disc_n[-1] * power(W) / (1.0 - gam)
-            return sums
+        if candidate:
+            util += disc_n[-1] * power(W) / (1.0 - gam)
+        return sums
 
-        cut = n_paths // 2
-        s0, s1 = in_two_processes(lambda: block(0, cut), lambda: block(cut, n_paths))
-        return (*_mean_se(finals[0]), (s0 + s1) / n_paths,
-                *_dual_summary(finals, t_nodes, scenario.W0))
-
-    # an idle caller: no node constant, stream row or final exists in this process
-    return in_two_processes(lambda: None, paths)[1]
+    cut = n_paths // 2
+    s0, s1 = in_two_processes(lambda: block(0, cut), lambda: block(cut, n_paths))
+    return (*_mean_se(finals[0]), (s0 + s1) / n_paths,
+            *_dual_summary(finals, t_nodes, scenario.W0))
 
 
 def simulate_candidate_value(
@@ -600,10 +596,9 @@ def simulate_candidate_value(
     checkpoints (the first against the exact H_0 = W0).  Overflow in
     these dual streams is left to show as a non-finite z-score.
 
-    The pass runs in a forked child: it steps the two blocks (the
-    second in a child of its own) into one shared buffer of per-path
-    finals and sends back only the summaries below.  This process
-    evaluates the policy once and holds no path.
+    The pass steps the two blocks, the first here and the second in a
+    forked child, into one shared buffer of per-path finals; the child
+    sends back only its per-step sums.
 
     Returns the path mean, its sample standard error (the iid formula,
     not a valid error for a low-discrepancy stream; ROADMAP item 3),
@@ -633,7 +628,7 @@ def dual_checks(
     into the same two blocks, so the result equals that pass's
     ``budget`` and ``martingale_z`` bit for bit, non-finite z-scores
     included.  No control, wealth or utility is formed, so no
-    non-finite wealth can stop it.  Like that pass, it runs in a forked
-    child and sends back only the two checks.
+    non-finite wealth can stop it.  Like that pass, it steps the second
+    block in a forked child.
     """
     return _path_pass(g, policy, config, False)[3:]

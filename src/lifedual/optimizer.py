@@ -30,20 +30,20 @@ whose outputs are all clamped at the grid nodes lies on a flat region
 are independent, and the reduction picks the lowest final objective
 with ties broken by the lowest start index, so results are
 reproducible regardless of evaluation order.  The starts therefore run
-in two processes: a helper forked against an idle caller takes the
-even start indices and its own child the odd ones.  Within a process
-the starts advance in lockstep: ``_bfgs`` and its line search are
-generators that yield each trial point and are sent its value and
-gradient, and each round stacks every live start's point into one
-batched evaluation (``upper_bounds_and_gradients``), whose rows are
-bit-identical to evaluating each point alone.  A start leaves the
-round robin when it finishes or fails.  Once a start fails, the higher
-starts of that process stop, and the error of the lowest failing start
-over both processes is raised, as one process running the starts in
-order would raise it.  A start's one record is a frozen
-``StartOutcome``: its incumbents, final point and solver end.  The odd
-records come back pickled and are merged in start order, so the list
-equals that of one process bit for bit.
+in two processes: the caller takes the even start indices and a child
+it forks the odd ones.  Within a process the starts advance in
+lockstep: ``_bfgs`` and its line search are generators that yield each
+trial point and are sent its value and gradient, and each round stacks
+every live start's point into one batched evaluation
+(``upper_bounds_and_gradients``), whose rows are bit-identical to
+evaluating each point alone.  A start leaves the round robin when it
+finishes or fails.  Once a start fails, the higher starts of that
+process stop, and the error of the lowest failing start over both
+processes is raised, as one process running the starts in order would
+raise it.  A start's one record is a frozen ``StartOutcome``: its
+incumbents, final point and solver end.  The odd records come back
+pickled and are merged in start order, so the list equals that of one
+process bit for bit.
 """
 
 from __future__ import annotations
@@ -376,6 +376,12 @@ def _lockstep(evaluate, runs):
     return outcomes, failure
 
 
+def _check_seed(seed: int) -> None:
+    """Refuse a seed outside [0, 2^64): ``seeded_uniforms`` folds each key word mod 2^64."""
+    if not 0 <= seed < 2**64:
+        raise ValidationError("seed must be a nonnegative integer below 2**64")
+
+
 def minimize_upper_bound(
     g: GFunction,
     policy_kind: str,
@@ -398,12 +404,13 @@ def minimize_upper_bound(
     ``iterations_per_start`` at 0, each start ends at its first finite
     draw (status 1, or 0 where the gradient is below tolerance).
 
-    A forked helper runs the even starts and its own child the odd
-    ones, each half in lockstep, and only the policy and the outcomes
-    come back (without ``os.fork`` this process runs both halves).  If
-    starts fail, the error of the lowest failing start is raised, as
-    one process running the starts in order would raise it.
+    This process runs the even starts and a forked child the odd ones,
+    each half in lockstep, and only the odd outcomes come back (without
+    ``os.fork`` this process runs both halves).  If starts fail, the
+    error of the lowest failing start is raised, as one process running
+    the starts in order would raise it.  ``_check_seed`` checks ``seed``.
     """
+    _check_seed(seed)
     family = drift_policy.PolicyFamily(
         policy_kind, t_retire=g.scenario.T_R, activation=activation, snake_a=snake_a
     )
@@ -414,22 +421,17 @@ def minimize_upper_bound(
         runs = {start: _start(policy_kind, seed, start, maxiter) for start in starts}
         return _lockstep(lambda params: upper_bounds_and_gradients(g, family, params), runs)
 
-    def fit():
-        # init_params maps its draws through statistics.NormalDist: imported
-        # before the fork, once for both halves, and only in the fit's helper
-        import statistics  # noqa: F401
+    # init_params maps its draws through statistics.NormalDist: imported
+    # before the fork, once for both halves
+    import statistics  # noqa: F401
 
-        parts = in_two_processes(lambda: run_half(0), lambda: run_half(1))
-        failures = [failure for _, failure in parts if failure is not None]
-        if failures:
-            raise min(failures, key=lambda failure: failure[0])[1]
+    parts = in_two_processes(lambda: run_half(0), lambda: run_half(1))
+    failures = [failure for _, failure in parts if failure is not None]
+    if failures:
+        raise min(failures, key=lambda failure: failure[0])[1]
 
-        done = {start: outcome for part, _ in parts for start, outcome in part.items()}
-        outcomes = [done[start] for start in range(config.num_starts)]
-        # min keeps the first of equal finals: the lowest start wins a tie
-        best = min(outcomes, key=lambda outcome: outcome.final)
-        return family.policy(best.params), outcomes
-
-    # an idle caller: statistics (with decimal and fractions) and the
-    # BFGS states stay in the helper
-    return in_two_processes(lambda: None, fit)[1]
+    done = {start: outcome for part, _ in parts for start, outcome in part.items()}
+    outcomes = [done[start] for start in range(config.num_starts)]
+    # min keeps the first of equal finals: the lowest start wins a tie
+    best = min(outcomes, key=lambda outcome: outcome.final)
+    return family.policy(best.params), outcomes

@@ -3,6 +3,7 @@
 import csv
 import dataclasses
 import os
+import pickle
 import re
 import subprocess
 import sys
@@ -20,6 +21,7 @@ import lifedual
 import lifedual.cli
 import lifedual.drift_policy
 import lifedual.lower_bound
+import lifedual.market
 import lifedual.report
 from lifedual.cli import main
 from lifedual.closed_form import compute_g, origin_upper_bound
@@ -70,6 +72,25 @@ def _read_csv(path):
     with open(path, newline="", encoding="utf-8") as fh:
         rows = list(csv.reader(fh))
     return rows[0], rows[1:]
+
+
+def _record(path, value):
+    """Append ``value`` to ``path``, pickled.
+
+    run and verify call the library in their forked certificate worker,
+    so a wrapper there records into a file, not into this process.
+    """
+    with open(path, "ab") as fh:
+        pickle.dump(value, fh)
+
+
+def _recorded(path):
+    """Every value ``_record`` appended to ``path``, in order."""
+    values = []
+    with open(path, "rb") as fh:
+        while fh.peek(1):
+            values.append(pickle.load(fh))
+    return values
 
 
 # ---------------------------------------------------------------------------
@@ -471,12 +492,12 @@ def test_cli_run_writes_wellformed_artifacts(tmp_path):
 def test_cli_run_writes_each_start_record(tmp_path, monkeypatch):
     # with solver iterations, trace.csv holds each start's incumbents,
     # start by start, and report.txt one line per start with its solver
-    # end; the outcomes the fit's child sends back are the library's
-    written = {}
+    # end; the outcomes the worker writes are the library's
+    written = tmp_path / "written.pickle"
     emit = lifedual.cli.emit_csv
 
     def capture(report, cfg, policy, outcomes, sim, clock):
-        written.update(cfg=cfg, policy=policy, outcomes=outcomes)
+        _record(written, (cfg, policy, outcomes))
         return emit(report, cfg, policy, outcomes, sim, clock)
 
     monkeypatch.setattr(lifedual.cli, "emit_csv", capture)
@@ -485,10 +506,10 @@ def test_cli_run_writes_each_start_record(tmp_path, monkeypatch):
     out = tmp_path / "out"
     assert main(["run", "--config", cfg, "--out", str(out), "--seed", "0"]) == 0
 
-    run, outcomes = written["cfg"], written["outcomes"]
+    ((run, policy, outcomes),) = _recorded(written)
     g = compute_g(run.scenario, UniformGrid(0.0, run.scenario.T, run.n_intervals))
     fit = minimize_upper_bound(g, run.policy_kind, run.optimizer, seed=run.seed)
-    assert (written["policy"], outcomes) == fit
+    assert (policy, outcomes) == fit
     assert len(outcomes) == 2 and sum(outcome.nit for outcome in outcomes) > 0
 
     header, trows = _read_csv(out / "trace.csv")
@@ -520,18 +541,19 @@ def test_cli_run_writes_each_start_record(tmp_path, monkeypatch):
 def test_report_prints_the_dual_checks_of_the_run(tmp_path, monkeypatch):
     # report.txt holds the budget check and the martingale z-scores of the
     # run's own pass to 17 digits, so each reads back as the same float
-    sims = []
+    sims = tmp_path / "sims.pickle"
     simulate = lifedual.cli.simulate_candidate_value
 
     def recorded(g, policy, config):
-        sims.append(simulate(g, policy, config))
-        return sims[-1]
+        sim = simulate(g, policy, config)
+        _record(sims, sim)
+        return sim
 
     monkeypatch.setattr(lifedual.cli, "simulate_candidate_value", recorded)
     cfg = _write(tmp_path, "run.cfg", SMALL_RUN_CFG)
     out = tmp_path / "out"
     assert main(["run", "--config", cfg, "--out", str(out), "--seed", "0"]) == 0
-    (sim,) = sims
+    (sim,) = _recorded(sims)
     text = (out / "report.txt").read_text(encoding="utf-8")
     martingale = re.findall(r"^  kernel martingale at t=(\S+): z (\S+)$", text, re.M)
     assert [(float(t), float(z)) for t, z in martingale] == sim.martingale_z
@@ -556,13 +578,14 @@ def test_cli_run_reports_a_crossed_certificate(tmp_path, monkeypatch, capsys):
     # a lower bound above the upper one, but within 3 s.e., is reported
     # as a crossed certificate: signed gaps, no welfare loss, exit 0
     simulate = lifedual.cli.simulate_candidate_value
-    fitted = {}
+    fitted = tmp_path / "upper.pickle"
 
     def crossed(g, policy, config):
         # g is the path grid's, whose bound is the reported upper bound
         sim = simulate(g, policy, config)
-        fitted["upper"] = origin_upper_bound(g, policy)
-        return dataclasses.replace(sim, value=fitted["upper"] + 0.5 * sim.std_error)
+        upper = origin_upper_bound(g, policy)
+        _record(fitted, upper)
+        return dataclasses.replace(sim, value=upper + 0.5 * sim.std_error)
 
     monkeypatch.setattr(lifedual.cli, "simulate_candidate_value", crossed)
     cfg = _write(tmp_path, "run.cfg", SMALL_RUN_CFG)
@@ -573,7 +596,7 @@ def test_cli_run_reports_a_crossed_certificate(tmp_path, monkeypatch, capsys):
 
     header, rows = _read_csv(out / "bounds.csv")
     row = dict(zip(header, rows[0]))
-    assert float(row["upper_bound"]) == fitted["upper"]
+    assert [float(row["upper_bound"])] == _recorded(fitted)
     assert row["certificate"] == "crossed" and row["welfare_loss"] == ""
     assert float(row["duality_gap"]) < 0 and float(row["relative_gap"]) < 0
     text = (out / "report.txt").read_text(encoding="utf-8")
@@ -811,9 +834,9 @@ def test_run_and_verify_import_no_scipy(tmp_path, command):
     # stdlib; the Sobol direction numbers are read from scipy's file
     # without importing any scipy module, and the provenance's package
     # versions without importlib.metadata.  The fit and the path pass run
-    # in forked children, so statistics, which maps their draws to
-    # normals, and the decimal and fractions it imports never enter this
-    # process, nor does numpy.random with the OpenSSL of its secrets
+    # in the forked certificate worker, so statistics, which maps their
+    # draws to normals, and the decimal and fractions it imports never
+    # enter this process, nor does numpy.random with the OpenSSL of its secrets
     cfg = _write(tmp_path, "small.cfg", _SMALL_IMPORT_CFG)
     argv = [command, "--config", cfg, "--out", str(tmp_path / "out"), "--seed", "0"]
     held = ("numpy.random", "secrets", "_hashlib", "statistics", "decimal", "fractions")
@@ -832,7 +855,8 @@ def test_run_and_verify_import_no_scipy(tmp_path, command):
 def test_no_process_of_run_or_verify_imports_numpy_random(tmp_path):
     # the starts draw from seeded_uniforms, so neither the CLI process nor
     # any forked child (-X importtime writes each one's imports to the
-    # shared stderr) loads numpy.random or the OpenSSL of its secrets
+    # shared stderr) loads numpy.random or the OpenSSL of its secrets;
+    # statistics is imported once, in the worker, before the fit forks
     cfg = _write(tmp_path, "small.cfg", _SMALL_IMPORT_CFG)
     for command in ("run", "verify"):
         proc = _python(
@@ -840,13 +864,15 @@ def test_no_process_of_run_or_verify_imports_numpy_random(tmp_path):
             "--out", str(tmp_path / command), "--seed", "0",
         )
         assert proc.returncode == 0, proc.stderr
-        imported = {
+        imports = [
             line.rsplit("|", 1)[1].strip()
             for line in proc.stderr.splitlines()
             if line.startswith("import time:")
-        }
+        ]
+        imported = set(imports)
         assert {"numpy", "lifedual.optimizer"} <= imported  # the log is read
         assert {"statistics", "decimal"} <= imported  # the children's imports too
+        assert imports.count("statistics") == 1, command
         banned = [
             name for name in imported
             if name.split(".")[0] in ("secrets", "_hashlib") or name.startswith("numpy.random")
@@ -864,7 +890,7 @@ def test_cli_verify_passes_for_optimized_policy(tmp_path, capsys):
 
 @pytest.mark.parametrize("command", ["run", "verify"])
 def test_cli_draws_one_normal_stream(tmp_path, monkeypatch, command):
-    # the stream is built in the path pass's forked child, so each draw
+    # the stream is built in the forked certificate worker, so each draw
     # appends a line to a file rather than to a list of this process
     calls = tmp_path / "draws.txt"
     draw = lifedual.lower_bound.sobol_normals
@@ -878,6 +904,38 @@ def test_cli_draws_one_normal_stream(tmp_path, monkeypatch, command):
     cfg = _write(tmp_path, "run.cfg", SMALL_RUN_CFG)
     assert main([command, "--config", cfg, "--out", str(tmp_path / "out"), "--seed", "0"]) == 0
     assert len(calls.read_text(encoding="utf-8").splitlines()) == 1
+
+
+@pytest.mark.parametrize("command", ["run", "verify"])
+def test_cli_runs_its_numerics_in_one_worker(tmp_path, monkeypatch, command):
+    # the CLI process reads the config and prints; the scenario check, g
+    # (once per grid), the fit, the path pass and the artifacts run in one
+    # forked worker, so each wrapper appends its name and pid to a file
+    calls = tmp_path / "calls.txt"
+
+    def logged(owner, name):
+        real = getattr(owner, name)
+
+        def call(*args, **kwargs):
+            with open(calls, "a", encoding="utf-8") as fh:
+                fh.write(f"{name} {os.getpid()}\n")
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(owner, name, call)
+
+    logged(lifedual.market, "validate")
+    logged(lifedual.cli, "compute_g")
+    logged(lifedual.cli, "minimize_upper_bound")
+    logged(lifedual.lower_bound, "_path_pass")
+    logged(lifedual.cli, "emit_csv")
+    cfg = _write(tmp_path, "run.cfg", SMALL_RUN_CFG)
+    assert main([command, "--config", cfg, "--out", str(tmp_path / "out"), "--seed", "0"]) == 0
+    names, pids = zip(*(line.split() for line in calls.read_text(encoding="utf-8").splitlines()))
+    assert list(names) == [
+        "validate", "compute_g", "compute_g", "minimize_upper_bound", "_path_pass",
+        *(["emit_csv"] if command == "run" else []),
+    ]
+    assert len(set(pids)) == 1 and pids[0] != str(os.getpid())
 
 
 # the path pass each command calls, and how to set the budget z in its result
@@ -918,7 +976,7 @@ def test_cli_non_finite_dual_check_exits_2(tmp_path, monkeypatch, capsys, comman
 
 def test_cli_fit_failure_in_the_child_exits_2(tmp_path, monkeypatch, capsys):
     # every draw of every start makes the upper bound non-finite, so the
-    # fit fails in its forked child; the error comes back through the pipe
+    # fit fails in the forked worker; the error comes back through the pipe
     monkeypatch.setattr(
         lifedual.drift_policy, "init_params", lambda kind, seed: np.full(8, np.nan)
     )

@@ -14,6 +14,7 @@ from scipy.integrate import quad
 from scipy.special import ndtri
 from scipy.stats import qmc
 
+from lifedual.cli import main
 from lifedual.closed_form import (
     compute_g,
     feedback_coefficients,
@@ -565,22 +566,34 @@ def _assert_same_result(a, b):
 
 
 @pytest.mark.parametrize(
-    "entry", [simulate_candidate_value, dual_checks], ids=["candidate", "dual_checks"]
+    "entry, command",
+    [(simulate_candidate_value, "run"), (dual_checks, "verify")],
+    ids=["candidate", "dual_checks"],
 )
-def test_forked_pass_holds_no_path_state_in_the_caller(entry, monkeypatch):
-    # the node constants, the stream, the finals and both blocks live in
-    # forked children: this process checks the grid, evaluates the policy
-    # and reads back only the summaries
-    cfg = SimulationConfig(n_paths=2**14, n_steps=20, sobol_skip=0)
-    g = _g(20)
-    finals_bytes = (4 + len(_checkpoints(cfg.n_steps))) * cfg.n_paths * 8
+def test_forked_pass_holds_no_path_state_in_the_caller(entry, command, tmp_path, monkeypatch):
+    # the CLI calls the pass in its forked certificate worker, so the node
+    # constants, the stream, the finals and both blocks live below the CLI
+    # process, which reads back only the report or the checks.  verify's
+    # martingale z-scores need the 500-step grid and the default skip to pass
+    n_paths, n_steps = 2**14, 500
+    finals_bytes = (4 + len(_checkpoints(n_steps))) * n_paths * 8
+    run_cfg = tmp_path / "run.cfg"
+    run_cfg.write_text(
+        "opt.num_starts = 2\nopt.iterations_per_start = 25\n"
+        f"sim.n_paths = {n_paths}\nsim.n_steps = {n_steps}\n",
+        encoding="utf-8",
+    )
+    argv = [command, "--config", str(run_cfg), "--out", str(tmp_path / "out"), "--seed", "0"]
     tracemalloc.start()
     try:
-        forked = entry(g, FUSED_POLICY, cfg)
+        assert main(argv) == 0
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert peak < finals_bytes / 8
+    cfg = SimulationConfig(n_paths=2**14, n_steps=20, sobol_skip=0)
+    g = _g(20)
+    forked = entry(g, FUSED_POLICY, cfg)
     monkeypatch.delattr(os, "fork")
     _assert_same_result(forked, entry(g, FUSED_POLICY, cfg))
 
@@ -641,17 +654,17 @@ def _nan_theta_in(block_is_child):
 
     def rule(W, y, *coef):
         theta, c = feedback_controls(W, y, *coef)
-        # block 0 steps in the pass's forked child, the parent of block 1's process
-        assert os.getpid() != caller
-        if (os.getppid() != caller) == block_is_child:
+        # block 0 steps in the caller, block 1 in the child it forks
+        assert os.getpid() == caller or os.getppid() == caller
+        if (os.getpid() != caller) == block_is_child:
             theta = np.full_like(W, np.nan)
         return theta, c
 
     return rule
 
 
-# both blocks step in forked processes: "parent" fails block 0, in the
-# process that forks block 1, and "child" fails block 1
+# "parent" fails block 0, in the caller that forks block 1, and "child"
+# fails block 1
 @pytest.mark.parametrize("block_is_child", [True, False], ids=["child", "parent"])
 def test_failing_block_raises_in_caller_and_reaps_child(block_is_child, monkeypatch):
     monkeypatch.setattr("lifedual.lower_bound.feedback_controls", _nan_theta_in(block_is_child))

@@ -556,6 +556,20 @@ def test_nfev_counts_the_evaluations_of_every_draw(monkeypatch):
     assert sum(outcome.nfev for outcome in outcomes) == sum(rows) == 167
 
 
+def test_fit_refuses_a_seed_the_draws_would_fold():
+    # seeded_uniforms folds each key word mod 2^64, so seeds 2^64 and -2^64
+    # would fit seed 0's starts and -1 seed 2^64 - 1's; the library refuses
+    # them as the config does
+    g = _g(50)
+    cfg = OptimizerConfig(num_starts=1, iterations_per_start=0)
+    refused = r"^seed must be a nonnegative integer below 2\*\*64$"
+    for seed in (2**64, -1, -(2**64)):
+        with pytest.raises(ValidationError, match=refused):
+            minimize_upper_bound(g, "affine", cfg, seed=seed)
+    _, (outcome,) = minimize_upper_bound(g, "affine", cfg, seed=2**64 - 1)
+    assert outcome.params == tuple(init_params("affine", (2**64 - 1, 0, outcome.redraws)))
+
+
 def test_unrecoverable_initialization_raises():
     g = _g(50)
     cfg = OptimizerConfig(num_starts=1, iterations_per_start=0)
@@ -639,10 +653,9 @@ def _fail_starts(g, failures, seed=0):
 
 
 def _in_child(flag):
-    # both halves run below the caller: the even half in the fit's helper,
-    # a child of the caller, and the odd half in the helper's own child
+    # the even half runs in the caller and the odd half in the child it forks
     caller = os.getpid()
-    return lambda: (os.getppid() != caller) == flag
+    return lambda: (os.getpid() != caller) == flag
 
 
 @pytest.mark.parametrize("kind", ["redraws", "gradient"])
