@@ -32,14 +32,13 @@ CDF of ``statistics.NormalDist``, so no scipy module is imported;
 log-normal steps; utility integrals use the left-endpoint rule,
 consistent with previsible controls.
 
-Every per-node constant of a step is formed once per run, and the
-loop reads them as Python floats.  Since M* = c* g at every path, the
-liquidity floor included, the two utility integrands fold into one
-power: u(c) weighted by e^{-Lam - dt~ t} (1 + lam g) dt, with
-c^(1-gamma) formed as exp((1-gamma) log c) for every gamma.  While
-income flows, the controls are c* = F3~ (1/F2~) and
-theta* = F3~ a - Y b with node coefficients a and b, and the Euler
-step is the one line
+Every node constant is formed once per run and read as a Python
+float.  Since M* = c* g at every path, the liquidity floor included,
+the two utility integrands fold into one power: u(c) weighted by
+e^{-Lam - dt~ t} (1 + lam g) dt, with c^(1-gamma) formed as
+exp((1-gamma) log c) for every gamma.  While income flows, the
+controls are c* = F3~ (1/F2~) and theta* = F3~ a - Y b with node
+coefficients a and b, and the Euler step is the one line
 W [1 + (r + lam) dt] + theta* [(mu - r) dt + sigma dz] - c* [(1 + lam g) dt]
 + Y dt, each bracketed factor but dz a node constant.  From T_R on
 there is no income and the rule is Merton's: for W >= 0 (the floor
@@ -65,8 +64,16 @@ discounted optimal-wealth process
     H_t = beta_t e^{-Lam} W*_t + ∫_0^t beta e^{-Lam} (c* - Y + lam M*) ds,
 
 checked under the physical measure through the density ksi_t.
-``dual_checks(g, policy, config)`` steps only these dual streams, with
-no candidate controls or wealth, and returns the same two checks.
+
+The pass advances two generator streams in lockstep, as ``optimizer``
+advances its starts: the dual stream (log ksi, the spend, financing
+and income sums, the martingale increments and the terminal value) and
+the candidate stream (W, its utility, the per-step sums of W and c*,
+and the non-finite-wealth check).  At each node a block draws dz,
+sends (dz, Y) to each stream and steps the income Y, which it drops
+after T_R's closing half-cell; each stream reads only its own node
+constants.  ``dual_checks(g, policy, config)`` runs no candidate
+stream.
 
 The calling process checks the grid, evaluates the policy once
 (``precompute_aggregates``) and forms the node constants and the Sobol
@@ -365,10 +372,24 @@ def _mean_se(x):
     return x.mean(), x.std(ddof=1) / np.sqrt(len(x))
 
 
+# rows of the per-path finals: the candidate's utility, the budget sums,
+# then one martingale increment per checkpoint
+_UTIL, _SPEND, _TERMINAL, _INCOME, _INCREMENTS = range(5)
+
+
 def _checkpoints(n_steps: int) -> dict[int, int]:
-    """Martingale checkpoints: step of each quarter horizon -> its row offset."""
+    """Martingale checkpoints: step of each quarter horizon -> its finals row."""
     steps = sorted({max(j * n_steps // 4, 1) for j in range(1, 5)})
-    return {k: j for j, k in enumerate(steps)}
+    return {k: _INCREMENTS + j for j, k in enumerate(steps)}
+
+
+def _node_floats(*curves):
+    """(k, each curve's value at node k) for each node k, as Python floats.
+
+    A memoryview yields floats, not numpy scalars, and holds no float
+    object between reads.
+    """
+    return enumerate(zip(*map(memoryview, curves)))
 
 
 def _dual_summary(
@@ -378,7 +399,7 @@ def _dual_summary(
 
     Overflow in the dual streams is left to show as a non-finite z-score.
     """
-    spend, terminal, income = finals[1:4]
+    spend, terminal, income = finals[_SPEND:_INCREMENTS]
     with np.errstate(over="ignore", invalid="ignore"):
         mean, budget_se = _mean_se(spend + terminal - income)
         budget = BudgetCheck(
@@ -389,7 +410,7 @@ def _dual_summary(
         )
         martingale_z = []
         for k, j in _checkpoints(len(t_nodes) - 1).items():
-            mean, inc_se = _mean_se(finals[4 + j])
+            mean, inc_se = _mean_se(finals[j])
             martingale_z.append((float(t_nodes[k]), float(mean / inc_se)))
     return budget, martingale_z
 
@@ -399,22 +420,12 @@ def _path_pass(g: GFunction, policy, config: SimulationConfig, candidate: bool):
 
     Returns (value, se, means, budget, martingale_z): the path mean of
     the utility and its standard error, the per-step path means of W
-    and c (2 x (n_steps + 1)) and ``_dual_summary``'s two checks.  They
-    are read from ``finals``, which holds per path the utility, spend,
-    terminal and income sums and each martingale increment: one shared
-    buffer, each block writing its own columns in place.  The dual
-    streams always step; the candidate's controls, wealth and utility
-    only when ``candidate`` is true, and otherwise the utility row and
-    ``means`` stay zero.
-
-    This process checks the grids, evaluates the policy once, forms the
-    node constants and the stream and steps block 0; block 1 steps in a
-    forked child, which sends back only its per-step sums.
+    and c (2 x (n_steps + 1)) and ``_dual_summary``'s two checks.  The
+    candidate stream runs only when ``candidate`` is true; otherwise
+    the utility row and ``means`` stay zero.
     """
-    scenario = g.scenario
-    gam = scenario.gamma
-    n_paths = config.n_paths
-    n_steps = config.n_steps
+    scenario, gam = g.scenario, g.scenario.gamma
+    n_paths, n_steps = config.n_paths, config.n_steps
     _check_origin(g)
     if g.grid.n_intervals != n_steps:
         raise ValidationError(f"sim.n_steps = {n_steps}, but g has {g.grid.n_intervals} steps")
@@ -429,8 +440,6 @@ def _path_pass(g: GFunction, policy, config: SimulationConfig, candidate: bool):
     r_n, sig_n, surv_n, cap_fac = g.r, g.sigma, g.survival, g.bequest_factor
     lam_n = np.asarray(scenario.mortality.hazard(t_nodes))
     disc_n = surv_n * np.exp(-scenario.delta_tilde * t_nodes)
-    node = np.arange(n_steps + 1)
-    working = node < k_retire
     # node coefficients of the candidate step, with M = c g: the feedback
     # rule's, the Euler step's, and the weight of c^(1-gamma) for
     # consumption plus bequest, w u(c) + lam w g^gamma u(c g) = w (1 + lam g) u(c)
@@ -439,12 +448,10 @@ def _path_pass(g: GFunction, policy, config: SimulationConfig, candidate: bool):
     grow_n = 1.0 + (r_n + lam_n) * dt
     excess_n = (g.mu - r_n) * dt
     rho_n = cap_fac * dt
-    u_n = disc_n * rho_n / (1.0 - gam)
     # retired, the rule is Merton's: theta* = W clip(a, 0, 1) for W >= 0 and
     # c* = W / F2~, so the Euler step is W (alpha + beta dz)
     a_bar = np.clip(a_n, 0.0, 1.0)
     alpha_n = grow_n - rho_n * inv_f2 + a_bar * excess_n
-    beta_n = a_bar * sig_n
     y_drift = (scenario.mu_Y - 0.5 * scenario.sigma_Y**2) * dt  # exact log-normal income step
 
     # deterministic part of the kernel: log beta by the left rule,
@@ -457,24 +464,11 @@ def _path_pass(g: GFunction, policy, config: SimulationConfig, candidate: bool):
     bs_n = np.exp(log_beta) * surv_n
     c_star0 = c0 * np.exp(-(scenario.delta_tilde * t_nodes + log_beta) / gam)
     rate_n = bs_n * c_star0 * cap_fac
-    trap = np.full(n_steps + 1, dt)
-    trap[[0, -1]] = half
-    spend_w = trap * rate_n
-    pays = node <= k_retire
-    pays[0] = False
-    income_w = (half * pays + half * working) * bs_n
-    xi_drift = 0.5 * kv_n * kv_n * dt
+    # trapezoid weights, the half-cells closing and opening at a node
+    node = np.arange(n_steps + 1)
+    spend_n = (half * (node > 0) + half * (node < n_steps)) * rate_n
+    income_n = (half * ((node > 0) & (node <= k_retire)) + half * (node < k_retire)) * bs_n
     checks = _checkpoints(n_steps)
-    # the step loop reads its node constants as Python floats, not numpy scalars:
-    # a memoryview's items are floats, and it holds no float objects between reads
-    (working, cap_fac, grow_n, excess_n, rho_n, u_n, alpha_n, beta_n, inv_f2, sig_n, a_n,
-     b_n, kv_n, xi_drift, bs_n, c_star0, rate_n, spend_w, income_w, f2_n, ann_n) = (
-        memoryview(x) for x in (
-            working, cap_fac, grow_n, excess_n, rho_n, u_n, alpha_n, beta_n, inv_f2, sig_n,
-            a_n, b_n, kv_n, xi_drift, bs_n, c_star0, rate_n, spend_w, income_w, f2_n, ann_n,
-        )
-    )
-    e_pow = -1.0 / gam
 
     def power(x):
         """x^(1-gamma) of the floored x, one formula for every gamma."""
@@ -483,86 +477,102 @@ def _path_pass(g: GFunction, policy, config: SimulationConfig, candidate: bool):
     levels, row = sobol_normals(config)
     levels *= np.sqrt(dt)
     # every path's finals, zero-filled in an anonymous mapping a forked block shares
-    finals = np.frombuffer(mmap.mmap(-1, (4 + len(checks)) * n_paths * 8)).reshape(-1, n_paths)
+    finals = np.frombuffer(mmap.mmap(-1, (_INCREMENTS + len(checks)) * n_paths * 8))
+    finals = finals.reshape(-1, n_paths)
+
+    def dual_stream(lo: int, hi: int):
+        """The dual stream of paths [lo, hi), sent (dz, Y) at each node."""
+        # spend = int pi e^{-Lam}(c* + lam M*) dt, income = int pi e^{-Lam} Y dt
+        spend, terminal, income = finals[_SPEND:_INCREMENTS, lo:hi]
+        finance = np.zeros(hi - lo)  # int beta e^{-Lam}(c* - Y + lam M*) dt
+        log_xi = np.zeros(hi - lo)
+        h_prev = float(scenario.W0)
+        for k, (spend_w, income_w, rate, bs, c_star, f2, ann, kv) in _node_floats(
+            spend_n, income_n, rate_n, bs_n, c_star0, f2_n, ann_n, kv_n
+        ):
+            dz, Y = yield
+            xi = np.exp(log_xi)
+            e = np.exp(log_xi * (-1.0 / gam))
+            e_w = spend_w * e
+            finance += e_w
+            spend += xi * e_w
+            if income_w:  # zero after T_R
+                y_w = income_w * Y
+                finance -= y_w
+                income += xi * y_w
+                del y_w
+            if k in checks:
+                y_k = Y if k < k_retire else 0.0
+                # before the last node the running sum holds node k's opening half-cell
+                fin = finance - half * (rate * e - bs * y_k) if k < n_steps else finance
+                # H = ksi (beta e^{-Lam} W* + fin); W* = c* F2~ - Y ann is kept as no row
+                h = xi * (bs * (c_star * e * f2 - y_k * ann) + fin)
+                del fin, y_k
+                finals[checks[k], lo:hi] = h - h_prev
+                h_prev = h
+            if k == n_steps:
+                break
+            log_xi += kv * dz
+            log_xi -= 0.5 * kv * kv * dt
+        terminal[:] = bs * c_star * f2 * (xi * e)  # pi e^{-Lam} W*_T
+        yield  # the horizon's send returns here
+
+    def candidate_stream(lo: int, hi: int, sums: np.ndarray):
+        """The candidate stream of paths [lo, hi), sent (dz, Y) at each node."""
+        W = np.full(hi - lo, scenario.W0)
+        util = finals[_UTIL, lo:hi]
+        for k, (ann, inv_f, a, b, cap, u, grow, excess, sig, rho, alpha, beta) in _node_floats(
+            ann_n, inv_f2, a_n, b_n, cap_fac, disc_n * rho_n / (1.0 - gam), grow_n, excess_n,
+            sig_n, rho_n, alpha_n, a_bar * sig_n
+        ):
+            dz, Y = yield
+            # after the floor every W is >= 0 or not finite, so the
+            # sum is finite exactly when every path's wealth is
+            w_sum = sums[0, k] = np.add.reduce(W)
+            if not np.isfinite(w_sum):
+                raise NumericalError(
+                    f"non-finite wealth at step {k - 1} (t={t_nodes[k - 1]:.4f})" if k
+                    else "non-finite initial wealth (t=0.0000)"
+                )
+            if k == n_steps:
+                break
+            if k < k_retire:
+                theta, c = feedback_controls(W, Y, ann, inv_f, a, b)
+                # the liquidity rule caps c (and M = c g) at the floor
+                if np.minimum.reduce(W) <= 1e-12:
+                    c = np.where(W <= 1e-12, np.minimum(c, Y / cap), c)
+                sums[1, k] = np.add.reduce(c)
+                util += u * power(c)
+                W = W * grow + theta * (excess + sig * dz) - c * rho
+                W += Y * dt
+                del theta, c  # no control row outlives its step
+            else:  # retired: c* = W / F2~
+                sums[1, k] = w_sum * inv_f
+                util += u * power(W * inv_f)
+                W *= alpha + beta * dz
+            np.maximum(W, 0.0, out=W)
+        util += disc_n[-1] * power(W) / (1.0 - gam)
+        yield
 
     def block(lo: int, hi: int) -> np.ndarray:
         """Step paths [lo, hi) into columns [lo, hi) of ``finals``; return per-step sums."""
         sums = np.zeros((2, n_steps + 1))
-        W = np.full(hi - lo, scenario.W0)
+        streams = [dual_stream(lo, hi)] + ([candidate_stream(lo, hi, sums)] if candidate else [])
+        for stream in streams:
+            next(stream)  # to its first receive
         Y = np.full(hi - lo, scenario.Y0)
-        util, spend, terminal, income = finals[:4, lo:hi]
-        # spend = int pi e^{-Lam}(c* + lam M*) dt, income = int pi e^{-Lam} Y dt
-        finance = np.zeros(hi - lo)  # int beta e^{-Lam}(c* - Y + lam M*) dt
-        log_xi = np.zeros(hi - lo)
-        h_prev = float(scenario.W0)
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
             for k in range(n_steps + 1):
-                work = working[k]
-                if candidate:
-                    # after the floor every W is >= 0 or not finite, so the
-                    # sum is finite exactly when every path's wealth is
-                    w_sum = sums[0, k] = np.add.reduce(W)
-                    if not np.isfinite(w_sum):
-                        raise NumericalError(
-                            f"non-finite wealth at step {k - 1} (t={t_nodes[k - 1]:.4f})"
-                        )
-                y_k = Y if work else 0.0
-                xi = np.exp(log_xi)
-                e = np.exp(log_xi * e_pow)
-                e_w = spend_w[k] * e
-                finance += e_w
-                spend += xi * e_w
-                if income_w[k]:  # zero after T_R
-                    y_w = income_w[k] * Y
-                    finance -= y_w
-                    income += xi * y_w
-                    del y_w
-                    if not work:  # T_R's closing half-cell: no later step reads Y
-                        del Y
-                if k in checks:
-                    # before the last node the running sum holds node k's opening half-cell
-                    fin = (finance - half * (rate_n[k] * e - bs_n[k] * y_k)
-                           if k < n_steps else finance)
-                    # H = ksi (beta e^{-Lam} W* + fin); W* = c* F2~ - Y ann is kept as no row
-                    h = xi * (bs_n[k] * (c_star0[k] * e * f2_n[k] - y_k * ann_n[k]) + fin)
-                    del fin
-                    finals[4 + checks[k], lo:hi] = h - h_prev
-                    h_prev = h
-                if k == n_steps:
-                    terminal[:] = bs_n[k] * c_star0[k] * f2_n[k] * (xi * e)  # pi e^{-Lam} W*_T
-                    break
-                dz = levels[row(k, lo, hi)]
-                log_xi += kv_n[k] * dz
-                log_xi -= xi_drift[k]
-
-                if candidate and work:
-                    theta, c = feedback_controls(W, Y, ann_n[k], inv_f2[k], a_n[k], b_n[k])
-                    # the liquidity rule caps c (and M = c g) at the floor
-                    if np.minimum.reduce(W) <= 1e-12:
-                        c = np.where(W <= 1e-12, np.minimum(c, Y / cap_fac[k]), c)
-
-                    sums[1, k] = np.add.reduce(c)
-                    util += u_n[k] * power(c)
-
-                    W = W * grow_n[k] + theta * (excess_n[k] + sig_n[k] * dz) - c * rho_n[k]
-                    W += Y * dt
-                    np.maximum(W, 0.0, out=W)
-                    del theta, c  # no control row outlives its step
-                elif candidate:  # retired: c* = W / F2~
-                    sums[1, k] = w_sum * inv_f2[k]
-                    util += u_n[k] * power(W * inv_f2[k])
-                    W *= alpha_n[k] + beta_n[k] * dz
-                    np.maximum(W, 0.0, out=W)
-                if work:
-                    Y = Y * np.exp(y_drift + scenario.sigma_Y * dz)
-
-        if candidate:
-            util += disc_n[-1] * power(W) / (1.0 - gam)
+                dz = levels[row(k, lo, hi)] if k < n_steps else None
+                for stream in streams:
+                    stream.send((dz, Y))
+                # no node after T_R's closing half-cell reads Y
+                Y = Y * np.exp(y_drift + scenario.sigma_Y * dz) if k < k_retire else None
         return sums
 
     cut = n_paths // 2
     s0, s1 = in_two_processes(lambda: block(0, cut), lambda: block(cut, n_paths))
-    return (*_mean_se(finals[0]), (s0 + s1) / n_paths,
+    return (*_mean_se(finals[_UTIL]), (s0 + s1) / n_paths,
             *_dual_summary(finals, t_nodes, scenario.W0))
 
 
@@ -577,12 +587,10 @@ def simulate_candidate_value(
     curve is read: it starts at 0, has ``config.n_steps`` intervals and
     puts T_R on a node (a step across T_R would pay income past
     retirement), or a ``ValidationError`` names ``sim.n_steps``.  Before
-    T_R, controls are recomputed each step from the current state by
-    ``closed_form.feedback_controls``, on coefficients of the node
-    curves formed once per node; from T_R on, the same rule is the
-    multiplicative Merton step of the module docstring.
+    T_R, the controls are ``closed_form.feedback_controls`` of the
+    current state; from T_R on, the Merton step of the module docstring.
 
-    The same pass simulates log ksi_v (left-endpoint Euler increments)
+    The dual stream simulates log ksi_v (left-endpoint Euler increments)
     and evaluates the closed-form optimal streams
     c*_t = c0 (pi_t e^{delta t})^{-1/gamma}, M*_t = g(t) c*_t and
     W*_t = c*_t F2~(t) - Y_t ann(t) at every step boundary.  With
@@ -595,10 +603,6 @@ def simulate_candidate_value(
     standardizes the increments of H_t between quarter-horizon
     checkpoints (the first against the exact H_0 = W0).  Overflow in
     these dual streams is left to show as a non-finite z-score.
-
-    The pass steps the two blocks, the first here and the second in a
-    forked child, into one shared buffer of per-path finals; the child
-    sends back only its per-step sums.
 
     Returns the path mean, its sample standard error (the iid formula,
     not a valid error for a low-discrepancy stream; ROADMAP item 3),
@@ -623,12 +627,10 @@ def dual_checks(
 ) -> tuple[BudgetCheck, list[tuple[float, float]]]:
     """The budget check and martingale z-scores, without the candidate.
 
-    Steps only the dual streams of ``simulate_candidate_value``'s pass
-    (ksi, the optimal streams and the income Y) over the same paths, cut
-    into the same two blocks, so the result equals that pass's
+    Runs only the dual stream of ``simulate_candidate_value``'s pass
+    over the same paths and blocks, so the result equals that pass's
     ``budget`` and ``martingale_z`` bit for bit, non-finite z-scores
     included.  No control, wealth or utility is formed, so no
-    non-finite wealth can stop it.  Like that pass, it steps the second
-    block in a forked child.
+    non-finite wealth can stop it.
     """
     return _path_pass(g, policy, config, False)[3:]

@@ -393,3 +393,29 @@ def test_criterion_10_bit_identical_reruns(tmp_path):
     ok = a == b
     _verdict(10, ok, f"bounds.csv identical across reruns: {ok} ({len(a)} bytes)")
     assert ok
+
+
+# the desk certificates (upper, lower, s.e., budget z, martingale z at
+# t = 12.5, 25, 37.5, 50) as the CLI's desk runs print them, captured at
+# commit afa9beb; a change of the normal stream (ROADMAP item 3a)
+# recaptures them
+DESK_CERTIFICATES = {
+    "example1 affine": (
+        -9.451859789426367, -9.460286525154842, 0.013049421350367931, -0.5061911875788649,
+        [1.9611301713527127, 2.0153471033737684, 2.015625278270482, -1.3627323745458375],
+    ),
+    "example2 snake": (
+        -9.246768324691908, -9.266606689648292, 0.01178788050374896, -0.7346269739997169,
+        [1.7532072976242796, 2.409575115290991, 1.8392453008470009, -1.347929685283498],
+    ),
+}
+
+
+def test_desk_certificates_reproduce_their_goldens(ex1_affine, ex2_runs):
+    runs = {"example1 affine": ex1_affine, "example2 snake": ex2_runs["snake"]}
+    for name, (upper, lower, se, budget_z, zs) in DESK_CERTIFICATES.items():
+        r = runs[name]
+        got = (r.upper, r.lower, r.std_error, r.sim.budget.z_score)
+        assert got == pytest.approx((upper, lower, se, budget_z), rel=1e-12), name
+        assert [t for t, _ in r.sim.martingale_z] == [12.5, 25.0, 37.5, 50.0], name
+        assert [z for _, z in r.sim.martingale_z] == pytest.approx(zs, rel=1e-12), name

@@ -26,7 +26,9 @@ from lifedual.config import build_run_config
 from lifedual.drift_policy import init_params, make_policy
 from lifedual.errors import NumericalError, ValidationError
 from lifedual.lower_bound import (
+    _INCREMENTS,
     _LEVEL_ERROR,
+    _UTIL,
     NORMALS_NOTE,
     SimulationConfig,
     _checkpoints,
@@ -417,6 +419,12 @@ def test_retired_merton_step_matches_the_general_step(mu):
     _assert_pass_matches_the_general_step(sc, ZERO)
 
 
+def test_pass_without_a_working_step_matches_the_general_step():
+    # with T_R = 0 no step pays income: the candidate's first step is
+    # already the Merton multiply, and the pass drops Y after node 0
+    _assert_pass_matches_the_general_step(dataclasses.replace(SC, T_R=0.0), ZERO)
+
+
 def test_starved_paths_stay_finite():
     poor = dataclasses.replace(preset_scenario("example1"), W0=1e-12)
     g = compute_g(poor, UniformGrid(0.0, poor.T, 100))
@@ -576,7 +584,7 @@ def test_forked_pass_holds_no_path_state_in_the_caller(entry, command, tmp_path,
     # process, which reads back only the report or the checks.  verify's
     # martingale z-scores need the 500-step grid and the default skip to pass
     n_paths, n_steps = 2**14, 500
-    finals_bytes = (4 + len(_checkpoints(n_steps))) * n_paths * 8
+    finals_bytes = (_INCREMENTS + len(_checkpoints(n_steps))) * n_paths * 8
     run_cfg = tmp_path / "run.cfg"
     run_cfg.write_text(
         "opt.num_starts = 2\nopt.iterations_per_start = 25\n"
@@ -613,7 +621,7 @@ def test_path_pass_summarizes_the_one_buffer_both_blocks_wrote(monkeypatch):
     g, cfg = _g(100), SimulationConfig(n_paths=2**11, n_steps=100)
 
     def inspected(finals, t_nodes, w0):
-        seen = _maps_shared_memory(finals), finals.shape, bool(np.all(finals[0] < 0.0))
+        seen = _maps_shared_memory(finals), finals.shape, bool(np.all(finals[_UTIL] < 0.0))
         return seen, _dual_summary(finals, t_nodes, w0)
 
     monkeypatch.setattr("lifedual.lower_bound._dual_summary", inspected)
@@ -622,8 +630,9 @@ def test_path_pass_summarizes_the_one_buffer_both_blocks_wrote(monkeypatch):
     serial = _path_pass(g, FUSED_POLICY, cfg, True)
     assert np.array_equal(forked[2], serial[2])
     assert forked[:2] + forked[3:] == serial[:2] + serial[3:]
+    rows = _INCREMENTS + len(_checkpoints(cfg.n_steps))
     for mean, std_error, _, seen, (budget, martingale_z) in (forked, serial):
-        assert seen == (True, (8, cfg.n_paths), True)
+        assert seen == (True, (rows, cfg.n_paths), True)
         assert (mean, std_error) == pytest.approx((value, se), rel=1e-12)
         assert budget.z_score == pytest.approx(budget_z, rel=1e-12)
         assert [t for t, _ in martingale_z] == times
@@ -639,7 +648,7 @@ def test_candidate_pass_traces_no_copy_of_the_finals(monkeypatch):
     monkeypatch.delattr(os, "fork")
     cfg = SimulationConfig(n_paths=2**14, n_steps=20, sobol_skip=0)
     g = _g(20)
-    finals_bytes = (4 + len(_checkpoints(cfg.n_steps))) * cfg.n_paths * 8
+    finals_bytes = (_INCREMENTS + len(_checkpoints(cfg.n_steps))) * cfg.n_paths * 8
     tracemalloc.start()
     try:
         simulate_candidate_value(g, FUSED_POLICY, cfg)
@@ -675,18 +684,30 @@ def test_failing_block_raises_in_caller_and_reaps_child(block_is_child, monkeypa
         os.waitpid(-1, os.WNOHANG)
 
 
+def test_non_finite_initial_wealth_names_t_0():
+    # node 0's check reads the initial wealth, which no step produced
+    g = compute_g(dataclasses.replace(SC, W0=np.inf), UniformGrid(0.0, SC.T, 10))
+    with pytest.raises(NumericalError, match=r"^non-finite initial wealth \(t=0\.0000\)$"):
+        simulate_candidate_value(g, ZERO, SimulationConfig(n_paths=64, n_steps=10))
+
+
 def _nan_equal(a, b):
     return np.array_equal(np.asarray(a, float), np.asarray(b, float), equal_nan=True)
 
 
 @pytest.mark.parametrize("n_paths, n_steps", [(128, 100), (4096, 200)], ids=["128-paths", "forked"])
 @pytest.mark.parametrize(
-    "pol",
-    [ZERO, make_policy("affine", np.abs(init_params("affine", (21, 0))), t_retire=SC.T_R), EXTREME],
-    ids=["zero", "sampled", "extreme"],
+    "sc, pol",
+    [
+        (SC, ZERO),
+        (SC, make_policy("affine", np.abs(init_params("affine", (21, 0))), t_retire=SC.T_R)),
+        (SC, EXTREME),
+        (dataclasses.replace(SC, T_R=0.0), ZERO),  # no step pays income
+    ],
+    ids=["zero", "sampled", "extreme", "no-working-step"],
 )
-def test_dual_checks_equal_the_fused_pass(pol, n_paths, n_steps):
-    g = _g(n_steps)
+def test_dual_checks_equal_the_fused_pass(sc, pol, n_paths, n_steps):
+    g = compute_g(sc, UniformGrid(0.0, sc.T, n_steps))
     cfg = SimulationConfig(n_paths=n_paths, n_steps=n_steps)
     sim = simulate_candidate_value(g, pol, cfg)
     budget, martingale_z = dual_checks(g, pol, cfg)
